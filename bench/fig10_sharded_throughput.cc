@@ -16,10 +16,10 @@
 // in docs/observability.md. The metrics-on run then feeds two attributed
 // breakdowns into BENCH_fig10.json:
 //
-//   stages     per-shard worker time split into append / sample /
-//              frontier_wait / frontier_serve / propagate / route /
-//              merge / idle (disjoint by construction; coverage_pct says
-//              how much of num_shards x wall time they account for);
+//   stages     per-shard worker time split into sample / append /
+//              propagate / route / merge / finalize / idle (disjoint by
+//              construction; coverage_pct says how much of num_shards x
+//              wall time they account for);
 //   transport  frames / bytes / write syscalls per directed shard lane.
 //
 // --transport selects the shard-to-shard messaging plane:
@@ -170,9 +170,9 @@ RunResult Replay(Engine& engine, const apan::data::Dataset& dataset,
 
 /// The disjoint per-worker stages (docs/observability.md). Order is the
 /// life of a batch on the worker; idle last.
-constexpr const char* kWorkerStages[] = {
-    "append",    "sample", "frontier_wait", "frontier_serve", "propagate",
-    "route",     "merge",  "finalize",      "idle"};
+constexpr const char* kWorkerStages[] = {"sample", "append",   "propagate",
+                                         "route",  "merge",    "finalize",
+                                         "idle"};
 
 StageBreakdown CollectStages(const apan::obs::Registry::Snapshot& snap,
                              int shards, const std::string& transport,
@@ -315,7 +315,10 @@ int main(int argc, char** argv) {
   struct MemoryRow {
     int shards = 0;
     std::string partition;
-    int64_t slice_bytes = 0;
+    /// One worker's graph replica, and the sum over all N (identical)
+    /// replicas — the N× price of sampling locally.
+    int64_t replica_bytes = 0;
+    int64_t graph_bytes = 0;
     int64_t state_bytes = 0;
     /// Largest / smallest per-shard state slice: the balance the
     /// partitioner actually delivered, not just the sum.
@@ -412,7 +415,10 @@ int main(int argc, char** argv) {
           MemoryRow row;
           row.shards = shards;
           row.partition = part.name;
-          row.slice_bytes = engine.sharded_graph().MemoryBytes();
+          row.replica_bytes = engine.replica(0).MemoryBytes();
+          for (int s = 0; s < shards; ++s) {
+            row.graph_bytes += engine.replica(s).MemoryBytes();
+          }
           row.state_bytes_min_shard =
               std::numeric_limits<int64_t>::max();
           for (int s = 0; s < shards; ++s) {
@@ -451,8 +457,8 @@ int main(int argc, char** argv) {
   }
   bench::PrintRule(118);
   std::printf(
-      "baseline = single-worker AsyncPipeline (%.0f ev/s). Speedup needs\n"
-      "hardware parallelism: on a 1-core box expect parity, not scaling.\n"
+      "baseline = single-worker AsyncPipeline (%.0f ev/s). Shard workers\n"
+      "are threads: extra shards can only buy events/s on idle cores.\n"
       "ev/s no-obs = the same config with stage metrics off; the delta is\n"
       "the observability tax (<2%% contract, docs/observability.md).\n"
       "sync p50/p99: the AsyncPipeline row encodes against one shared\n"
@@ -518,26 +524,26 @@ int main(int argc, char** argv) {
         (long long)t.bytes, (long long)t.syscalls);
   }
 
-  // Both partitioned planes store their payload exactly once: graph
-  // slices hold each adjacency occurrence once (plus a per-entry ordinal
-  // for versioned reads), and per-shard NodeStateStores hold each node's
-  // mailbox + z(t−) rows once (plus the dense local index) — so both
-  // sums stay ~1x monolithic at every shard count.
+  // The state plane is partitioned: per-shard NodeStateStores hold each
+  // node's mailbox + z(t−) rows once (plus the dense local index), so its
+  // sum stays ~1x monolithic. The graph is replicated: every worker keeps
+  // a full {node, timestamp} copy, so its sum grows N x one replica.
   std::printf(
-      "\nper-shard memory (inproc rows), summed across shards; max/min = "
-      "largest\nand smallest single shard's state slice (the partitioner's "
-      "balance):\n"
+      "\nper-shard memory (inproc rows), summed across shards; graph = the "
+      "N worker\nreplicas; max/min = largest and smallest single shard's "
+      "state slice (the\npartitioner's balance):\n"
       "  monolithic: graph %lld bytes | state (mailbox + z rows) %lld "
       "bytes\n",
       (long long)mono_graph_bytes, (long long)mono_state_bytes);
   for (const MemoryRow& row : memory_rows) {
     std::printf(
-        "  x%d %-8s: graph %lld bytes (%.2fx) | state %lld bytes "
-        "(%.2fx, max/min %lld/%lld)\n",
-        row.shards, row.partition.c_str(), (long long)row.slice_bytes,
-        mono_graph_bytes > 0 ? static_cast<double>(row.slice_bytes) /
+        "  x%d %-8s: graph %lld bytes (%.2fx; %lld per replica) | state "
+        "%lld bytes (%.2fx, max/min %lld/%lld)\n",
+        row.shards, row.partition.c_str(), (long long)row.graph_bytes,
+        mono_graph_bytes > 0 ? static_cast<double>(row.graph_bytes) /
                                    static_cast<double>(mono_graph_bytes)
                              : 0.0,
+        (long long)row.replica_bytes,
         (long long)row.state_bytes,
         mono_state_bytes > 0 ? static_cast<double>(row.state_bytes) /
                                    static_cast<double>(mono_state_bytes)
@@ -760,10 +766,11 @@ int main(int argc, char** argv) {
     json.BeginObject();
     json.Field("shards", static_cast<int64_t>(row.shards));
     json.Field("partition", row.partition);
-    json.Field("graph_bytes", row.slice_bytes);
+    json.Field("graph_bytes", row.graph_bytes);
+    json.Field("replica_bytes", row.replica_bytes);
     json.Field("graph_ratio_vs_monolithic",
                mono_graph_bytes > 0
-                   ? static_cast<double>(row.slice_bytes) /
+                   ? static_cast<double>(row.graph_bytes) /
                          static_cast<double>(mono_graph_bytes)
                    : 0.0);
     json.Field("state_bytes", row.state_bytes);

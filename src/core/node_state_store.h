@@ -39,11 +39,10 @@ class NodeStateStore {
  public:
   /// \brief Dense index over a disjoint N-way partition of the node
   /// space, built once and shared (shared_ptr) by every store of the
-  /// partition AND by graph::ShardedTemporalGraph's slices (the two
-  /// planes' ownership maps are element-identical, so one engine stores
-  /// the index exactly once). Without sharing, per-store index memory
-  /// would scale O(num_shards * num_nodes) and sink the "partitioned
-  /// stores sum to ~1x monolithic" invariant at high shard counts.
+  /// partition AND by serve::ShardRouter (one engine stores the index
+  /// exactly once). Without sharing, per-store index memory would scale
+  /// O(num_shards * num_nodes) and sink the "partitioned stores sum to
+  /// ~1x monolithic" invariant at high shard counts.
   using Partition = graph::NodePartition;
 
   /// Store covering all of `[0, num_nodes)` with the identity mapping

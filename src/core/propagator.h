@@ -106,9 +106,9 @@ class MailPropagator {
   /// \brief φ + f + unfinalized ρ over *externally sampled* neighborhoods.
   ///
   /// `hops[i]` is records[i]'s k-hop expansion (hop order, as produced by
-  /// graph::KHopMostRecent — or reassembled from per-owner-shard slice
-  /// reads, which is how serve::ShardedEngine samples across
-  /// graph::ShardedTemporalGraph slices). ComputePartial is exactly
+  /// graph::KHopMostRecent — or by graph::AdjacencyReplica::SampleKHop,
+  /// which is how each serve::ShardedEngine worker samples its own graph
+  /// replica; only HopEntry::node is read). ComputePartial is exactly
   /// sampling each record's neighborhood locally, then delegating here;
   /// accumulation order (record-major, hop-entry order) is identical, so
   /// the two paths produce bitwise-equal partials for equal hop lists.

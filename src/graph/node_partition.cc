@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/sharded_temporal_graph.h"
-
 namespace apan {
 namespace graph {
 

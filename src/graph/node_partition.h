@@ -1,21 +1,21 @@
 // The shared node-ownership index of an N-way node partition.
 //
-// Both partitioned planes — core::NodeStateStore (mailbox slice + z(t−)
-// rows) and graph::ShardedTemporalGraph (adjacency slices) — need the
-// same two dense maps: node -> owning shard and node -> local row within
-// that shard. NodePartition stores the pair once; every store and every
-// slice of one engine references the same immutable instance through a
-// shared_ptr, so the index costs ~8 bytes/node per ENGINE instead of per
-// plane (previously the graph kept a private element-identical copy).
-// Rows are assigned in ascending node-id order within each shard, which
-// is the layout both planes already assumed.
+// The partitioned state plane — core::NodeStateStore (mailbox slice +
+// z(t−) rows) — and serve::ShardRouter need the same two dense maps:
+// node -> owning shard and node -> local row within that shard.
+// NodePartition stores the pair once; the router and every store of one
+// engine reference the same immutable instance through a shared_ptr, so
+// the index costs ~8 bytes/node per ENGINE instead of per consumer.
+// Rows are assigned in ascending node-id order within each shard.
+// (The temporal adjacency is not partitioned: every shard worker samples
+// from its own full graph::AdjacencyReplica.)
 //
 // Two builders ship: the canonical hash (BuildDefault — stateless, any
 // tier can recompute it) and a locality-aware greedy assignment over a
 // temporal event stream (BuildLocality — LDG-style co-location under a
 // balance cap, built from a warmup prefix or a prior epoch's events).
 // Either way the result is the same immutable index type, so every
-// consumer — router, graph slices, state stores — is partition-agnostic.
+// consumer — router, state stores — is partition-agnostic.
 
 #ifndef APAN_GRAPH_NODE_PARTITION_H_
 #define APAN_GRAPH_NODE_PARTITION_H_
@@ -27,9 +27,20 @@
 #include <vector>
 
 #include "graph/temporal_graph.h"
+#include "util/random.h"
 
 namespace apan {
 namespace graph {
+
+/// Default owner shard of a node: SplitMix64 scramble then modulo, so
+/// contiguous id ranges spread across shards. This is what
+/// NodePartition::BuildDefault bakes into the shared ownership index —
+/// the stateless fallback when no locality index has been built.
+inline int NodeShardOf(NodeId node, int num_shards) {
+  if (num_shards == 1) return 0;
+  SplitMix64 hash(static_cast<uint64_t>(node));
+  return static_cast<int>(hash.Next() % static_cast<uint64_t>(num_shards));
+}
 
 /// \brief Immutable dense index over a disjoint N-way node partition.
 struct NodePartition {

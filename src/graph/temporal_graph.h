@@ -15,8 +15,8 @@
 // (AsyncPipeline's worker under model_mu_; trainers single-threaded). The
 // only member shared across unsynchronized threads is query_count_, a
 // relaxed atomic (a diagnostic counter, not a synchronization point).
-// Anything needing a concurrently-written graph goes through
-// graph::ShardedTemporalGraph's slice-ownership contract instead.
+// The sharded engine shares no graph at all: each of its workers owns a
+// graph::AdjacencyReplica.
 
 #ifndef APAN_GRAPH_TEMPORAL_GRAPH_H_
 #define APAN_GRAPH_TEMPORAL_GRAPH_H_
@@ -132,8 +132,8 @@ class TemporalGraph {
   /// through this.)
   void Reset();
 
-  /// Bytes of event-log + adjacency payload storage (the monolithic
-  /// counterpart of ShardedTemporalGraph::MemoryBytes).
+  /// Bytes of event-log + adjacency payload storage (compare one
+  /// worker's AdjacencyReplica::MemoryBytes).
   int64_t MemoryBytes() const;
 
  private:

@@ -22,8 +22,8 @@ ShardRouter::ShardRouter(
 int ShardRouter::ShardOf(graph::NodeId node) const {
   APAN_CHECK_MSG(node >= 0 && node < partition_->num_nodes(),
                  "node id out of range in ShardOf");
-  // Reads the shared ownership index so mailbox/memory shards and
-  // graph::ShardedTemporalGraph slices agree on every node's owner.
+  // Reads the shared ownership index so routing and the per-shard
+  // mailbox/memory stores agree on every node's owner.
   return partition_->owner_of[static_cast<size_t>(node)];
 }
 

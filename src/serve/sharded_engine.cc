@@ -1,7 +1,6 @@
 #include "serve/sharded_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <set>
@@ -28,7 +27,6 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
                            model != nullptr ? model->config().num_nodes : 1,
                            options.num_shards)),
       router_(partition_),
-      graph_(partition_),
       transport_(options_.transport ? options_.transport()
                                     : std::make_unique<InProcessTransport>()),
       encode_pool_(options.encode_threads > 0
@@ -59,10 +57,6 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   ins_.mails_cross_shard =
       registry_->GetCounter("serve.mails_cross_shard", ns);
   ins_.mails_dropped = registry_->GetCounter("serve.mails_dropped");
-  ins_.frontier_requests =
-      registry_->GetCounter("serve.frontier_requests", ns);
-  ins_.frontier_nodes_forwarded =
-      registry_->GetCounter("serve.frontier_nodes_forwarded", ns);
   ins_.duplicates_dropped =
       registry_->GetCounter("serve.duplicates_dropped", ns);
   ins_.events_homed = registry_->GetCounter("serve.events_homed", ns);
@@ -73,15 +67,13 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   ins_.mail_depth = registry_->GetGauge("serve.mail_queue_depth", ns);
   ins_.mail_highwater =
       registry_->GetGauge("serve.mail_queue_highwater", ns);
+  ins_.merge_pending_highwater =
+      registry_->GetGauge("serve.merge_pending_highwater", ns);
   ins_.stage_sync = registry_->GetHistogram("stage.sync");
   ins_.stage_merge = registry_->GetHistogram("stage.merge", ns);
   ins_.stage_encode = registry_->GetHistogram("stage.encode", ns);
   ins_.stage_append = registry_->GetHistogram("stage.append", ns);
   ins_.stage_sample = registry_->GetHistogram("stage.sample", ns);
-  ins_.stage_frontier_wait =
-      registry_->GetHistogram("stage.frontier_wait", ns);
-  ins_.stage_frontier_serve =
-      registry_->GetHistogram("stage.frontier_serve", ns);
   ins_.stage_propagate = registry_->GetHistogram("stage.propagate", ns);
   ins_.stage_route = registry_->GetHistogram("stage.route", ns);
   ins_.stage_idle = registry_->GetHistogram("stage.idle", ns);
@@ -95,19 +87,17 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   // every mutable byte the engine serves lives in the per-shard stores.
   model->SetTraining(false);
   // Partition the node space into disjoint per-shard state stores. The
-  // ownership index is partition_ — the SAME instance the graph slices
-  // reference — so owner + local row per node is stored once for the
-  // whole engine; per-store or per-plane copies would scale index memory
-  // O(num_shards * num_nodes).
+  // ownership index is partition_ — the SAME instance the router reads —
+  // so owner + local row per node is stored once for the whole engine.
+  // The graph, by contrast, is replicated: each worker samples its own.
   const core::ApanConfig& config = model->config();
   shards_.reserve(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->store = std::make_unique<core::NodeStateStore>(
         partition_, s, config.mailbox_slots, config.embedding_dim);
-    shard->accepted_request.assign(
-        static_cast<size_t>(options_.num_shards), ExpansionKey{-1, 0});
-    shard->outbound.resize(static_cast<size_t>(options_.num_shards));
+    shard->replica =
+        std::make_unique<graph::AdjacencyReplica>(config.num_nodes);
     shards_.push_back(std::move(shard));
   }
   // Per-lane transport accounting: one counter cell per directed
@@ -124,9 +114,9 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
       registry_->GetCounter("transport.send_failures", ns * ns);
   transport_->SetMetrics(tmetrics);
   // The transport comes up before the workers: a worker's very first
-  // expansion may Send.
+  // batch may Send.
   const Status transport_up = transport_->Start(
-      options_.num_shards, [this](int to_shard, ShardMessage message) {
+      options_.num_shards, [this](int to_shard, ShardPartial message) {
         EnqueueMessage(to_shard, std::move(message));
       });
   APAN_CHECK_MSG(transport_up.ok(), transport_up.ToString());
@@ -292,14 +282,14 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
 
   auto ctx = std::make_shared<BatchContext>();
   ctx->batch = next_batch_++;
-  ctx->base_ordinal = next_ordinal_;
   next_ordinal_ += static_cast<int64_t>(events.size());
   ctx->events = events;
   ingested_since_start_ = true;
 
   // Graceful degradation (SetShardDown): records homed to a down shard
-  // are shed whole, its sampling/application legs are never counted, and
-  // its merge contribution to every healthy shard is synthesized empty —
+  // are shed whole, its sampling/application legs are never counted (its
+  // replica misses the batch), and its merge contribution to every
+  // healthy shard is synthesized empty —
   // so the reassembly barriers complete and Flush never blocks on the
   // dead shard. The flags only flip at flushed batch boundaries
   // (SetShardDown / lane failure between batches), so one read per batch
@@ -358,7 +348,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
         ShardPartial empty;
         empty.batch = ctx->batch;
         empty.from_shard = s;
-        EnqueueMessage(t, ShardMessage(std::move(empty)));
+        EnqueueMessage(t, std::move(empty));
       }
       continue;
     }
@@ -381,7 +371,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
 
 void ShardedEngine::WorkerLoop(int shard_id) {
   Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  std::deque<ShardMessage> mail_run;
+  std::deque<ShardPartial> mail_run;
   while (true) {
     BatchJob job;
     enum { kNone, kMessages, kJob } next = kNone;
@@ -406,12 +396,9 @@ void ShardedEngine::WorkerLoop(int shard_id) {
           }
         }
       }
-      // Messages first: applying a finished batch or answering a frontier
-      // request is cheap and unblocks other shards; jobs do the expensive
-      // sampling. The whole queued run is taken at once: no message
-      // handler ever blocks on a peer, so every response and partial the
-      // run buffers rides ONE coalesced frame per peer at the end of the
-      // run instead of one frame per handled message.
+      // Messages first: applying a finished batch is cheap and retires
+      // parked partials; jobs do the expensive sampling. The whole queued
+      // run is taken at once, under one lock acquisition.
       if (!shard.mail.empty()) {
         mail_run.swap(shard.mail);
         next = kMessages;
@@ -430,35 +417,13 @@ void ShardedEngine::WorkerLoop(int shard_id) {
       if (jobs_left >= 0) ins_.job_depth->Set(shard_id, jobs_left);
     }
     if (next == kMessages) {
-      for (ShardMessage& message : mail_run) {
-        DispatchMessage(shard_id, std::move(message));
+      for (ShardPartial& partial : mail_run) {
+        OnMail(shard_id, std::move(partial));
       }
       mail_run.clear();
-      // The handlers may have buffered frontier responses; the requesters
-      // are blocked on them, and this worker may idle-wait next iteration.
-      FlushOutbound(shard_id);
     } else {
       ProcessJob(shard_id, std::move(job));
     }
-  }
-}
-
-void ShardedEngine::DispatchMessage(int shard_id, ShardMessage message) {
-  if (auto* partial = std::get_if<ShardPartial>(&message)) {
-    OnMail(shard_id, std::move(*partial));
-  } else if (auto* request = std::get_if<FrontierRequest>(&message)) {
-    HandleFrontierRequest(shard_id, std::move(*request));
-  } else {
-    // Responses are consumed inside WaitForFrontierResponses before the
-    // requesting expansion returns, so one reaching the main loop is
-    // either a transport re-delivery of an already-completed wait
-    // (dropped by tag) or a protocol violation.
-    const auto& response = std::get<FrontierResponse>(message);
-    Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-    APAN_CHECK_MSG(
-        ExpansionKey(response.batch, response.hop) <= shard.last_wait,
-        "frontier response with no expansion awaiting it");
-    CountDuplicateDropped(shard_id);
   }
 }
 
@@ -494,36 +459,28 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
     if (--inflight_ == 0) flush_cv_.NotifyAll();
     return;
   }
-  const int64_t batch = job.ctx->batch;
-  // Shard-local append replaces the old bulk-synchronous epoch gate: the
-  // worker first absorbs the batch's events into its own graph slice
-  // (advancing the per-shard watermark), and every slice read below is
-  // versioned by the batch's base ordinal — sampling sees exactly the
-  // events of batches 0..b-1 no matter how far ahead any shard has run.
+  // φ + N over this shard's home events, sampled from the worker's own
+  // replica BEFORE this batch is appended to it — the serial oracle's
+  // order, so sampling sees exactly the events of batches 0..b-1.
+  // Propagation is plain float-vector math today; the scope makes any
+  // tensor op a future propagator grows draw from this worker's pool.
+  // Arena tensors are thread-confined: anything that enters a
+  // ShardPartial (read by OTHER shards' workers) must be copied into
+  // plain vectors, never handed over as a pooled tensor.
+  Shard& shard = *shards_[static_cast<size_t>(shard_id)];
+  std::optional<tensor::ArenaScope> arena_scope;
+  arena_scope.emplace();
+  std::vector<std::vector<graph::HopEntry>> hops = SampleKHop(shard_id, job);
   {
+    // Every worker appends the whole batch: its replica is a full copy.
     APAN_TRACE_SPAN("append");
     Stopwatch append_watch;
-    const Status append = graph_.AppendBatchSlice(
-        shard_id, batch, job.ctx->events, job.ctx->base_ordinal);
+    const Status append = shard.replica->AppendBatch(job.ctx->events);
     APAN_CHECK_MSG(append.ok(), append.ToString());
     if (stage_metrics_) {
       ins_.stage_append->Record(shard_id, append_watch.ElapsedMillis());
     }
   }
-  // The append may unblock foreign expansions waiting on this slice
-  // (their answers self-report as stage.frontier_serve).
-  ServeDeferredRequests(shard_id);
-
-  // φ + N over this shard's home events; hops whose frontier nodes are
-  // owned elsewhere are forwarded to their owner shards. Propagation is
-  // plain float-vector math today; the scope makes any tensor op a
-  // future propagator grows draw from this worker's pool. Arena tensors
-  // are thread-confined: anything that enters a ShardPartial (read by
-  // OTHER shards' workers) must be copied into plain vectors, never
-  // handed over as a pooled tensor.
-  std::optional<tensor::ArenaScope> arena_scope;
-  arena_scope.emplace();
-  std::vector<std::vector<graph::HopEntry>> hops = ExpandKHop(shard_id, job);
   PartialPropagation propagation;
   {
     APAN_TRACE_SPAN("propagate");
@@ -552,7 +509,6 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
   job.event_index.clear();
   job.event_index.shrink_to_fit();
   job.ctx.reset();
-  Shard& shard = *shards_[static_cast<size_t>(shard_id)];
   {
     util::MutexLock lock(shard.mu);
     --shard.jobs_in_flight;
@@ -569,374 +525,68 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
   }
 }
 
-std::vector<std::vector<graph::HopEntry>> ShardedEngine::ExpandKHop(
+std::vector<std::vector<graph::HopEntry>> ShardedEngine::SampleKHop(
     int shard_id, const BatchJob& job) {
-  APAN_TRACE_SPAN("expand");
-  Stopwatch expand_watch;
+  APAN_TRACE_SPAN("sample");
+  Stopwatch sample_watch;
   std::vector<std::vector<graph::HopEntry>> hops(job.records.size());
   const int32_t num_hops = model_->config().propagation_hops;
   const int64_t fanout = model_->config().sampled_neighbors;
-  if (num_hops <= 0 || job.records.empty()) return hops;
-  double wait_ms = 0.0;  // inside WaitForFrontierResponses, excluded below
-  const int num_shards = options_.num_shards;
-  const int64_t ordinal_limit = job.ctx->base_ordinal;
-
-  // frontier[i] = record i's nodes to expand this hop (seeds at hop 1).
-  std::vector<std::vector<graph::NodeId>> frontier(job.records.size());
+  const graph::AdjacencyReplica& replica =
+      *shards_[static_cast<size_t>(shard_id)]->replica;
   for (size_t i = 0; i < job.records.size(); ++i) {
-    frontier[i] = {job.records[i].event.src, job.records[i].event.dst};
-  }
-  int64_t requests_sent = 0;
-  int64_t nodes_forwarded = 0;
-  for (int32_t hop = 1; hop <= num_hops; ++hop) {
-    // Flatten the frontiers into slots in record-major order; the slot id
-    // is the sequence tag that fixes the reassembled expansion order to
-    // exactly the monolithic per-record KHopExpand sequence.
-    struct Slot {
-      size_t record;
-      graph::NodeId node;
-    };
-    std::vector<Slot> slots;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      for (const graph::NodeId v : frontier[i]) slots.push_back({i, v});
-    }
-    if (slots.empty()) break;
-
-    std::vector<std::vector<graph::TemporalNeighbor>> sampled(slots.size());
-    std::vector<FrontierRequest> outbound(static_cast<size_t>(num_shards));
-    std::vector<size_t> local_slots;
-    for (size_t s = 0; s < slots.size(); ++s) {
-      const int owner = graph_.OwnerOf(slots[s].node);
-      if (owner == shard_id) {
-        local_slots.push_back(s);
-      } else if (shard_down_[static_cast<size_t>(owner)].load(
-                     std::memory_order_relaxed)) {
-        // Degradation: a frontier owned by a down shard samples empty —
-        // never ask a dead peer and wait forever on its answer. The slot
-        // already holds the empty neighbor list it defaults to.
-      } else {
-        const double t = job.records[slots[s].record].event.timestamp;
-        outbound[static_cast<size_t>(owner)].items.push_back(
-            {static_cast<int64_t>(s), slots[s].node, t});
-      }
-    }
-
-    // Requests go out before any local sampling so foreign owners work on
-    // their slots while this shard works on its own — hop latency is
-    // max(local, remote), not local + remote.
-    std::vector<char> awaiting_from(static_cast<size_t>(num_shards), 0);
-    int awaiting = 0;
-    for (int target = 0; target < num_shards; ++target) {
-      FrontierRequest& request = outbound[static_cast<size_t>(target)];
-      if (request.items.empty()) continue;
-      nodes_forwarded += static_cast<int64_t>(request.items.size());
-      ++requests_sent;
-      request.batch = job.ctx->batch;
-      request.hop = hop;
-      request.from_shard = shard_id;
-      request.ordinal_limit = ordinal_limit;
-      request.fanout = fanout;
-      BufferMessage(shard_id, target, ShardMessage(std::move(request)));
-      awaiting_from[static_cast<size_t>(target)] = 1;
-      ++awaiting;
-    }
-    // One coalesced frame per peer: this hop's request rides together
-    // with any response ServeDeferredRequests buffered after the append.
-    // Flushed before local sampling so foreign owners overlap with it.
-    FlushOutbound(shard_id);
-    for (const size_t s : local_slots) {
-      const double t = job.records[slots[s].record].event.timestamp;
-      sampled[s] = graph_.MostRecentNeighborsAsOf(slots[s].node, t, fanout,
-                                                  ordinal_limit);
-    }
-    if (awaiting > 0) {
-      wait_ms += WaitForFrontierResponses(shard_id, job.ctx->batch, hop,
-                                          awaiting_from, sampled);
-    }
-
-    // Reassemble in slot order and build the next frontier.
-    std::vector<std::vector<graph::NodeId>> next(job.records.size());
-    for (size_t s = 0; s < slots.size(); ++s) {
-      auto& record_hops = hops[slots[s].record];
-      auto& record_next = next[slots[s].record];
-      for (const graph::TemporalNeighbor& n : sampled[s]) {
-        record_hops.push_back({n.node, n.edge_id, n.timestamp, hop});
-        record_next.push_back(n.node);
-      }
-    }
-    frontier = std::move(next);
-  }
-
-  if (requests_sent > 0) {
-    ins_.frontier_requests->Add(shard_id, requests_sent);
-    ins_.frontier_nodes_forwarded->Add(shard_id, nodes_forwarded);
+    const graph::Event& event = job.records[i].event;
+    const graph::NodeId seeds[] = {event.src, event.dst};
+    replica.SampleKHop(seeds, event.timestamp, num_hops, fanout, &hops[i]);
   }
   if (stage_metrics_) {
-    // stage.sample is this shard's own expansion work; the time spent
-    // blocked on foreign owners is stage.frontier_wait (recorded inside
-    // the wait, net of interleaved message handling).
-    ins_.stage_sample->Record(
-        shard_id, std::max(0.0, expand_watch.ElapsedMillis() - wait_ms));
+    ins_.stage_sample->Record(shard_id, sample_watch.ElapsedMillis());
   }
   return hops;
 }
 
-double ShardedEngine::WaitForFrontierResponses(
-    int shard_id, int64_t batch, int32_t hop,
-    std::vector<char>& awaiting_from,
-    std::vector<std::vector<graph::TemporalNeighbor>>& sampled) {
-  APAN_TRACE_SPAN("frontier_wait");
-  Stopwatch wait_watch;
-  double nested_ms = 0.0;  // interleaved message handling, not waiting
-  Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  const ExpansionKey current(batch, hop);
-  int awaiting = 0;
-  for (const char pending : awaiting_from) awaiting += pending != 0;
-  while (awaiting > 0) {
-    ShardMessage message;
-    bool have_message = false;
-    int64_t mail_left = 0;
-    {
-      util::MutexLock lock(shard.mu);
-      while (shard.mail.empty()) {
-        // Timed wait: a peer can be marked down mid-wait (SetShardDown
-        // or a lane failure on another worker), and no inbox signal
-        // accompanies the flag flip — its answer is never coming, so
-        // the wait must notice on its own and degrade (empty sample).
-        shard.cv.WaitFor(shard.mu, std::chrono::milliseconds(10));
-        for (size_t p = 0; p < awaiting_from.size(); ++p) {
-          if (awaiting_from[p] != 0 &&
-              shard_down_[p].load(std::memory_order_relaxed)) {
-            awaiting_from[p] = 0;
-            --awaiting;
-          }
-        }
-        if (shard_down_[static_cast<size_t>(shard_id)].load(
-                std::memory_order_relaxed)) {
-          // This shard itself was marked down mid-wait: its requests (or
-          // the answers) were shed in transit. Abandon every outstanding
-          // slot and finish the job degraded.
-          for (size_t p = 0; p < awaiting_from.size(); ++p) {
-            if (awaiting_from[p] != 0) {
-              awaiting_from[p] = 0;
-              --awaiting;
-            }
-          }
-        }
-        if (awaiting == 0) break;
-      }
-      if (!shard.mail.empty()) {
-        message = std::move(shard.mail.front());
-        shard.mail.pop_front();
-        mail_left = static_cast<int64_t>(shard.mail.size());
-        have_message = true;
-      }
-    }
-    if (!have_message) continue;  // awaiting re-checked by the loop head
-    if (stage_metrics_) {
-      ins_.mail_depth->Set(shard_id, mail_left);
-    }
-    if (auto* response = std::get_if<FrontierResponse>(&message)) {
-      const ExpansionKey key(response->batch, response->hop);
-      if (key == current) {
-        char& pending = awaiting_from[static_cast<size_t>(
-            response->from_shard)];
-        if (pending == 0) {
-          // Transport re-delivery of a responder we already consumed.
-          CountDuplicateDropped(shard_id);
-          continue;
-        }
-        pending = 0;
-        APAN_CHECK_MSG(response->neighbors.size() == response->slots.size(),
-                       "frontier response with mismatched slot/neighbor rows");
-        for (size_t i = 0; i < response->slots.size(); ++i) {
-          const int64_t slot = response->slots[i];
-          APAN_CHECK_MSG(
-              slot >= 0 && static_cast<size_t>(slot) < sampled.size(),
-              "frontier response slot outside the requested expansion");
-          sampled[static_cast<size_t>(slot)] =
-              std::move(response->neighbors[i]);
-        }
-        --awaiting;
-      } else {
-        // A response for a later expansion cannot exist (its request has
-        // not been sent); an earlier key is a re-delivered duplicate.
-        APAN_CHECK_MSG(key < current,
-                       "frontier response for a future expansion");
-        CountDuplicateDropped(shard_id);
-      }
-    } else {
-      // Serving requests (and applying finished batches) while blocked is
-      // what keeps the frontier protocol deadlock-free: the shard at the
-      // minimum outstanding batch can always be answered by everyone.
-      // Their cost is the handled stage's (merge / frontier_serve), not
-      // this wait's — subtract it so the stage decomposition stays
-      // disjoint.
-      Stopwatch nested_watch;
-      DispatchMessage(shard_id, std::move(message));
-      // A nested handler may have buffered a response its requester is
-      // blocked on — nothing may stay buffered while this worker waits.
-      FlushOutbound(shard_id);
-      nested_ms += nested_watch.ElapsedMillis();
-    }
-  }
-  shard.last_wait = current;
-  const double total_ms = wait_watch.ElapsedMillis();
-  if (stage_metrics_) {
-    ins_.stage_frontier_wait->Record(shard_id,
-                                     std::max(0.0, total_ms - nested_ms));
-  }
-  return total_ms;
-}
-
-void ShardedEngine::HandleFrontierRequest(int shard_id,
-                                          FrontierRequest request) {
-  Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  // Replay protection: a requester has at most one request outstanding
-  // per owner, at strictly increasing (batch, hop) — anything at or below
-  // the accepted watermark is a transport re-delivery (it was already
-  // answered or deferred, else the requester could not have progressed).
-  ExpansionKey& watermark =
-      shard.accepted_request[static_cast<size_t>(request.from_shard)];
-  const ExpansionKey key(request.batch, request.hop);
-  if (key <= watermark) {
-    CountDuplicateDropped(shard_id);
+void ShardedEngine::SendPartial(int from_shard, int to_shard,
+                                ShardPartial partial) {
+  const int64_t batch = partial.batch;
+  const auto to = static_cast<size_t>(to_shard);
+  if (shard_down_[static_cast<size_t>(from_shard)].load(
+          std::memory_order_relaxed) ||
+      shard_down_[to].load(std::memory_order_relaxed)) {
+    // Degraded path: a partial to (or from) a down shard is shed before
+    // it touches the transport. Its batch counted the destination's
+    // application leg at ingest (a batch ingested after the peer went
+    // down never routes a partial to it — its apply set excludes the
+    // peer), and a peer missing this partial can never reach its
+    // sender-count barrier, so retire that leg here or Flush wedges.
+    ins_.sends_shed->Add(to_shard, 1);
+    CompensateLostPartial(to_shard, batch);
     return;
   }
-  watermark = key;
-  if (graph_.watermark(shard_id) < request.batch) {
-    // This slice has not absorbed batches 0..request.batch-1 yet; answer
-    // after the append that advances the watermark far enough.
-    shard.deferred_requests.push_back(std::move(request));
+  if (transport_->Send(from_shard, to_shard, std::move(partial)).ok()) {
     return;
   }
-  AnswerFrontierRequest(shard_id, request);
+  // The lane is dead beyond the transport's own recovery (reconnect +
+  // backoff): mark the peer down so subsequent traffic sheds cheaply,
+  // count what was lost, and keep serving the healthy shards instead of
+  // aborting the process.
+  ins_.sends_shed->Add(to_shard, 1);
+  shard_down_[to].store(true, std::memory_order_relaxed);
+  CompensateLostPartial(to_shard, batch);
 }
 
-void ShardedEngine::AnswerFrontierRequest(int shard_id,
-                                          const FrontierRequest& request) {
-  APAN_TRACE_SPAN("frontier_answer");
-  Stopwatch serve_watch;
-  FrontierResponse response;
-  response.batch = request.batch;
-  response.hop = request.hop;
-  response.from_shard = shard_id;
-  response.slots.reserve(request.items.size());
-  response.neighbors.reserve(request.items.size());
-  for (const FrontierItem& item : request.items) {
-    response.slots.push_back(item.slot);
-    response.neighbors.push_back(graph_.MostRecentNeighborsAsOf(
-        item.node, item.before_time, request.fanout, request.ordinal_limit));
-  }
-  // Buffered, not sent: the caller's context owns the flush point (after
-  // a dispatched message, or coalesced with the next hop's requests).
-  BufferMessage(shard_id, request.from_shard,
-                ShardMessage(std::move(response)));
-  if (stage_metrics_) {
-    ins_.stage_frontier_serve->Record(shard_id, serve_watch.ElapsedMillis());
-  }
-}
-
-void ShardedEngine::ServeDeferredRequests(int shard_id) {
-  Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  if (shard.deferred_requests.empty()) return;
-  const int64_t watermark = graph_.watermark(shard_id);
-  std::vector<FrontierRequest> still_deferred;
-  for (FrontierRequest& request : shard.deferred_requests) {
-    if (request.batch <= watermark) {
-      AnswerFrontierRequest(shard_id, request);
-    } else {
-      still_deferred.push_back(std::move(request));
-    }
-  }
-  shard.deferred_requests = std::move(still_deferred);
-}
-
-void ShardedEngine::BufferMessage(int from_shard, int to_shard,
-                                  ShardMessage message) {
-  shards_[static_cast<size_t>(from_shard)]
-      ->outbound[static_cast<size_t>(to_shard)]
-      .push_back(std::move(message));
-}
-
-void ShardedEngine::FlushOutbound(int from_shard) {
-  Shard& shard = *shards_[static_cast<size_t>(from_shard)];
-  const bool self_down =
-      shard_down_[static_cast<size_t>(from_shard)].load(
-          std::memory_order_relaxed);
-  for (size_t to = 0; to < shard.outbound.size(); ++to) {
-    std::vector<ShardMessage>& run = shard.outbound[to];
-    if (run.empty()) continue;
-    const int to_shard = static_cast<int>(to);
-    if (self_down ||
-        shard_down_[to].load(std::memory_order_relaxed)) {
-      // Degraded path: runs to (or from) a down shard are shed before
-      // they touch the transport. Any ShardPartial in the run belongs to
-      // a batch that counted the peer's application leg at ingest (a
-      // batch ingested after the peer went down never buffers a partial
-      // to it — its apply set excludes the peer), so retire those legs
-      // here or Flush wedges on a merge that will never happen.
-      std::vector<int64_t> partial_batches;
-      for (const ShardMessage& message : run) {
-        if (const auto* partial = std::get_if<ShardPartial>(&message)) {
-          partial_batches.push_back(partial->batch);
-        }
-      }
-      ins_.sends_shed->Add(to_shard, static_cast<int64_t>(run.size()));
-      run = std::vector<ShardMessage>();
-      // Compensate the DESTINATION's legs in both directions: a peer
-      // missing this shard's partial can never reach its sender-count
-      // barrier, so its application leg is as dead as one whose own
-      // partial was lost.
-      CompensateLostPartials(to_shard, partial_batches);
-      continue;
-    }
-    // Remember which batches' partials ride this run BEFORE the move:
-    // if the transport refuses the frame even after its own lane
-    // recovery (reconnect + backoff), those batches' application legs
-    // on the peer must be compensated, and the messages are gone.
-    std::vector<int64_t> partial_batches;
-    for (const ShardMessage& message : run) {
-      if (const auto* partial = std::get_if<ShardPartial>(&message)) {
-        partial_batches.push_back(partial->batch);
-      }
-    }
-    const int64_t run_size = static_cast<int64_t>(run.size());
-    // One coalesced frame per peer — on a serializing transport this is
-    // where N same-destination messages become one syscall.
-    const Status sent = transport_->SendBatch(
-        from_shard, to_shard, std::move(run));
-    run = std::vector<ShardMessage>();
-    if (sent.ok()) continue;
-    // The lane is dead beyond repair: mark the peer down so subsequent
-    // traffic sheds cheaply, count what was lost, and keep serving the
-    // healthy shards instead of aborting the process.
-    ins_.sends_shed->Add(to_shard, run_size);
-    shard_down_[to].store(true, std::memory_order_relaxed);
-    CompensateLostPartials(to_shard, partial_batches);
-  }
-}
-
-void ShardedEngine::CompensateLostPartials(
-    int to_shard, const std::vector<int64_t>& batches) {
-  if (batches.empty()) return;
+void ShardedEngine::CompensateLostPartial(int to_shard, int64_t batch) {
   util::MutexLock lock(flush_mu_);
-  bool retired = false;
-  for (const int64_t batch : batches) {
-    auto remaining = apply_remaining_.find(batch);
-    if (remaining == apply_remaining_.end()) continue;
-    // erase() doubles as the dedupe: a second shed partial for the same
-    // (batch, peer) — another sender's, or a duplicate — finds the leg
-    // already retired and is a no-op.
-    if (remaining->second.erase(to_shard) == 0) continue;
-    if (remaining->second.empty()) apply_remaining_.erase(remaining);
-    --inflight_;
-    retired = true;
-  }
-  if (retired && inflight_ == 0) flush_cv_.NotifyAll();
+  auto remaining = apply_remaining_.find(batch);
+  if (remaining == apply_remaining_.end()) return;
+  // erase() doubles as the dedupe: a second shed partial for the same
+  // (batch, peer) — another sender's, or a duplicate — finds the leg
+  // already retired and is a no-op.
+  if (remaining->second.erase(to_shard) == 0) return;
+  if (remaining->second.empty()) apply_remaining_.erase(remaining);
+  if (--inflight_ == 0) flush_cv_.NotifyAll();
 }
 
-void ShardedEngine::EnqueueMessage(int to_shard, ShardMessage message) {
+void ShardedEngine::EnqueueMessage(int to_shard, ShardPartial message) {
   // The transport is a pluggable extension point and (over a socket) the
   // message crossed a deserialization boundary, so shard ids are validated
   // before they index anything: wire.cc's "no UB" guarantee covers frame
@@ -947,15 +597,7 @@ void ShardedEngine::EnqueueMessage(int to_shard, ShardMessage message) {
   };
   APAN_CHECK_MSG(valid_shard(to_shard),
                  "transport delivered a message to an out-of-range shard");
-  int from_shard = -1;
-  if (const auto* partial = std::get_if<ShardPartial>(&message)) {
-    from_shard = partial->from_shard;
-  } else if (const auto* request = std::get_if<FrontierRequest>(&message)) {
-    from_shard = request->from_shard;
-  } else {
-    from_shard = std::get<FrontierResponse>(message).from_shard;
-  }
-  APAN_CHECK_MSG(valid_shard(from_shard),
+  APAN_CHECK_MSG(valid_shard(message.from_shard),
                  "transport delivered a message with an out-of-range sender");
   Shard& target = *shards_[static_cast<size_t>(to_shard)];
   int64_t depth = 0;
@@ -1019,11 +661,8 @@ void ShardedEngine::RouteMail(int from_shard, BatchJob& job,
         static_cast<int64_t>(out.hop0.size() + out.partial.size());
     routed += mails;
     if (t != from_shard) cross_shard += mails;
-    BufferMessage(from_shard, t, ShardMessage(std::move(out)));
+    SendPartial(from_shard, t, std::move(out));
   }
-  // Covers the partials just buffered AND any response still waiting from
-  // an expansion-free path (0 hops / empty record set).
-  FlushOutbound(from_shard);
   ins_.mails_routed->Add(from_shard, routed);
   ins_.mails_cross_shard->Add(from_shard, cross_shard);
   if (stage_metrics_) {
@@ -1062,6 +701,12 @@ void ShardedEngine::OnMail(int shard_id, ShardPartial partial) {
     shard.pending.erase(it);
     ApplyMergedBatch(shard_id, std::move(merged));
     ++shard.next_merge;
+  }
+  // What is left is parked: batches some sender has not routed yet — the
+  // drift between decoupled workers, bounded by queue_capacity.
+  if (stage_metrics_) {
+    ins_.merge_pending_highwater->UpdateMax(
+        shard_id, static_cast<int64_t>(shard.pending.size()));
   }
 }
 
@@ -1193,16 +838,11 @@ void ShardedEngine::ResetShardLocal(int shard_id) {
     util::MutexLock state_lock(shard.state_mu);
     shard.store->Reset();
   }
-  graph_.ResetSlice(shard_id);
-  // Worker-confined replay state, reset on the worker's own thread:
-  // batch numbering restarts at 0, so the merge cursor and the frontier
-  // watermarks must rewind with it.
+  // Worker-confined state, reset on the worker's own thread: batch
+  // numbering restarts at 0, so the merge cursor rewinds with it.
+  shard.replica->Reset();
   shard.pending.clear();
   shard.next_merge = 0;
-  shard.deferred_requests.clear();
-  shard.accepted_request.assign(static_cast<size_t>(options_.num_shards),
-                                ExpansionKey{-1, 0});
-  shard.last_wait = ExpansionKey{-1, 0};
 }
 
 Status ShardedEngine::SnapshotShardLocal(int shard_id, const BatchJob& job) {
@@ -1243,11 +883,8 @@ Status ShardedEngine::SnapshotShardLocal(int shard_id, const BatchJob& job) {
     const auto z = shard.store->raw_state();
     snap.z_rows.assign(z.begin(), z.end());
   }
-  snap.slice = graph_.ExportSlice(shard_id);
+  snap.replica = shard.replica->Export();
   snap.next_merge = shard.next_merge;
-  snap.accepted_request = shard.accepted_request;
-  snap.last_wait_batch = shard.last_wait.first;
-  snap.last_wait_hop = shard.last_wait.second;
   return snapshot::WriteShardSnapshot(snap, job.snapshot_path);
 }
 
@@ -1267,16 +904,12 @@ Status ShardedEngine::RestoreShardLocal(int shard_id, const BatchJob& job) {
         snap.mailbox_count, snap.mailbox_order));
     APAN_RETURN_NOT_OK(shard.store->RestoreRawState(snap.z_rows));
   }
-  APAN_RETURN_NOT_OK(graph_.RestoreSlice(shard_id, snap.slice));
-  // Replay/dedup state, rewound to the image's flushed point: pending and
-  // deferred are structurally empty there (Flush settled every barrier),
-  // and the watermarks resume exactly where the capture stood.
+  APAN_RETURN_NOT_OK(shard.replica->Restore(snap.replica));
+  // Replay state, rewound to the image's flushed point: pending is
+  // structurally empty there (Flush settled every barrier), and the merge
+  // cursor resumes exactly where the capture stood.
   shard.pending.clear();
   shard.next_merge = snap.next_merge;
-  shard.deferred_requests.clear();
-  shard.accepted_request.assign(snap.accepted_request.begin(),
-                                snap.accepted_request.end());
-  shard.last_wait = ExpansionKey{snap.last_wait_batch, snap.last_wait_hop};
   return Status::OK();
 }
 
@@ -1297,8 +930,8 @@ void ShardedEngine::ResetState() {
   // legs ran, and legs are only reachable via delivered messages).
   Flush();
   // Route the reset through each shard's worker so the worker-confined
-  // state (merge cursor, frontier watermarks, graph slice) is only ever
-  // touched by its own thread.
+  // state (merge cursor, graph replica) is only ever touched by its own
+  // thread.
   {
     util::MutexLock lock(flush_mu_);
     inflight_ += options_.num_shards;
@@ -1446,8 +1079,8 @@ void ShardedEngine::SetShardDown(int shard, bool down) {
   // Flush first so the flag flips at a quiescent point: no in-flight
   // batch straddles the transition, so every batch sees one consistent
   // up/down view at ingest. (Marking a shard up again without a restore
-  // or reset is only sound if it never missed a batch — its slice
-  // watermark must match the engine's numbering.)
+  // or reset is only sound if it never missed a batch — a down shard's
+  // replica does not absorb the batches it sheds.)
   Flush();
   shard_down_[static_cast<size_t>(shard)].store(down,
                                                 std::memory_order_relaxed);
@@ -1492,8 +1125,6 @@ ShardedEngine::Stats ShardedEngine::stats() const {
   s.mails_routed = ins_.mails_routed->Value();
   s.mails_cross_shard = ins_.mails_cross_shard->Value();
   s.mails_dropped = ins_.mails_dropped->Value();
-  s.frontier_requests = ins_.frontier_requests->Value();
-  s.frontier_nodes_forwarded = ins_.frontier_nodes_forwarded->Value();
   s.duplicates_dropped = ins_.duplicates_dropped->Value();
   s.events_shed = ins_.events_shed->Value();
   s.sends_shed = ins_.sends_shed->Value();

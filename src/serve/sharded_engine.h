@@ -5,18 +5,17 @@
 //
 // A ShardRouter partitions the node space into N shards through a shared
 // graph::NodePartition index (canonical hash by default, or a
-// locality-aware index via Options::partition). Each shard
-// exclusively owns its nodes' mutable state — a core::NodeStateStore
-// holding its mailbox slice and z(t−) rows — AND its slice of the
-// temporal graph (graph::ShardedTemporalGraph: the owned nodes'
-// adjacency rows plus the event-log entries the shard homes). The model
-// itself is touched only through the const core::ApanWeights view (the
-// weights are replicated, the state is partitioned): the engine never
-// locks or writes a byte of ApanModel's mutable state while running, so
-// the model's default store stays empty and Shard::state_mu guards
-// genuinely shard-private memory — no false sharing on the synchronous
-// link. Each shard has a bounded inbox of batch jobs and runs one
-// propagation worker. The division of labour per batch:
+// locality-aware index via Options::partition). Each shard exclusively
+// owns its nodes' mutable state — a core::NodeStateStore holding its
+// mailbox slice and z(t−) rows — and its worker keeps a private, full
+// graph::AdjacencyReplica of the temporal graph. The model itself is
+// touched only through the const core::ApanWeights view (the weights are
+// replicated, the state is partitioned): the engine never locks or writes
+// a byte of ApanModel's mutable state while running, so the model's
+// default store stays empty and Shard::state_mu guards genuinely
+// shard-private memory — no false sharing on the synchronous link. Each
+// shard has a bounded inbox of batch jobs and runs one propagation
+// worker. The division of labour per batch:
 //
 //   Synchronous link (InferBatch, what the caller waits for)
 //     · the batch's unique nodes are split by owner shard and encoded
@@ -25,20 +24,13 @@
 //     · link scores are decoded on the calling thread and returned.
 //
 //   Asynchronous link (per-shard workers, off the latency path)
-//     · a worker starting batch b first appends the batch's events to its
-//       own graph slice — a shard-local append that advances the shard's
-//       watermark to b+1. There is no global epoch gate: shards run ahead
-//       of each other freely, because every slice read is versioned by
-//       global event ordinal, so sampling batch b always sees exactly the
-//       events of batches 0..b-1 no matter how far any slice has advanced;
 //     · every event is homed on its source endpoint's shard; the home
-//       shard computes the event's mail (φ) and drives its k-hop fan-out
-//       (N). A hop whose frontier node is owned by a foreign shard is
-//       *forwarded* to the owner as a frontier-request message through the
-//       same shard-to-shard message lane; the owner samples its slice
-//       (deferring the request until its watermark reaches b) and replies
-//       with the sampled neighbors. Slot-sequence tags let the home shard
-//       reassemble every hop in the exact monolithic expansion order;
+//       shard computes the event's mail (φ) and samples its k-hop
+//       neighbourhood (N) from the worker's own replica. Every worker
+//       receives the whole batch, samples its home events first and then
+//       appends all of the batch's events — the serial oracle's order —
+//       so a replica read sees exactly batches 0..b-1 with no versioning
+//       and no shard ever waits on another to sample;
 //     · each resulting MailDelivery and z(t−) write-back is *routed* to
 //       its recipient's owner shard as a ShardPartial message. Cross-shard
 //       mail therefore arrives interleaved with other shards' traffic —
@@ -48,18 +40,17 @@
 //       rows in global event order (sequence tags), restoring exactly the
 //       per-node delivery order of the single-worker AsyncPipeline.
 //
-// Transport plane: every ShardMessage crosses shards through a pluggable
+// Transport plane: every ShardPartial crosses shards through a pluggable
 // serve::Transport (Options::transport) — synchronous in-process delivery
 // by default, or a Unix-domain-socket lane per shard pair carrying
 // serve/wire.h frames. The engine assumes only at-least-once delivery
 // with no ordering: sequence tags reconstruct every order that matters,
-// and duplicated deliveries are dropped by tag — ShardPartials by
-// (batch, sender), frontier requests/responses by monotonic (batch, hop)
-// watermarks per peer. With the state plane split into per-shard stores,
-// nothing crosses a shard boundary through shared memory: a shard's
-// entire mutable footprint (store + graph slice) is address-space
-// independent, and only connected sockets separate this from a true
-// multi-process deployment (docs/serving.md).
+// and duplicated deliveries are dropped by their (batch, sender) tag.
+// With the state plane split into per-shard stores, nothing crosses a
+// shard boundary through shared memory: a shard's entire mutable
+// footprint (store + replica) is address-space independent, and only
+// connected sockets separate this from a true multi-process deployment
+// (docs/serving.md).
 //
 // Determinism: because neighborhood expansion, per-node delivery order and
 // ρ-reduction are reconstructed exactly, the final mailbox timestamps and
@@ -69,14 +60,12 @@
 // both — and tests/serve_transport_test.cc re-asserts it over a socket
 // transport and under injected delay/reorder/duplication faults).
 //
-// Deadlock freedom: batch-job inboxes are bounded (back-pressure on the
-// caller), but shard-to-shard messages are unbounded — if message pushes
-// could block, two shards flooding each other would deadlock. A worker
-// blocked waiting for frontier responses keeps serving incoming requests
-// and mail from its own inbox, and a request it cannot answer yet (its
-// watermark is behind the requested batch) is deferred until its own next
-// slice append — the shard at the minimum outstanding batch can always be
-// answered by everyone, so expansion always makes progress.
+// Skew and deadlock freedom: batch-job inboxes are bounded (back-pressure
+// on the caller), shard-to-shard messages are unbounded, and no worker
+// ever blocks on a peer. Workers run decoupled, so a fast shard parks
+// partials for batches a slow shard has not routed yet; the bounded
+// inboxes cap that drift at Options::queue_capacity batches
+// (serve.merge_pending_highwater reports it).
 
 #ifndef APAN_SERVE_SHARDED_ENGINE_H_
 #define APAN_SERVE_SHARDED_ENGINE_H_
@@ -93,7 +82,7 @@
 
 #include "core/apan_model.h"
 #include "core/node_state_store.h"
-#include "graph/sharded_temporal_graph.h"
+#include "graph/adjacency_replica.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/shard_message.h"
@@ -110,15 +99,15 @@ namespace apan {
 namespace serve {
 
 /// \brief Runs one ApanModel behind an N-shard partition of the node
-/// space: per-shard mailbox/memory/graph-slice ownership, per-shard
-/// propagation workers, cross-shard mail + frontier routing over a
-/// pluggable transport.
+/// space: per-shard mailbox/memory ownership, per-shard propagation
+/// workers sampling private graph replicas, cross-shard mail routing over
+/// a pluggable transport.
 class ShardedEngine {
  public:
   struct Options {
     int num_shards = 4;
-    /// Shared node-ownership index for ALL partitioned planes (router,
-    /// graph slices, state stores). Null means the canonical hash
+    /// Shared node-ownership index for the router and the state stores.
+    /// Null means the canonical hash
     /// (graph::NodePartition::BuildDefault). Pass a
     /// NodePartition::BuildLocality index — built from a warmup prefix or
     /// a prior epoch's events — to keep k-hop propagation shard-local.
@@ -128,8 +117,10 @@ class ShardedEngine {
     /// any ownership map.
     std::shared_ptr<const graph::NodePartition> partition;
     /// Maximum in-flight batches per shard before InferBatch applies the
-    /// overflow policy.
-    size_t queue_capacity = 256;
+    /// overflow policy. It also bounds how far decoupled workers drift
+    /// apart, and with it the partials a fast shard parks for a slow one
+    /// (each parked batch holds its routed mail).
+    size_t queue_capacity = 32;
     /// kBlock waits for space. Any drop policy drops the *incoming* batch
     /// whole (a partially enqueued batch would wedge the cross-shard
     /// reassembly barrier); kDropOldest degrades to dropping the incoming
@@ -159,7 +150,7 @@ class ShardedEngine {
   /// which shard-concurrent sampling would race on). The model is put in
   /// eval mode once here; afterwards the engine accesses it const-only
   /// (core::ApanWeights): served state lands in the engine's own
-  /// per-shard NodeStateStores and graph slices, NOT in model->graph(),
+  /// per-shard NodeStateStores and graph replicas, NOT in model->graph(),
   /// model->mailbox() or model->state_store(), which all stay empty.
   ShardedEngine(core::ApanModel* model, Options options);
   ~ShardedEngine();
@@ -193,8 +184,8 @@ class ShardedEngine {
   /// \brief Resets all streaming state between epochs, mirroring
   /// ApanModel::ResetState for the sharded layout: flushes accepted work,
   /// then routes a reset through every shard's worker that zeroes its
-  /// NodeStateStore, empties its graph slice, and rewinds its replay
-  /// watermarks; batch/ordinal numbering restarts at 0. After it returns
+  /// NodeStateStore, empties its graph replica, and rewinds its merge
+  /// cursor; batch/ordinal numbering restarts at 0. After it returns
   /// the engine reproduces a fresh engine bitwise on the same stream.
   /// Stats and latency recorders stay cumulative. Callers must not run
   /// InferBatch concurrently. CHECK-enforced: the transport must report
@@ -205,8 +196,8 @@ class ShardedEngine {
   void ResetState() APAN_EXCLUDES(infer_mu_, flush_mu_);
 
   /// \brief Writes shard `shard`'s full recovery image — its
-  /// NodeStateStore (mailbox planes + z(t−) rows), its graph slice, and
-  /// all replay/dedup state, plus the engine's batch/ordinal numbering —
+  /// NodeStateStore (mailbox planes + z(t−) rows), its graph replica, and
+  /// its merge cursor, plus the engine's batch/ordinal numbering —
   /// crash-atomically to `path` (serve/snapshot.h format). Flushes
   /// accepted work first, then runs the capture as a control job on the
   /// shard's own worker thread (the ResetState pattern), so every
@@ -235,13 +226,13 @@ class ShardedEngine {
   /// \brief Marks a shard down (or back up) for graceful degradation.
   /// While a shard is down the engine keeps serving from the healthy
   /// shards instead of blocking on the dead one: batches' records homed
-  /// to it are shed (counted in Stats::events_shed), outbound messages to
-  /// it are shed at the flush point (Stats::sends_shed), its merge
-  /// contribution is synthesized empty so healthy shards' reassembly
-  /// barriers still complete, and k-hop frontiers it owns sample empty
-  /// (stale-neighborhood degradation). Scores keep flowing — encoded
-  /// against the down shard's frozen state. Flushes in-flight work before
-  /// flipping the flag, so the transition lands at a batch boundary.
+  /// to it are shed (counted in Stats::events_shed), partials to it are
+  /// shed at send (Stats::sends_shed), and its merge contribution is
+  /// synthesized empty so healthy shards' reassembly barriers still
+  /// complete. Healthy shards still sample nodes it owns from their own
+  /// replicas. Scores keep flowing — encoded against the down shard's
+  /// frozen state. Flushes in-flight work before flipping the flag, so
+  /// the transition lands at a batch boundary.
   /// No-op after Shutdown.
   void SetShardDown(int shard, bool down)
       APAN_EXCLUDES(infer_mu_, flush_mu_);
@@ -260,9 +251,11 @@ class ShardedEngine {
     int64_t mails_cross_shard = 0;
     /// Interaction records dropped whole by the overflow policy.
     int64_t mails_dropped = 0;
-    /// Frontier-request messages sent to foreign graph-slice owners.
+    /// Always 0: every worker samples its own graph replica, so no
+    /// frontier is ever forwarded to another shard. Kept so that readers
+    /// of the old frontier counters still build.
     int64_t frontier_requests = 0;
-    /// Frontier nodes whose sampling was forwarded to a foreign owner.
+    /// Always 0, for the same reason as frontier_requests.
     int64_t frontier_nodes_forwarded = 0;
     /// Messages dropped as transport re-deliveries (by replay tag). Zero
     /// under an exactly-once transport; positive under FaultyTransport.
@@ -270,9 +263,9 @@ class ShardedEngine {
     /// Interaction records homed to a down shard and shed whole while it
     /// was down (SetShardDown). Zero in any run with no shard down.
     int64_t events_shed = 0;
-    /// Outbound messages shed at the flush point — destined to a down
-    /// shard, or refused by the transport after its lane-level recovery
-    /// (reconnect/backoff) gave up. Zero in a healthy run.
+    /// Partials shed at send — to or from a down shard, or refused by
+    /// the transport after its lane-level recovery (reconnect/backoff)
+    /// gave up. Zero in a healthy run.
     int64_t sends_shed = 0;
   };
   Stats stats() const;
@@ -280,9 +273,11 @@ class ShardedEngine {
   const ShardRouter& router() const { return router_; }
   /// The transport the engine is running over ("inproc", "uds", ...).
   const char* transport_name() const { return transport_->name(); }
-  /// The engine-owned shard-local graph slices (quiescent inspection:
-  /// call after Flush).
-  const graph::ShardedTemporalGraph& sharded_graph() const { return graph_; }
+  /// One shard worker's graph replica (quiescent inspection: call after
+  /// Flush).
+  const graph::AdjacencyReplica& replica(int shard) const {
+    return *shards_[static_cast<size_t>(shard)]->replica;
+  }
   /// One shard's mutable node state — its mailbox slice + z(t−) rows
   /// (quiescent inspection: call after Flush). Stitching the per-shard
   /// stores by router ownership reconstructs the monolithic state.
@@ -303,21 +298,17 @@ class ShardedEngine {
   obs::Registry* registry() const { return registry_; }
 
  private:
-  /// Shared per-batch bookkeeping for the in-process job path: what every
-  /// shard needs to append its own slice of the batch. (The apply barrier
+  /// Shared per-batch bookkeeping for the in-process job path: the whole
+  /// batch, which every shard appends to its replica. (The apply barrier
   /// lives in apply_remaining_, keyed by batch — ShardPartials cross the
   /// transport and cannot carry pointers.)
   struct BatchContext {
     int64_t batch = 0;
-    /// Global index of events[0] in the accepted stream; sampling for
-    /// this batch reads slices as-of this ordinal (events of batches
-    /// 0..batch-1 only).
-    int64_t base_ordinal = 0;
     std::vector<graph::Event> events;
   };
 
   /// A batch's home-events slice for one shard. Jobs stay in-process
-  /// (they carry the caller's encoder output); only ShardMessages travel
+  /// (they carry the caller's encoder output); only ShardPartials travel
   /// the transport.
   struct BatchJob {
     std::shared_ptr<BatchContext> ctx;
@@ -327,7 +318,7 @@ class ShardedEngine {
     /// batch: kReset clears the shard (ResetState), kSnapshot captures it
     /// to `snapshot_path`, kRestore installs `restore` into it. Routing
     /// them through the inbox keeps every worker-confined field (merge
-    /// cursor, frontier watermarks, graph slice) single-threaded.
+    /// cursor, graph replica) single-threaded.
     enum class Op { kBatch, kReset, kSnapshot, kRestore };
     Op op = Op::kBatch;
     std::string snapshot_path;  ///< kSnapshot: destination file.
@@ -343,10 +334,6 @@ class ShardedEngine {
     /// waits on, so the write is ordered before the caller's read.
     Status* control_status = nullptr;
   };
-
-  /// An expansion's identity, ordered as expansions run: batch-major,
-  /// hop-minor. Used as the replay watermark for frontier dedup.
-  using ExpansionKey = std::pair<int64_t, int32_t>;
 
   struct Shard {
     /// Guards the *pointee* of `store` between the encode pool
@@ -366,31 +353,17 @@ class ShardedEngine {
     util::Mutex mu;
     util::CondVar cv;
     std::deque<BatchJob> jobs APAN_GUARDED_BY(mu);
-    std::deque<ShardMessage> mail APAN_GUARDED_BY(mu);
+    std::deque<ShardPartial> mail APAN_GUARDED_BY(mu);
     size_t jobs_in_flight APAN_GUARDED_BY(mu) = 0;  ///< Queued + running.
     bool closed APAN_GUARDED_BY(mu) = false;
+
+    /// This worker's full copy of the temporal graph (worker thread
+    /// only): sampled for its home events, then appended every batch.
+    std::unique_ptr<graph::AdjacencyReplica> replica;
 
     /// Worker-local per-batch reassembly (worker thread only).
     std::map<int64_t, std::vector<ShardPartial>> pending;
     int64_t next_merge = 0;
-    /// Frontier requests for batches this slice has not appended yet;
-    /// re-checked after every slice append (worker thread only).
-    std::vector<FrontierRequest> deferred_requests;
-
-    /// Per-peer outbound message buffers (worker thread only). Handlers
-    /// buffer instead of sending; FlushOutbound hands each peer's run of
-    /// messages to Transport::SendBatch as ONE coalesced frame. Flush
-    /// points are placed so the buffer is always empty before the worker
-    /// can block (deadlock safety): after each hop's request fan-out,
-    /// after every dispatched message, and at the end of each job.
-    std::vector<std::vector<ShardMessage>> outbound;
-
-    /// Replay protection (worker thread only). A requester issues
-    /// frontier requests to a given owner at strictly increasing
-    /// (batch, hop) and never has two outstanding at once, so one
-    /// watermark per peer suffices to drop transport re-deliveries.
-    std::vector<ExpansionKey> accepted_request;  ///< Per requester shard.
-    ExpansionKey last_wait{-1, 0};  ///< Newest completed response wait.
 
     std::thread worker;
   };
@@ -398,7 +371,7 @@ class ShardedEngine {
   void WorkerLoop(int shard_id) APAN_EXCLUDES(flush_mu_);
   void ProcessJob(int shard_id, BatchJob job) APAN_EXCLUDES(flush_mu_);
   /// Worker-side half of ResetState: runs on the shard's own thread so
-  /// the worker-confined replay state and graph slice stay thread-local.
+  /// the worker-confined merge cursor and graph replica stay thread-local.
   void ResetShardLocal(int shard_id);
   /// Worker-side halves of SnapshotShard / RestoreShard (same pattern).
   Status SnapshotShardLocal(int shard_id, const BatchJob& job);
@@ -409,76 +382,52 @@ class ShardedEngine {
   /// whole round trip.
   Status RunControlJob(int shard, BatchJob job)
       APAN_REQUIRES(infer_mu_) APAN_EXCLUDES(flush_mu_);
-  void DispatchMessage(int shard_id, ShardMessage message)
-      APAN_EXCLUDES(flush_mu_);
   void OnMail(int shard_id, ShardPartial partial) APAN_EXCLUDES(flush_mu_);
   void ApplyMergedBatch(int shard_id, std::vector<ShardPartial> parts)
       APAN_EXCLUDES(flush_mu_);
   void RouteMail(int from_shard, BatchJob& job,
                  core::PartialPropagation&& propagation);
-  /// Queues `message` in the sender worker's per-peer outbound buffer;
-  /// nothing crosses the transport until FlushOutbound. Worker thread
-  /// only.
-  void BufferMessage(int from_shard, int to_shard, ShardMessage message);
-  /// Hands every buffered run to Transport::SendBatch — one coalesced
-  /// frame per peer (the transport delivers back through EnqueueMessage,
-  /// possibly on another thread, possibly more than once) — and empties
-  /// the buffers. Worker thread only.
-  void FlushOutbound(int from_shard);
-  /// Retires the application legs of `batches` on `to_shard` after their
-  /// ShardPartials were shed (peer down, or send refused even after the
-  /// transport's own lane recovery): erases the peer from each batch's
-  /// apply_remaining_ set and decrements inflight_ once per leg actually
+  /// Hands one partial to the transport (which delivers it through
+  /// EnqueueMessage, possibly on another thread, possibly more than
+  /// once), or sheds it when either end is down or the lane is dead
+  /// beyond the transport's own recovery. Worker thread only.
+  void SendPartial(int from_shard, int to_shard, ShardPartial partial)
+      APAN_EXCLUDES(flush_mu_);
+  /// Retires the application leg of `batch` on `to_shard` after a
+  /// ShardPartial to it was shed: erases the peer from the batch's
+  /// apply_remaining_ set and decrements inflight_ if the leg was still
   /// present, so Flush cannot wedge on a merge the dead peer will never
   /// perform.
-  void CompensateLostPartials(int to_shard,
-                              const std::vector<int64_t>& batches)
+  void CompensateLostPartial(int to_shard, int64_t batch)
       APAN_EXCLUDES(flush_mu_);
   /// Transport delivery handler: pushes onto the target shard's inbox.
-  void EnqueueMessage(int to_shard, ShardMessage message);
+  void EnqueueMessage(int to_shard, ShardPartial message);
   void CountDuplicateDropped(int shard_id);
 
-  /// k-hop expansion for a job's records against the sharded graph
-  /// as-of the job's batch: local frontiers sampled from the own slice,
-  /// foreign frontiers forwarded to their owners.
-  std::vector<std::vector<graph::HopEntry>> ExpandKHop(int shard_id,
+  /// k-hop expansion of a job's records from the shard's own replica,
+  /// which holds exactly the batches before the job's (sampling runs
+  /// before the job's append).
+  std::vector<std::vector<graph::HopEntry>> SampleKHop(int shard_id,
                                                        const BatchJob& job);
-  /// Blocks until each shard flagged in `awaiting_from` responded for
-  /// (batch, hop), serving interleaved requests/partials from the own
-  /// inbox meanwhile. Re-delivered responses are dropped by tag.
-  /// \return wall milliseconds spent inside the call, so ExpandKHop can
-  /// attribute it to stage.frontier_wait instead of stage.sample (the
-  /// time spent *dispatching* interleaved messages is subtracted out
-  /// again internally — nested handlers record their own stages).
-  double WaitForFrontierResponses(
-      int shard_id, int64_t batch, int32_t hop,
-      std::vector<char>& awaiting_from,
-      std::vector<std::vector<graph::TemporalNeighbor>>& sampled);
-  void HandleFrontierRequest(int shard_id, FrontierRequest request);
-  void AnswerFrontierRequest(int shard_id, const FrontierRequest& request);
-  /// Answers deferred requests the latest slice append unblocked.
-  void ServeDeferredRequests(int shard_id);
 
   /// Const-only while running: weights are read through model_->weights();
   /// all mutable serve state lives in the per-shard stores above.
   const core::ApanModel* model_;
   Options options_;
-  /// The ONE ownership index of this engine, shared by the router, the
-  /// graph slices and every per-shard NodeStateStore (element-identical
-  /// maps, stored once — ~8 bytes/node saved vs per-plane copies).
+  /// The ONE ownership index of this engine, shared by the router and
+  /// every per-shard NodeStateStore (element-identical maps, stored once).
   /// Options::partition, or the canonical hash when none was given.
-  /// Declared before router_/graph_: both consume it at construction.
+  /// Declared before router_: it consumes it at construction.
   std::shared_ptr<const graph::NodePartition> partition_;
   ShardRouter router_;
-  graph::ShardedTemporalGraph graph_;
   std::unique_ptr<Transport> transport_;
   ThreadPool encode_pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Per-shard down flags (SetShardDown), sized num_shards at
   /// construction and never resized. Atomics because the readers span
-  /// lock domains — InferBatch under infer_mu_, FlushOutbound and
-  /// ExpandKHop on worker threads under no engine lock — and the flag
+  /// lock domains — InferBatch under infer_mu_, SendPartial on worker
+  /// threads under no engine lock — and the flag
   /// only flips at a flushed quiescent point, so relaxed reads suffice.
   std::vector<std::atomic<bool>> shard_down_;
 
@@ -526,8 +475,6 @@ class ShardedEngine {
     obs::Counter* mails_routed = nullptr;       ///< cell = sender shard
     obs::Counter* mails_cross_shard = nullptr;  ///< cell = sender shard
     obs::Counter* mails_dropped = nullptr;      ///< 1 cell
-    obs::Counter* frontier_requests = nullptr;  ///< cell = requester shard
-    obs::Counter* frontier_nodes_forwarded = nullptr;
     obs::Counter* duplicates_dropped = nullptr;  ///< cell = dropping shard
     obs::Counter* events_homed = nullptr;        ///< cell = home shard
     obs::Counter* events_shed = nullptr;         ///< cell = down home shard
@@ -536,13 +483,12 @@ class ShardedEngine {
     obs::Gauge* job_highwater = nullptr;
     obs::Gauge* mail_depth = nullptr;
     obs::Gauge* mail_highwater = nullptr;
+    obs::Gauge* merge_pending_highwater = nullptr;  ///< per-shard
     obs::Histogram* stage_sync = nullptr;   ///< cell 0 (always recorded)
     obs::Histogram* stage_merge = nullptr;  ///< per-shard (always recorded)
     obs::Histogram* stage_encode = nullptr;
     obs::Histogram* stage_append = nullptr;
     obs::Histogram* stage_sample = nullptr;
-    obs::Histogram* stage_frontier_wait = nullptr;
-    obs::Histogram* stage_frontier_serve = nullptr;
     obs::Histogram* stage_propagate = nullptr;
     obs::Histogram* stage_route = nullptr;
     obs::Histogram* stage_idle = nullptr;

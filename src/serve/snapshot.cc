@@ -258,35 +258,19 @@ std::vector<uint8_t> EncodeShardSnapshot(const ShardSnapshot& snap) {
   PutI32Vec(&payload, snap.mailbox_order);
   // z(t−) rows.
   PutF32Vec(&payload, snap.z_rows);
-  // Graph slice.
-  PutU64(&payload, snap.slice.rows.size());
-  for (const auto& row : snap.slice.rows) {
+  // Graph replica.
+  PutU64(&payload, snap.replica.rows.size());
+  for (const auto& row : snap.replica.rows) {
     PutU64(&payload, row.size());
     for (const auto& e : row) {
       PutI64(&payload, e.node);
-      PutI64(&payload, e.edge_id);
       PutF64(&payload, e.timestamp);
-      PutI64(&payload, e.ordinal);
     }
   }
-  PutU64(&payload, snap.slice.homed_events.size());
-  for (const graph::Event& event : snap.slice.homed_events) {
-    PutI64(&payload, event.src);
-    PutI64(&payload, event.dst);
-    PutF64(&payload, event.timestamp);
-    PutI64(&payload, event.edge_id);
-  }
-  PutF64(&payload, snap.slice.latest_timestamp);
-  PutI64(&payload, snap.slice.watermark);
-  // Replay/dedup state.
+  PutF64(&payload, snap.replica.latest_timestamp);
+  PutI64(&payload, snap.replica.num_events);
+  // Replay state.
   PutI64(&payload, snap.next_merge);
-  PutU64(&payload, snap.accepted_request.size());
-  for (const auto& [batch, hop] : snap.accepted_request) {
-    PutI64(&payload, batch);
-    PutI32(&payload, hop);
-  }
-  PutI64(&payload, snap.last_wait_batch);
-  PutI32(&payload, snap.last_wait_hop);
 
   APAN_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
                  "snapshot: payload exceeds kMaxPayloadBytes");
@@ -398,50 +382,27 @@ Result<ShardSnapshot> DecodeShardSnapshot(std::span<const uint8_t> bytes) {
   APAN_RETURN_NOT_OK(CheckPlane(snap.z_rows.size(), expected, "z_rows"));
 
   uint64_t count = 0;
-  APAN_RETURN_NOT_OK(r.ReadCount(&count, 8, "slice.rows"));
-  snap.slice.rows.resize(static_cast<size_t>(count));
-  for (auto& row : snap.slice.rows) {
+  APAN_RETURN_NOT_OK(r.ReadCount(&count, 8, "replica.rows"));
+  if (count != static_cast<uint64_t>(snap.num_nodes)) {
+    return Status::IoError(internal::StrCat(
+        "snapshot: replica holds ", count, " rows for ", snap.num_nodes,
+        " nodes"));
+  }
+  snap.replica.rows.resize(static_cast<size_t>(count));
+  for (auto& row : snap.replica.rows) {
     uint64_t entries = 0;
-    APAN_RETURN_NOT_OK(r.ReadCount(&entries, 32, "slice.row"));
+    APAN_RETURN_NOT_OK(r.ReadCount(&entries, 16, "replica.row"));
     row.resize(static_cast<size_t>(entries));
     for (auto& e : row) {
       APAN_RETURN_NOT_OK(r.ReadI64(&e.node, "entry.node"));
-      APAN_RETURN_NOT_OK(r.ReadI64(&e.edge_id, "entry.edge_id"));
       APAN_RETURN_NOT_OK(r.ReadF64(&e.timestamp, "entry.timestamp"));
-      APAN_RETURN_NOT_OK(r.ReadI64(&e.ordinal, "entry.ordinal"));
     }
   }
-  if (static_cast<int64_t>(snap.slice.rows.size()) != snap.owned_nodes) {
-    return Status::IoError(internal::StrCat(
-        "snapshot: slice holds ", snap.slice.rows.size(),
-        " rows, geometry implies ", snap.owned_nodes));
-  }
-  APAN_RETURN_NOT_OK(r.ReadCount(&count, 32, "slice.homed_events"));
-  snap.slice.homed_events.resize(static_cast<size_t>(count));
-  for (graph::Event& event : snap.slice.homed_events) {
-    APAN_RETURN_NOT_OK(r.ReadI64(&event.src, "event.src"));
-    APAN_RETURN_NOT_OK(r.ReadI64(&event.dst, "event.dst"));
-    APAN_RETURN_NOT_OK(r.ReadF64(&event.timestamp, "event.timestamp"));
-    APAN_RETURN_NOT_OK(r.ReadI64(&event.edge_id, "event.edge_id"));
-  }
   APAN_RETURN_NOT_OK(
-      r.ReadF64(&snap.slice.latest_timestamp, "slice.latest_timestamp"));
-  APAN_RETURN_NOT_OK(r.ReadI64(&snap.slice.watermark, "slice.watermark"));
+      r.ReadF64(&snap.replica.latest_timestamp, "replica.latest_timestamp"));
+  APAN_RETURN_NOT_OK(r.ReadI64(&snap.replica.num_events, "replica.num_events"));
 
   APAN_RETURN_NOT_OK(r.ReadI64(&snap.next_merge, "next_merge"));
-  APAN_RETURN_NOT_OK(r.ReadCount(&count, 12, "accepted_request"));
-  if (count != static_cast<uint64_t>(snap.num_shards)) {
-    return Status::IoError(internal::StrCat(
-        "snapshot: ", count, " per-peer frontier watermarks for ",
-        snap.num_shards, " shards"));
-  }
-  snap.accepted_request.resize(static_cast<size_t>(count));
-  for (auto& [batch, hop] : snap.accepted_request) {
-    APAN_RETURN_NOT_OK(r.ReadI64(&batch, "accepted.batch"));
-    APAN_RETURN_NOT_OK(r.ReadI32(&hop, "accepted.hop"));
-  }
-  APAN_RETURN_NOT_OK(r.ReadI64(&snap.last_wait_batch, "last_wait_batch"));
-  APAN_RETURN_NOT_OK(r.ReadI32(&snap.last_wait_hop, "last_wait_hop"));
 
   if (r.remaining() != 0) {
     return Status::IoError(internal::StrCat(

@@ -4,13 +4,12 @@
 // A snapshot captures everything one shard of a serve::ShardedEngine
 // cannot recompute from weights: its NodeStateStore (mailbox payload +
 // timestamps + ring bookkeeping + the sorted slot permutation + z(t−)
-// rows), its ShardedTemporalGraph slice (adjacency rows with ordinals,
-// homed event log, append watermark), and the replay/dedup state the
-// at-least-once transport contract depends on (merge cursor, per-peer
-// frontier watermarks, engine batch/ordinal numbering). Restoring a
-// snapshot reproduces the shard bitwise, so replaying the event tail from
-// the snapshot's batch watermark yields a mailbox identical to a run that
-// never crashed.
+// rows), its worker's graph::AdjacencyReplica (one {node, timestamp} row
+// per node of the whole graph), and the replay state the at-least-once
+// transport contract depends on (merge cursor, engine batch/ordinal
+// numbering). Restoring a snapshot reproduces the shard bitwise, so
+// replaying the event tail from the snapshot's batch watermark yields a
+// mailbox identical to a run that never crashed.
 //
 // The file layout is
 //
@@ -37,10 +36,9 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "graph/sharded_temporal_graph.h"
+#include "graph/adjacency_replica.h"
 #include "util/status.h"
 
 namespace apan {
@@ -52,7 +50,9 @@ inline constexpr uint32_t kMagic = 0x4e535041u;
 
 /// Current format version. Bump on any layout change; decoding rejects
 /// every other version (forward and backward) with InvalidArgument.
-inline constexpr uint32_t kVersion = 1;
+/// Version 1 held a partitioned graph slice plus frontier replay state;
+/// version 2 holds the shard's full graph replica instead.
+inline constexpr uint32_t kVersion = 2;
 
 /// Bytes before the payload (magic + version + payload length).
 inline constexpr size_t kHeaderBytes = 16;
@@ -92,15 +92,11 @@ struct ShardSnapshot {
   // ---- z(t−) rows (owned_nodes * state_dim) ----------------------------
   std::vector<float> z_rows;
 
-  // ---- Graph slice -----------------------------------------------------
-  graph::ShardedTemporalGraph::SliceCheckpoint slice;
+  // ---- Graph replica (num_nodes rows) ----------------------------------
+  graph::AdjacencyReplica::Checkpoint replica;
 
-  // ---- Replay/dedup state (worker-confined fields of the shard) --------
+  // ---- Replay state (worker-confined merge cursor) ---------------------
   int64_t next_merge = 0;
-  /// Per sending peer, the highest accepted frontier (batch, hop).
-  std::vector<std::pair<int64_t, int32_t>> accepted_request;
-  int64_t last_wait_batch = -1;
-  int32_t last_wait_hop = 0;
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.

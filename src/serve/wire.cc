@@ -9,12 +9,9 @@ namespace wire {
 
 namespace {
 
-// Payload kind tags. Values are part of the wire format — append only.
+// Payload kind tags. Values are part of the wire format — append only;
+// 2 and 3 (the frontier protocol) and 4 (coalesced batches) are retired.
 constexpr uint8_t kShardPartialKind = 1;
-constexpr uint8_t kFrontierRequestKind = 2;
-constexpr uint8_t kFrontierResponseKind = 3;
-// A coalesced batch of single-message payloads (never nested).
-constexpr uint8_t kBatchKind = 4;
 
 // ---- Little-endian writers -------------------------------------------------
 
@@ -235,132 +232,29 @@ Status DecodeBody(Reader* r, ShardPartial* m) {
   return Status::OK();
 }
 
-void EncodeBody(std::vector<uint8_t>* out, const FrontierRequest& m) {
-  PutI64(out, m.batch);
-  PutI32(out, m.hop);
-  PutI32(out, m.from_shard);
-  PutI64(out, m.ordinal_limit);
-  PutI64(out, m.fanout);
-  PutU64(out, m.items.size());
-  for (const FrontierItem& item : m.items) {
-    PutI64(out, item.slot);
-    PutI64(out, item.node);
-    PutF64(out, item.before_time);
-  }
-}
-
-Status DecodeBody(Reader* r, FrontierRequest* m) {
-  APAN_RETURN_NOT_OK(r->ReadI64(&m->batch, "request.batch"));
-  APAN_RETURN_NOT_OK(r->ReadI32(&m->hop, "request.hop"));
-  APAN_RETURN_NOT_OK(r->ReadI32(&m->from_shard, "request.from_shard"));
-  APAN_RETURN_NOT_OK(r->ReadI64(&m->ordinal_limit, "request.ordinal_limit"));
-  APAN_RETURN_NOT_OK(r->ReadI64(&m->fanout, "request.fanout"));
-  uint64_t count = 0;
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 24, "request.items"));
-  m->items.resize(static_cast<size_t>(count));
-  for (FrontierItem& item : m->items) {
-    APAN_RETURN_NOT_OK(r->ReadI64(&item.slot, "item.slot"));
-    APAN_RETURN_NOT_OK(r->ReadI64(&item.node, "item.node"));
-    APAN_RETURN_NOT_OK(r->ReadF64(&item.before_time, "item.before_time"));
-  }
-  return Status::OK();
-}
-
-void EncodeBody(std::vector<uint8_t>* out, const FrontierResponse& m) {
-  PutI64(out, m.batch);
-  PutI32(out, m.hop);
-  PutI32(out, m.from_shard);
-  PutU64(out, m.slots.size());
-  for (const int64_t slot : m.slots) PutI64(out, slot);
-  PutU64(out, m.neighbors.size());
-  for (const std::vector<graph::TemporalNeighbor>& row : m.neighbors) {
-    PutU64(out, row.size());
-    for (const graph::TemporalNeighbor& n : row) {
-      PutI64(out, n.node);
-      PutI64(out, n.edge_id);
-      PutF64(out, n.timestamp);
-    }
-  }
-}
-
-Status DecodeBody(Reader* r, FrontierResponse* m) {
-  APAN_RETURN_NOT_OK(r->ReadI64(&m->batch, "response.batch"));
-  APAN_RETURN_NOT_OK(r->ReadI32(&m->hop, "response.hop"));
-  APAN_RETURN_NOT_OK(r->ReadI32(&m->from_shard, "response.from_shard"));
-  uint64_t count = 0;
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 8, "response.slots"));
-  m->slots.resize(static_cast<size_t>(count));
-  for (int64_t& slot : m->slots) {
-    APAN_RETURN_NOT_OK(r->ReadI64(&slot, "response.slot"));
-  }
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 8, "response.neighbors"));
-  m->neighbors.resize(static_cast<size_t>(count));
-  for (std::vector<graph::TemporalNeighbor>& row : m->neighbors) {
-    uint64_t row_count = 0;
-    APAN_RETURN_NOT_OK(r->ReadCount(&row_count, 24, "response.row"));
-    row.resize(static_cast<size_t>(row_count));
-    for (graph::TemporalNeighbor& n : row) {
-      APAN_RETURN_NOT_OK(r->ReadI64(&n.node, "neighbor.node"));
-      APAN_RETURN_NOT_OK(r->ReadI64(&n.edge_id, "neighbor.edge_id"));
-      APAN_RETURN_NOT_OK(r->ReadF64(&n.timestamp, "neighbor.timestamp"));
-    }
-  }
-  return Status::OK();
+void EncodePayloadTo(const ShardPartial& message, std::vector<uint8_t>* out) {
+  PutU8(out, kShardPartialKind);
+  EncodeBody(out, message);
 }
 
 }  // namespace
 
-namespace {
-
-void EncodePayloadTo(const ShardMessage& message, std::vector<uint8_t>* out) {
-  if (const auto* partial = std::get_if<ShardPartial>(&message)) {
-    PutU8(out, kShardPartialKind);
-    EncodeBody(out, *partial);
-  } else if (const auto* request = std::get_if<FrontierRequest>(&message)) {
-    PutU8(out, kFrontierRequestKind);
-    EncodeBody(out, *request);
-  } else {
-    PutU8(out, kFrontierResponseKind);
-    EncodeBody(out, std::get<FrontierResponse>(message));
-  }
-}
-
-}  // namespace
-
-std::vector<uint8_t> EncodeMessage(const ShardMessage& message) {
+std::vector<uint8_t> EncodeMessage(const ShardPartial& message) {
   std::vector<uint8_t> out;
   EncodePayloadTo(message, &out);
   return out;
 }
 
-Result<ShardMessage> DecodeMessage(std::span<const uint8_t> payload) {
+Result<ShardPartial> DecodeMessage(std::span<const uint8_t> payload) {
   Reader reader(payload);
   uint8_t kind = 0;
   APAN_RETURN_NOT_OK(reader.ReadU8(&kind, "kind"));
-  ShardMessage message;
-  switch (kind) {
-    case kShardPartialKind: {
-      ShardPartial m;
-      APAN_RETURN_NOT_OK(DecodeBody(&reader, &m));
-      message = std::move(m);
-      break;
-    }
-    case kFrontierRequestKind: {
-      FrontierRequest m;
-      APAN_RETURN_NOT_OK(DecodeBody(&reader, &m));
-      message = std::move(m);
-      break;
-    }
-    case kFrontierResponseKind: {
-      FrontierResponse m;
-      APAN_RETURN_NOT_OK(DecodeBody(&reader, &m));
-      message = std::move(m);
-      break;
-    }
-    default:
-      return Status::IoError(internal::StrCat(
-          "wire: unknown message kind ", static_cast<int>(kind)));
+  if (kind != kShardPartialKind) {
+    return Status::IoError(internal::StrCat(
+        "wire: unknown message kind ", static_cast<int>(kind)));
   }
+  ShardPartial message;
+  APAN_RETURN_NOT_OK(DecodeBody(&reader, &message));
   if (reader.remaining() != 0) {
     return Status::IoError(internal::StrCat(
         "wire: ", reader.remaining(), " trailing bytes after message"));
@@ -368,7 +262,7 @@ Result<ShardMessage> DecodeMessage(std::span<const uint8_t> payload) {
   return message;
 }
 
-void AppendFrame(const ShardMessage& message, std::vector<uint8_t>* out) {
+void AppendFrame(const ShardPartial& message, std::vector<uint8_t>* out) {
   // Encode the payload straight into `out` after a length slot that is
   // patched afterwards — the frame is built once, with no intermediate
   // payload buffer to copy (Send hits this for every cross-shard message).
@@ -382,82 +276,6 @@ void AppendFrame(const ShardMessage& message, std::vector<uint8_t>* out) {
     (*out)[header_at + static_cast<size_t>(i)] =
         static_cast<uint8_t>(payload_size >> (8 * i));
   }
-}
-
-void AppendBatchFrame(std::span<const ShardMessage> messages,
-                      std::vector<uint8_t>* out) {
-  APAN_CHECK_MSG(!messages.empty(), "wire: batch frame needs >= 1 message");
-  if (messages.size() == 1) {
-    AppendFrame(messages.front(), out);  // dominant case, byte-identical
-    return;
-  }
-  const size_t header_at = out->size();
-  PutU32(out, 0);
-  PutU8(out, kBatchKind);
-  PutU64(out, messages.size());
-  for (const ShardMessage& message : messages) {
-    const size_t inner_at = out->size();
-    PutU32(out, 0);
-    EncodePayloadTo(message, out);
-    const size_t inner_size = out->size() - inner_at - kFrameHeaderBytes;
-    APAN_CHECK_MSG(inner_size <= kMaxPayloadBytes,
-                   "wire: batch element exceeds kMaxPayloadBytes");
-    for (int i = 0; i < 4; ++i) {
-      (*out)[inner_at + static_cast<size_t>(i)] =
-          static_cast<uint8_t>(inner_size >> (8 * i));
-    }
-  }
-  const size_t payload_size = out->size() - header_at - kFrameHeaderBytes;
-  APAN_CHECK_MSG(payload_size <= kMaxPayloadBytes,
-                 "wire: batch frame payload exceeds kMaxPayloadBytes");
-  for (int i = 0; i < 4; ++i) {
-    (*out)[header_at + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(payload_size >> (8 * i));
-  }
-}
-
-Result<std::vector<ShardMessage>> DecodeMessages(
-    std::span<const uint8_t> payload) {
-  if (payload.empty()) {
-    return Status::IoError("wire: empty payload");
-  }
-  std::vector<ShardMessage> messages;
-  if (payload.front() != kBatchKind) {
-    Result<ShardMessage> single = DecodeMessage(payload);
-    APAN_RETURN_NOT_OK(single.status());
-    messages.push_back(std::move(*single));
-    return messages;
-  }
-  Reader reader(payload);
-  uint8_t kind = 0;
-  APAN_RETURN_NOT_OK(reader.ReadU8(&kind, "batch.kind"));
-  uint64_t count = 0;
-  // Each element is at least a length word plus a kind byte.
-  APAN_RETURN_NOT_OK(
-      reader.ReadCount(&count, kFrameHeaderBytes + 1, "batch.count"));
-  if (count == 0) {
-    return Status::IoError("wire: empty batch frame");
-  }
-  messages.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t length = 0;
-    APAN_RETURN_NOT_OK(reader.ReadU32(&length, "batch.element_length"));
-    if (length == 0 || length > kMaxPayloadBytes) {
-      return Status::IoError(internal::StrCat(
-          "wire: corrupt batch element length ", length));
-    }
-    std::span<const uint8_t> element;
-    APAN_RETURN_NOT_OK(reader.ReadSpan(length, &element, "batch.element"));
-    // DecodeMessage rejects kBatchKind as unknown, so batches never nest.
-    Result<ShardMessage> message = DecodeMessage(element);
-    APAN_RETURN_NOT_OK(message.status());
-    messages.push_back(std::move(*message));
-  }
-  if (reader.remaining() != 0) {
-    return Status::IoError(internal::StrCat(
-        "wire: ", reader.remaining(), " trailing bytes after batch"));
-  }
-  return messages;
 }
 
 Result<uint32_t> DecodeFrameLength(

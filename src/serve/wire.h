@@ -1,4 +1,4 @@
-// Binary wire format for ShardMessage — the serialization boundary of the
+// Binary wire format for ShardPartial — the serialization boundary of the
 // transport plane (docs/serving.md, "Transport plane").
 //
 // A message travels as a length-prefixed frame:
@@ -6,14 +6,10 @@
 //   frame   := u32 payload_length | payload
 //   payload := u8 kind | body
 //
-// Same-destination messages can coalesce into ONE frame (the per-peer
-// batching that turns N syscalls per peer per batch into one on a stream
-// transport): kind 4 is a batch payload whose body is a count followed by
-// length-prefixed single-message payloads —
-//
-//   batch_payload := u8 4 | u64 count | count × (u32 len | payload)
-//
-// Batches never nest: an inner payload must carry a single-message kind.
+// Kind 1 is a ShardPartial. Kinds 2 and 3 carried the retired frontier
+// request/response protocol and kind 4 a coalesced batch of messages;
+// none is reused, and all decode as unknown. (An engine sends exactly one
+// partial per peer per batch, so there is nothing to coalesce.)
 //
 // All integers are little-endian fixed-width; floating-point values are
 // bit-cast to the same-width integer, so a round trip is bitwise exact for
@@ -50,30 +46,16 @@ inline constexpr uint32_t kMaxPayloadBytes = 256u * 1024u * 1024u;
 
 /// \brief Serializes one message into its payload form (kind byte + body,
 /// no length prefix).
-std::vector<uint8_t> EncodeMessage(const ShardMessage& message);
+std::vector<uint8_t> EncodeMessage(const ShardPartial& message);
 
 /// \brief Parses a payload produced by EncodeMessage. Rejects unknown
 /// kinds, truncation anywhere, oversized vector counts, and trailing
 /// bytes.
-Result<ShardMessage> DecodeMessage(std::span<const uint8_t> payload);
+Result<ShardPartial> DecodeMessage(std::span<const uint8_t> payload);
 
 /// \brief Appends a full frame (length prefix + payload) for `message` to
 /// `out` — the unit a stream transport writes.
-void AppendFrame(const ShardMessage& message, std::vector<uint8_t>* out);
-
-/// \brief Appends ONE frame coalescing all of `messages` (kind-4 batch
-/// payload; must be non-empty). A one-element span degenerates to
-/// AppendFrame, so the uncoalesced fast path stays byte-identical.
-void AppendBatchFrame(std::span<const ShardMessage> messages,
-                      std::vector<uint8_t>* out);
-
-/// \brief Parses a frame payload that is either a single message (kinds
-/// 1–3 — returns a one-element vector) or a kind-4 batch. Rejects nested
-/// batches, empty batches, and every single-message corruption mode
-/// (truncation, bad counts, trailing bytes — inside each element and
-/// around the batch envelope).
-Result<std::vector<ShardMessage>> DecodeMessages(
-    std::span<const uint8_t> payload);
+void AppendFrame(const ShardPartial& message, std::vector<uint8_t>* out);
 
 /// \brief Reads the payload length from a frame header. Rejects zero (a
 /// payload always holds at least the kind byte) and lengths above

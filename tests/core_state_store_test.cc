@@ -17,7 +17,6 @@
 
 #include "core/apan_model.h"
 #include "data/synthetic.h"
-#include "graph/sharded_temporal_graph.h"
 
 namespace apan {
 namespace core {

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <vector>
 
-#include "graph/sharded_temporal_graph.h"
 
 namespace apan {
 namespace graph {

@@ -56,35 +56,22 @@ bool Equal(const ShardSnapshot& a, const ShardSnapshot& b) {
       !SameFloatVec(a.z_rows, b.z_rows)) {
     return false;
   }
-  if (a.slice.rows.size() != b.slice.rows.size() ||
-      a.slice.homed_events.size() != b.slice.homed_events.size() ||
-      !SameBits(a.slice.latest_timestamp, b.slice.latest_timestamp) ||
-      a.slice.watermark != b.slice.watermark) {
+  if (a.replica.rows.size() != b.replica.rows.size() ||
+      !SameBits(a.replica.latest_timestamp, b.replica.latest_timestamp) ||
+      a.replica.num_events != b.replica.num_events) {
     return false;
   }
-  for (size_t i = 0; i < a.slice.rows.size(); ++i) {
-    if (a.slice.rows[i].size() != b.slice.rows[i].size()) return false;
-    for (size_t j = 0; j < a.slice.rows[i].size(); ++j) {
-      const auto& p = a.slice.rows[i][j];
-      const auto& q = b.slice.rows[i][j];
-      if (p.node != q.node || p.edge_id != q.edge_id ||
-          !SameBits(p.timestamp, q.timestamp) || p.ordinal != q.ordinal) {
+  for (size_t i = 0; i < a.replica.rows.size(); ++i) {
+    if (a.replica.rows[i].size() != b.replica.rows[i].size()) return false;
+    for (size_t j = 0; j < a.replica.rows[i].size(); ++j) {
+      const auto& p = a.replica.rows[i][j];
+      const auto& q = b.replica.rows[i][j];
+      if (p.node != q.node || !SameBits(p.timestamp, q.timestamp)) {
         return false;
       }
     }
   }
-  for (size_t i = 0; i < a.slice.homed_events.size(); ++i) {
-    const graph::Event& p = a.slice.homed_events[i];
-    const graph::Event& q = b.slice.homed_events[i];
-    if (p.src != q.src || p.dst != q.dst ||
-        !SameBits(p.timestamp, q.timestamp) || p.edge_id != q.edge_id) {
-      return false;
-    }
-  }
-  return a.next_merge == b.next_merge &&
-         a.accepted_request == b.accepted_request &&
-         a.last_wait_batch == b.last_wait_batch &&
-         a.last_wait_hop == b.last_wait_hop;
+  return a.next_merge == b.next_merge;
 }
 
 /// A small but fully-populated snapshot: every plane non-trivial, every
@@ -113,22 +100,19 @@ ShardSnapshot RichSnapshot() {
   snap.mailbox_order = {1, 0, 0, 1, 0, 1};
   snap.z_rows = {0.1f, -0.2f, std::numeric_limits<float>::quiet_NaN(),
                  0.4f, -0.0f, 0.6f};
-  snap.slice.rows.resize(3);
-  snap.slice.rows[0] = {{4, 11, 0.5, 25}, {7, 12, 1.5, 31}};
-  snap.slice.rows[2] = {{4, 13, 2.0, 40}};
-  snap.slice.homed_events = {{1, 4, 0.5, 11}, {5, 7, 1.5, 12}};
-  snap.slice.latest_timestamp = 2.0;
-  snap.slice.watermark = 7;
+  snap.replica.rows.resize(10);
+  snap.replica.rows[1] = {{4, -0.0}, {7, 1.5}};
+  snap.replica.rows[4] = {{1, -0.0}, {9, 2.0}};
+  snap.replica.rows[7] = {{1, 1.5}};
+  snap.replica.rows[9] = {{4, 2.0}};
+  snap.replica.latest_timestamp = 2.0;
+  snap.replica.num_events = 3;
   snap.next_merge = 7;
-  snap.accepted_request = {{6, 1}, {6, 0}, {-1, 0}, {6, 1}};
-  snap.last_wait_batch = 6;
-  snap.last_wait_hop = 1;
   return snap;
 }
 
-/// A shard that has never seen an event: zeroed planes, empty rows,
-/// watermark 0 — the state a snapshot taken right after construction
-/// captures.
+/// A shard that has never seen an event: zeroed planes, empty replica
+/// rows — the state a snapshot taken right after construction captures.
 ShardSnapshot EmptySnapshot() {
   ShardSnapshot snap;
   snap.shard = 0;
@@ -144,8 +128,7 @@ ShardSnapshot EmptySnapshot() {
   snap.mailbox_count.assign(2, 0);
   snap.mailbox_order.assign(2 * 2, 0);
   snap.z_rows.assign(2 * 3, 0.0f);
-  snap.slice.rows.resize(2);
-  snap.accepted_request = {{-1, 0}, {-1, 0}};
+  snap.replica.rows.resize(4);
   return snap;
 }
 
@@ -248,6 +231,27 @@ TEST(SnapshotTest, VersionSkewRejected) {
   Result<ShardSnapshot> decoded = DecodeShardSnapshot(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotTest, VersionOneImageRejected) {
+  // A v1 image (partitioned graph slice + frontier replay state) cannot
+  // be restored into a replica engine; it must fail cleanly as a version
+  // mismatch, not be misparsed.
+  std::vector<uint8_t> bytes = EncodeShardSnapshot(RichSnapshot());
+  bytes[4] = 1;
+  for (size_t i = 5; i < 8; ++i) bytes[i] = 0;
+  Result<ShardSnapshot> decoded = DecodeShardSnapshot(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotTest, ReplicaRowCountMustMatchNodeCount) {
+  ShardSnapshot snap = RichSnapshot();
+  snap.replica.rows.pop_back();
+  Result<ShardSnapshot> decoded =
+      DecodeShardSnapshot(EncodeShardSnapshot(snap));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
 }
 
 TEST(SnapshotTest, BadMagicRejected) {

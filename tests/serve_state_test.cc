@@ -106,12 +106,12 @@ void ResetReproducesFreshEngine(TransportKind kind) {
   RunStream(engine, f, events, batch);
   engine.ResetState();
 
-  // After reset every slice and store is empty and batch numbering has
+  // After reset every replica and store is empty and batch numbering has
   // rewound — exactly a fresh engine.
   for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(engine.sharded_graph().watermark(s), 0) << "shard " << s;
+    EXPECT_EQ(engine.replica(s).num_events(), 0) << "shard " << s;
+    EXPECT_EQ(engine.replica(s).MemoryBytes(), 0) << "shard " << s;
   }
-  EXPECT_EQ(engine.sharded_graph().num_events(), 0);
   for (graph::NodeId v = 0; v < f.config.num_nodes; ++v) {
     const core::NodeStateStore& store =
         engine.state_store(engine.router().ShardOf(v));
@@ -130,7 +130,7 @@ void ResetReproducesFreshEngine(TransportKind kind) {
   EXPECT_FALSE(reused.state_store_allocated())
       << "two epochs of serving must not materialize the model's store";
   ExpectModelStateUntouched(reused, f.config.num_nodes);
-  EXPECT_EQ(engine.sharded_graph().num_events(),
+  EXPECT_EQ(engine.replica(0).num_events(),
             static_cast<int64_t>(events / batch * batch));
 }
 
@@ -156,7 +156,7 @@ TEST(ShardedStateTest, ResetStateIsIdempotentAndReusable) {
   engine.ResetState();
   engine.ResetState();  // back-to-back resets must not wedge
   RunStream(engine, f, 100, 50);
-  EXPECT_EQ(engine.sharded_graph().num_events(), 100);
+  EXPECT_EQ(engine.replica(0).num_events(), 100);
   engine.Shutdown();
   engine.ResetState();  // documented no-op after Shutdown
 }
@@ -210,7 +210,7 @@ TEST(ShardedStateTest, RestoreFromJustWrittenSnapshotIsIdentity) {
     ASSERT_TRUE(engine.InferBatch(f.BatchEvents(lo, lo + batch)).ok());
   }
   engine.Flush();
-  EXPECT_EQ(engine.sharded_graph().num_events(),
+  EXPECT_EQ(engine.replica(0).num_events(),
             static_cast<int64_t>(events + 2 * batch));
 }
 
@@ -263,7 +263,7 @@ TEST(ShardedStateTest, ResetFullReplayEqualsRestoreTailReplay) {
   }
   engine_b.Flush();
   ExpectStitchedMailboxEqual(engine_b, piped, f.config.num_nodes);
-  EXPECT_EQ(engine_b.sharded_graph().num_events(),
+  EXPECT_EQ(engine_b.replica(0).num_events(),
             static_cast<int64_t>(events));
 }
 

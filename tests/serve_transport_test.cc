@@ -140,12 +140,12 @@ TEST(TransportTest, UnixSocketMatchesPipelineBitwiseTwoHops) {
     GTEST_SKIP() << "AF_UNIX unavailable on this platform";
   }
   Fixture f;
-  f.config.propagation_hops = 2;  // chained foreign frontiers over the wire
+  f.config.propagation_hops = 2;  // fan-out crossing every shard boundary
   const auto reference = RunPipeline(f, 300, 50);
   const auto run =
       RunSharded(f, MakeTransportFactory(TransportKind::kUnixSocket), 300, 50);
   ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
-  EXPECT_GT(run.stats.frontier_nodes_forwarded, 0);
+  EXPECT_GT(run.stats.mails_cross_shard, 0);
 }
 
 // ---- Fault-injection determinism soak --------------------------------------
@@ -320,16 +320,16 @@ TEST(TransportShutdownTest, ShutdownUnderLoadFlushesHeldFaultFrames) {
 
 TEST(TransportTest, SendBeforeStartFails) {
   InProcessTransport inproc;
-  EXPECT_FALSE(inproc.Send(0, 0, ShardMessage(FrontierRequest{})).ok());
+  EXPECT_FALSE(inproc.Send(0, 0, ShardPartial{}).ok());
   UnixSocketTransport uds;
-  EXPECT_FALSE(uds.Send(0, 0, ShardMessage(FrontierRequest{})).ok());
+  EXPECT_FALSE(uds.Send(0, 0, ShardPartial{}).ok());
 }
 
 TEST(TransportTest, SendAfterStopFails) {
   InProcessTransport inproc;
-  ASSERT_TRUE(inproc.Start(2, [](int, ShardMessage) {}).ok());
+  ASSERT_TRUE(inproc.Start(2, [](int, ShardPartial) {}).ok());
   inproc.Stop();
-  EXPECT_FALSE(inproc.Send(0, 1, ShardMessage(FrontierRequest{})).ok());
+  EXPECT_FALSE(inproc.Send(0, 1, ShardPartial{}).ok());
 }
 
 TEST(TransportTest, UnixSocketDeliversAcrossLanes) {
@@ -340,18 +340,17 @@ TEST(TransportTest, UnixSocketDeliversAcrossLanes) {
   std::mutex mu;
   std::vector<std::pair<int, int64_t>> received;  // (to_shard, batch)
   ASSERT_TRUE(uds.Start(3,
-                        [&](int to, ShardMessage m) {
+                        [&](int to, ShardPartial m) {
                           std::lock_guard<std::mutex> lock(mu);
-                          received.emplace_back(
-                              to, std::get<FrontierRequest>(m).batch);
+                          received.emplace_back(to, m.batch);
                         })
                   .ok());
   for (int from = 0; from < 3; ++from) {
     for (int to = 0; to < 3; ++to) {
-      FrontierRequest request;
-      request.batch = from * 3 + to;
-      request.from_shard = from;
-      ASSERT_TRUE(uds.Send(from, to, ShardMessage(std::move(request))).ok());
+      ShardPartial partial;
+      partial.batch = from * 3 + to;
+      partial.from_shard = from;
+      ASSERT_TRUE(uds.Send(from, to, std::move(partial)).ok());
     }
   }
   uds.Stop();  // drains every accepted frame before returning

@@ -29,7 +29,10 @@
 //      string and a present, finite, positive "events_per_sec";
 //   3. a "memory" array whose entries carry "partition" and a per-shard
 //      max >= min state-slice split — one measured row per
-//      (shards, partition) configuration, never a reused one;
+//      (shards, partition) configuration, never a reused one — plus a
+//      positive replica_bytes with graph_bytes == shards x replica_bytes
+//      (every shard worker holds an identical full graph replica, so the
+//      graph's footprint is exactly N copies, structurally);
 //   4. a "recovery" array (the checkpoint/rejoin cycle) whose rows carry
 //      finite, non-negative snapshot_write_ms / restore_replay_ms, a
 //      positive events_replayed, and events_shed == 0 — the bench never
@@ -300,6 +303,16 @@ int main(int argc, char** argv) {
       fail("memory row %zu per-shard split max %g / min %g is not a "
            "measurement",
            i, max_shard, min_shard);
+    }
+    bool has_replica = false, has_graph = false;
+    const double replica = NumberField(object, "replica_bytes", &has_replica);
+    const double graph = NumberField(object, "graph_bytes", &has_graph);
+    if (!has_replica || !has_graph || !(replica > 0.0)) {
+      fail("memory row %zu lacks a positive replica_bytes / graph_bytes", i);
+    } else if (graph != static_cast<double>(shards) * replica) {
+      fail("memory row %zu graph_bytes %g is not %d x replica_bytes %g — "
+           "the shard replicas diverged",
+           i, graph, shards, replica);
     }
     if (++memory_seen[{shards, partition}] > 1) {
       fail("memory row %zu duplicates configuration (%d shards, %s) — "
