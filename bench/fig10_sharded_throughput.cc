@@ -1,10 +1,10 @@
 // Sharded serving throughput: end-to-end events/sec versus shard count.
 //
 // The stream is replayed through serve::ShardedEngine at 1, 2, 4, and 8
-// shards (plus the single-worker AsyncPipeline as the unsharded
-// baseline). Throughput counts the complete pipeline — synchronous
-// scoring, cross-shard mail routing, and full propagation (timing stops
-// after Flush) — so it measures the asynchronous link's scaling, which is
+// shards; the x1 row (the single-worker deployment) is the baseline.
+// Throughput counts the complete pipeline — synchronous scoring,
+// cross-shard mail routing, and full propagation (timing stops after
+// Flush) — so it measures the asynchronous link's scaling, which is
 // the bottleneck the shard partition parallelizes. The cross-shard column
 // reports what fraction of mail left its home shard: the out-of-order
 // delivery the paper's §3.6 mailbox tolerates by construction.
@@ -61,9 +61,9 @@
 
 #include "bench/bench_util.h"
 #include "graph/node_partition.h"
+#include "graph/temporal_graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/async_pipeline.h"
 #include "serve/sharded_engine.h"
 #include "serve/transport.h"
 
@@ -122,32 +122,25 @@ struct JsonRow {
   std::string partition;
   int shards = 0;
   RunResult r;
-  /// Sharded rows only: the metrics-off twin and the tax of turning the
-  /// stage instrumentation on (negative = on-run measured faster; noise).
+  /// The metrics-off twin and the tax of turning the stage
+  /// instrumentation on (negative = on-run measured faster; noise).
   double events_per_sec_noobs = 0.0;
   double obs_overhead_pct = 0.0;
-  bool has_noobs = false;
 };
 
 /// Replays the stream `loops` times (ResetState between passes — the
 /// engine's epoch reset) under one stopwatch. A single pass is only tens
 /// of milliseconds at bench scale, too short to time against scheduler
 /// noise; the A/B overhead twins use loops > 1 to widen the window.
-template <typename Engine>
-RunResult Replay(Engine& engine, const apan::data::Dataset& dataset,
-                 size_t batch, int loops = 1) {
+RunResult Replay(apan::serve::ShardedEngine& engine,
+                 const apan::data::Dataset& dataset, size_t batch,
+                 int loops = 1) {
   using namespace apan;
   Stopwatch watch;
   size_t served = 0;
   int64_t batches = 0;
   for (int loop = 0; loop < loops; ++loop) {
-    if (loop > 0) {
-      // Only the sharded engine has an epoch reset; the AsyncPipeline
-      // baseline replays once.
-      if constexpr (requires { engine.ResetState(); }) {
-        engine.ResetState();
-      }
-    }
+    if (loop > 0) engine.ResetState();
     for (size_t lo = 0; lo + batch <= dataset.events.size(); lo += batch) {
       std::vector<graph::Event> events(dataset.events.begin() + lo,
                                        dataset.events.begin() + lo + batch);
@@ -292,25 +285,24 @@ int main(int argc, char** argv) {
               "sync p50 ms", "sync p99 ms", "cross-shard");
   bench::PrintRule(118);
 
-  double baseline_eps = 0.0;
+  // The monolithic footprints the memory rows are priced against: one
+  // TemporalGraph holding the served stream (Replay serves whole batches
+  // only), and one all-nodes state store.
   int64_t mono_graph_bytes = 0;
   int64_t mono_state_bytes = 0;
-  std::vector<JsonRow> json_rows;
   {
+    graph::TemporalGraph graph(config.num_nodes);
+    const size_t served = wiki.events.size() / batch * batch;
+    for (size_t i = 0; i < served; ++i) {
+      const Status added = graph.AddEvent(wiki.events[i]);
+      APAN_CHECK_MSG(added.ok(), added.ToString());
+    }
+    mono_graph_bytes = graph.MemoryBytes();
     core::ApanModel model(config, &wiki.features, /*seed=*/2021);
-    serve::AsyncPipeline pipeline(&model, {});
-    const RunResult r = Replay(pipeline, wiki, batch);
-    baseline_eps = r.events_per_sec;
-    mono_graph_bytes = model.graph().MemoryBytes();
     mono_state_bytes = model.state_store().MemoryBytes();
-    std::printf(
-        "%-18s | %9s | %9s | %12.0f | %12s | %12.3f | %12.3f | %12s\n",
-        "AsyncPipeline", "-", "-", r.events_per_sec, "-", r.sync_p50_ms,
-        r.sync_p99_ms, "-");
-    std::fflush(stdout);
-    JsonRow row{"AsyncPipeline", "-", "-", 0, r, 0.0, 0.0, false};
-    json_rows.push_back(row);
   }
+  double baseline_eps = 0.0;  ///< the x1 inproc row
+  std::vector<JsonRow> json_rows;
 
   struct MemoryRow {
     int shards = 0;
@@ -444,8 +436,10 @@ int main(int argc, char** argv) {
           label, tname.c_str(), part.name, r.events_per_sec, noobs_eps,
           r.sync_p50_ms, r.sync_p99_ms, r.cross_shard_pct);
       std::fflush(stdout);
-      JsonRow row{"ShardedEngine", tname,      part.name, shards,
-                  r,               noobs_eps, 0.0,       true};
+      if (shards == 1 && plane == serve::TransportKind::kInProcess) {
+        baseline_eps = r.events_per_sec;
+      }
+      JsonRow row{"ShardedEngine", tname, part.name, shards, r, noobs_eps, 0.0};
       if (!pair_overhead_pct.empty()) {
         std::sort(pair_overhead_pct.begin(), pair_overhead_pct.end());
         row.obs_overhead_pct =
@@ -457,15 +451,11 @@ int main(int argc, char** argv) {
   }
   bench::PrintRule(118);
   std::printf(
-      "baseline = single-worker AsyncPipeline (%.0f ev/s). Shard workers\n"
-      "are threads: extra shards can only buy events/s on idle cores.\n"
+      "baseline = the x1 inproc row, the single-worker deployment (%.0f\n"
+      "ev/s). Shard workers are threads: extra shards can only buy events/s\n"
+      "on idle cores.\n"
       "ev/s no-obs = the same config with stage metrics off; the delta is\n"
       "the observability tax (<2%% contract, docs/observability.md).\n"
-      "sync p50/p99: the AsyncPipeline row encodes against one shared\n"
-      "state table; sharded rows encode against per-shard NodeStateStores\n"
-      "(no shared z vector, no cross-shard cache-line contention on the\n"
-      "synchronous link), so the gap between the rows is the false-sharing\n"
-      "tax of the monolithic state plane.\n"
       "partition: hash = the stateless ownership hash; locality = greedy\n"
       "co-location (NodePartition::BuildLocality) over the replayed stream\n"
       "— compare adjacent rows for what co-location buys in cross-shard\n"
@@ -706,10 +696,8 @@ int main(int argc, char** argv) {
     json.Field("partition", row.partition);
     json.Field("shards", static_cast<int64_t>(row.shards));
     json.Field("events_per_sec", row.r.events_per_sec);
-    if (row.has_noobs) {
-      json.Field("events_per_sec_noobs", row.events_per_sec_noobs);
-      json.Field("obs_overhead_pct", row.obs_overhead_pct);
-    }
+    json.Field("events_per_sec_noobs", row.events_per_sec_noobs);
+    json.Field("obs_overhead_pct", row.obs_overhead_pct);
     json.Field("sync_p50_ms", row.r.sync_p50_ms);
     json.Field("sync_p99_ms", row.r.sync_p99_ms);
     json.Field("cross_shard_pct", row.r.cross_shard_pct);

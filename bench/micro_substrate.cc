@@ -1,7 +1,6 @@
 // Micro-benchmarks of the substrates (google-benchmark): tensor ops, the
-// encoder's attention pattern, temporal-graph queries, k-hop sampling,
-// mailbox operations and the propagation queue. These are the primitive
-// costs behind Figures 6-7.
+// encoder's attention pattern, temporal-graph queries, k-hop sampling and
+// mailbox operations. These are the primitive costs behind Figures 6-7.
 
 #include <benchmark/benchmark.h>
 
@@ -18,7 +17,6 @@
 #include "tensor/arena.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
-#include "util/bounded_queue.h"
 
 namespace apan {
 namespace {
@@ -531,17 +529,6 @@ void BM_MailboxReadBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MailboxReadBatch)->Arg(200)->Arg(1000);
-
-// ---- Queue ------------------------------------------------------------------
-
-void BM_BoundedQueueRoundTrip(benchmark::State& state) {
-  BoundedQueue<int> q(1024);
-  for (auto _ : state) {
-    APAN_CHECK(q.Push(1).ok());
-    benchmark::DoNotOptimize(q.TryPop());
-  }
-}
-BENCHMARK(BM_BoundedQueueRoundTrip);
 
 }  // namespace
 }  // namespace apan

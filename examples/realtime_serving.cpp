@@ -147,13 +147,14 @@ int main(int argc, char** argv) {
   std::printf("  mean %.3f ms/batch | p50 %.3f | p99 %.3f\n",
               engine.sync_latency().Mean(), engine.sync_latency().P50(),
               engine.sync_latency().P99());
-  std::printf("asynchronous link (per-shard sampling + mail application):\n");
-  std::printf("  mean %.3f ms/merge | p50 %.3f | p99 %.3f\n",
-              engine.async_latency().Mean(), engine.async_latency().P50(),
-              engine.async_latency().P99());
 
   // ---- End-of-run metrics snapshot, scraped from the registry ----------
   const obs::Registry::Snapshot snap = engine.registry()->Scrape();
+  if (const auto* merge = snap.FindHistogram("stage.merge")) {
+    std::printf("merge time (stage.merge: per-shard mail application):\n");
+    std::printf("  mean %.3f ms/merge | p50 %.3f | p99 %.3f\n", merge->mean,
+                merge->p50, merge->p99);
+  }
   const int num_shards = engine.router().num_shards();
   const auto* homed = snap.FindCounter("serve.events_homed");
   const auto* merges = snap.FindCounter("serve.batches_propagated");

@@ -7,8 +7,8 @@
 //   · mutable per-node *state* — the z(t−) table and the mailbox — held
 //     in a core::NodeStateStore. The model owns one default store
 //     covering all nodes (the monolithic layout that training and the
-//     single-worker AsyncPipeline use); serve::ShardedEngine replaces it
-//     with N disjoint per-shard stores and never touches this one.
+//     serial serving path use); serve::ShardedEngine replaces it with N
+//     disjoint per-shard stores and never touches this one.
 //
 // The synchronous path (EncodeNodes → decoder) touches only the state
 // store — node embeddings and mailboxes — and never queries the temporal

@@ -12,9 +12,9 @@ namespace core {
 
 // Thread contract: a Mailbox carries no lock — it is always reached
 // through an exclusively-owned NodeStateStore, whose owner provides the
-// synchronization (AsyncPipeline's model_mu_, or a ShardedEngine shard's
-// state_mu / worker confinement; see util/thread_annotations.h and
-// docs/static-analysis.md). Adding a mutex here would double-lock every
+// synchronization (a ShardedEngine shard's state_mu / worker confinement,
+// or the single thread that drives ApanModel in training; see
+// util/thread_annotations.h and docs/static-analysis.md). Adding a mutex here would double-lock every
 // delivery for no added safety.
 
 Mailbox::Mailbox(int64_t num_nodes, int64_t slots, int64_t dim)

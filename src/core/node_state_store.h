@@ -11,8 +11,8 @@
 // misrouted write can never land in a foreign shard's memory. A store
 // constructed without an ownership list covers every node with the
 // identity mapping — that is ApanModel's default store, through which
-// training and the single-worker AsyncPipeline keep exactly their
-// monolithic behavior. serve::ShardedEngine constructs one disjoint store
+// training and the serial serving path keep exactly their monolithic
+// behavior. serve::ShardedEngine constructs one disjoint store
 // per shard instead, so each shard's mutable state lives in genuinely
 // private memory (no false sharing on the synchronous encode path).
 

@@ -15,8 +15,8 @@
 // mailboxes are how they remember their own history); sampled neighbors
 // receive it at hops 1..k.
 //
-// This module runs on the asynchronous link: in serving it executes on a
-// background worker (serve::AsyncPipeline); in training it runs after the
+// This module runs on the asynchronous link: in serving it executes on the
+// shard workers of serve::ShardedEngine; in training it runs after the
 // optimizer step, as in the reference implementation.
 
 #ifndef APAN_CORE_PROPAGATOR_H_

@@ -12,7 +12,7 @@
 //
 // Thread contract (docs/static-analysis.md): this class carries no lock on
 // purpose — appends and reads are externally synchronized by the owner
-// (AsyncPipeline's worker under model_mu_; trainers single-threaded). The
+// (ApanModel's single driving thread in training and serial serving). The
 // only member shared across unsynchronized threads is query_count_, a
 // relaxed atomic (a diagnostic counter, not a synchronization point).
 // The sharded engine shares no graph at all: each of its workers owns a

@@ -1,6 +1,7 @@
 #include "serve/sharded_engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -135,6 +136,26 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   }
   util::MutexLock infer_lock(infer_mu_);
   if (shutdown_) return Status::Cancelled("engine is shut down");
+  // Caller events are validated here, before anything is encoded or
+  // counted: an out-of-range endpoint would abort in the router, and an
+  // out-of-order timestamp would pass the synchronous link only to abort
+  // every worker's replica append. The timestamp check mirrors
+  // AdjacencyReplica::AppendBatch, so a batch accepted here always
+  // appends.
+  const int64_t num_nodes = model_->config().num_nodes;
+  double latest = last_timestamp_;
+  for (const graph::Event& e : events) {
+    if (e.src < 0 || e.src >= num_nodes || e.dst < 0 || e.dst >= num_nodes) {
+      return Status::InvalidArgument(internal::StrCat(
+          "InferBatch: event endpoints out of range: ", e.src, " -> ", e.dst,
+          " (num_nodes=", num_nodes, ")"));
+    }
+    if (e.timestamp < latest) {
+      return Status::FailedPrecondition(internal::StrCat(
+          "InferBatch: out-of-order event: ", e.timestamp, " < ", latest));
+    }
+    latest = e.timestamp;
+  }
 
   InferenceResult result;
   Stopwatch watch;
@@ -213,9 +234,8 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     };
     // The caller thread encodes one slice itself instead of submitting
     // them all and blocking: at 1 shard the synchronous path pays zero
-    // pool handoffs (the source of a 10x p99 wakeup tail vs the
-    // single-worker pipeline), and at N shards the caller overlaps its
-    // slice with the pool's N-1.
+    // pool handoffs (a handoff per batch costs a 10x p99 wakeup tail),
+    // and at N shards the caller overlaps its slice with the pool's N-1.
     std::vector<int> active_shards;
     for (int s = 0; s < num_shards; ++s) {
       if (!shard_nodes[static_cast<size_t>(s)].empty()) {
@@ -283,6 +303,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   auto ctx = std::make_shared<BatchContext>();
   ctx->batch = next_batch_++;
   next_ordinal_ += static_cast<int64_t>(events.size());
+  last_timestamp_ = latest;
   ctx->events = events;
   ingested_since_start_ = true;
 
@@ -428,21 +449,8 @@ void ShardedEngine::WorkerLoop(int shard_id) {
 }
 
 void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
-  if (job.op != BatchJob::Op::kBatch) {
-    Status status;
-    switch (job.op) {
-      case BatchJob::Op::kReset:
-        ResetShardLocal(shard_id);
-        break;
-      case BatchJob::Op::kSnapshot:
-        status = SnapshotShardLocal(shard_id, job);
-        break;
-      case BatchJob::Op::kRestore:
-        status = RestoreShardLocal(shard_id, job);
-        break;
-      case BatchJob::Op::kBatch:
-        break;
-    }
+  if (job.control) {
+    Status status = job.control(shard_id);
     Shard& shard = *shards_[static_cast<size_t>(shard_id)];
     {
       util::MutexLock lock(shard.mu);
@@ -453,9 +461,7 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
     // The outcome is handed back under flush_mu_ — the same lock the
     // submitting caller's wait releases/reacquires — so the write is
     // ordered before the caller's post-wait read.
-    if (job.control_status != nullptr) {
-      *job.control_status = std::move(status);
-    }
+    *job.control_status = std::move(status);
     if (--inflight_ == 0) flush_cv_.NotifyAll();
     return;
   }
@@ -734,7 +740,7 @@ void ShardedEngine::ApplyMergedBatch(int shard_id,
             });
 
   // 2. Hop-0 mail replayed in global event order — exactly the per-node
-  // delivery order the single-worker pipeline produces.
+  // delivery order the serial ApanModel path produces.
   std::vector<PartialPropagation::TaggedDelivery> tagged;
   for (auto& part : parts) {
     std::move(part.hop0.begin(), part.hop0.end(),
@@ -830,22 +836,9 @@ void ShardedEngine::Flush() {
   while (inflight_ != 0) flush_cv_.Wait(flush_mu_);
 }
 
-void ShardedEngine::ResetShardLocal(int shard_id) {
-  Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  {
-    // The encode pool also reads the store (though ResetState's infer
-    // lock means no encode can be running); keep the lock discipline.
-    util::MutexLock state_lock(shard.state_mu);
-    shard.store->Reset();
-  }
-  // Worker-confined state, reset on the worker's own thread: batch
-  // numbering restarts at 0, so the merge cursor rewinds with it.
-  shard.replica->Reset();
-  shard.pending.clear();
-  shard.next_merge = 0;
-}
-
-Status ShardedEngine::SnapshotShardLocal(int shard_id, const BatchJob& job) {
+Status ShardedEngine::SnapshotShardLocal(int shard_id, int64_t next_batch,
+                                         int64_t next_ordinal,
+                                         const std::string& path) {
   Shard& shard = *shards_[static_cast<size_t>(shard_id)];
   // Flush proved every batch below the watermark merged everywhere, so a
   // non-empty pending map means replay tags and the watermark disagree —
@@ -859,8 +852,8 @@ Status ShardedEngine::SnapshotShardLocal(int shard_id, const BatchJob& job) {
   snap.shard = shard_id;
   snap.num_shards = options_.num_shards;
   snap.num_nodes = static_cast<int64_t>(partition_->owner_of.size());
-  snap.next_batch = job.snap_next_batch;
-  snap.next_ordinal = job.snap_next_ordinal;
+  snap.next_batch = next_batch;
+  snap.next_ordinal = next_ordinal;
   {
     // The capture only reads, but the encode pool reads these rows too;
     // same discipline as every other store access.
@@ -885,12 +878,12 @@ Status ShardedEngine::SnapshotShardLocal(int shard_id, const BatchJob& job) {
   }
   snap.replica = shard.replica->Export();
   snap.next_merge = shard.next_merge;
-  return snapshot::WriteShardSnapshot(snap, job.snapshot_path);
+  return snapshot::WriteShardSnapshot(snap, path);
 }
 
-Status ShardedEngine::RestoreShardLocal(int shard_id, const BatchJob& job) {
+Status ShardedEngine::RestoreShardLocal(int shard_id,
+                                        const snapshot::ShardSnapshot& snap) {
   Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  const snapshot::ShardSnapshot& snap = *job.restore;
   {
     util::MutexLock state_lock(shard.state_mu);
     core::Mailbox& mailbox = shard.store->mailbox();
@@ -925,40 +918,44 @@ void ShardedEngine::ResetState() {
   APAN_CHECK_MSG(transport_->exactly_once(),
                  "ResetState requires an exactly-once transport: a rewound "
                  "replay watermark cannot drop a pre-reset re-delivery");
-  // Settle everything accepted so far. After this, every inbox and every
+  // RunControlJob flushes first; after that every inbox and every
   // exactly-once transport lane is empty (Flush proves all application
-  // legs ran, and legs are only reachable via delivered messages).
-  Flush();
-  // Route the reset through each shard's worker so the worker-confined
+  // legs ran, and legs are only reachable via delivered messages). The
+  // reset then runs on each shard's own worker, so the worker-confined
   // state (merge cursor, graph replica) is only ever touched by its own
   // thread.
-  {
-    util::MutexLock lock(flush_mu_);
-    inflight_ += options_.num_shards;
-  }
+  const auto reset_shard = [this](int shard_id) {
+    Shard& shard = *shards_[static_cast<size_t>(shard_id)];
+    {
+      // The encode pool also reads the store (though the held infer lock
+      // means no encode can be running); keep the lock discipline.
+      util::MutexLock state_lock(shard.state_mu);
+      shard.store->Reset();
+    }
+    // Batch numbering restarts at 0, so the merge cursor rewinds with it.
+    shard.replica->Reset();
+    shard.pending.clear();
+    shard.next_merge = 0;
+    return Status::OK();
+  };
   for (int s = 0; s < options_.num_shards; ++s) {
-    Shard& shard = *shards_[static_cast<size_t>(s)];
-    BatchJob job;
-    job.op = BatchJob::Op::kReset;
-    util::MutexLock lock(shard.mu);
-    ++shard.jobs_in_flight;
-    shard.jobs.push_back(std::move(job));
-    shard.cv.NotifyAll();
-  }
-  {
-    util::MutexLock lock(flush_mu_);
-    while (inflight_ != 0) flush_cv_.Wait(flush_mu_);
+    const Status reset = RunControlJob(s, reset_shard);
+    APAN_CHECK_MSG(reset.ok(), reset.ToString());
   }
   next_batch_ = 0;
   next_ordinal_ = 0;
+  last_timestamp_ = -std::numeric_limits<double>::infinity();
   ingested_since_start_ = false;
 }
 
-Status ShardedEngine::RunControlJob(int shard, BatchJob job) {
+Status ShardedEngine::RunControlJob(
+    int shard, std::function<Status(int shard_id)> control) {
   // Settle everything accepted so far: control jobs observe (or install)
   // a quiescent shard, and Flush proves every application leg ran.
   Flush();
   Status status;
+  BatchJob job;
+  job.control = std::move(control);
   job.control_status = &status;
   {
     util::MutexLock lock(flush_mu_);
@@ -990,15 +987,15 @@ Status ShardedEngine::SnapshotShard(int shard, const std::string& path) {
         "SnapshotShard: shard ", shard, " out of range [0, ",
         options_.num_shards, ")"));
   }
-  BatchJob job;
-  job.op = BatchJob::Op::kSnapshot;
-  job.snapshot_path = path;
   // The engine-level numbering is captured under infer_mu_ — the lock
   // that advances it — and rides into the image so a restored engine
-  // resumes the batch/ordinal sequence exactly where this one stood.
-  job.snap_next_batch = next_batch_;
-  job.snap_next_ordinal = next_ordinal_;
-  return RunControlJob(shard, std::move(job));
+  // resumes the batch/ordinal sequence exactly where this one stood. (The
+  // worker cannot read it itself without an ACQUIRED_AFTER violation.)
+  return RunControlJob(
+      shard, [this, path, next_batch = next_batch_,
+              next_ordinal = next_ordinal_](int shard_id) {
+        return SnapshotShardLocal(shard_id, next_batch, next_ordinal, path);
+      });
 }
 
 Status ShardedEngine::RestoreShard(int shard, const std::string& path) {
@@ -1058,16 +1055,19 @@ Status ShardedEngine::RestoreShard(int shard, const std::string& path) {
   }
   const int64_t restored_batch = snap->next_batch;
   const int64_t restored_ordinal = snap->next_ordinal;
-  BatchJob job;
-  job.op = BatchJob::Op::kRestore;
-  job.restore = std::move(snap);
-  APAN_RETURN_NOT_OK(RunControlJob(shard, std::move(job)));
-  // Adopt the image's numbering. Restoring a consistent set (one image
-  // per shard, all captured at the same flushed point) writes the same
-  // values num_shards times — idempotent; the caller then replays events
-  // from this batch watermark to catch up to the present.
+  const double restored_timestamp = snap->replica.latest_timestamp;
+  APAN_RETURN_NOT_OK(RunControlJob(
+      shard, [this, snap = std::move(snap)](int shard_id) {
+        return RestoreShardLocal(shard_id, *snap);
+      }));
+  // Adopt the image's numbering and stream position. Restoring a
+  // consistent set (one image per shard, all captured at the same flushed
+  // point) writes the same values num_shards times — idempotent; the
+  // caller then replays events from this batch watermark to catch up to
+  // the present.
   next_batch_ = restored_batch;
   next_ordinal_ = restored_ordinal;
+  last_timestamp_ = restored_timestamp;
   return Status::OK();
 }
 

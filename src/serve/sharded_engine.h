@@ -1,7 +1,9 @@
-// The sharded serving engine — AsyncPipeline scaled out across a node
-// partition (paper §3.6: "APAN can be deployed on distributed streaming
-// systems ... mails may arrive out of order", which the mailbox absorbs
-// by keeping each node's slots time-sorted at write).
+// The serving engine — the paper's Figure 2(b) system architecture (a
+// synchronous encode-and-score link, k-hop propagation on an asynchronous
+// link) scaled out across a node partition (paper §3.6: "APAN can be
+// deployed on distributed streaming systems ... mails may arrive out of
+// order", which the mailbox absorbs by keeping each node's slots
+// time-sorted at write). num_shards = 1 is the single-worker deployment.
 //
 // A ShardRouter partitions the node space into N shards through a shared
 // graph::NodePartition index (canonical hash by default, or a
@@ -38,7 +40,7 @@
 //     · a recipient shard reassembles a batch once partials from all N
 //       shards have arrived, then applies state updates and mail to its
 //       rows in global event order (sequence tags), restoring exactly the
-//       per-node delivery order of the single-worker AsyncPipeline.
+//       per-node delivery order of the serial ApanModel path.
 //
 // Transport plane: every ShardPartial crosses shards through a pluggable
 // serve::Transport (Options::transport) — synchronous in-process delivery
@@ -54,11 +56,12 @@
 //
 // Determinism: because neighborhood expansion, per-node delivery order and
 // ρ-reduction are reconstructed exactly, the final mailbox timestamps and
-// counts after Flush() are bitwise-identical to the single-worker
-// AsyncPipeline on the same stream (mail *payloads* agree up to
-// floating-point summation order; tests/serve_sharded_test.cc asserts
-// both — and tests/serve_transport_test.cc re-asserts it over a socket
-// transport and under injected delay/reorder/duplication faults).
+// counts after Flush() are bitwise-identical to the serial ApanModel path
+// (ProcessBatchPostInference, batch by batch) on the same stream (mail
+// *payloads* agree up to floating-point summation order;
+// tests/serve_sharded_test.cc asserts both — and
+// tests/serve_transport_test.cc re-asserts it over a socket transport
+// and under injected delay/reorder/duplication faults).
 //
 // Skew and deadlock freedom: batch-job inboxes are bounded (back-pressure
 // on the caller), shard-to-shard messages are unbounded, and no worker
@@ -72,6 +75,8 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -89,7 +94,6 @@
 #include "serve/shard_router.h"
 #include "serve/snapshot.h"
 #include "serve/transport.h"
-#include "util/bounded_queue.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
 #include "util/thread_annotations.h"
@@ -97,6 +101,17 @@
 
 namespace apan {
 namespace serve {
+
+/// What InferBatch does when a shard's inbox is at Options::queue_capacity.
+enum class OverflowPolicy {
+  /// Wait for space (back-pressure on the caller; default).
+  kBlock,
+  /// Drop the incoming batch whole — a partially enqueued batch would
+  /// wedge the cross-shard reassembly barrier. Its scores are still
+  /// returned; its mail is lost and counted (Stats::batches_rejected,
+  /// Stats::mails_dropped).
+  kDropNewest,
+};
 
 /// \brief Runs one ApanModel behind an N-shard partition of the node
 /// space: per-shard mailbox/memory ownership, per-shard propagation
@@ -121,10 +136,6 @@ class ShardedEngine {
     /// apart, and with it the partials a fast shard parks for a slow one
     /// (each parked batch holds its routed mail).
     size_t queue_capacity = 32;
-    /// kBlock waits for space. Any drop policy drops the *incoming* batch
-    /// whole (a partially enqueued batch would wedge the cross-shard
-    /// reassembly barrier); kDropOldest degrades to dropping the incoming
-    /// batch for the same reason.
     OverflowPolicy overflow = OverflowPolicy::kBlock;
     /// Threads encoding shard slices on the synchronous link; 0 means one
     /// per shard.
@@ -167,8 +178,11 @@ class ShardedEngine {
 
   /// \brief Scores a batch of interactions on the synchronous link
   /// (shard-parallel encoding) and enqueues the per-shard asynchronous
-  /// work. Events must arrive in non-decreasing time order across calls;
-  /// concurrent callers are serialized. \return Cancelled after Shutdown.
+  /// work. Concurrent callers are serialized.
+  /// \return Cancelled after Shutdown; InvalidArgument for an empty batch
+  /// or an endpoint outside [0, num_nodes); FailedPrecondition when the
+  /// timestamps decrease within the batch or fall before the last
+  /// accepted batch's. A refused batch leaves the engine unchanged.
   Result<InferenceResult> InferBatch(const std::vector<graph::Event>& events)
       APAN_EXCLUDES(infer_mu_, flush_mu_);
 
@@ -291,8 +305,6 @@ class ShardedEngine {
   }
   /// Latency of the synchronous path per batch (what the user waits for).
   const obs::Histogram& sync_latency() const { return *ins_.stage_sync; }
-  /// Latency of per-shard batch application (merge + mailbox append).
-  const obs::Histogram& async_latency() const { return *ins_.stage_merge; }
   /// The registry this engine's metrics live in (Options::registry, or
   /// the engine-owned default). Scrape after Flush for exact totals.
   obs::Registry* registry() const { return registry_; }
@@ -307,28 +319,18 @@ class ShardedEngine {
     std::vector<graph::Event> events;
   };
 
-  /// A batch's home-events slice for one shard. Jobs stay in-process
-  /// (they carry the caller's encoder output); only ShardPartials travel
-  /// the transport.
+  /// A batch's home-events slice for one shard, or a control job. Jobs
+  /// stay in-process (they carry the caller's encoder output); only
+  /// ShardPartials travel the transport.
   struct BatchJob {
     std::shared_ptr<BatchContext> ctx;
     std::vector<core::InteractionRecord> records;
     std::vector<int64_t> event_index;  ///< Global batch positions.
-    /// Control jobs run on the owning worker instead of propagating a
-    /// batch: kReset clears the shard (ResetState), kSnapshot captures it
-    /// to `snapshot_path`, kRestore installs `restore` into it. Routing
-    /// them through the inbox keeps every worker-confined field (merge
-    /// cursor, graph replica) single-threaded.
-    enum class Op { kBatch, kReset, kSnapshot, kRestore };
-    Op op = Op::kBatch;
-    std::string snapshot_path;  ///< kSnapshot: destination file.
-    /// kSnapshot: engine numbering captured under infer_mu_ at submit
-    /// time (the worker cannot read it without an ACQUIRED_AFTER
-    /// violation).
-    int64_t snap_next_batch = 0;
-    int64_t snap_next_ordinal = 0;
-    /// kRestore: the decoded, topology-validated snapshot to install.
-    std::shared_ptr<const snapshot::ShardSnapshot> restore;
+    /// Set for a control job (reset, snapshot, restore), which runs this
+    /// on the owning worker instead of propagating a batch. Routing it
+    /// through the inbox keeps every worker-confined field (merge cursor,
+    /// graph replica) single-threaded.
+    std::function<Status(int shard_id)> control;
     /// Control-job outcome, written by the worker before it decrements
     /// inflight_ under flush_mu_ — the same lock the submitting caller
     /// waits on, so the write is ordered before the caller's read.
@@ -370,17 +372,17 @@ class ShardedEngine {
 
   void WorkerLoop(int shard_id) APAN_EXCLUDES(flush_mu_);
   void ProcessJob(int shard_id, BatchJob job) APAN_EXCLUDES(flush_mu_);
-  /// Worker-side half of ResetState: runs on the shard's own thread so
-  /// the worker-confined merge cursor and graph replica stay thread-local.
-  void ResetShardLocal(int shard_id);
-  /// Worker-side halves of SnapshotShard / RestoreShard (same pattern).
-  Status SnapshotShardLocal(int shard_id, const BatchJob& job);
-  Status RestoreShardLocal(int shard_id, const BatchJob& job);
-  /// Shared control-job submission: Flush, push one job to `shard`'s
-  /// worker, wait for it, return the Status the worker wrote. Held
-  /// infer_mu_ keeps InferBatch (and other control callers) out for the
-  /// whole round trip.
-  Status RunControlJob(int shard, BatchJob job)
+  /// Worker-side halves of SnapshotShard / RestoreShard: they run on the
+  /// shard's own thread so the worker-confined merge cursor and graph
+  /// replica stay thread-local.
+  Status SnapshotShardLocal(int shard_id, int64_t next_batch,
+                            int64_t next_ordinal, const std::string& path);
+  Status RestoreShardLocal(int shard_id, const snapshot::ShardSnapshot& snap);
+  /// The one control-job path (ResetState, SnapshotShard, RestoreShard):
+  /// Flush, run `control` on `shard`'s worker, wait for it, return the
+  /// Status it produced. Held infer_mu_ keeps InferBatch (and other
+  /// control callers) out for the whole round trip.
+  Status RunControlJob(int shard, std::function<Status(int shard_id)> control)
       APAN_REQUIRES(infer_mu_) APAN_EXCLUDES(flush_mu_);
   void OnMail(int shard_id, ShardPartial partial) APAN_EXCLUDES(flush_mu_);
   void ApplyMergedBatch(int shard_id, std::vector<ShardPartial> parts)
@@ -442,6 +444,10 @@ class ShardedEngine {
   bool shutdown_ APAN_GUARDED_BY(infer_mu_) = false;
   int64_t next_batch_ APAN_GUARDED_BY(infer_mu_) = 0;
   int64_t next_ordinal_ APAN_GUARDED_BY(infer_mu_) = 0;  ///< Events accepted.
+  /// Timestamp of the last accepted event: InferBatch refuses anything
+  /// older. ResetState rewinds it; RestoreShard adopts the image's.
+  double last_timestamp_ APAN_GUARDED_BY(infer_mu_) =
+      -std::numeric_limits<double>::infinity();
   /// False until the first accepted batch. Gates RestoreShard under a
   /// duplicating transport: restoring a virgin engine rewinds nothing, so
   /// there is no pre-restore frame a rewound replay tag could re-accept —

@@ -4,10 +4,11 @@
 #include <unistd.h>
 
 #include <array>
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+
+#include "serve/codec.h"
 
 namespace apan {
 namespace serve {
@@ -15,162 +16,15 @@ namespace snapshot {
 
 namespace {
 
-// ---- Little-endian writers (wire.cc's idiom, private to this TU) -----------
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutI32(std::vector<uint8_t>* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF32(std::vector<uint8_t>* out, float v) {
-  PutU32(out, std::bit_cast<uint32_t>(v));
-}
-
-void PutF64(std::vector<uint8_t>* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void PutF32Vec(std::vector<uint8_t>* out, const std::vector<float>& v) {
-  PutU64(out, v.size());
-  for (const float x : v) PutF32(out, x);
-}
-
-void PutF64Vec(std::vector<uint8_t>* out, const std::vector<double>& v) {
-  PutU64(out, v.size());
-  for (const double x : v) PutF64(out, x);
-}
-
-void PutI32Vec(std::vector<uint8_t>* out, const std::vector<int32_t>& v) {
-  PutU64(out, v.size());
-  for (const int32_t x : v) PutI32(out, x);
-}
-
-// ---- Bounds-checked reader --------------------------------------------------
-
-Status Truncated(const char* what) {
-  return Status::IoError(
-      internal::StrCat("snapshot: truncated payload reading ", what));
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const uint8_t> data) : data_(data) {}
-
-  size_t remaining() const { return data_.size() - pos_; }
-
-  Status ReadU64(uint64_t* v, const char* what) {
-    if (remaining() < 8) return Truncated(what);
-    uint64_t x = 0;
-    for (int i = 0; i < 8; ++i) {
-      x |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    *v = x;
-    return Status::OK();
-  }
-
-  Status ReadU32(uint32_t* v, const char* what) {
-    if (remaining() < 4) return Truncated(what);
-    uint32_t x = 0;
-    for (int i = 0; i < 4; ++i) {
-      x |= static_cast<uint32_t>(data_[pos_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 4;
-    *v = x;
-    return Status::OK();
-  }
-
-  Status ReadI64(int64_t* v, const char* what) {
-    uint64_t u = 0;
-    APAN_RETURN_NOT_OK(ReadU64(&u, what));
-    *v = static_cast<int64_t>(u);
-    return Status::OK();
-  }
-
-  Status ReadI32(int32_t* v, const char* what) {
-    uint32_t u = 0;
-    APAN_RETURN_NOT_OK(ReadU32(&u, what));
-    *v = static_cast<int32_t>(u);
-    return Status::OK();
-  }
-
-  Status ReadF64(double* v, const char* what) {
-    uint64_t u = 0;
-    APAN_RETURN_NOT_OK(ReadU64(&u, what));
-    *v = std::bit_cast<double>(u);
-    return Status::OK();
-  }
-
-  Status ReadF32(float* v, const char* what) {
-    uint32_t u = 0;
-    APAN_RETURN_NOT_OK(ReadU32(&u, what));
-    *v = std::bit_cast<float>(u);
-    return Status::OK();
-  }
-
-  /// Reads a vector count and validates it against the bytes remaining
-  /// BEFORE any allocation, exactly as wire.cc's Reader does — a corrupt
-  /// count must fail, not drive a huge reserve.
-  Status ReadCount(uint64_t* count, size_t min_element_bytes,
-                   const char* what) {
-    APAN_RETURN_NOT_OK(ReadU64(count, what));
-    const uint64_t cap =
-        min_element_bytes == 0
-            ? static_cast<uint64_t>(remaining())
-            : static_cast<uint64_t>(remaining()) / min_element_bytes;
-    if (*count > cap) {
-      return Status::IoError(internal::StrCat(
-          "snapshot: corrupt count for ", what, " (", *count, " elements, ",
-          remaining(), " bytes left)"));
-    }
-    return Status::OK();
-  }
-
-  Status ReadF32Vec(std::vector<float>* v, const char* what) {
-    uint64_t count = 0;
-    APAN_RETURN_NOT_OK(ReadCount(&count, 4, what));
-    v->resize(static_cast<size_t>(count));
-    for (auto& x : *v) APAN_RETURN_NOT_OK(ReadF32(&x, what));
-    return Status::OK();
-  }
-
-  Status ReadF64Vec(std::vector<double>* v, const char* what) {
-    uint64_t count = 0;
-    APAN_RETURN_NOT_OK(ReadCount(&count, 8, what));
-    v->resize(static_cast<size_t>(count));
-    for (auto& x : *v) APAN_RETURN_NOT_OK(ReadF64(&x, what));
-    return Status::OK();
-  }
-
-  Status ReadI32Vec(std::vector<int32_t>* v, const char* what) {
-    uint64_t count = 0;
-    APAN_RETURN_NOT_OK(ReadCount(&count, 4, what));
-    v->resize(static_cast<size_t>(count));
-    for (auto& x : *v) APAN_RETURN_NOT_OK(ReadI32(&x, what));
-    return Status::OK();
-  }
-
- private:
-  std::span<const uint8_t> data_;
-  size_t pos_ = 0;
-};
+using codec::PutF32Vec;
+using codec::PutF64;
+using codec::PutF64Vec;
+using codec::PutI32;
+using codec::PutI32Vec;
+using codec::PutI64;
+using codec::PutU32;
+using codec::PutU64;
+using codec::Reader;
 
 /// a*b with overflow detection — geometry fields come off disk, so their
 /// products must be checked before they parameterize any comparison.
@@ -290,7 +144,7 @@ Result<ShardSnapshot> DecodeShardSnapshot(std::span<const uint8_t> bytes) {
         "snapshot: ", bytes.size(), " bytes is smaller than the ",
         kHeaderBytes + kTrailerBytes, "-byte envelope"));
   }
-  Reader header(bytes.subspan(0, kHeaderBytes));
+  Reader header(bytes.subspan(0, kHeaderBytes), "snapshot");
   uint32_t magic = 0;
   uint32_t version = 0;
   uint64_t payload_length = 0;
@@ -318,7 +172,8 @@ Result<ShardSnapshot> DecodeShardSnapshot(std::span<const uint8_t> bytes) {
   }
   const std::span<const uint8_t> payload =
       bytes.subspan(kHeaderBytes, static_cast<size_t>(payload_length));
-  Reader trailer(bytes.subspan(kHeaderBytes + payload.size(), kTrailerBytes));
+  Reader trailer(bytes.subspan(kHeaderBytes + payload.size(), kTrailerBytes),
+                 "snapshot");
   uint32_t stored_crc = 0;
   APAN_RETURN_NOT_OK(trailer.ReadU32(&stored_crc, "crc32"));
   const uint32_t computed_crc = Crc32(payload);
@@ -328,7 +183,7 @@ Result<ShardSnapshot> DecodeShardSnapshot(std::span<const uint8_t> bytes) {
         computed_crc, ") — refusing to restore from a corrupt checkpoint"));
   }
 
-  Reader r(payload);
+  Reader r(payload, "snapshot");
   ShardSnapshot snap;
   APAN_RETURN_NOT_OK(r.ReadI32(&snap.shard, "shard"));
   APAN_RETURN_NOT_OK(r.ReadI32(&snap.num_shards, "num_shards"));

@@ -6,8 +6,8 @@
 // ResidualLayerNorm) operate on raw float buffers. One implementation is
 // selected per process at first use — AVX2 on x86-64 CPUs that support
 // it, NEON on aarch64, a portable blocked-scalar fallback otherwise — so
-// every engine in the process (AsyncPipeline, ShardedEngine, trainer
-// eval) computes through the same code path and stays bitwise
+// every engine in the process (ShardedEngine, the serial ApanModel path,
+// trainer eval) computes through the same code path and stays bitwise
 // reproducible run-to-run and engine-to-engine.
 //
 // Determinism contract — per kernel subset:

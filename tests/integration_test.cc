@@ -6,7 +6,7 @@
 
 #include "baselines/jodie.h"
 #include "data/synthetic.h"
-#include "serve/async_pipeline.h"
+#include "serve/sharded_engine.h"
 #include "train/apan_adapter.h"
 #include "train/link_trainer.h"
 #include "train/probe.h"
@@ -41,7 +41,7 @@ TEST(IntegrationTest, ApanFullPipelineLearnsAndProbes) {
   EXPECT_GT(probe->test_auc, 0.45);  // skewed task: just sanity at this scale
 }
 
-TEST(IntegrationTest, TrainedModelServesThroughAsyncPipeline) {
+TEST(IntegrationTest, TrainedModelServesThroughSingleShardEngine) {
   auto ds = *data::GenerateSynthetic(
       data::SyntheticConfig::WikipediaLike().Scaled(0.08));
   core::ApanConfig cfg;
@@ -53,28 +53,31 @@ TEST(IntegrationTest, TrainedModelServesThroughAsyncPipeline) {
   train::LinkTrainer trainer(tc);
   ASSERT_TRUE(trainer.Run(&model, ds).ok());
 
-  // Redeploy the trained weights behind the serving pipeline and replay
-  // the stream: scores must separate true edges from shuffled ones.
+  // Redeploy the trained weights behind the single-worker serving engine
+  // and replay the stream: scores must separate true edges from shuffled
+  // ones.
   model.ResetState();
-  serve::AsyncPipeline pipeline(&model.model(), {});
+  serve::ShardedEngine::Options options;
+  options.num_shards = 1;
+  serve::ShardedEngine engine(&model.model(), options);
   std::vector<float> true_scores;
   Rng rng(5);
   for (size_t lo = 0; lo + 100 <= ds.events.size(); lo += 100) {
     std::vector<graph::Event> events(ds.events.begin() + lo,
                                      ds.events.begin() + lo + 100);
-    auto result = pipeline.InferBatch(events);
+    auto result = engine.InferBatch(events);
     ASSERT_TRUE(result.ok());
     if (lo > ds.events.size() / 2) {
       for (float s : result->scores) true_scores.push_back(s);
     }
   }
-  pipeline.Flush();
+  engine.Flush();
   double mean_true = 0.0;
   for (float s : true_scores) mean_true += s;
   mean_true /= static_cast<double>(true_scores.size());
   // Trained model assigns clearly-above-chance scores to real events.
   EXPECT_GT(mean_true, 0.55);
-  EXPECT_GT(pipeline.sync_latency().count(), 0u);
+  EXPECT_GT(engine.sync_latency().count(), 0u);
 }
 
 TEST(IntegrationTest, EdgeClassificationPipelineOnAlipayLike) {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "data/synthetic.h"
-#include "serve/async_pipeline.h"
 #include "serve/sharded_engine.h"
 #include "serve/snapshot.h"
 #include "serve/transport.h"
@@ -26,6 +25,7 @@ namespace serve {
 namespace {
 
 using testutil::ExpectStitchedMailboxEqual;
+using testutil::RunSerial;
 
 struct Fixture {
   Fixture()
@@ -47,19 +47,6 @@ struct Fixture {
   data::Dataset dataset;
   core::ApanConfig config;
 };
-
-/// Reference run: the single-worker pipeline over the first `n` events.
-std::unique_ptr<core::ApanModel> RunPipeline(const Fixture& f, size_t n,
-                                             size_t batch) {
-  auto model = std::make_unique<core::ApanModel>(f.config,
-                                                 &f.dataset.features, 7);
-  AsyncPipeline pipeline(model.get(), {});
-  for (size_t lo = 0; lo + batch <= n; lo += batch) {
-    EXPECT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + batch)).ok());
-  }
-  pipeline.Flush();
-  return model;
-}
 
 struct EngineRun {
   // Declaration order matters: the engine reads the model's weights and
@@ -112,7 +99,7 @@ std::string SnapPath(const std::string& tag, uint64_t seed, int shard) {
 // snapshot files are all that survive). A brand-new engine B, with its
 // own faulty transport on a different seed, restores every shard and
 // replays the tail. Its stitched mailbox must be bitwise identical to a
-// single-worker run that saw the whole stream and never crashed.
+// serial run that saw the whole stream and never crashed.
 
 void KillAndRejoinSoak(int32_t hops, TransportKind inner,
                        const std::string& tag, uint64_t seed_base) {
@@ -124,7 +111,7 @@ void KillAndRejoinSoak(int32_t hops, TransportKind inner,
   f.config.propagation_hops = hops;
   const size_t events = 160, cut = 80, batch = 40;
   const int num_shards = 4;
-  const auto reference = RunPipeline(f, events, batch);
+  const auto reference = RunSerial(f.config, f.dataset, 7, events, batch).model;
   for (uint64_t seed = seed_base; seed < seed_base + 10; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     {
@@ -180,7 +167,7 @@ TEST(RestoreGuardTest, RestoreRejectsWrongShardAndMissingFile) {
   EXPECT_FALSE(
       run.engine->RestoreShard(0, testing::TempDir() + "/no_such.apsn").ok());
   // And the engine is still intact: the refused restores changed nothing.
-  const auto reference = RunPipeline(f, 80, 40);
+  const auto reference = RunSerial(f.config, f.dataset, 7, 80, 40).model;
   ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
 }
 
@@ -222,7 +209,7 @@ TEST(LaneRecoveryTest, KilledLaneReconnectsAndStaysBitwise) {
   }
   Fixture f;
   const size_t events = 240, batch = 40;
-  const auto reference = RunPipeline(f, events, batch);
+  const auto reference = RunSerial(f.config, f.dataset, 7, events, batch).model;
   UnixSocketTransport* raw = nullptr;
   TransportFactory factory = [&raw]() -> std::unique_ptr<Transport> {
     auto transport = std::make_unique<UnixSocketTransport>();
@@ -253,7 +240,7 @@ TEST(LaneRecoveryTest, KilledLaneReconnectsAndStaysBitwise) {
 TEST(DegradationTest, DownShardShedsWithoutBlockingThenRecoversByReset) {
   Fixture f;
   const size_t events = 200, batch = 40;
-  const auto reference = RunPipeline(f, events, batch);
+  const auto reference = RunSerial(f.config, f.dataset, 7, events, batch).model;
   auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
   Stream(f, *run.engine, 0, 80, batch);
   run.engine->Flush();

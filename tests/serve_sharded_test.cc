@@ -4,11 +4,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <thread>
 
 #include "data/synthetic.h"
-#include "serve/async_pipeline.h"
 #include "serve_state_util.h"
 
 namespace apan {
@@ -17,6 +17,8 @@ namespace {
 
 using testutil::ExpectModelStateUntouched;
 using testutil::ExpectStitchedMailboxEqual;
+using testutil::RunSerial;
+using testutil::SerialRun;
 
 struct Fixture {
   Fixture()
@@ -129,16 +131,17 @@ TEST(ShardedEngineTest, ScoresEveryEvent) {
 // The tentpole determinism claim: cross-shard mail arrives out of order by
 // construction, yet after Flush() the engine's per-shard stores, stitched
 // by ownership, hold mailbox timestamps and counts bitwise-identical to
-// the single-worker AsyncPipeline on the same stream (sequence-tagged
-// replay restores per-node delivery order, and ρ is finalized over the
-// whole batch after merging every shard's partials). The stitched helper
-// lives in serve_state_util.h, shared with the transport + state tests.
+// the serial ApanModel path on the same stream (sequence-tagged replay
+// restores per-node delivery order, and ρ is finalized over the whole
+// batch after merging every shard's partials). The serial oracle and the
+// stitched helper live in serve_state_util.h, shared with the transport,
+// recovery and state tests.
 
-TEST(ShardedEngineTest, MatchesAsyncPipelineMailboxBitwise) {
+TEST(ShardedEngineTest, MatchesSerialMailboxBitwise) {
   Fixture f;
-  core::ApanModel piped(f.config, &f.dataset.features, 7);
+  const SerialRun serial = RunSerial(f.config, f.dataset, 7, 400, 50);
+  const core::ApanModel& reference = *serial.model;
   core::ApanModel sharded(f.config, &f.dataset.features, 7);
-  AsyncPipeline pipeline(&piped, {});
   ShardedEngine::Options options;
   options.num_shards = 4;
   ShardedEngine engine(&sharded, options);
@@ -146,11 +149,8 @@ TEST(ShardedEngineTest, MatchesAsyncPipelineMailboxBitwise) {
   // Free-running: no flush between batches, so cross-shard interleavings
   // genuinely occur while the stream is in flight.
   for (size_t lo = 0; lo < 400; lo += 50) {
-    auto events = f.BatchEvents(lo, lo + 50);
-    ASSERT_TRUE(pipeline.InferBatch(events).ok());
-    ASSERT_TRUE(engine.InferBatch(events).ok());
+    ASSERT_TRUE(engine.InferBatch(f.BatchEvents(lo, lo + 50)).ok());
   }
-  pipeline.Flush();
   engine.Flush();
 
   // The engine serves out of its own per-worker graph replicas AND state
@@ -158,11 +158,11 @@ TEST(ShardedEngineTest, MatchesAsyncPipelineMailboxBitwise) {
   // allocated default store was never even materialized (weights are
   // accessed const-only — the strongest form of "untouched").
   EXPECT_EQ(sharded.graph().num_events(), 0);
-  EXPECT_EQ(piped.graph().num_events(), engine.replica(0).num_events());
+  EXPECT_EQ(reference.graph().num_events(), engine.replica(0).num_events());
   EXPECT_FALSE(sharded.state_store_allocated())
       << "engine materialized the model's state plane";
   ExpectModelStateUntouched(sharded, f.config.num_nodes);
-  ExpectStitchedMailboxEqual(engine, piped, f.config.num_nodes,
+  ExpectStitchedMailboxEqual(engine, reference, f.config.num_nodes,
                              /*min_nonempty=*/20);
 
   // After Flush every worker's replica has absorbed every accepted event,
@@ -178,7 +178,8 @@ TEST(ShardedEngineTest, MatchesAsyncPipelineMailboxBitwise) {
   // and the N copies together cost N times that, not more.
   const double replica_bytes =
       static_cast<double>(engine.replica(0).MemoryBytes());
-  const double mono_bytes = static_cast<double>(piped.graph().MemoryBytes());
+  const double mono_bytes =
+      static_cast<double>(reference.graph().MemoryBytes());
   EXPECT_GT(replica_bytes, 0.3 * mono_bytes);
   EXPECT_LT(replica_bytes, 0.5 * mono_bytes);
 
@@ -192,79 +193,70 @@ TEST(ShardedEngineTest, MatchesAsyncPipelineMailboxBitwise) {
   EXPECT_EQ(stats.frontier_nodes_forwarded, 0);
 }
 
-TEST(ShardedEngineTest, MatchesAsyncPipelineBitwiseTwoHops) {
+TEST(ShardedEngineTest, MatchesSerialBitwiseTwoHops) {
   // Two-hop fan-out: hop-2 frontiers routinely land on nodes owned by a
   // third shard, and the home shard samples them all from its own replica
-  // — which must still reproduce the single-worker mailbox bitwise.
+  // — which must still reproduce the serial mailbox bitwise.
   Fixture f;
   f.config.propagation_hops = 2;
-  core::ApanModel piped(f.config, &f.dataset.features, 21);
+  const SerialRun serial = RunSerial(f.config, f.dataset, 21, 300, 50);
   core::ApanModel sharded(f.config, &f.dataset.features, 21);
-  AsyncPipeline pipeline(&piped, {});
   ShardedEngine::Options options;
   options.num_shards = 4;
   ShardedEngine engine(&sharded, options);
 
   for (size_t lo = 0; lo < 300; lo += 50) {
-    auto events = f.BatchEvents(lo, lo + 50);
-    ASSERT_TRUE(pipeline.InferBatch(events).ok());
-    ASSERT_TRUE(engine.InferBatch(events).ok());
+    ASSERT_TRUE(engine.InferBatch(f.BatchEvents(lo, lo + 50)).ok());
   }
-  pipeline.Flush();
   engine.Flush();
 
-  ExpectStitchedMailboxEqual(engine, piped, f.config.num_nodes,
+  ExpectStitchedMailboxEqual(engine, *serial.model, f.config.num_nodes,
                              /*min_nonempty=*/20);
 }
 
-TEST(ShardedEngineTest, SingleShardMatchesAsyncPipeline) {
+TEST(ShardedEngineTest, SingleShardMatchesSerial) {
   Fixture f;
-  core::ApanModel piped(f.config, &f.dataset.features, 11);
+  const SerialRun serial = RunSerial(f.config, f.dataset, 11, 200, 50);
   core::ApanModel sharded(f.config, &f.dataset.features, 11);
-  AsyncPipeline pipeline(&piped, {});
   ShardedEngine::Options options;
   options.num_shards = 1;
   ShardedEngine engine(&sharded, options);
   for (size_t lo = 0; lo < 200; lo += 50) {
-    auto events = f.BatchEvents(lo, lo + 50);
-    ASSERT_TRUE(pipeline.InferBatch(events).ok());
-    ASSERT_TRUE(engine.InferBatch(events).ok());
+    ASSERT_TRUE(engine.InferBatch(f.BatchEvents(lo, lo + 50)).ok());
   }
-  pipeline.Flush();
   engine.Flush();
-  ExpectStitchedMailboxEqual(engine, piped, f.config.num_nodes,
+  ExpectStitchedMailboxEqual(engine, *serial.model, f.config.num_nodes,
                              /*min_nonempty=*/20);
   EXPECT_EQ(engine.stats().mails_cross_shard, 0);
 }
 
-TEST(ShardedEngineTest, FlushSteppedPayloadsAndScoresTrackPipeline) {
-  // With a flush between batches both engines encode from fully-settled
-  // state, so scores and mail payloads agree up to floating-point
-  // summation order in the cross-shard ρ-merge.
+TEST(ShardedEngineTest, FlushSteppedPayloadsAndScoresTrackSerial) {
+  // With a flush between batches the engine encodes from fully-settled
+  // state, as the serial path always does, so scores and mail payloads
+  // agree up to floating-point summation order in the cross-shard
+  // ρ-merge.
   Fixture f;
   f.config.mailbox_slots = 8;
-  core::ApanModel piped(f.config, &f.dataset.features, 3);
+  const SerialRun serial = RunSerial(f.config, f.dataset, 3, 300, 50);
+  const core::ApanModel& reference = *serial.model;
   core::ApanModel sharded(f.config, &f.dataset.features, 3);
-  AsyncPipeline pipeline(&piped, {});
   ShardedEngine::Options options;
   options.num_shards = 4;
   ShardedEngine engine(&sharded, options);
 
-  double score_gap = 0.0;
-  size_t scored = 0;
+  std::vector<float> scores;
   for (size_t lo = 0; lo < 300; lo += 50) {
-    auto events = f.BatchEvents(lo, lo + 50);
-    auto a = pipeline.InferBatch(events);
-    auto b = engine.InferBatch(events);
-    ASSERT_TRUE(a.ok() && b.ok());
-    for (size_t i = 0; i < a->scores.size(); ++i) {
-      score_gap += std::abs(a->scores[i] - b->scores[i]);
-      ++scored;
-    }
-    pipeline.Flush();
+    auto result = engine.InferBatch(f.BatchEvents(lo, lo + 50));
+    ASSERT_TRUE(result.ok());
+    scores.insert(scores.end(), result->scores.begin(), result->scores.end());
     engine.Flush();
   }
-  EXPECT_LT(score_gap / static_cast<double>(scored), 1e-3);
+  ASSERT_EQ(scores.size(), serial.scores.size());
+  double score_gap = 0.0;
+  for (size_t i = 0; i < scores.size(); ++i) {
+    score_gap += std::abs(serial.scores[i] - scores[i]);
+  }
+  EXPECT_LT(score_gap / static_cast<double>(scores.size()), 1e-3);
 
   for (graph::NodeId v = 0; v < f.config.num_nodes; ++v) {
     // Stitch: v's mail lives in its owner shard's store. The ring
@@ -272,10 +264,10 @@ TEST(ShardedEngineTest, FlushSteppedPayloadsAndScoresTrackPipeline) {
     // the raw storage order matches slot for slot.
     const core::NodeStateStore& store =
         engine.state_store(engine.router().ShardOf(v));
-    const int64_t count = piped.mailbox().ValidCount(v);
+    const int64_t count = reference.mailbox().ValidCount(v);
     ASSERT_EQ(count, store.ValidCount(v)) << "node " << v;
     for (int64_t slot = 0; slot < count; ++slot) {
-      const auto a = piped.mailbox().RawSlot(v, slot);
+      const auto a = reference.mailbox().RawSlot(v, slot);
       const auto b = store.RawSlot(v, slot);
       for (size_t i = 0; i < a.size(); ++i) {
         ASSERT_NEAR(a[i], b[i], 1e-3f)
@@ -333,14 +325,7 @@ TEST(ShardedEngineTest, ShutdownDrainsAcceptedWork) {
   // batch's mail (the engine drains before stopping the workers).
   Fixture f;
   core::ApanModel drained(f.config, &f.dataset.features, 9);
-  core::ApanModel reference(f.config, &f.dataset.features, 9);
-  {
-    AsyncPipeline pipeline(&reference, {});
-    for (size_t lo = 0; lo < 200; lo += 50) {
-      ASSERT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + 50)).ok());
-    }
-    pipeline.Flush();
-  }
+  const SerialRun serial = RunSerial(f.config, f.dataset, 9, 200, 50);
   ShardedEngine::Options options;
   options.num_shards = 4;
   ShardedEngine engine(&drained, options);
@@ -350,7 +335,7 @@ TEST(ShardedEngineTest, ShutdownDrainsAcceptedWork) {
   engine.Shutdown();  // no Flush first
   // The stores outlive Shutdown (they die with the engine), so drained
   // state is still inspectable here.
-  ExpectStitchedMailboxEqual(engine, reference, f.config.num_nodes,
+  ExpectStitchedMailboxEqual(engine, *serial.model, f.config.num_nodes,
                              /*min_nonempty=*/20);
 }
 
@@ -428,8 +413,8 @@ TEST(ShardedEngineTest, ConcurrentFlushInferShutdownStress) {
 }
 
 TEST(ShardedEngineTest, ZeroQueueCapacityIsClamped) {
-  // capacity = 0 must behave like capacity = 1 (as BoundedQueue does),
-  // not wedge kBlock back-pressure forever.
+  // capacity = 0 must behave like capacity = 1, not wedge kBlock
+  // back-pressure forever.
   Fixture f;
   core::ApanModel model(f.config, &f.dataset.features, 6);
   ShardedEngine::Options options;
@@ -498,93 +483,66 @@ TEST(ShardedEngineTest, EmptyBatchRejected) {
   EXPECT_TRUE(engine.InferBatch({}).status().IsInvalidArgument());
 }
 
-// ---- AsyncPipeline satellites ----------------------------------------------
-
-TEST(AsyncPipelineShutdownTest, ShutdownDeliversHeldBackMail) {
-  // With heavy out-of-order injection, Shutdown without a Flush must not
-  // lose the held-back mail: final mail counts match a delay-free run.
+TEST(ShardedEngineTest, RejectsInvalidEventsWithoutSideEffects) {
+  // Caller events are validated before the synchronous link runs: a batch
+  // with an endpoint outside [0, num_nodes) or a timestamp older than one
+  // already accepted is refused whole, and the engine carries on as if it
+  // had never been sent.
   Fixture f;
-  f.config.mailbox_slots = 64;  // no eviction in this stream
-  core::ApanModel delayed(f.config, &f.dataset.features, 4);
-  core::ApanModel ordered(f.config, &f.dataset.features, 4);
-  {
-    AsyncPipeline::Options options;
-    options.delay_fraction = 0.9;
-    AsyncPipeline pipeline(&delayed, options);
-    for (size_t lo = 0; lo < 200; lo += 50) {
-      ASSERT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + 50)).ok());
-    }
-    pipeline.Shutdown();  // no Flush: held-back mail must still land
-  }
-  {
-    AsyncPipeline pipeline(&ordered, {});
-    for (size_t lo = 0; lo < 200; lo += 50) {
-      ASSERT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + 50)).ok());
-    }
-    pipeline.Flush();
-  }
-  for (graph::NodeId v = 0; v < f.config.num_nodes; ++v) {
-    ASSERT_EQ(delayed.mailbox().ValidCount(v), ordered.mailbox().ValidCount(v))
-        << "node " << v;
-  }
-}
+  const SerialRun serial = RunSerial(f.config, f.dataset, 7, 150, 50);
+  core::ApanModel model(f.config, &f.dataset.features, 7);
+  ShardedEngine::Options options;
+  options.num_shards = 4;
+  ShardedEngine engine(&model, options);
+  ASSERT_TRUE(engine.InferBatch(f.BatchEvents(0, 50)).ok());
+  engine.Flush();
+  const ShardedEngine::Stats before = engine.stats();
+  const uint64_t sync_before = engine.sync_latency().count();
 
-TEST(AsyncPipelineDropTest, MailsDroppedAccountsEveryRecord) {
-  for (const OverflowPolicy policy :
-       {OverflowPolicy::kDropNewest, OverflowPolicy::kDropOldest}) {
-    Fixture f;
-    core::ApanModel model(f.config, &f.dataset.features, 2);
-    AsyncPipeline::Options options;
-    options.queue_capacity = 1;
-    options.overflow = policy;
-    AsyncPipeline pipeline(&model, options);
-    const size_t batch = 25;
-    int64_t pushed = 0;
-    for (size_t lo = 0; lo + batch <= 400; lo += batch) {
-      auto r = pipeline.InferBatch(f.BatchEvents(lo, lo + batch));
-      ASSERT_TRUE(r.ok());
-      pushed += static_cast<int64_t>(batch);
-    }
-    pipeline.Shutdown();  // drains whatever was not dropped
-    // Whether a given batch is dropped is timing-dependent; the conserved
-    // quantity is records propagated + records dropped == records pushed.
-    EXPECT_EQ(pipeline.batches_propagated() * static_cast<int64_t>(batch) +
-                  pipeline.mails_dropped(),
-              pushed);
+  for (const graph::NodeId bad : {graph::NodeId{-1}, f.config.num_nodes}) {
+    std::vector<graph::Event> events = f.BatchEvents(50, 100);
+    events[10].dst = bad;
+    EXPECT_TRUE(engine.InferBatch(events).status().IsInvalidArgument())
+        << "dst " << bad;
+    events = f.BatchEvents(50, 100);
+    events[0].src = bad;
+    EXPECT_TRUE(engine.InferBatch(events).status().IsInvalidArgument())
+        << "src " << bad;
   }
-}
+  // Older than the last accepted event (batch 0's last).
+  std::vector<graph::Event> stale = f.BatchEvents(50, 100);
+  stale[0].timestamp = std::nextafter(f.dataset.events[49].timestamp,
+                                      -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(engine.InferBatch(stale).status().code(),
+            StatusCode::kFailedPrecondition);
+  // Decreasing within the batch, though every event is newer than the
+  // last accepted one.
+  std::vector<graph::Event> unsorted = f.BatchEvents(50, 100);
+  unsorted[40].timestamp = unsorted[41].timestamp + 1.0;
+  ASSERT_GT(unsorted[41].timestamp, f.dataset.events[49].timestamp);
+  EXPECT_EQ(engine.InferBatch(unsorted).status().code(),
+            StatusCode::kFailedPrecondition);
 
-TEST(AsyncPipelineStressTest, ConcurrentFlushInferShutdown) {
-  Fixture f;
-  core::ApanModel model(f.config, &f.dataset.features, 15);
-  AsyncPipeline::Options options;
-  options.queue_capacity = 2;
-  AsyncPipeline pipeline(&model, options);
+  engine.Flush();
+  const ShardedEngine::Stats after = engine.stats();
+  EXPECT_EQ(after.batches_ingested, before.batches_ingested);
+  EXPECT_EQ(after.batches_propagated, before.batches_propagated);
+  EXPECT_EQ(after.batches_rejected, before.batches_rejected);
+  EXPECT_EQ(after.mails_routed, before.mails_routed);
+  EXPECT_EQ(after.mails_cross_shard, before.mails_cross_shard);
+  EXPECT_EQ(after.mails_dropped, before.mails_dropped);
+  EXPECT_EQ(after.duplicates_dropped, before.duplicates_dropped);
+  EXPECT_EQ(after.events_shed, before.events_shed);
+  EXPECT_EQ(after.sends_shed, before.sends_shed);
+  EXPECT_EQ(engine.sync_latency().count(), sync_before);
+  EXPECT_EQ(engine.replica(0).num_events(), 50);
 
-  std::atomic<bool> stop{false};
-  std::thread producer([&] {
-    for (size_t lo = 0; lo + 20 <= 400; lo += 20) {
-      auto r = pipeline.InferBatch(f.BatchEvents(lo, lo + 20));
-      if (!r.ok()) {
-        EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-        break;
-      }
-    }
-    stop.store(true);
-  });
-  std::vector<std::thread> flushers;
-  for (int t = 0; t < 2; ++t) {
-    flushers.emplace_back([&] {
-      while (!stop.load()) pipeline.Flush();
-      pipeline.Flush();
-    });
-  }
-  producer.join();
-  for (auto& th : flushers) th.join();
-  std::thread s1([&] { pipeline.Shutdown(); });
-  std::thread s2([&] { pipeline.Shutdown(); });
-  s1.join();
-  s2.join();
+  // The stream resumes where it stood and still lands on the oracle.
+  ASSERT_TRUE(engine.InferBatch(f.BatchEvents(50, 100)).ok());
+  ASSERT_TRUE(engine.InferBatch(f.BatchEvents(100, 150)).ok());
+  engine.Flush();
+  ExpectStitchedMailboxEqual(engine, *serial.model, f.config.num_nodes);
+  EXPECT_EQ(engine.stats().batches_propagated, 3);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "data/synthetic.h"
-#include "serve/async_pipeline.h"
 #include "serve/sharded_engine.h"
 #include "serve/transport.h"
 #include "serve_state_util.h"
@@ -22,6 +21,8 @@ namespace {
 
 using testutil::ExpectModelStateUntouched;
 using testutil::ExpectStitchedMailboxEqual;
+using testutil::RunSerial;
+using testutil::SerialRun;
 
 struct Fixture {
   Fixture()
@@ -87,15 +88,8 @@ void ResetReproducesFreshEngine(TransportKind kind) {
   Fixture f;
   const size_t events = 200, batch = 50;
 
-  // Reference: the single-worker pipeline over the stream, once.
-  core::ApanModel piped(f.config, &f.dataset.features, 7);
-  {
-    AsyncPipeline pipeline(&piped, {});
-    for (size_t lo = 0; lo + batch <= events; lo += batch) {
-      ASSERT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + batch)).ok());
-    }
-    pipeline.Flush();
-  }
+  // Reference: the serial oracle over the stream, once.
+  const SerialRun serial = RunSerial(f.config, f.dataset, 7, events, batch);
 
   // Epoch 1 + ResetState + epoch 2 on one engine.
   core::ApanModel reused(f.config, &f.dataset.features, 7);
@@ -125,8 +119,8 @@ void ResetReproducesFreshEngine(TransportKind kind) {
 
   // Epoch 2 of the reused engine lands bitwise on the single-run
   // reference — and therefore on what a fresh engine produces (the
-  // sharded tests assert fresh == pipeline on this stream).
-  ExpectStitchedMailboxEqual(engine, piped, f.config.num_nodes);
+  // sharded tests assert fresh == serial on this stream).
+  ExpectStitchedMailboxEqual(engine, *serial.model, f.config.num_nodes);
   EXPECT_FALSE(reused.state_store_allocated())
       << "two epochs of serving must not materialize the model's store";
   ExpectModelStateUntouched(reused, f.config.num_nodes);
@@ -184,14 +178,7 @@ TEST(ShardedStateTest, RestoreFromJustWrittenSnapshotIsIdentity) {
   // shard exactly, so the round trip must be a bitwise no-op.
   Fixture f;
   const size_t events = 200, batch = 50;
-  core::ApanModel reference_model(f.config, &f.dataset.features, 7);
-  {
-    AsyncPipeline pipeline(&reference_model, {});
-    for (size_t lo = 0; lo + batch <= events; lo += batch) {
-      ASSERT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + batch)).ok());
-    }
-    pipeline.Flush();
-  }
+  const SerialRun serial = RunSerial(f.config, f.dataset, 7, events, batch);
   core::ApanModel model(f.config, &f.dataset.features, 7);
   ShardedEngine::Options options;
   options.num_shards = 4;
@@ -203,7 +190,7 @@ TEST(ShardedStateTest, RestoreFromJustWrittenSnapshotIsIdentity) {
     ASSERT_TRUE(engine.SnapshotShard(s, path).ok());
     ASSERT_TRUE(engine.RestoreShard(s, path).ok());
   }
-  ExpectStitchedMailboxEqual(engine, reference_model, f.config.num_nodes);
+  ExpectStitchedMailboxEqual(engine, *serial.model, f.config.num_nodes);
   // And the restored engine is still live: the next stretch of the
   // stream is accepted on top of the restored state.
   for (size_t lo = events; lo + batch <= events + 2 * batch; lo += batch) {
@@ -218,17 +205,10 @@ TEST(ShardedStateTest, ResetFullReplayEqualsRestoreTailReplay) {
   // Two recovery strategies for the same crash point must converge: (a)
   // reset + replay the whole stream, (b) restore the mid-stream
   // checkpoint into a fresh engine + replay only the tail. Both are
-  // checked bitwise against the single-worker reference.
+  // checked bitwise against the serial oracle.
   Fixture f;
   const size_t events = 200, cut = 100, batch = 50;
-  core::ApanModel piped(f.config, &f.dataset.features, 7);
-  {
-    AsyncPipeline pipeline(&piped, {});
-    for (size_t lo = 0; lo + batch <= events; lo += batch) {
-      ASSERT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + batch)).ok());
-    }
-    pipeline.Flush();
-  }
+  const SerialRun serial = RunSerial(f.config, f.dataset, 7, events, batch);
 
   // Checkpoint an engine at the cut, then exercise strategy (a) on it.
   core::ApanModel model_a(f.config, &f.dataset.features, 7);
@@ -245,7 +225,7 @@ TEST(ShardedStateTest, ResetFullReplayEqualsRestoreTailReplay) {
   }
   engine_a.ResetState();
   RunStream(engine_a, f, events, batch);
-  ExpectStitchedMailboxEqual(engine_a, piped, f.config.num_nodes);
+  ExpectStitchedMailboxEqual(engine_a, *serial.model, f.config.num_nodes);
 
   // Strategy (b): a fresh engine adopts the checkpoint and replays the
   // tail only.
@@ -262,7 +242,7 @@ TEST(ShardedStateTest, ResetFullReplayEqualsRestoreTailReplay) {
     ASSERT_TRUE(engine_b.InferBatch(f.BatchEvents(lo, lo + batch)).ok());
   }
   engine_b.Flush();
-  ExpectStitchedMailboxEqual(engine_b, piped, f.config.num_nodes);
+  ExpectStitchedMailboxEqual(engine_b, *serial.model, f.config.num_nodes);
   EXPECT_EQ(engine_b.replica(0).num_events(),
             static_cast<int64_t>(events));
 }

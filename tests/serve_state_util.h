@@ -1,12 +1,18 @@
-// Shared test helper: stitched-mailbox equality between a ShardedEngine's
-// per-shard NodeStateStores and a reference model's monolithic mailbox.
+// Shared test helpers for the serving suites: the serial oracle every
+// determinism test compares against, and stitched-mailbox equality
+// between a ShardedEngine's per-shard NodeStateStores and that oracle's
+// monolithic mailbox.
 //
-// After the state-plane split the engine's served state lives in N
-// disjoint per-shard stores, not in the model. Determinism is asserted by
-// *stitching*: for every node, read the owner shard's store and compare
-// against the single-worker reference — counts and timestamps must match
-// bitwise (no tolerance), which is the acceptance bar inherited from the
-// pre-split tests. Used by serve_sharded_test, serve_transport_test, and
+// The oracle (RunSerial) serves the stream through core::ApanModel alone,
+// one batch at a time with nothing in flight: encode the batch's unique
+// nodes once, score with the link decoder, then complete the batch with
+// ProcessBatchPostInference before the next one is encoded.
+//
+// The engine's served state lives in N disjoint per-shard stores, not in
+// the model. Determinism is asserted by *stitching*: for every node, read
+// the owner shard's store and compare against the oracle — counts and
+// timestamps must match bitwise (no tolerance). Used by
+// serve_sharded_test, serve_transport_test, serve_recovery_test and
 // serve_state_test.
 
 #ifndef APAN_TESTS_SERVE_STATE_UTIL_H_
@@ -15,13 +21,80 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <unordered_map>
+#include <vector>
 
 #include "core/apan_model.h"
+#include "data/dataset.h"
 #include "serve/sharded_engine.h"
+#include "tensor/arena.h"
+#include "tensor/ops.h"
 
 namespace apan {
 namespace serve {
 namespace testutil {
+
+/// What the serial oracle served: the model holding the final state, and
+/// P(edge) per served event in stream order.
+struct SerialRun {
+  std::unique_ptr<core::ApanModel> model;
+  std::vector<float> scores;
+};
+
+/// \brief The serial oracle: a fresh ApanModel(config, seed) in eval
+/// mode serves the first `num_events` of `dataset` in consecutive batches
+/// of `batch` (a trailing partial batch is not served), each batch fully
+/// completed before the next is encoded.
+inline SerialRun RunSerial(const core::ApanConfig& config,
+                           const data::Dataset& dataset, uint64_t seed,
+                           size_t num_events, size_t batch) {
+  SerialRun run;
+  run.model =
+      std::make_unique<core::ApanModel>(config, &dataset.features, seed);
+  const std::span<const graph::Event> events(dataset.events.data(),
+                                             num_events);
+  core::ApanModel& model = *run.model;
+  model.SetTraining(false);
+  const int64_t d = config.embedding_dim;
+  for (size_t lo = 0; lo + batch <= events.size(); lo += batch) {
+    tensor::NoGradGuard no_grad;
+    tensor::ArenaScope arena;
+    const std::span<const graph::Event> slice = events.subspan(lo, batch);
+    // Each node is encoded once per batch (paper §3.2).
+    std::vector<graph::NodeId> unique_nodes;
+    std::unordered_map<graph::NodeId, int64_t> index_of;
+    const auto intern = [&](graph::NodeId v) {
+      const auto [it, inserted] = index_of.try_emplace(
+          v, static_cast<int64_t>(unique_nodes.size()));
+      if (inserted) unique_nodes.push_back(v);
+      return it->second;
+    };
+    std::vector<int64_t> src_rows, dst_rows;
+    for (const graph::Event& e : slice) {
+      src_rows.push_back(intern(e.src));
+      dst_rows.push_back(intern(e.dst));
+    }
+    const core::ApanEncoder::Output enc = model.EncodeNodes(unique_nodes);
+    const tensor::Tensor probs = tensor::Sigmoid(model.ScoreLinkLogits(
+        tensor::GatherRows(enc.embeddings, src_rows),
+        tensor::GatherRows(enc.embeddings, dst_rows)));
+    run.scores.insert(run.scores.end(), probs.data(),
+                      probs.data() + probs.numel());
+    std::vector<core::InteractionRecord> records(slice.size());
+    const float* emb = enc.embeddings.data();
+    for (size_t i = 0; i < slice.size(); ++i) {
+      records[i].event = slice[i];
+      records[i].z_src.assign(emb + src_rows[i] * d,
+                              emb + (src_rows[i] + 1) * d);
+      records[i].z_dst.assign(emb + dst_rows[i] * d,
+                              emb + (dst_rows[i] + 1) * d);
+    }
+    EXPECT_TRUE(model.ProcessBatchPostInference(records).ok());
+  }
+  return run;
+}
 
 /// Asserts the engine's stitched per-shard mailbox state is bitwise-equal
 /// (valid counts + time-sorted timestamps) to `reference`'s monolithic

@@ -1,6 +1,6 @@
 // Determinism of the sharded engine over real transports and under
 // injected faults (ISSUE 3's tentpole claim): the final mailbox state
-// must stay bitwise-equal to the single-worker AsyncPipeline when every
+// must stay bitwise-equal to the serial ApanModel path when every
 // cross-shard message crosses a Unix-domain socket, and when a
 // FaultyTransport delays, reorders, and duplicates messages under a
 // seeded RNG — sequence-tag replay absorbs reordering, and replay tags
@@ -15,7 +15,6 @@
 
 #include "data/synthetic.h"
 #include "graph/node_partition.h"
-#include "serve/async_pipeline.h"
 #include "serve/sharded_engine.h"
 #include "serve_state_util.h"
 
@@ -24,6 +23,7 @@ namespace serve {
 namespace {
 
 using testutil::ExpectStitchedMailboxEqual;
+using testutil::RunSerial;
 
 struct Fixture {
   Fixture()
@@ -45,19 +45,6 @@ struct Fixture {
   data::Dataset dataset;
   core::ApanConfig config;
 };
-
-/// Reference run: the single-worker pipeline over the first `n` events.
-std::unique_ptr<core::ApanModel> RunPipeline(const Fixture& f, size_t n,
-                                             size_t batch) {
-  auto model = std::make_unique<core::ApanModel>(f.config,
-                                                 &f.dataset.features, 7);
-  AsyncPipeline pipeline(model.get(), {});
-  for (size_t lo = 0; lo + batch <= n; lo += batch) {
-    EXPECT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + batch)).ok());
-  }
-  pipeline.Flush();
-  return model;
-}
 
 struct ShardedRun {
   // Declaration order matters: the engine reads the model's weights and
@@ -110,23 +97,23 @@ TransportFactory FaultyFactory(TransportKind inner, uint64_t seed,
   };
 }
 
-// ---- Clean transports reproduce the pipeline -------------------------------
+// ---- Clean transports reproduce the serial path ----------------------------
 
-TEST(TransportTest, InProcessTransportMatchesPipelineBitwise) {
+TEST(TransportTest, InProcessTransportMatchesSerialBitwise) {
   Fixture f;
-  const auto reference = RunPipeline(f, 400, 50);
+  const auto reference = RunSerial(f.config, f.dataset, 7, 400, 50).model;
   const auto run =
       RunSharded(f, MakeTransportFactory(TransportKind::kInProcess), 400, 50);
   ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
   EXPECT_EQ(run.stats.duplicates_dropped, 0);
 }
 
-TEST(TransportTest, UnixSocketMatchesPipelineBitwiseOneHop) {
+TEST(TransportTest, UnixSocketMatchesSerialBitwiseOneHop) {
   if (!UnixSocketTransport::Available()) {
     GTEST_SKIP() << "AF_UNIX unavailable on this platform";
   }
   Fixture f;
-  const auto reference = RunPipeline(f, 400, 50);
+  const auto reference = RunSerial(f.config, f.dataset, 7, 400, 50).model;
   const auto run =
       RunSharded(f, MakeTransportFactory(TransportKind::kUnixSocket), 400, 50);
   ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
@@ -135,13 +122,13 @@ TEST(TransportTest, UnixSocketMatchesPipelineBitwiseOneHop) {
   EXPECT_GT(run.stats.mails_cross_shard, 0);
 }
 
-TEST(TransportTest, UnixSocketMatchesPipelineBitwiseTwoHops) {
+TEST(TransportTest, UnixSocketMatchesSerialBitwiseTwoHops) {
   if (!UnixSocketTransport::Available()) {
     GTEST_SKIP() << "AF_UNIX unavailable on this platform";
   }
   Fixture f;
   f.config.propagation_hops = 2;  // fan-out crossing every shard boundary
-  const auto reference = RunPipeline(f, 300, 50);
+  const auto reference = RunSerial(f.config, f.dataset, 7, 300, 50).model;
   const auto run =
       RunSharded(f, MakeTransportFactory(TransportKind::kUnixSocket), 300, 50);
   ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
@@ -151,7 +138,7 @@ TEST(TransportTest, UnixSocketMatchesPipelineBitwiseTwoHops) {
 // ---- Fault-injection determinism soak --------------------------------------
 // delay + reorder + duplicate under 10 RNG seeds per (transport, hops)
 // combination — 20 seeds per hop count, 20 per transport. Every run must
-// land bitwise on the single-worker mailbox.
+// land bitwise on the serial mailbox.
 
 void FaultySoak(int32_t hops, TransportKind inner, uint64_t seed_base,
                 int num_shards = 4, bool locality_partition = false) {
@@ -162,7 +149,7 @@ void FaultySoak(int32_t hops, TransportKind inner, uint64_t seed_base,
   Fixture f;
   f.config.propagation_hops = hops;
   const size_t events = 120, batch = 40;
-  const auto reference = RunPipeline(f, events, batch);
+  const auto reference = RunSerial(f.config, f.dataset, 7, events, batch).model;
   std::shared_ptr<const graph::NodePartition> partition;
   if (locality_partition) {
     partition = graph::NodePartition::BuildLocality(
@@ -204,7 +191,7 @@ TEST(TransportFaultSoakTest, EveryMessageDuplicatedIsDroppedByTag) {
   // Re-applying any of them would double mail counts or wedge the
   // sender-count barrier; the tags must drop them all.
   Fixture f;
-  const auto reference = RunPipeline(f, 200, 50);
+  const auto reference = RunSerial(f.config, f.dataset, 7, 200, 50).model;
   const auto run = RunSharded(
       f, FaultyFactory(TransportKind::kInProcess, 99, /*duplicate=*/1.0),
       200, 50);
@@ -219,14 +206,14 @@ TEST(TransportFaultSoakTest, EveryMessageDuplicatedIsDroppedByTag) {
 // equality and the fault soak under the locality-aware partitioner at
 // 2, 4, and 8 shards over both real transports.
 
-void LocalityMatchesPipeline(TransportKind kind) {
+void LocalityMatchesSerial(TransportKind kind) {
   if (kind == TransportKind::kUnixSocket &&
       !UnixSocketTransport::Available()) {
     GTEST_SKIP() << "AF_UNIX unavailable on this platform";
   }
   Fixture f;
   const size_t events = 400, batch = 50;
-  const auto reference = RunPipeline(f, events, batch);
+  const auto reference = RunSerial(f.config, f.dataset, 7, events, batch).model;
   for (const int num_shards : {2, 4, 8}) {
     SCOPED_TRACE(testing::Message() << num_shards << " shards");
     // Prior-epoch style: the partition is built from the exact stream it
@@ -251,12 +238,12 @@ void LocalityMatchesPipeline(TransportKind kind) {
   }
 }
 
-TEST(TransportPartitionTest, LocalityMatchesPipelineInProcess) {
-  LocalityMatchesPipeline(TransportKind::kInProcess);
+TEST(TransportPartitionTest, LocalityMatchesSerialInProcess) {
+  LocalityMatchesSerial(TransportKind::kInProcess);
 }
 
-TEST(TransportPartitionTest, LocalityMatchesPipelineUnixSocket) {
-  LocalityMatchesPipeline(TransportKind::kUnixSocket);
+TEST(TransportPartitionTest, LocalityMatchesSerialUnixSocket) {
+  LocalityMatchesSerial(TransportKind::kUnixSocket);
 }
 
 TEST(TransportPartitionFaultSoakTest, TwoShardsLocalityInProcess) {
@@ -294,7 +281,7 @@ TEST(TransportShutdownTest, ShutdownUnderLoadDrainsUnixSocketLanes) {
   }
   Fixture f;
   f.config.propagation_hops = 2;
-  const auto reference = RunPipeline(f, 300, 50);
+  const auto reference = RunSerial(f.config, f.dataset, 7, 300, 50).model;
   const auto run =
       RunSharded(f, MakeTransportFactory(TransportKind::kUnixSocket), 300, 50,
                  /*shutdown_without_flush=*/true);
@@ -306,7 +293,7 @@ TEST(TransportShutdownTest, ShutdownUnderLoadFlushesHeldFaultFrames) {
   // delay buffer at Shutdown must be flushed (released to the inner
   // transport), never dropped.
   Fixture f;
-  const auto reference = RunPipeline(f, 300, 50);
+  const auto reference = RunSerial(f.config, f.dataset, 7, 300, 50).model;
   for (const uint64_t seed : {7u, 8u, 9u}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     const auto run =
