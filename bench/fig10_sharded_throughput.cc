@@ -24,7 +24,8 @@
 //
 // --transport selects the shard-to-shard messaging plane:
 //   inproc  synchronous in-process delivery (default; the PR 2 numbers)
-//   uds     Unix-domain-socket lane per shard pair, serve/wire.h framing
+//   uds     Unix-domain-socket lane per ordered pair of distinct shards,
+//           serve/wire.h framing (a shard's own partial skips the lanes)
 // With uds the bench prints BOTH planes per shard count, so the
 // serialization + syscall tax of leaving shared memory reads directly
 // off adjacent rows.

@@ -1,6 +1,7 @@
 // Micro-benchmarks of the substrates (google-benchmark): tensor ops, the
-// encoder's attention pattern, temporal-graph queries, k-hop sampling and
-// mailbox operations. These are the primitive costs behind Figures 6-7.
+// encoder's attention pattern, temporal-graph queries, k-hop sampling,
+// mailbox operations and the shard-to-shard wire codec. These are the
+// primitive costs behind Figures 6-7 and the fig10 route/merge stages.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "graph/sampling.h"
 #include "graph/temporal_graph.h"
 #include "nn/attention.h"
+#include "serve/wire.h"
 #include "tensor/arena.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -529,6 +531,62 @@ void BM_MailboxReadBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MailboxReadBatch)->Arg(200)->Arg(1000);
+
+// ---- Wire codec -------------------------------------------------------------
+// The transport layer's own figure: one ShardPartial frame at the alipay
+// per-peer shape — about 1,000 rows of 32 floats across the three sections.
+
+serve::ShardPartial MakeWirePartial() {
+  constexpr int64_t kDim = 32;
+  Rng rng(9);
+  serve::ShardPartial m;
+  m.batch = 12345;
+  m.from_shard = 1;
+  const auto fill = [&rng](core::RowBlock* b, size_t rows, bool sequenced,
+                           bool timed) {
+    b->width = kDim;
+    for (size_t i = 0; i < rows; ++i) {
+      if (sequenced) b->sequence.push_back(static_cast<int64_t>(2 * i));
+      b->node.push_back(static_cast<graph::NodeId>(7 * i + 3));
+      if (timed) {
+        b->timestamp.push_back(static_cast<double>(i) * 0.5);
+        b->count.push_back(1 + static_cast<int64_t>(i % 3));
+      }
+      for (int64_t k = 0; k < kDim; ++k) {
+        b->rows.push_back(static_cast<float>(rng.Normal()));
+      }
+    }
+  };
+  fill(&m.state, 200, /*sequenced=*/true, /*timed=*/false);
+  fill(&m.hop0, 200, /*sequenced=*/true, /*timed=*/true);
+  fill(&m.partial, 600, /*sequenced=*/false, /*timed=*/true);
+  return m;
+}
+
+void BM_WireEncodePartial(benchmark::State& state) {
+  const serve::ShardPartial m = MakeWirePartial();
+  std::vector<uint8_t> frame;
+  for (auto _ : state) {
+    frame.clear();
+    serve::wire::AppendFrame(m, &frame);
+    benchmark::DoNotOptimize(frame.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(frame.size()));
+}
+BENCHMARK(BM_WireEncodePartial);
+
+void BM_WireDecodePartial(benchmark::State& state) {
+  const std::vector<uint8_t> payload =
+      serve::wire::EncodeMessage(MakeWirePartial());
+  for (auto _ : state) {
+    auto decoded = serve::wire::DecodeMessage(payload);
+    benchmark::DoNotOptimize(decoded.ok());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(payload.size()));
+}
+BENCHMARK(BM_WireDecodePartial);
 
 }  // namespace
 }  // namespace apan

@@ -10,8 +10,9 @@
 // stage histograms a production scrape would export (docs/observability.md).
 //
 // --transport=inproc|uds picks the shard-to-shard messaging plane:
-// in-process delivery, or a Unix-domain-socket lane per shard pair
-// carrying serve/wire.h frames (the distributed-deployment shape).
+// in-process delivery, or a Unix-domain-socket lane per ordered pair of
+// distinct shards carrying serve/wire.h frames (the
+// distributed-deployment shape).
 // --trace=<path> records stage spans during the replay and flushes them
 // as Chrome trace_event JSON (open at https://ui.perfetto.dev).
 //

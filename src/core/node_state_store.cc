@@ -116,6 +116,11 @@ int64_t NodeStateStore::DeliverBatch(std::span<const MailDelivery> deliveries) {
   return DeliverBatch(std::move(translated));
 }
 
+void NodeStateStore::Deliver(graph::NodeId node, std::span<const float> mail,
+                             double timestamp) {
+  mailbox_.Deliver(LocalRow(node), mail, timestamp);
+}
+
 int64_t NodeStateStore::ValidCount(graph::NodeId node) const {
   return mailbox_.ValidCount(LocalRow(node));
 }

@@ -92,11 +92,17 @@ class NodeStateStore {
   Mailbox::ReadResult ReadBatch(const std::vector<graph::NodeId>& nodes) const;
 
   /// \brief Delivers a batch of mails whose recipients this store owns.
-  /// The move overload rewrites recipients to local rows in place (the
-  /// serve-time hot path); the span overload copies when translation is
-  /// needed. \return number of mails stored.
+  /// The move overload rewrites recipients to local rows in place; the
+  /// span overload copies when translation is needed.
+  /// \return number of mails stored.
   int64_t DeliverBatch(std::vector<MailDelivery>&& deliveries);
   int64_t DeliverBatch(std::span<const MailDelivery> deliveries);
+
+  /// Stores one mail (dim() floats) for owned `node` — Mailbox::Deliver
+  /// by global id. The sharded merge applies flat mail rows through this,
+  /// in replay order, with no intermediate MailDelivery.
+  void Deliver(graph::NodeId node, std::span<const float> mail,
+               double timestamp);
 
   int64_t ValidCount(graph::NodeId node) const;
   double NewestTimestamp(graph::NodeId node) const;

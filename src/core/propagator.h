@@ -45,8 +45,47 @@ struct InteractionRecord {
 // MailDelivery lives in core/mailbox.h (it is the unit Mailbox consumes);
 // re-exported here for existing includers.
 
+/// \brief A flat structure-of-arrays run of equal-width float rows beside
+/// their index columns — the unit propagation writes, serve::ShardedEngine
+/// routes and merges, and serve/wire.h carries. No row owns a heap
+/// vector: row i is rows[i * width, (i + 1) * width).
+///
+/// A block uses the columns its role needs and leaves the others empty;
+/// a used column holds exactly size() entries:
+///   · hop-0 mail: sequence, node (recipient), timestamp, count (= 1);
+///   · ρ partial sums: node (recipient), timestamp (newest), count;
+///   · z(t−) write-backs (serve::ShardPartial::state): sequence, node.
+struct RowBlock {
+  int64_t width = 0;                ///< Floats per row.
+  std::vector<int64_t> sequence;    ///< Replay tag per row.
+  std::vector<graph::NodeId> node;  ///< Addressed node per row.
+  std::vector<double> timestamp;    ///< Mail time / newest contribution.
+  std::vector<int64_t> count;       ///< Contributions per row.
+  std::vector<float> rows;          ///< size() * width floats.
+
+  size_t size() const { return node.size(); }
+  bool empty() const { return node.empty(); }
+  const float* row(size_t i) const {
+    return rows.data() + i * static_cast<size_t>(width);
+  }
+  float* row(size_t i) { return rows.data() + i * static_cast<size_t>(width); }
+};
+
+/// \brief A batch slice in flat form, the propagation kernel's input:
+/// record r is `events[r]`, its endpoint embeddings are rows `src_row[r]`
+/// and `dst_row[r]` of `z` (row-major, embedding_dim wide), and
+/// `event_index[r]` is its position in the full batch (it seeds the hop-0
+/// sequence tags).
+struct InteractionRows {
+  std::span<const graph::Event> events;
+  std::span<const int64_t> event_index;
+  std::span<const float> z;
+  std::span<const int64_t> src_row;
+  std::span<const int64_t> dst_row;
+};
+
 /// \brief Unreduced propagation output for a slice of a batch — the
-/// shardable form of ComputeDeliveries (serve::ShardedEngine).
+/// per-element form of MailPropagator::PropagateRows.
 ///
 /// Hop-0 deliveries carry a sequence tag (derived from the event's global
 /// position in the batch) so a recipient that gathers slices from several
@@ -103,16 +142,25 @@ class MailPropagator {
       std::span<const InteractionRecord> records,
       std::span<const int64_t> event_index) const;
 
-  /// \brief φ + f + unfinalized ρ over *externally sampled* neighborhoods.
+  /// \brief φ + f + unfinalized ρ over *externally sampled* neighborhoods
+  /// — the one propagation kernel; every other entry point adapts it.
   ///
-  /// `hops[i]` is records[i]'s k-hop expansion (hop order, as produced by
-  /// graph::KHopMostRecent — or by graph::AdjacencyReplica::SampleKHop,
-  /// which is how each serve::ShardedEngine worker samples its own graph
-  /// replica; only HopEntry::node is read). ComputePartial is exactly
-  /// sampling each record's neighborhood locally, then delegating here;
-  /// accumulation order (record-major, hop-entry order) is identical, so
-  /// the two paths produce bitwise-equal partials for equal hop lists.
-  /// No graph access; thread-safe.
+  /// `hops[r]` is record r's k-hop expansion (hop order, as produced by
+  /// graph::KHopMostRecent or graph::AdjacencyReplica::SampleKHop — which
+  /// is how each serve::ShardedEngine worker samples its own graph
+  /// replica; only HopEntry::node is read). Replaces `*hop0` with one row
+  /// per event per endpoint in event order (src before dst), and
+  /// `*partial` with one ρ partial-sum row per distinct hop-1..k recipient,
+  /// ascending by recipient. Accumulation is record-major in hop-entry
+  /// order. No graph access; thread-safe.
+  void PropagateRows(const InteractionRows& batch,
+                     std::span<const std::vector<graph::HopEntry>> hops,
+                     RowBlock* hop0, RowBlock* partial) const;
+
+  /// \brief PropagateRows in per-element form, for callers holding
+  /// InteractionRecords. ComputePartial is exactly sampling each record's
+  /// neighborhood locally, then delegating here; the two paths produce
+  /// bitwise-equal partials for equal hop lists.
   PartialPropagation ComputePartialFromHops(
       std::span<const InteractionRecord> records,
       std::span<const int64_t> event_index,
@@ -121,6 +169,11 @@ class MailPropagator {
   /// ρ for one recipient: divides the merged sum by the contribution
   /// count. `partial.count` must be positive.
   static MailDelivery FinalizeReduce(PartialPropagation::PartialReduce&& partial);
+
+  /// ρ on a flat row: scales `width` merged floats by 1 / `count` in
+  /// place. FinalizeReduce and the sharded merge both finalize through
+  /// this, so every path rounds identically. `count` must be positive.
+  static void FinalizeRow(float* row, int64_t width, int64_t count);
 
   /// \brief Full propagation: ComputeDeliveries then ψ (mailbox append).
   /// \return number of deliveries made.

@@ -6,9 +6,10 @@
 // allocating for it. Reader errors carry the format's prefix ("wire",
 // "snapshot") so a failure names the format it came from.
 //
-// Everything here is inline: wire encode/decode sits on the uds hot path,
-// so the field loops must compile into the calling TU exactly as the
-// per-format copies they replaced did.
+// Everything here is inline: wire encode/decode sits on the uds hot path.
+// Arrays move as bulk little-endian copies with one bounds check each, so
+// a mail row or a snapshot plane costs one memcpy, not a loop of byte
+// pushes.
 
 #ifndef APAN_SERVE_CODEC_H_
 #define APAN_SERVE_CODEC_H_
@@ -16,7 +17,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "util/status.h"
@@ -26,53 +29,82 @@ namespace serve {
 namespace codec {
 
 // ---- Little-endian writers -------------------------------------------------
+// Every writer appends through PutArray: on a little-endian host an array
+// of fixed-width values *is* its wire image, so it goes in as one bulk
+// byte copy; other hosts fall back to a per-byte loop. Callers that know
+// a message's size reserve it first, so a whole frame is written with no
+// reallocation.
+
+namespace internal_le {
+
+/// The unsigned integer with T's width (the carrier for byte shuffling).
+template <typename T>
+using Bits = std::conditional_t<
+    sizeof(T) == 8, uint64_t,
+    std::conditional_t<sizeof(T) == 4, uint32_t,
+                       std::conditional_t<sizeof(T) == 2, uint16_t, uint8_t>>>;
+
+template <typename T>
+constexpr bool kWireScalar =
+    std::is_arithmetic_v<T> && !std::is_same_v<T, bool> &&
+    (sizeof(T) == 1 || sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8);
+
+}  // namespace internal_le
+
+/// Appends `n` values of `v` as little-endian fixed-width fields.
+template <typename T>
+inline void PutArray(std::vector<uint8_t>* out, const T* v, size_t n) {
+  static_assert(internal_le::kWireScalar<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* bytes = reinterpret_cast<const uint8_t*>(v);
+    out->insert(out->end(), bytes, bytes + n * sizeof(T));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      const auto bits = std::bit_cast<internal_le::Bits<T>>(v[i]);
+      for (size_t b = 0; b < sizeof(T); ++b) {
+        out->push_back(static_cast<uint8_t>(bits >> (8 * b)));
+      }
+    }
+  }
+}
 
 inline void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
 inline void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  PutArray(out, &v, 1);
 }
-
 inline void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  PutArray(out, &v, 1);
 }
-
 inline void PutI32(std::vector<uint8_t>* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
+  PutArray(out, &v, 1);
 }
-
 inline void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
+  PutArray(out, &v, 1);
 }
-
 inline void PutF32(std::vector<uint8_t>* out, float v) {
-  PutU32(out, std::bit_cast<uint32_t>(v));
+  PutArray(out, &v, 1);
 }
-
 inline void PutF64(std::vector<uint8_t>* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
+  PutArray(out, &v, 1);
 }
 
 /// A vector is a u64 element count followed by the elements.
-inline void PutF32Vec(std::vector<uint8_t>* out, const std::vector<float>& v) {
+template <typename T>
+inline void PutVec(std::vector<uint8_t>* out, std::span<const T> v) {
   PutU64(out, v.size());
-  for (const float x : v) PutF32(out, x);
+  PutArray(out, v.data(), v.size());
 }
 
+inline void PutF32Vec(std::vector<uint8_t>* out, const std::vector<float>& v) {
+  PutVec<float>(out, v);
+}
 inline void PutF64Vec(std::vector<uint8_t>* out,
                       const std::vector<double>& v) {
-  PutU64(out, v.size());
-  for (const double x : v) PutF64(out, x);
+  PutVec<double>(out, v);
 }
-
 inline void PutI32Vec(std::vector<uint8_t>* out,
                       const std::vector<int32_t>& v) {
-  PutU64(out, v.size());
-  for (const int32_t x : v) PutI32(out, x);
+  PutVec<int32_t>(out, v);
 }
 
 // ---- Bounds-checked reader -------------------------------------------------
@@ -88,63 +120,39 @@ class Reader {
 
   size_t remaining() const { return data_.size() - pos_; }
 
-  Status ReadU8(uint8_t* v, const char* what) {
-    if (remaining() < 1) return Truncated(what);
-    *v = data_[pos_++];
+  /// Reads `n` little-endian values into `v` with one bounds check for
+  /// the whole array (a bulk copy on little-endian hosts).
+  template <typename T>
+  Status ReadArray(T* v, size_t n, const char* what) {
+    static_assert(internal_le::kWireScalar<T>);
+    if (n > remaining() / sizeof(T)) return Truncated(what);
+    const uint8_t* src = data_.data() + pos_;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (n != 0) std::memcpy(v, src, n * sizeof(T));
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        internal_le::Bits<T> bits = 0;
+        for (size_t b = 0; b < sizeof(T); ++b) {
+          bits |= static_cast<internal_le::Bits<T>>(src[i * sizeof(T) + b])
+                  << (8 * b);
+        }
+        v[i] = std::bit_cast<T>(bits);
+      }
+    }
+    pos_ += n * sizeof(T);
     return Status::OK();
   }
 
+  Status ReadU8(uint8_t* v, const char* what) { return ReadArray(v, 1, what); }
   Status ReadU32(uint32_t* v, const char* what) {
-    if (remaining() < 4) return Truncated(what);
-    uint32_t x = 0;
-    for (int i = 0; i < 4; ++i) {
-      x |= static_cast<uint32_t>(data_[pos_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 4;
-    *v = x;
-    return Status::OK();
+    return ReadArray(v, 1, what);
   }
-
   Status ReadU64(uint64_t* v, const char* what) {
-    if (remaining() < 8) return Truncated(what);
-    uint64_t x = 0;
-    for (int i = 0; i < 8; ++i) {
-      x |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    *v = x;
-    return Status::OK();
+    return ReadArray(v, 1, what);
   }
-
-  Status ReadI32(int32_t* v, const char* what) {
-    uint32_t u = 0;
-    APAN_RETURN_NOT_OK(ReadU32(&u, what));
-    *v = static_cast<int32_t>(u);
-    return Status::OK();
-  }
-
-  Status ReadI64(int64_t* v, const char* what) {
-    uint64_t u = 0;
-    APAN_RETURN_NOT_OK(ReadU64(&u, what));
-    *v = static_cast<int64_t>(u);
-    return Status::OK();
-  }
-
-  Status ReadF32(float* v, const char* what) {
-    uint32_t u = 0;
-    APAN_RETURN_NOT_OK(ReadU32(&u, what));
-    *v = std::bit_cast<float>(u);
-    return Status::OK();
-  }
-
-  Status ReadF64(double* v, const char* what) {
-    uint64_t u = 0;
-    APAN_RETURN_NOT_OK(ReadU64(&u, what));
-    *v = std::bit_cast<double>(u);
-    return Status::OK();
-  }
+  Status ReadI32(int32_t* v, const char* what) { return ReadArray(v, 1, what); }
+  Status ReadI64(int64_t* v, const char* what) { return ReadArray(v, 1, what); }
+  Status ReadF64(double* v, const char* what) { return ReadArray(v, 1, what); }
 
   /// Reads a vector count and validates it against the bytes remaining:
   /// a count claiming more than remaining()/min_element_bytes elements
@@ -166,28 +174,24 @@ class Reader {
     return Status::OK();
   }
 
+  /// A vector: ReadCount, then one bulk ReadArray into the resized
+  /// vector (the count was checked against the bytes left first).
+  template <typename T>
+  Status ReadVec(std::vector<T>* v, const char* what) {
+    uint64_t count = 0;
+    APAN_RETURN_NOT_OK(ReadCount(&count, sizeof(T), what));
+    v->resize(static_cast<size_t>(count));
+    return ReadArray(v->data(), v->size(), what);
+  }
+
   Status ReadF32Vec(std::vector<float>* v, const char* what) {
-    uint64_t count = 0;
-    APAN_RETURN_NOT_OK(ReadCount(&count, 4, what));
-    v->resize(static_cast<size_t>(count));
-    for (auto& x : *v) APAN_RETURN_NOT_OK(ReadF32(&x, what));
-    return Status::OK();
+    return ReadVec(v, what);
   }
-
   Status ReadF64Vec(std::vector<double>* v, const char* what) {
-    uint64_t count = 0;
-    APAN_RETURN_NOT_OK(ReadCount(&count, 8, what));
-    v->resize(static_cast<size_t>(count));
-    for (auto& x : *v) APAN_RETURN_NOT_OK(ReadF64(&x, what));
-    return Status::OK();
+    return ReadVec(v, what);
   }
-
   Status ReadI32Vec(std::vector<int32_t>* v, const char* what) {
-    uint64_t count = 0;
-    APAN_RETURN_NOT_OK(ReadCount(&count, 4, what));
-    v->resize(static_cast<size_t>(count));
-    for (auto& x : *v) APAN_RETURN_NOT_OK(ReadI32(&x, what));
-    return Status::OK();
+    return ReadVec(v, what);
   }
 
  private:

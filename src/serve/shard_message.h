@@ -2,11 +2,19 @@
 //
 // Everything that crosses a shard boundary — routed mail partials and
 // z(t−) write-backs — travels as one ShardPartial. The struct is pure
-// data (ids, tags, payload vectors): no pointers into engine state, so a
+// data (ids, tags, flat row blocks): no pointers into engine state, so a
 // message can be handed to an in-process deque or serialized onto a wire
 // (serve/wire.h) without the receiver sharing the sender's address space.
 // (k-hop sampling needs no messages: every shard worker samples its own
 // graph::AdjacencyReplica.)
+//
+// Each section is one core::RowBlock — index columns beside one
+// contiguous rows × d float arena — written by the propagation kernel,
+// split by owner with row copies, and merged straight into the recipient's
+// NodeStateStore. Within a section the rows are one sender's *run*:
+// strictly ascending by the section's merge key (sequence for state and
+// hop0, recipient for partial), which is what lets the recipient k-way
+// merge the N runs of a batch without sorting.
 //
 // Replay tags: a ShardPartial is keyed by (batch, from_shard), which is
 // enough for a receiver to drop duplicates. Sequence-tag replay makes
@@ -18,20 +26,11 @@
 #define APAN_SERVE_SHARD_MESSAGE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "core/propagator.h"
-#include "graph/temporal_graph.h"
 
 namespace apan {
 namespace serve {
-
-/// One routed z(t−) write-back; sequence = 2 * event index + endpoint.
-struct StateUpdate {
-  int64_t sequence = 0;
-  graph::NodeId node = -1;
-  std::vector<float> z;
-};
 
 /// One shard's slice of one batch's propagation output, addressed to one
 /// recipient shard. Sent for every (sender, recipient, batch) triple —
@@ -40,9 +39,13 @@ struct StateUpdate {
 struct ShardPartial {
   int64_t batch = 0;
   int from_shard = 0;
-  std::vector<StateUpdate> state_updates;
-  std::vector<core::PartialPropagation::TaggedDelivery> hop0;
-  std::vector<core::PartialPropagation::PartialReduce> partial;
+  /// z(t−) write-backs: sequence (2 * event index + endpoint), node, and
+  /// the embedding row. Replayed in sequence order — later events win.
+  core::RowBlock state;
+  /// Hop-0 mail: sequence, node (recipient), timestamp, count, mail row.
+  core::RowBlock hop0;
+  /// ρ partial sums: node (recipient), timestamp (newest), count, sum row.
+  core::RowBlock partial;
 };
 
 }  // namespace serve

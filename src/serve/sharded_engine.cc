@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -14,10 +15,99 @@
 namespace apan {
 namespace serve {
 
-using core::InteractionRecord;
-using core::MailDelivery;
 using core::MailPropagator;
-using core::PartialPropagation;
+using core::RowBlock;
+
+namespace {
+
+/// True when `b` is a well-formed section of `d`-wide rows carrying
+/// exactly the index columns its role uses (see core::RowBlock).
+bool SectionFits(const RowBlock& b, int64_t d, bool sequenced, bool timed) {
+  const size_t n = b.size();
+  return (n == 0 || b.width == d) &&
+         b.rows.size() == n * static_cast<size_t>(d) &&
+         b.sequence.size() == (sequenced ? n : 0) &&
+         b.timestamp.size() == (timed ? n : 0) &&
+         b.count.size() == (timed ? n : 0);
+}
+
+/// Reserves `rows` rows in `out`, with the columns and width of `like`.
+void ReserveLike(RowBlock* out, const RowBlock& like, size_t rows) {
+  out->width = like.width;
+  if (!like.sequence.empty()) out->sequence.reserve(rows);
+  out->node.reserve(rows);
+  if (!like.timestamp.empty()) out->timestamp.reserve(rows);
+  if (!like.count.empty()) out->count.reserve(rows);
+  out->rows.reserve(rows * static_cast<size_t>(like.width));
+}
+
+/// Appends row `i` of `src`, every used column included, to `out`.
+void AppendRow(RowBlock* out, const RowBlock& src, size_t i) {
+  if (!src.sequence.empty()) out->sequence.push_back(src.sequence[i]);
+  out->node.push_back(src.node[i]);
+  if (!src.timestamp.empty()) out->timestamp.push_back(src.timestamp[i]);
+  if (!src.count.empty()) out->count.push_back(src.count[i]);
+  out->rows.insert(out->rows.end(), src.row(i), src.row(i) + src.width);
+}
+
+/// Splits `block` by the owner of each row's node into section `section`
+/// of each outbound partial, copying rows in order — so every piece stays
+/// an ascending run. A block whose rows all go to one shard moves whole.
+void SplitByOwner(const ShardRouter& router, RowBlock&& block,
+                  RowBlock ShardPartial::*section,
+                  std::vector<ShardPartial>* outbound) {
+  const size_t n = block.size();
+  std::vector<int> owner(n);
+  std::vector<size_t> rows_to(outbound->size(), 0);
+  for (size_t i = 0; i < n; ++i) {
+    owner[i] = router.ShardOf(block.node[i]);
+    ++rows_to[static_cast<size_t>(owner[i])];
+  }
+  for (size_t t = 0; t < outbound->size(); ++t) {
+    if (rows_to[t] == n) {
+      (*outbound)[t].*section = std::move(block);
+      return;
+    }
+  }
+  for (size_t t = 0; t < outbound->size(); ++t) {
+    ReserveLike(&((*outbound)[t].*section), block, rows_to[t]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    AppendRow(&((*outbound)[static_cast<size_t>(owner[i])].*section), block,
+              i);
+  }
+}
+
+/// k-way merge of one section across a batch's sender runs (`runs[s]` is
+/// sender s's partial): calls visit(block, row) for every row in ascending
+/// key(block, row) order. Each run is already strictly ascending, so this
+/// is a scan of the run heads — no sort, no copy; rows with equal keys
+/// (one ρ recipient reported by several senders) visit in ascending
+/// sender order, the order ρ partials are summed in.
+template <typename Key, typename Visit>
+void MergeRuns(std::span<const ShardPartial* const> runs,
+               const RowBlock ShardPartial::*section, Key key, Visit visit) {
+  std::vector<size_t> head(runs.size(), 0);
+  while (true) {
+    const RowBlock* best = nullptr;
+    size_t best_sender = 0;
+    int64_t best_key = 0;
+    for (size_t s = 0; s < runs.size(); ++s) {
+      const RowBlock& run = runs[s]->*section;
+      if (head[s] == run.size()) continue;
+      const int64_t k = key(run, head[s]);
+      if (best == nullptr || k < best_key) {
+        best = &run;
+        best_sender = s;
+        best_key = k;
+      }
+    }
+    if (best == nullptr) return;
+    visit(*best, head[best_sender]++);
+  }
+}
+
+}  // namespace
 
 ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
     : model_(model),
@@ -161,7 +251,10 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   Stopwatch watch;
   const int num_shards = options_.num_shards;
   const int64_t d = model_->config().embedding_dim;
-  std::vector<InteractionRecord> records;
+  // What the asynchronous link gets of the synchronous one: the batch's
+  // embedding matrix and each event's two row indices into it.
+  std::vector<float> batch_z;
+  std::vector<int64_t> src_rows, dst_rows;
   {
     // ---- Synchronous link: shard-parallel encoding over local state. ----
     APAN_TRACE_SPAN("sync");
@@ -180,7 +273,6 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
       if (inserted) unique_nodes.push_back(v);
       return it->second;
     };
-    std::vector<int64_t> src_rows, dst_rows;
     src_rows.reserve(events.size());
     dst_rows.reserve(events.size());
     for (const auto& e : events) {
@@ -253,25 +345,13 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     for (auto& f : futures) f.get();
 
     tensor::Tensor embeddings = tensor::Tensor::FromVector(
-        {static_cast<int64_t>(unique_nodes.size()), d}, std::move(emb));
+        {static_cast<int64_t>(unique_nodes.size()), d}, emb);
+    batch_z = std::move(emb);
     tensor::Tensor z_src = tensor::GatherRows(embeddings, src_rows);
     tensor::Tensor z_dst = tensor::GatherRows(embeddings, dst_rows);
     tensor::Tensor logits = model_->ScoreLinkLogits(z_src, z_dst);
     tensor::Tensor probs = tensor::Sigmoid(logits);
     result.scores.assign(probs.data(), probs.data() + probs.numel());
-
-    // Package the asynchronous work while we still hold the embeddings.
-    records.reserve(events.size());
-    const float* flat = embeddings.data();
-    for (size_t i = 0; i < events.size(); ++i) {
-      InteractionRecord rec;
-      rec.event = events[i];
-      const float* zs = flat + src_rows[i] * d;
-      const float* zd = flat + dst_rows[i] * d;
-      rec.z_src.assign(zs, zs + d);
-      rec.z_dst.assign(zd, zd + d);
-      records.push_back(std::move(rec));
-    }
   }
   result.sync_millis = watch.ElapsedMillis();
   ins_.stage_sync->Record(result.sync_millis);
@@ -305,6 +385,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   next_ordinal_ += static_cast<int64_t>(events.size());
   last_timestamp_ = latest;
   ctx->events = events;
+  ctx->embeddings = std::move(batch_z);
   ingested_since_start_ = true;
 
   // Graceful degradation (SetShardDown): records homed to a down shard
@@ -330,14 +411,16 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   for (int s = 0; s < num_shards; ++s) {
     jobs[static_cast<size_t>(s)].ctx = ctx;
   }
-  for (size_t i = 0; i < records.size(); ++i) {
-    const int home = router_.HomeShardOf(records[i].event);
+  for (size_t i = 0; i < events.size(); ++i) {
+    const int home = router_.HomeShardOf(events[i]);
     auto& job = jobs[static_cast<size_t>(home)];
-    job.records.push_back(std::move(records[i]));
+    job.events.push_back(events[i]);
+    job.src_row.push_back(src_rows[i]);
+    job.dst_row.push_back(dst_rows[i]);
     job.event_index.push_back(static_cast<int64_t>(i));
   }
   for (int s = 0; s < num_shards; ++s) {
-    const auto homed = jobs[static_cast<size_t>(s)].records.size();
+    const auto homed = jobs[static_cast<size_t>(s)].events.size();
     if (homed == 0) continue;
     if (down[static_cast<size_t>(s)] != 0) {
       ins_.events_shed->Add(s, static_cast<int64_t>(homed));
@@ -468,11 +551,11 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
   // φ + N over this shard's home events, sampled from the worker's own
   // replica BEFORE this batch is appended to it — the serial oracle's
   // order, so sampling sees exactly the events of batches 0..b-1.
-  // Propagation is plain float-vector math today; the scope makes any
-  // tensor op a future propagator grows draw from this worker's pool.
-  // Arena tensors are thread-confined: anything that enters a
-  // ShardPartial (read by OTHER shards' workers) must be copied into
-  // plain vectors, never handed over as a pooled tensor.
+  // Propagation is plain flat-row math today; the scope makes any tensor
+  // op a future propagator grows draw from this worker's pool. Arena
+  // tensors are thread-confined: anything that enters a ShardPartial
+  // (read by OTHER shards' workers) must be copied into its row blocks,
+  // never handed over as a pooled tensor.
   Shard& shard = *shards_[static_cast<size_t>(shard_id)];
   std::optional<tensor::ArenaScope> arena_scope;
   arena_scope.emplace();
@@ -487,18 +570,23 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
       ins_.stage_append->Record(shard_id, append_watch.ElapsedMillis());
     }
   }
-  PartialPropagation propagation;
+  RowBlock hop0, partial;
   {
     APAN_TRACE_SPAN("propagate");
     Stopwatch propagate_watch;
-    propagation = model_->propagator().ComputePartialFromHops(
-        job.records, job.event_index, hops);
+    model_->propagator().PropagateRows(
+        {job.events, job.event_index, job.ctx->embeddings, job.src_row,
+         job.dst_row},
+        hops, &hop0, &partial);
     if (stage_metrics_) {
       ins_.stage_propagate->Record(shard_id,
                                    propagate_watch.ElapsedMillis());
     }
   }
-  RouteMail(shard_id, job, std::move(propagation));
+  // The own partial is applied after the cross-shard ones are on their
+  // way, and outside the route stage: applying it can complete a merge.
+  SendPartial(shard_id, shard_id,
+              RouteMail(shard_id, job, std::move(hop0), std::move(partial)));
 
   // Batch teardown is real per-batch work — freeing the nested hop
   // vectors, the arena's recycle pass, and (for the last shard holding
@@ -510,11 +598,7 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
   hops.clear();
   hops.shrink_to_fit();
   arena_scope.reset();
-  job.records.clear();
-  job.records.shrink_to_fit();
-  job.event_index.clear();
-  job.event_index.shrink_to_fit();
-  job.ctx.reset();
+  job = BatchJob{};
   {
     util::MutexLock lock(shard.mu);
     --shard.jobs_in_flight;
@@ -535,13 +619,13 @@ std::vector<std::vector<graph::HopEntry>> ShardedEngine::SampleKHop(
     int shard_id, const BatchJob& job) {
   APAN_TRACE_SPAN("sample");
   Stopwatch sample_watch;
-  std::vector<std::vector<graph::HopEntry>> hops(job.records.size());
+  std::vector<std::vector<graph::HopEntry>> hops(job.events.size());
   const int32_t num_hops = model_->config().propagation_hops;
   const int64_t fanout = model_->config().sampled_neighbors;
   const graph::AdjacencyReplica& replica =
       *shards_[static_cast<size_t>(shard_id)]->replica;
-  for (size_t i = 0; i < job.records.size(); ++i) {
-    const graph::Event& event = job.records[i].event;
+  for (size_t i = 0; i < job.events.size(); ++i) {
+    const graph::Event& event = job.events[i];
     const graph::NodeId seeds[] = {event.src, event.dst};
     replica.SampleKHop(seeds, event.timestamp, num_hops, fanout, &hops[i]);
   }
@@ -566,6 +650,12 @@ void ShardedEngine::SendPartial(int from_shard, int to_shard,
     // sender-count barrier, so retire that leg here or Flush wedges.
     ins_.sends_shed->Add(to_shard, 1);
     CompensateLostPartial(to_shard, batch);
+    return;
+  }
+  if (to_shard == from_shard) {
+    // A shard's own partial never touches the transport: this worker is
+    // the recipient, so it merges it here — no frame, no inbox hop.
+    OnMail(to_shard, std::move(partial));
     return;
   }
   if (transport_->Send(from_shard, to_shard, std::move(partial)).ok()) {
@@ -605,6 +695,13 @@ void ShardedEngine::EnqueueMessage(int to_shard, ShardPartial message) {
                  "transport delivered a message to an out-of-range shard");
   APAN_CHECK_MSG(valid_shard(message.from_shard),
                  "transport delivered a message with an out-of-range sender");
+  // The merge reads d-wide rows and every index column blind, so the
+  // blocks' shape is checked here, once, at the delivery boundary.
+  const int64_t d = model_->config().embedding_dim;
+  APAN_CHECK_MSG(SectionFits(message.state, d, true, false) &&
+                     SectionFits(message.hop0, d, true, true) &&
+                     SectionFits(message.partial, d, false, true),
+                 "transport delivered a malformed ShardPartial");
   Shard& target = *shards_[static_cast<size_t>(to_shard)];
   int64_t depth = 0;
   {
@@ -626,11 +723,12 @@ void ShardedEngine::CountDuplicateDropped(int shard_id) {
   ins_.duplicates_dropped->Add(shard_id, 1);
 }
 
-void ShardedEngine::RouteMail(int from_shard, BatchJob& job,
-                              PartialPropagation&& propagation) {
+ShardPartial ShardedEngine::RouteMail(int from_shard, const BatchJob& job,
+                                      RowBlock&& hop0, RowBlock&& partial) {
   APAN_TRACE_SPAN("route");
   Stopwatch route_watch;
   const int num_shards = options_.num_shards;
+  const int64_t d = model_->config().embedding_dim;
   std::vector<ShardPartial> outbound(static_cast<size_t>(num_shards));
   for (int t = 0; t < num_shards; ++t) {
     outbound[static_cast<size_t>(t)].batch = job.ctx->batch;
@@ -638,35 +736,49 @@ void ShardedEngine::RouteMail(int from_shard, BatchJob& job,
   }
 
   // z(t−) write-backs go to each endpoint's owner; sequence tags let the
-  // owner replay them in global event order (later events win).
-  for (size_t i = 0; i < job.records.size(); ++i) {
-    InteractionRecord& rec = job.records[i];
+  // owner replay them in global event order (later events win). Rows are
+  // copied straight out of the batch's embedding matrix.
+  const size_t n = job.events.size();
+  std::vector<size_t> state_rows(static_cast<size_t>(num_shards), 0);
+  for (const graph::Event& e : job.events) {
+    ++state_rows[static_cast<size_t>(router_.ShardOf(e.src))];
+    ++state_rows[static_cast<size_t>(router_.ShardOf(e.dst))];
+  }
+  for (int t = 0; t < num_shards; ++t) {
+    RowBlock& state = outbound[static_cast<size_t>(t)].state;
+    const size_t rows = state_rows[static_cast<size_t>(t)];
+    state.width = d;
+    state.sequence.reserve(rows);
+    state.node.reserve(rows);
+    state.rows.reserve(rows * static_cast<size_t>(d));
+  }
+  const float* z = job.ctx->embeddings.data();
+  const auto add_state = [&](int64_t sequence, graph::NodeId node,
+                             int64_t row) {
+    RowBlock& state =
+        outbound[static_cast<size_t>(router_.ShardOf(node))].state;
+    state.sequence.push_back(sequence);
+    state.node.push_back(node);
+    state.rows.insert(state.rows.end(), z + row * d, z + (row + 1) * d);
+  };
+  for (size_t i = 0; i < n; ++i) {
     const int64_t seq = 2 * job.event_index[i];
-    outbound[static_cast<size_t>(router_.ShardOf(rec.event.src))]
-        .state_updates.push_back(
-            {seq, rec.event.src, std::move(rec.z_src)});
-    outbound[static_cast<size_t>(router_.ShardOf(rec.event.dst))]
-        .state_updates.push_back(
-            {seq + 1, rec.event.dst, std::move(rec.z_dst)});
+    add_state(seq, job.events[i].src, job.src_row[i]);
+    add_state(seq + 1, job.events[i].dst, job.dst_row[i]);
   }
-  for (auto& tagged : propagation.hop0) {
-    outbound[static_cast<size_t>(
-                 router_.ShardOf(tagged.delivery.recipient))]
-        .hop0.push_back(std::move(tagged));
-  }
-  for (auto& partial : propagation.partial) {
-    outbound[static_cast<size_t>(router_.ShardOf(partial.recipient))]
-        .partial.push_back(std::move(partial));
-  }
+  SplitByOwner(router_, std::move(hop0), &ShardPartial::hop0, &outbound);
+  SplitByOwner(router_, std::move(partial), &ShardPartial::partial,
+               &outbound);
 
   int64_t routed = 0;
   int64_t cross_shard = 0;
   for (int t = 0; t < num_shards; ++t) {
     ShardPartial& out = outbound[static_cast<size_t>(t)];
-    const int64_t mails =
-        static_cast<int64_t>(out.hop0.size() + out.partial.size());
+    const auto mails = static_cast<int64_t>(out.hop0.size() +
+                                            out.partial.size());
     routed += mails;
-    if (t != from_shard) cross_shard += mails;
+    if (t == from_shard) continue;
+    cross_shard += mails;
     SendPartial(from_shard, t, std::move(out));
   }
   ins_.mails_routed->Add(from_shard, routed);
@@ -674,6 +786,7 @@ void ShardedEngine::RouteMail(int from_shard, BatchJob& job,
   if (stage_metrics_) {
     ins_.stage_route->Record(from_shard, route_watch.ElapsedMillis());
   }
+  return std::move(outbound[static_cast<size_t>(from_shard)]);
 }
 
 void ShardedEngine::OnMail(int shard_id, ShardPartial partial) {
@@ -720,94 +833,80 @@ void ShardedEngine::ApplyMergedBatch(int shard_id,
                                      std::vector<ShardPartial> parts) {
   APAN_TRACE_SPAN("merge");
   Stopwatch watch;
-  // Deterministic merge order: contributions sorted by sender shard.
-  std::sort(parts.begin(), parts.end(),
-            [](const ShardPartial& a, const ShardPartial& b) {
-              return a.from_shard < b.from_shard;
-            });
+  // One run per sender, indexed by sender: OnMail admits exactly one
+  // partial per in-range sender, so every slot is filled.
+  std::vector<const ShardPartial*> runs(
+      static_cast<size_t>(options_.num_shards), nullptr);
+  for (const ShardPartial& part : parts) {
+    runs[static_cast<size_t>(part.from_shard)] = &part;
+  }
   const int64_t batch = parts.front().batch;
-
-  // 1. z(t−) write-backs in global event order (later events win).
-  std::vector<StateUpdate> updates;
-  for (auto& part : parts) {
-    std::move(part.state_updates.begin(), part.state_updates.end(),
-              std::back_inserter(updates));
-    part.state_updates.clear();
-  }
-  std::sort(updates.begin(), updates.end(),
-            [](const StateUpdate& a, const StateUpdate& b) {
-              return a.sequence < b.sequence;
-            });
-
-  // 2. Hop-0 mail replayed in global event order — exactly the per-node
-  // delivery order the serial ApanModel path produces.
-  std::vector<PartialPropagation::TaggedDelivery> tagged;
-  for (auto& part : parts) {
-    std::move(part.hop0.begin(), part.hop0.end(),
-              std::back_inserter(tagged));
-    part.hop0.clear();
-  }
-  std::sort(tagged.begin(), tagged.end(),
-            [](const PartialPropagation::TaggedDelivery& a,
-               const PartialPropagation::TaggedDelivery& b) {
-              return a.sequence < b.sequence;
-            });
-  std::vector<MailDelivery> hop0;
-  hop0.reserve(tagged.size());
-  for (auto& t : tagged) hop0.push_back(std::move(t.delivery));
-
-  // 3. ρ across the whole batch: merge per-recipient partial sums from
-  // all senders, then finalize to one reduced mail per recipient.
-  std::vector<PartialPropagation::PartialReduce> partials;
-  for (auto& part : parts) {
-    std::move(part.partial.begin(), part.partial.end(),
-              std::back_inserter(partials));
-    part.partial.clear();
-  }
-  std::stable_sort(partials.begin(), partials.end(),
-                   [](const PartialPropagation::PartialReduce& a,
-                      const PartialPropagation::PartialReduce& b) {
-                     return a.recipient < b.recipient;
-                   });
-  std::vector<MailDelivery> reduced;
-  size_t i = 0;
-  while (i < partials.size()) {
-    PartialPropagation::PartialReduce merged = std::move(partials[i]);
-    for (++i; i < partials.size() &&
-              partials[i].recipient == merged.recipient;
-         ++i) {
-      const auto& extra = partials[i];
-      for (size_t k = 0; k < merged.sum.size(); ++k) {
-        merged.sum[k] += extra.sum[k];
-      }
-      merged.newest = std::max(merged.newest, extra.newest);
-      merged.count += extra.count;
-    }
-    reduced.push_back(MailPropagator::FinalizeReduce(std::move(merged)));
-  }
-
+  const int64_t d = model_->config().embedding_dim;
+  const auto by_sequence = [](const RowBlock& b, size_t i) {
+    return b.sequence[i];
+  };
+  const auto by_recipient = [](const RowBlock& b, size_t i) {
+    return b.node[i];
+  };
   {
     // Everything this batch touches is the owner shard's private store:
     // routed state updates and mail land in shard-local memory, never in
     // the model or another shard's rows.
     Shard& shard = *shards_[static_cast<size_t>(shard_id)];
     util::MutexLock state_lock(shard.state_mu);
-    for (const StateUpdate& u : updates) {
-      shard.store->SetLastEmbedding(u.node, u.z);
-    }
-    shard.store->DeliverBatch(std::move(hop0));
-    shard.store->DeliverBatch(std::move(reduced));
+    core::NodeStateStore& store = *shard.store;
+
+    // 1. z(t−) write-backs in global event order (later events win).
+    MergeRuns(runs, &ShardPartial::state, by_sequence,
+              [&store, d](const RowBlock& b, size_t i) {
+                store.SetLastEmbedding(b.node[i],
+                                       {b.row(i), static_cast<size_t>(d)});
+              });
+
+    // 2. Hop-0 mail replayed in global event order — exactly the per-node
+    // delivery order the serial ApanModel path produces.
+    MergeRuns(runs, &ShardPartial::hop0, by_sequence,
+              [&store, d](const RowBlock& b, size_t i) {
+                store.Deliver(b.node[i], {b.row(i), static_cast<size_t>(d)},
+                              b.timestamp[i]);
+              });
+
+    // 3. ρ across the whole batch: one recipient's partial sums arrive
+    // consecutively, in sender order; the first is copied, the rest are
+    // added, and the finalized mean is delivered — the serial path's
+    // arithmetic, one scratch row, no per-recipient vector.
+    std::vector<float> sum(static_cast<size_t>(d));
+    bool open = false;
+    graph::NodeId recipient = -1;
+    double newest = 0.0;
+    int64_t contributions = 0;
+    const auto deliver_reduced = [&] {
+      MailPropagator::FinalizeRow(sum.data(), d, contributions);
+      store.Deliver(recipient, sum, newest);
+    };
+    MergeRuns(runs, &ShardPartial::partial, by_recipient,
+              [&](const RowBlock& b, size_t i) {
+                const float* row = b.row(i);
+                if (open && b.node[i] == recipient) {
+                  for (int64_t k = 0; k < d; ++k) {
+                    sum[static_cast<size_t>(k)] += row[k];
+                  }
+                  newest = std::max(newest, b.timestamp[i]);
+                  contributions += b.count[i];
+                  return;
+                }
+                if (open) deliver_reduced();
+                open = true;
+                std::copy_n(row, d, sum.data());
+                recipient = b.node[i];
+                newest = b.timestamp[i];
+                contributions = b.count[i];
+              });
+    if (open) deliver_reduced();
   }
-  // Teardown inside the watch: `updates` still owns two z vectors per
-  // event (SetLastEmbedding copies), and freeing them is a real,
-  // batch-sized slice of the merge — dropping it after the record would
-  // leak it into the fig10 attribution residue.
-  updates.clear();
-  updates.shrink_to_fit();
-  tagged.clear();
-  tagged.shrink_to_fit();
-  partials.clear();
-  partials.shrink_to_fit();
+  // Teardown inside the watch: the senders' row blocks are freed here, a
+  // real batch-sized slice of the merge — dropping them after the record
+  // would leak it into the fig10 attribution residue.
   parts.clear();
   parts.shrink_to_fit();
   ins_.stage_merge->Record(shard_id, watch.ElapsedMillis());

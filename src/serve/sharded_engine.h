@@ -33,21 +33,25 @@
 //       appends all of the batch's events — the serial oracle's order —
 //       so a replica read sees exactly batches 0..b-1 with no versioning
 //       and no shard ever waits on another to sample;
-//     · each resulting MailDelivery and z(t−) write-back is *routed* to
-//       its recipient's owner shard as a ShardPartial message. Cross-shard
-//       mail therefore arrives interleaved with other shards' traffic —
-//       out of order by construction;
+//     · the home shard's propagation kernel writes the event's mail rows
+//       and ρ partial sums into flat row blocks, which are *routed* —
+//       split by owner with row copies, z(t−) write-backs alongside — as
+//       one ShardPartial per recipient shard. Cross-shard mail therefore
+//       arrives interleaved with other shards' traffic — out of order by
+//       construction; a shard's partial to itself skips the transport;
 //     · a recipient shard reassembles a batch once partials from all N
-//       shards have arrived, then applies state updates and mail to its
-//       rows in global event order (sequence tags), restoring exactly the
-//       per-node delivery order of the serial ApanModel path.
+//       shards have arrived, then k-way merges the N sender runs (each
+//       already in sequence / recipient order) straight into its rows in
+//       global event order, restoring exactly the per-node delivery order
+//       of the serial ApanModel path.
 //
-// Transport plane: every ShardPartial crosses shards through a pluggable
-// serve::Transport (Options::transport) — synchronous in-process delivery
-// by default, or a Unix-domain-socket lane per shard pair carrying
-// serve/wire.h frames. The engine assumes only at-least-once delivery
-// with no ordering: sequence tags reconstruct every order that matters,
-// and duplicated deliveries are dropped by their (batch, sender) tag.
+// Transport plane: every cross-shard ShardPartial travels through a
+// pluggable serve::Transport (Options::transport) — synchronous in-process
+// delivery by default, or a Unix-domain-socket lane per ordered pair of
+// distinct shards carrying serve/wire.h frames. The engine assumes only
+// at-least-once delivery with no ordering: sequence tags reconstruct every
+// order that matters, and duplicated deliveries are dropped by their
+// (batch, sender) tag.
 // With the state plane split into per-shard stores, nothing crosses a
 // shard boundary through shared memory: a shard's entire mutable
 // footprint (store + replica) is address-space independent, and only
@@ -57,11 +61,13 @@
 // Determinism: because neighborhood expansion, per-node delivery order and
 // ρ-reduction are reconstructed exactly, the final mailbox timestamps and
 // counts after Flush() are bitwise-identical to the serial ApanModel path
-// (ProcessBatchPostInference, batch by batch) on the same stream (mail
-// *payloads* agree up to floating-point summation order;
-// tests/serve_sharded_test.cc asserts both — and
-// tests/serve_transport_test.cc re-asserts it over a socket transport
-// and under injected delay/reorder/duplication faults).
+// (ProcessBatchPostInference, batch by batch) on the same stream. Mail
+// *payloads* sum ρ partials in sender-shard order, so they equal the
+// serial path's bitwise at 1 shard and agree up to floating-point
+// summation order otherwise (tests/serve_sharded_test.cc asserts both and
+// pins the multi-shard payloads by digest — and
+// tests/serve_transport_test.cc re-asserts the mailbox over a socket
+// transport and under injected delay/reorder/duplication faults).
 //
 // Skew and deadlock freedom: batch-job inboxes are bounded (back-pressure
 // on the caller), shard-to-shard messages are unbounded, and no worker
@@ -310,13 +316,17 @@ class ShardedEngine {
   obs::Registry* registry() const { return registry_; }
 
  private:
-  /// Shared per-batch bookkeeping for the in-process job path: the whole
-  /// batch, which every shard appends to its replica. (The apply barrier
-  /// lives in apply_remaining_, keyed by batch — ShardPartials cross the
-  /// transport and cannot carry pointers.)
+  /// Shared per-batch bookkeeping for the in-process job path, read-only
+  /// once built: the whole batch, which every shard appends to its
+  /// replica, and the synchronous link's embedding matrix, which every
+  /// home shard reads its events' z rows from. (The apply barrier lives in
+  /// apply_remaining_, keyed by batch — ShardPartials cross the transport
+  /// and cannot carry pointers.)
   struct BatchContext {
     int64_t batch = 0;
     std::vector<graph::Event> events;
+    /// {unique nodes, d} row-major: each of the batch's nodes encoded once.
+    std::vector<float> embeddings;
   };
 
   /// A batch's home-events slice for one shard, or a control job. Jobs
@@ -324,8 +334,12 @@ class ShardedEngine {
   /// ShardPartials travel the transport.
   struct BatchJob {
     std::shared_ptr<BatchContext> ctx;
-    std::vector<core::InteractionRecord> records;
-    std::vector<int64_t> event_index;  ///< Global batch positions.
+    /// The home events, their endpoints' rows in ctx->embeddings, and
+    /// their global batch positions — core::InteractionRows, by column.
+    std::vector<graph::Event> events;
+    std::vector<int64_t> src_row;
+    std::vector<int64_t> dst_row;
+    std::vector<int64_t> event_index;
     /// Set for a control job (reset, snapshot, restore), which runs this
     /// on the owning worker instead of propagating a batch. Routing it
     /// through the inbox keeps every worker-confined field (merge cursor,
@@ -387,11 +401,17 @@ class ShardedEngine {
   void OnMail(int shard_id, ShardPartial partial) APAN_EXCLUDES(flush_mu_);
   void ApplyMergedBatch(int shard_id, std::vector<ShardPartial> parts)
       APAN_EXCLUDES(flush_mu_);
-  void RouteMail(int from_shard, BatchJob& job,
-                 core::PartialPropagation&& propagation);
+  /// Splits a job's propagation output and z(t−) write-backs by owner
+  /// into one ShardPartial per shard, sends the cross-shard ones, and
+  /// returns the one addressed to `from_shard` (applied by the caller
+  /// after the route stage is timed).
+  ShardPartial RouteMail(int from_shard, const BatchJob& job,
+                         core::RowBlock&& hop0, core::RowBlock&& partial)
+      APAN_EXCLUDES(flush_mu_);
   /// Hands one partial to the transport (which delivers it through
   /// EnqueueMessage, possibly on another thread, possibly more than
-  /// once), or sheds it when either end is down or the lane is dead
+  /// once) — or, addressed to the sending shard itself, straight to
+  /// OnMail — or sheds it when either end is down or the lane is dead
   /// beyond the transport's own recovery. Worker thread only.
   void SendPartial(int from_shard, int to_shard, ShardPartial partial)
       APAN_EXCLUDES(flush_mu_);
@@ -406,7 +426,7 @@ class ShardedEngine {
   void EnqueueMessage(int to_shard, ShardPartial message);
   void CountDuplicateDropped(int shard_id);
 
-  /// k-hop expansion of a job's records from the shard's own replica,
+  /// k-hop expansion of a job's events from the shard's own replica,
   /// which holds exactly the batches before the job's (sampling runs
   /// before the job's append).
   std::vector<std::vector<graph::HopEntry>> SampleKHop(int shard_id,

@@ -17,6 +17,24 @@
 namespace apan {
 namespace serve {
 
+namespace {
+
+// Every transport's lane check: ids in range, and no self-lane.
+Status CheckLane(int from_shard, int to_shard, int num_shards) {
+  if (from_shard < 0 || from_shard >= num_shards || to_shard < 0 ||
+      to_shard >= num_shards) {
+    return Status::InvalidArgument("shard id out of range");
+  }
+  if (from_shard == to_shard) {
+    return Status::InvalidArgument(internal::StrCat(
+        "no self-lane: shard ", from_shard,
+        " applies its own partials without the transport"));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 // ---- InProcessTransport ----------------------------------------------------
 
 Status InProcessTransport::Start(int num_shards, Handler handler) {
@@ -35,10 +53,7 @@ Status InProcessTransport::Send(int from_shard, int to_shard,
   if (!started_ || stopped_) {
     return Status::FailedPrecondition("transport is not running");
   }
-  if (from_shard < 0 || from_shard >= num_shards_ || to_shard < 0 ||
-      to_shard >= num_shards_) {
-    return Status::InvalidArgument("shard id out of range");
-  }
+  APAN_RETURN_NOT_OK(CheckLane(from_shard, to_shard, num_shards_));
   if (metrics_.valid()) {
     metrics_.frames->Add(metrics_.lane(from_shard, to_shard), 1);
   }
@@ -94,8 +109,9 @@ Status UnixSocketTransport::Start(int num_shards, Handler handler) {
   }
   num_shards_ = num_shards;
   handler_ = std::move(handler);
-  const size_t lane_count =
-      static_cast<size_t>(num_shards) * static_cast<size_t>(num_shards);
+  // One lane per ordered pair of distinct shards: N×(N−1).
+  const size_t lane_count = static_cast<size_t>(num_shards) *
+                            static_cast<size_t>(num_shards - 1);
   lanes_.reserve(lane_count);
   for (size_t i = 0; i < lane_count; ++i) {
     auto lane = std::make_unique<Lane>();
@@ -123,6 +139,7 @@ Status UnixSocketTransport::Start(int num_shards, Handler handler) {
   }
   for (int from = 0; from < num_shards; ++from) {
     for (int to = 0; to < num_shards; ++to) {
+      if (from == to) continue;
       Lane* lane = &LaneFor(from, to);
       lane->reader = std::thread([this, lane, to] { ReaderLoop(lane, to); });
     }
@@ -260,10 +277,7 @@ Status UnixSocketTransport::WriteFrame(int from_shard, int to_shard,
 Status UnixSocketTransport::Send(int from_shard, int to_shard,
                                  ShardPartial message) {
   if (!started_) return Status::FailedPrecondition("transport not started");
-  if (from_shard < 0 || from_shard >= num_shards_ || to_shard < 0 ||
-      to_shard >= num_shards_) {
-    return Status::InvalidArgument("shard id out of range");
-  }
+  APAN_RETURN_NOT_OK(CheckLane(from_shard, to_shard, num_shards_));
   std::vector<uint8_t> frame;
   wire::AppendFrame(message, &frame);
   return WriteFrame(from_shard, to_shard, frame);
@@ -293,10 +307,7 @@ Status UnixSocketTransport::KillLaneForTest(int from_shard, int to_shard) {
   if (!started_ || stopped_) {
     return Status::FailedPrecondition("transport is not running");
   }
-  if (from_shard < 0 || from_shard >= num_shards_ || to_shard < 0 ||
-      to_shard >= num_shards_) {
-    return Status::InvalidArgument("shard id out of range");
-  }
+  APAN_RETURN_NOT_OK(CheckLane(from_shard, to_shard, num_shards_));
   Lane& lane = LaneFor(from_shard, to_shard);
   util::MutexLock lock(lane.write_mu);
   if (lane.write_fd < 0) {
@@ -351,6 +362,7 @@ FaultyTransport::~FaultyTransport() { Stop(); }
 Status FaultyTransport::Start(int num_shards, Handler handler) {
   if (started_) return Status::FailedPrecondition("transport already started");
   APAN_RETURN_NOT_OK(inner_->Start(num_shards, std::move(handler)));
+  num_shards_ = num_shards;
   flusher_ = std::thread([this] { FlusherLoop(); });
   started_ = true;
   return Status::OK();
@@ -359,6 +371,8 @@ Status FaultyTransport::Start(int num_shards, Handler handler) {
 Status FaultyTransport::Send(int from_shard, int to_shard,
                              ShardPartial message) {
   if (!started_) return Status::FailedPrecondition("transport not started");
+  // Refused up front: a held copy would only fail later, on the flusher.
+  APAN_RETURN_NOT_OK(CheckLane(from_shard, to_shard, num_shards_));
   std::vector<ShardPartial> inline_sends;
   {
     util::MutexLock lock(mu_);

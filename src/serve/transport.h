@@ -2,7 +2,9 @@
 //
 // serve::ShardedEngine routes every cross-shard interaction — mail
 // partials and z(t−) write-backs, one ShardPartial per (sender,
-// recipient, batch) — through a Transport. The engine only assumes:
+// recipient, batch) with sender != recipient — through a Transport. A
+// shard's partial to itself never touches the transport. The engine only
+// assumes:
 //
 //   · at-least-once delivery: every accepted Send is delivered at least
 //     once before Stop() returns (duplicates are allowed — the engine
@@ -17,9 +19,10 @@
 //   · InProcessTransport — Send invokes the handler synchronously on the
 //     calling thread, preserving the pre-transport deque semantics
 //     byte-for-byte (no serialization, no copies, per-lane FIFO).
-//   · UnixSocketTransport — each directed (sender → receiver) lane is a
-//     SOCK_STREAM socketpair carrying wire.h frames, with one reader
-//     thread per lane decoding into the handler. The shards still share a
+//   · UnixSocketTransport — each directed (sender → receiver) lane
+//     between two distinct shards is a SOCK_STREAM socketpair carrying
+//     wire.h frames, with one reader thread per lane decoding into the
+//     handler: N×(N−1) lanes for N shards. The shards still share a
 //     process, but no message crosses a shard boundary through shared
 //     memory — the step that lets a future PR put shards in separate
 //     processes by swapping socketpair() for connected AF_UNIX/TCP
@@ -89,9 +92,10 @@ class Transport {
   /// called exactly once, before any Send.
   virtual Status Start(int num_shards, Handler handler) = 0;
 
-  /// Queues `message` for delivery to `to_shard`. Every shard pair is a
-  /// lane, including from_shard == to_shard (self-mail takes the same
-  /// path as foreign mail). Fails after Stop.
+  /// Queues `message` for delivery to `to_shard`. Every ordered pair of
+  /// distinct shards is a lane; there is no self-lane — a shard applies
+  /// its own partial directly — so from_shard == to_shard is
+  /// InvalidArgument, as is an out-of-range id. Fails after Stop.
   virtual Status Send(int from_shard, int to_shard, ShardPartial message) = 0;
 
   /// Drains every accepted Send to its handler, then tears the lanes
@@ -149,8 +153,9 @@ class InProcessTransport : public Transport {
   bool stopped_ = false;
 };
 
-/// \brief Every directed lane is a Unix-domain stream socket carrying
-/// length-prefixed wire.h frames; one reader thread per lane.
+/// \brief Every directed lane between two distinct shards is a
+/// Unix-domain stream socket carrying length-prefixed wire.h frames; one
+/// reader thread per lane.
 class UnixSocketTransport : public Transport {
  public:
   UnixSocketTransport() = default;
@@ -206,10 +211,12 @@ class UnixSocketTransport : public Transport {
   Status ReconnectLaneLocked(Lane& lane, int to_shard)
       APAN_REQUIRES(lane.write_mu);
 
+  /// Lanes are packed per sender, skipping the absent self-lane.
   Lane& LaneFor(int from_shard, int to_shard) {
+    const int slot = to_shard < from_shard ? to_shard : to_shard - 1;
     return *lanes_[static_cast<size_t>(from_shard) *
-                       static_cast<size_t>(num_shards_) +
-                   static_cast<size_t>(to_shard)];
+                       static_cast<size_t>(num_shards_ - 1) +
+                   static_cast<size_t>(slot)];
   }
   void ReaderLoop(Lane* lane, int to_shard);
 
@@ -280,6 +287,7 @@ class FaultyTransport : public Transport {
   std::vector<Held> held_ APAN_GUARDED_BY(mu_);
   bool stop_ APAN_GUARDED_BY(mu_) = false;
   std::thread flusher_;
+  int num_shards_ = 0;
   bool started_ = false;
 };
 

@@ -1,5 +1,7 @@
 #include "serve/wire.h"
 
+#include <algorithm>
+
 #include "serve/codec.h"
 
 namespace apan {
@@ -12,7 +14,7 @@ namespace {
 // 2 and 3 (the frontier protocol) and 4 (coalesced batches) are retired.
 constexpr uint8_t kShardPartialKind = 1;
 
-using codec::PutF32Vec;
+using codec::PutArray;
 using codec::PutF64;
 using codec::PutI32;
 using codec::PutI64;
@@ -21,85 +23,158 @@ using codec::PutU64;
 using codec::PutU8;
 using codec::Reader;
 
-void PutDelivery(std::vector<uint8_t>* out, const core::MailDelivery& d) {
-  PutI64(out, d.recipient);
-  PutF32Vec(out, d.mail);
-  PutF64(out, d.timestamp);
-  PutI64(out, d.contributions);
+// ---- Sections ---------------------------------------------------------------
+// The three ShardPartial sections share one row shape on the wire:
+//
+//   row := [i64 sequence] | i64 node | u64 width | width × f32
+//          | [f64 timestamp | i64 count]
+//
+// — the bracketed fields present per section. The layout is part of wire
+// kind 1 (tests/serve_wire_test.cc pins a golden frame): a row block is
+// written with an exact-size reserve and one bulk copy per array, and
+// read with one bounds check per array.
+
+/// One section's row shape, named by the fields its errors report. A
+/// sequenced section's run is ascending by sequence, the others' by node.
+/// `name` is the row-count field; `sequence` is null when rows carry no
+/// sequence, `timestamp` (and `count`) when they carry no timestamp/count.
+struct Section {
+  const char* name;
+  const char* sequence;
+  const char* node;
+  const char* row;
+  const char* timestamp;
+  const char* count;
+
+  bool sequenced() const { return sequence != nullptr; }
+  bool timed() const { return timestamp != nullptr; }
+  /// Bytes per row besides its floats.
+  size_t fixed_bytes() const {
+    return (sequenced() ? 8 : 0) + 8 + 8 + (timed() ? 16 : 0);
+  }
+};
+
+constexpr Section kStateSection = {
+    "partial.state_updates", "state_update.sequence", "state_update.node",
+    "state_update.z",        nullptr,                 nullptr};
+constexpr Section kHop0Section = {
+    "partial.hop0",  "hop0.sequence",      "delivery.recipient",
+    "delivery.mail", "delivery.timestamp", "delivery.contributions"};
+constexpr Section kPartialSection = {
+    "partial.partial", nullptr,         "reduce.recipient",
+    "reduce.sum",      "reduce.newest", "reduce.count"};
+
+size_t SectionBytes(const Section& section, const core::RowBlock& b) {
+  return 8 + b.size() * section.fixed_bytes() + b.rows.size() * sizeof(float);
 }
 
-Status ReadDelivery(Reader* r, core::MailDelivery* d) {
-  APAN_RETURN_NOT_OK(r->ReadI64(&d->recipient, "delivery.recipient"));
-  APAN_RETURN_NOT_OK(r->ReadF32Vec(&d->mail, "delivery.mail"));
-  APAN_RETURN_NOT_OK(r->ReadF64(&d->timestamp, "delivery.timestamp"));
-  APAN_RETURN_NOT_OK(r->ReadI64(&d->contributions, "delivery.contributions"));
+void EncodeSection(std::vector<uint8_t>* out, const Section& section,
+                   const core::RowBlock& b) {
+  const size_t n = b.size();
+  APAN_CHECK_MSG(b.width >= 0 &&
+                     b.rows.size() == n * static_cast<size_t>(b.width) &&
+                     (!section.sequenced() || b.sequence.size() == n) &&
+                     (!section.timed() ||
+                      (b.timestamp.size() == n && b.count.size() == n)),
+                 "wire: malformed row block");
+  const auto width = static_cast<uint64_t>(b.width);
+  PutU64(out, n);
+  for (size_t i = 0; i < n; ++i) {
+    if (section.sequenced()) PutI64(out, b.sequence[i]);
+    PutI64(out, b.node[i]);
+    PutU64(out, width);
+    PutArray(out, b.row(i), b.width);
+    if (section.timed()) {
+      PutF64(out, b.timestamp[i]);
+      PutI64(out, b.count[i]);
+    }
+  }
+}
+
+/// Decodes one section into `b`, validating what the flat block and the
+/// receiver's k-way merge assume: every row has the section's one width,
+/// and the run is strictly ascending by its key.
+Status DecodeSection(Reader* r, const Section& section, core::RowBlock* b) {
+  uint64_t rows = 0;
+  // Min row size: the fixed fields of a zero-width row.
+  APAN_RETURN_NOT_OK(r->ReadCount(&rows, section.fixed_bytes(), section.name));
+  const auto n = static_cast<size_t>(rows);
+  *b = core::RowBlock{};
+  if (section.sequenced()) b->sequence.resize(n);
+  b->node.resize(n);
+  if (section.timed()) {
+    b->timestamp.resize(n);
+    b->count.resize(n);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (section.sequenced()) {
+      APAN_RETURN_NOT_OK(r->ReadI64(&b->sequence[i], section.sequence));
+    }
+    APAN_RETURN_NOT_OK(r->ReadI64(&b->node[i], section.node));
+    uint64_t width = 0;
+    APAN_RETURN_NOT_OK(r->ReadCount(&width, sizeof(float), section.row));
+    if (i == 0) {
+      b->width = static_cast<int64_t>(width);
+      // The remaining rows must fit in the bytes left, so this reserve is
+      // bounded by the frame, never by a corrupt count.
+      const size_t row_bytes = section.fixed_bytes() + width * sizeof(float);
+      b->rows.reserve(std::min(n, 1 + r->remaining() / row_bytes) * width);
+    } else if (width != static_cast<uint64_t>(b->width)) {
+      return Status::IoError(internal::StrCat(
+          "wire: ragged ", section.row, ": row ", i, " has ", width,
+          " floats, the section's first row ", b->width));
+    }
+    const size_t at = b->rows.size();
+    b->rows.resize(at + width);
+    APAN_RETURN_NOT_OK(r->ReadArray(b->rows.data() + at, width, section.row));
+    if (section.timed()) {
+      APAN_RETURN_NOT_OK(r->ReadF64(&b->timestamp[i], section.timestamp));
+      APAN_RETURN_NOT_OK(r->ReadI64(&b->count[i], section.count));
+    }
+    if (i > 0) {
+      const std::vector<int64_t>& key =
+          section.sequenced() ? b->sequence : b->node;
+      if (key[i] <= key[i - 1]) {
+        return Status::IoError(internal::StrCat(
+            "wire: ", section.sequenced() ? section.sequence : section.node,
+            " not ascending at row ", i, " (", key[i], " after ", key[i - 1],
+            ")"));
+      }
+    }
+  }
   return Status::OK();
 }
 
 // ---- Per-kind bodies -------------------------------------------------------
 
-void EncodeBody(std::vector<uint8_t>* out, const ShardPartial& m) {
-  PutI64(out, m.batch);
-  PutI32(out, m.from_shard);
-  PutU64(out, m.state_updates.size());
-  for (const StateUpdate& u : m.state_updates) {
-    PutI64(out, u.sequence);
-    PutI64(out, u.node);
-    PutF32Vec(out, u.z);
-  }
-  PutU64(out, m.hop0.size());
-  for (const core::PartialPropagation::TaggedDelivery& t : m.hop0) {
-    PutI64(out, t.sequence);
-    PutDelivery(out, t.delivery);
-  }
-  PutU64(out, m.partial.size());
-  for (const core::PartialPropagation::PartialReduce& p : m.partial) {
-    PutI64(out, p.recipient);
-    PutF32Vec(out, p.sum);
-    PutF64(out, p.newest);
-    PutI64(out, p.count);
-  }
+size_t PayloadBytes(const ShardPartial& m) {
+  return 1 + 8 + 4 + SectionBytes(kStateSection, m.state) +
+         SectionBytes(kHop0Section, m.hop0) +
+         SectionBytes(kPartialSection, m.partial);
+}
+
+void EncodePayloadTo(const ShardPartial& message, std::vector<uint8_t>* out) {
+  PutU8(out, kShardPartialKind);
+  PutI64(out, message.batch);
+  PutI32(out, message.from_shard);
+  EncodeSection(out, kStateSection, message.state);
+  EncodeSection(out, kHop0Section, message.hop0);
+  EncodeSection(out, kPartialSection, message.partial);
 }
 
 Status DecodeBody(Reader* r, ShardPartial* m) {
   APAN_RETURN_NOT_OK(r->ReadI64(&m->batch, "partial.batch"));
   APAN_RETURN_NOT_OK(r->ReadI32(&m->from_shard, "partial.from_shard"));
-  uint64_t count = 0;
-  // Min element sizes are each struct's fixed fields plus its empty
-  // vectors' count words.
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 24, "partial.state_updates"));
-  m->state_updates.resize(static_cast<size_t>(count));
-  for (StateUpdate& u : m->state_updates) {
-    APAN_RETURN_NOT_OK(r->ReadI64(&u.sequence, "state_update.sequence"));
-    APAN_RETURN_NOT_OK(r->ReadI64(&u.node, "state_update.node"));
-    APAN_RETURN_NOT_OK(r->ReadF32Vec(&u.z, "state_update.z"));
-  }
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 40, "partial.hop0"));
-  m->hop0.resize(static_cast<size_t>(count));
-  for (core::PartialPropagation::TaggedDelivery& t : m->hop0) {
-    APAN_RETURN_NOT_OK(r->ReadI64(&t.sequence, "hop0.sequence"));
-    APAN_RETURN_NOT_OK(ReadDelivery(r, &t.delivery));
-  }
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 32, "partial.partial"));
-  m->partial.resize(static_cast<size_t>(count));
-  for (core::PartialPropagation::PartialReduce& p : m->partial) {
-    APAN_RETURN_NOT_OK(r->ReadI64(&p.recipient, "reduce.recipient"));
-    APAN_RETURN_NOT_OK(r->ReadF32Vec(&p.sum, "reduce.sum"));
-    APAN_RETURN_NOT_OK(r->ReadF64(&p.newest, "reduce.newest"));
-    APAN_RETURN_NOT_OK(r->ReadI64(&p.count, "reduce.count"));
-  }
-  return Status::OK();
-}
-
-void EncodePayloadTo(const ShardPartial& message, std::vector<uint8_t>* out) {
-  PutU8(out, kShardPartialKind);
-  EncodeBody(out, message);
+  APAN_RETURN_NOT_OK(DecodeSection(r, kStateSection, &m->state));
+  APAN_RETURN_NOT_OK(DecodeSection(r, kHop0Section, &m->hop0));
+  return DecodeSection(r, kPartialSection, &m->partial);
 }
 
 }  // namespace
 
 std::vector<uint8_t> EncodeMessage(const ShardPartial& message) {
   std::vector<uint8_t> out;
+  out.reserve(PayloadBytes(message));
   EncodePayloadTo(message, &out);
   return out;
 }
@@ -122,19 +197,15 @@ Result<ShardPartial> DecodeMessage(std::span<const uint8_t> payload) {
 }
 
 void AppendFrame(const ShardPartial& message, std::vector<uint8_t>* out) {
-  // Encode the payload straight into `out` after a length slot that is
-  // patched afterwards — the frame is built once, with no intermediate
-  // payload buffer to copy (Send hits this for every cross-shard message).
-  const size_t header_at = out->size();
-  PutU32(out, 0);
-  EncodePayloadTo(message, out);
-  const size_t payload_size = out->size() - header_at - kFrameHeaderBytes;
+  // The frame is sized exactly before a byte is written, then encoded
+  // straight into `out` — no intermediate payload buffer to copy, and no
+  // reallocation (Send hits this for every cross-shard message).
+  const size_t payload_size = PayloadBytes(message);
   APAN_CHECK_MSG(payload_size <= kMaxPayloadBytes,
                  "wire: frame payload exceeds kMaxPayloadBytes");
-  for (int i = 0; i < 4; ++i) {
-    (*out)[header_at + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(payload_size >> (8 * i));
-  }
+  out->reserve(out->size() + kFrameHeaderBytes + payload_size);
+  PutU32(out, static_cast<uint32_t>(payload_size));
+  EncodePayloadTo(message, out);
 }
 
 Result<uint32_t> DecodeFrameLength(

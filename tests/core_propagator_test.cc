@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 
 namespace apan {
@@ -158,6 +159,69 @@ TEST(MailPropagatorTest, SelfLoopSingleEndpointDelivery) {
       prop.ComputeDeliveries({Record(2, 2, 10.0, e, 1.0f, 1.0f)});
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_EQ(deliveries[0].recipient, 2);
+}
+
+TEST(MailPropagatorTest, PropagateRowsMatchesPerElementForm) {
+  // The flat kernel reads endpoint embeddings as rows of one shared
+  // matrix (an endpoint in several events is one row); the per-element
+  // form lays each record out on its own. Both must yield the same rows,
+  // bit for bit, with sequence tags from the global event index.
+  Fixture f;
+  MailPropagator prop(Config(1), &f.graph, &f.features);
+  const graph::EdgeId e = f.features.Append({0.5f, -1.0f, 2.0f, 0.125f});
+  const std::vector<float> z = {0.1f, 0.2f, 0.3f, 0.4f,    // node 0
+                                -1.5f, 2.5f, 0.0f, 7.0f,   // node 1
+                                3.0f, -0.25f, 1.0f, 0.5f};  // node 2
+  const std::vector<graph::Event> events = {
+      {0, 1, 10.0, e}, {1, 2, 11.0, e}, {2, 2, 12.0, e}};
+  const std::vector<int64_t> src_row = {0, 1, 2}, dst_row = {1, 2, 2};
+  const std::vector<int64_t> event_index = {4, 5, 6};
+  // Repeated recipients (4, 5) across events and endpoints to skip.
+  const std::vector<std::vector<graph::HopEntry>> hops = {
+      {{4}, {1}, {5}}, {{4}, {0}, {4}}, {{2}, {5}}};
+
+  RowBlock hop0, partial;
+  prop.PropagateRows({events, event_index, z, src_row, dst_row}, hops,
+                     &hop0, &partial);
+
+  std::vector<InteractionRecord> records;
+  for (size_t r = 0; r < events.size(); ++r) {
+    InteractionRecord rec;
+    rec.event = events[r];
+    rec.z_src.assign(z.begin() + src_row[r] * kDim,
+                     z.begin() + (src_row[r] + 1) * kDim);
+    rec.z_dst.assign(z.begin() + dst_row[r] * kDim,
+                     z.begin() + (dst_row[r] + 1) * kDim);
+    records.push_back(rec);
+  }
+  const PartialPropagation expected =
+      prop.ComputePartialFromHops(records, event_index, hops);
+
+  EXPECT_EQ(hop0.sequence, (std::vector<int64_t>{8, 9, 10, 11, 12}));
+  ASSERT_EQ(hop0.size(), expected.hop0.size());
+  for (size_t i = 0; i < hop0.size(); ++i) {
+    const auto& want = expected.hop0[i];
+    EXPECT_EQ(hop0.sequence[i], want.sequence);
+    EXPECT_EQ(hop0.node[i], want.delivery.recipient);
+    EXPECT_EQ(hop0.timestamp[i], want.delivery.timestamp);
+    EXPECT_EQ(hop0.count[i], 1);
+    EXPECT_EQ(std::memcmp(hop0.row(i), want.delivery.mail.data(),
+                          kDim * sizeof(float)),
+              0);
+  }
+  EXPECT_EQ(partial.node, (std::vector<graph::NodeId>{0, 4, 5}));
+  EXPECT_EQ(partial.count, (std::vector<int64_t>{1, 3, 2}));
+  EXPECT_TRUE(partial.sequence.empty());
+  ASSERT_EQ(partial.size(), expected.partial.size());
+  for (size_t i = 0; i < partial.size(); ++i) {
+    const auto& want = expected.partial[i];
+    EXPECT_EQ(partial.node[i], want.recipient);
+    EXPECT_EQ(partial.timestamp[i], want.newest);
+    EXPECT_EQ(partial.count[i], want.count);
+    EXPECT_EQ(std::memcmp(partial.row(i), want.sum.data(),
+                          kDim * sizeof(float)),
+              0);
+  }
 }
 
 TEST(MailPropagatorTest, DimensionMismatchRejectedAtConstruction) {

@@ -4,11 +4,13 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <thread>
 
 #include "data/synthetic.h"
+#include "graph/node_partition.h"
 #include "serve_state_util.h"
 
 namespace apan {
@@ -17,6 +19,7 @@ namespace {
 
 using testutil::ExpectModelStateUntouched;
 using testutil::ExpectStitchedMailboxEqual;
+using testutil::ExpectStitchedStateBitwise;
 using testutil::RunSerial;
 using testutil::SerialRun;
 
@@ -215,19 +218,76 @@ TEST(ShardedEngineTest, MatchesSerialBitwiseTwoHops) {
 }
 
 TEST(ShardedEngineTest, SingleShardMatchesSerial) {
+  // At 1 shard the engine's ρ order is the serial order, so with a flush
+  // between batches (every encode sees settled state, as the serial path's
+  // always does) scores, mail payloads and z(t−) rows are all bitwise the
+  // oracle's — not merely close.
   Fixture f;
   const SerialRun serial = RunSerial(f.config, f.dataset, 11, 200, 50);
   core::ApanModel sharded(f.config, &f.dataset.features, 11);
   ShardedEngine::Options options;
   options.num_shards = 1;
   ShardedEngine engine(&sharded, options);
+  std::vector<float> scores;
   for (size_t lo = 0; lo < 200; lo += 50) {
-    ASSERT_TRUE(engine.InferBatch(f.BatchEvents(lo, lo + 50)).ok());
+    auto result = engine.InferBatch(f.BatchEvents(lo, lo + 50));
+    ASSERT_TRUE(result.ok()) << result.status();
+    scores.insert(scores.end(), result->scores.begin(), result->scores.end());
+    engine.Flush();
   }
-  engine.Flush();
-  ExpectStitchedMailboxEqual(engine, *serial.model, f.config.num_nodes,
-                             /*min_nonempty=*/20);
+  ASSERT_EQ(scores.size(), serial.scores.size());
+  EXPECT_EQ(std::memcmp(scores.data(), serial.scores.data(),
+                        scores.size() * sizeof(float)),
+            0)
+      << "InferBatch scores differ from the serial oracle's bitwise";
+  ExpectStitchedStateBitwise(engine, *serial.model, f.config.num_nodes);
   EXPECT_EQ(engine.stats().mails_cross_shard, 0);
+}
+
+// Multi-shard payloads sum ρ partials in sender-shard order, which the
+// serial oracle cannot reproduce; this pins them instead. Each config is
+// served flush-stepped (so encodes see settled state and the digest is a
+// pure function of the stream) with 2-hop fan-out across hash and
+// locality partitions, and the digest of the stitched payloads and z(t−)
+// rows must equal the value recorded before the flat mail-block rework.
+// The values also fold in the encoder's libm calls (exp, cos), so a
+// platform whose libm rounds differently has to record its own.
+TEST(ShardedEngineTest, StitchedStateDigestIsPinned) {
+  struct Config {
+    int shards;
+    bool locality;
+    uint64_t digest;
+  };
+  const Config configs[] = {
+      {2, false, 0xa85d5000233fb49eull},
+      {2, true, 0x75c6788580d49d2eull},
+      {4, false, 0xd179366c87f2ea30ull},
+      {4, true, 0x97808955eb58e517ull},
+  };
+  Fixture f;
+  f.config.propagation_hops = 2;
+  const size_t events = 300, batch = 50;
+  for (const Config& c : configs) {
+    SCOPED_TRACE(testing::Message()
+                 << "x" << c.shards << (c.locality ? " locality" : " hash"));
+    core::ApanModel model(f.config, &f.dataset.features, 5);
+    ShardedEngine::Options options;
+    options.num_shards = c.shards;
+    if (c.locality) {
+      options.partition = graph::NodePartition::BuildLocality(
+          f.config.num_nodes, c.shards,
+          std::span<const graph::Event>(f.dataset.events.data(), events));
+    }
+    ShardedEngine engine(&model, options);
+    for (size_t lo = 0; lo < events; lo += batch) {
+      ASSERT_TRUE(engine.InferBatch(f.BatchEvents(lo, lo + batch)).ok());
+      engine.Flush();
+    }
+    EXPECT_GT(engine.stats().mails_cross_shard, 0);
+    const uint64_t digest =
+        testutil::StitchedStateDigest(engine, f.config.num_nodes);
+    EXPECT_EQ(digest, c.digest) << std::hex << "0x" << digest;
+  }
 }
 
 TEST(ShardedEngineTest, FlushSteppedPayloadsAndScoresTrackSerial) {

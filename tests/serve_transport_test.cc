@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -332,23 +335,55 @@ TEST(TransportTest, UnixSocketDeliversAcrossLanes) {
                           received.emplace_back(to, m.batch);
                         })
                   .ok());
+  // 3 shards have 3 × 2 = 6 lanes: every ordered pair of distinct shards.
+  // A self-send is refused, not delivered — there is no self-lane.
   for (int from = 0; from < 3; ++from) {
     for (int to = 0; to < 3; ++to) {
       ShardPartial partial;
       partial.batch = from * 3 + to;
       partial.from_shard = from;
-      ASSERT_TRUE(uds.Send(from, to, std::move(partial)).ok());
+      const Status sent = uds.Send(from, to, std::move(partial));
+      if (from == to) {
+        EXPECT_EQ(sent.code(), StatusCode::kInvalidArgument) << from;
+      } else {
+        ASSERT_TRUE(sent.ok()) << sent;
+      }
     }
   }
   uds.Stop();  // drains every accepted frame before returning
   std::lock_guard<std::mutex> lock(mu);
-  ASSERT_EQ(received.size(), 9u);
+  ASSERT_EQ(received.size(), 6u);
   int64_t batch_sum = 0;
   for (const auto& [to, batch] : received) {
     EXPECT_EQ(batch % 3, to);  // delivered to the lane's receiver
+    EXPECT_NE(batch / 3, to);  // never on a self-lane
     batch_sum += batch;
   }
-  EXPECT_EQ(batch_sum, 36);  // 0 + 1 + ... + 8, each exactly once
+  EXPECT_EQ(batch_sum, 36 - (0 + 4 + 8));  // the 6 cross lanes, once each
+}
+
+TEST(TransportTest, SelfSendRefusedByEveryTransport) {
+  std::vector<std::unique_ptr<Transport>> transports;
+  transports.push_back(std::make_unique<InProcessTransport>());
+  transports.push_back(std::make_unique<FaultyTransport>(
+      std::make_unique<InProcessTransport>(), FaultyTransport::Options{}));
+  if (UnixSocketTransport::Available()) {
+    transports.push_back(std::make_unique<UnixSocketTransport>());
+  }
+  for (auto& transport : transports) {
+    SCOPED_TRACE(transport->name());
+    std::atomic<int> delivered{0};
+    ASSERT_TRUE(
+        transport->Start(2, [&delivered](int, ShardPartial) { ++delivered; })
+            .ok());
+    EXPECT_EQ(transport->Send(1, 1, ShardPartial{}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(transport->Send(0, 2, ShardPartial{}).code(),
+              StatusCode::kInvalidArgument);
+    ASSERT_TRUE(transport->Send(0, 1, ShardPartial{}).ok());
+    transport->Stop();
+    EXPECT_EQ(delivered, 1);
+  }
 }
 
 TEST(TransportTest, ParseTransportKindNames) {

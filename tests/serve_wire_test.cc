@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 
+#include "serve/codec.h"
 #include "util/random.h"
 
 namespace apan {
@@ -31,40 +35,23 @@ bool SameFloats(const std::vector<float>& a, const std::vector<float>& b) {
   return true;
 }
 
-bool Equal(const core::MailDelivery& a, const core::MailDelivery& b) {
-  return a.recipient == b.recipient && SameFloats(a.mail, b.mail) &&
-         SameBits(a.timestamp, b.timestamp) &&
-         a.contributions == b.contributions;
+bool Equal(const core::RowBlock& a, const core::RowBlock& b) {
+  if (a.size() != b.size() || (!a.empty() && a.width != b.width) ||
+      a.sequence != b.sequence || a.node != b.node || a.count != b.count ||
+      a.timestamp.size() != b.timestamp.size() ||
+      !SameFloats(a.rows, b.rows)) {
+    return false;
+  }
+  for (size_t i = 0; i < a.timestamp.size(); ++i) {
+    if (!SameBits(a.timestamp[i], b.timestamp[i])) return false;
+  }
+  return true;
 }
 
 bool Equal(const ShardPartial& a, const ShardPartial& b) {
-  if (a.batch != b.batch || a.from_shard != b.from_shard ||
-      a.state_updates.size() != b.state_updates.size() ||
-      a.hop0.size() != b.hop0.size() || a.partial.size() != b.partial.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.state_updates.size(); ++i) {
-    const StateUpdate& u = a.state_updates[i];
-    const StateUpdate& v = b.state_updates[i];
-    if (u.sequence != v.sequence || u.node != v.node || !SameFloats(u.z, v.z)) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < a.hop0.size(); ++i) {
-    if (a.hop0[i].sequence != b.hop0[i].sequence ||
-        !Equal(a.hop0[i].delivery, b.hop0[i].delivery)) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < a.partial.size(); ++i) {
-    const core::PartialPropagation::PartialReduce& p = a.partial[i];
-    const core::PartialPropagation::PartialReduce& q = b.partial[i];
-    if (p.recipient != q.recipient || !SameFloats(p.sum, q.sum) ||
-        !SameBits(p.newest, q.newest) || p.count != q.count) {
-      return false;
-    }
-  }
-  return true;
+  return a.batch == b.batch && a.from_shard == b.from_shard &&
+         Equal(a.state, b.state) && Equal(a.hop0, b.hop0) &&
+         Equal(a.partial, b.partial);
 }
 
 void ExpectRoundTrip(const ShardPartial& message) {
@@ -74,32 +61,60 @@ void ExpectRoundTrip(const ShardPartial& message) {
   EXPECT_TRUE(Equal(message, *decoded));
 }
 
+// ---- Row builders -----------------------------------------------------------
+// Each appends one row to a section; the section's width is its rows'.
+
+void AddRow(core::RowBlock* b, graph::NodeId node, std::vector<float> row) {
+  b->width = static_cast<int64_t>(row.size());
+  b->node.push_back(node);
+  b->rows.insert(b->rows.end(), row.begin(), row.end());
+}
+
+void AddState(ShardPartial* m, int64_t sequence, graph::NodeId node,
+              std::vector<float> z) {
+  m->state.sequence.push_back(sequence);
+  AddRow(&m->state, node, std::move(z));
+}
+
+void AddHop0(ShardPartial* m, int64_t sequence, graph::NodeId recipient,
+             std::vector<float> mail, double timestamp, int64_t count) {
+  m->hop0.sequence.push_back(sequence);
+  m->hop0.timestamp.push_back(timestamp);
+  m->hop0.count.push_back(count);
+  AddRow(&m->hop0, recipient, std::move(mail));
+}
+
+void AddPartial(ShardPartial* m, graph::NodeId recipient,
+                std::vector<float> sum, double newest, int64_t count) {
+  m->partial.timestamp.push_back(newest);
+  m->partial.count.push_back(count);
+  AddRow(&m->partial, recipient, std::move(sum));
+}
+
 // ---- Exemplar messages (edge values included) ------------------------------
 
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+
+/// A NaN with a non-default payload: the wire must carry its exact bits.
+float PayloadNaN() { return std::bit_cast<float>(0x7fc00123u); }
+
+/// Every section populated at one width per section, with NaN payloads,
+/// -0.0, a denormal, ±inf, int64 extremes and negative timestamps.
 ShardPartial MakePartial() {
   ShardPartial m;
   m.batch = 41;
   m.from_shard = 3;
-  // Negative timestamps, empty mail payloads, zero-length z, NaN and -0.0
-  // are all representable states the wire must carry bitwise.
-  m.state_updates.push_back({0, 7, {1.0f, -2.5f, 0.0f}});
-  m.state_updates.push_back({std::numeric_limits<int64_t>::max(), 0, {}});
-  core::PartialPropagation::TaggedDelivery hop0;
-  hop0.sequence = 5;
-  hop0.delivery = {11, {}, -123.5, 1};  // empty mail payload, negative time
-  m.hop0.push_back(hop0);
-  hop0.sequence = 6;
-  hop0.delivery = {12,
-                   {std::numeric_limits<float>::quiet_NaN(), -0.0f},
-                   std::numeric_limits<double>::infinity(),
-                   2};
-  m.hop0.push_back(hop0);
-  core::PartialPropagation::PartialReduce reduce;
-  reduce.recipient = 9;
-  reduce.sum = {0.25f, 0.75f};
-  reduce.newest = -0.0;
-  reduce.count = 3;
-  m.partial.push_back(reduce);
+  AddState(&m, 0, 7, {1.0f, -2.5f, -0.0f});
+  AddState(&m, std::numeric_limits<int64_t>::max(), 0,
+           {PayloadNaN(), kDenorm, kInf});
+  AddHop0(&m, 5, 11, {-kInf, 0.0f}, -123.5, 1);
+  AddHop0(&m, 6, 12, {PayloadNaN(), -0.0f},
+          std::numeric_limits<double>::infinity(), 2);
+  AddPartial(&m, std::numeric_limits<int64_t>::min(), {0.25f, 0.75f}, -0.0,
+             3);
+  AddPartial(&m, 9, {kDenorm, -1.0f}, std::numeric_limits<double>::lowest(),
+             std::numeric_limits<int64_t>::max());
   return m;
 }
 
@@ -108,14 +123,20 @@ ShardPartial MakeExtremePartial() {
   ShardPartial m;
   m.batch = std::numeric_limits<int64_t>::max();
   m.from_shard = std::numeric_limits<int>::max();
-  core::PartialPropagation::PartialReduce reduce;
-  reduce.recipient = std::numeric_limits<int64_t>::min();
-  reduce.sum = {std::numeric_limits<float>::denorm_min(),
-                -std::numeric_limits<float>::infinity()};
-  reduce.newest = std::numeric_limits<double>::lowest();
-  reduce.count = std::numeric_limits<int64_t>::max();
-  m.partial.push_back(reduce);
-  m.partial.push_back({0, {}, 0.0, 0});
+  AddPartial(&m, std::numeric_limits<int64_t>::min(), {kDenorm, -kInf},
+             std::numeric_limits<double>::lowest(),
+             std::numeric_limits<int64_t>::max());
+  AddPartial(&m, 0, {0.0f, 0.0f}, 0.0, 0);
+  return m;
+}
+
+/// Zero-width rows: sections whose rows carry index columns only.
+ShardPartial MakeZeroWidthPartial() {
+  ShardPartial m;
+  m.batch = -1;
+  AddState(&m, std::numeric_limits<int64_t>::min(), 3, {});
+  AddState(&m, 2, 3, {});
+  AddHop0(&m, 4, 5, {}, -1.0, 1);
   return m;
 }
 
@@ -124,6 +145,17 @@ std::vector<ShardPartial> Exemplars() {
   out.push_back(MakePartial());
   out.push_back(ShardPartial{});  // all-empty partial (the batch sentinel)
   out.push_back(MakeExtremePartial());
+  out.push_back(MakeZeroWidthPartial());
+  return out;
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (const uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
   return out;
 }
 
@@ -133,6 +165,26 @@ TEST(WireTest, RoundTripsEveryExemplar) {
   for (const ShardPartial& message : Exemplars()) {
     ExpectRoundTrip(message);
   }
+}
+
+// MakePartial's payload as encoded by the per-row-vector codec that the
+// flat row blocks replaced: the kind-1 layout is unchanged, so a
+// uniform-width message must still encode to exactly these bytes.
+constexpr char kMakePartialGolden[] =
+    "0129000000000000000300000002000000000000000000000000000000070000000000"
+    "000003000000000000000000803f000020c000000080ffffffffffffff7f0000000000"
+    "00000003000000000000002301c07f010000000000807f020000000000000005000000"
+    "000000000b000000000000000200000000000000000080ff000000000000000000e05e"
+    "c0010000000000000006000000000000000c0000000000000002000000000000002301"
+    "c07f00000080000000000000f07f020000000000000002000000000000000000000000"
+    "00008002000000000000000000803e0000403f00000000000000800300000000000000"
+    "0900000000000000020000000000000001000000000080bfffffffffffffefffffffff"
+    "ffffffff7f";
+
+TEST(WireTest, UniformMessageEncodesAsBefore) {
+  const std::vector<uint8_t> payload = wire::EncodeMessage(MakePartial());
+  EXPECT_EQ(payload.size(), 285u);
+  EXPECT_EQ(Hex(payload), kMakePartialGolden);
 }
 
 TEST(WireTest, FrameRoundTrip) {
@@ -200,6 +252,74 @@ TEST(WireTest, UnknownKindRejected) {
   }
   batch.insert(batch.end(), inner.begin(), inner.end());
   EXPECT_FALSE(wire::DecodeMessage(batch).ok());
+}
+
+/// A kind-1 payload whose state section holds two rows of the given
+/// widths, hand-written because the encoder refuses a ragged block.
+std::vector<uint8_t> TwoStateRows(uint64_t first_width,
+                                  uint64_t second_width) {
+  std::vector<uint8_t> out = {1};
+  codec::PutI64(&out, 0);  // batch
+  codec::PutI32(&out, 0);  // from_shard
+  codec::PutU64(&out, 2);
+  for (int64_t row = 0; row < 2; ++row) {
+    codec::PutI64(&out, row);  // sequence
+    codec::PutI64(&out, 7);    // node
+    const uint64_t width = row == 0 ? first_width : second_width;
+    codec::PutU64(&out, width);
+    for (uint64_t i = 0; i < width; ++i) codec::PutF32(&out, 1.0f);
+  }
+  codec::PutU64(&out, 0);  // hop0
+  codec::PutU64(&out, 0);  // partial
+  return out;
+}
+
+TEST(WireTest, RaggedRowsRejectedNamingTheField) {
+  ASSERT_TRUE(wire::DecodeMessage(TwoStateRows(2, 2)).ok());
+  for (const auto& [first, second] :
+       {std::pair<uint64_t, uint64_t>{2, 3}, {3, 2}, {0, 1}, {1, 0}}) {
+    Result<ShardPartial> decoded =
+        wire::DecodeMessage(TwoStateRows(first, second));
+    ASSERT_FALSE(decoded.ok()) << first << " then " << second;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
+    EXPECT_NE(decoded.status().message().find("ragged state_update.z"),
+              std::string::npos)
+        << decoded.status();
+  }
+}
+
+TEST(WireTest, OutOfOrderRunsRejectedNamingTheField) {
+  struct Case {
+    ShardPartial message;
+    const char* field;
+  };
+  std::vector<Case> cases;
+  {
+    ShardPartial m;  // state: sequences repeat
+    AddState(&m, 4, 1, {1.0f});
+    AddState(&m, 4, 2, {2.0f});
+    cases.push_back({m, "state_update.sequence not ascending"});
+  }
+  {
+    ShardPartial m;  // hop0: sequences descend
+    AddHop0(&m, 6, 1, {1.0f}, 0.0, 1);
+    AddHop0(&m, 5, 2, {2.0f}, 0.0, 1);
+    cases.push_back({m, "hop0.sequence not ascending"});
+  }
+  {
+    ShardPartial m;  // partial: a recipient twice in one run
+    AddPartial(&m, 9, {1.0f}, 0.0, 1);
+    AddPartial(&m, 9, {2.0f}, 0.0, 1);
+    cases.push_back({m, "reduce.recipient not ascending"});
+  }
+  for (const Case& c : cases) {
+    Result<ShardPartial> decoded =
+        wire::DecodeMessage(wire::EncodeMessage(c.message));
+    ASSERT_FALSE(decoded.ok()) << c.field;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
+    EXPECT_NE(decoded.status().message().find(c.field), std::string::npos)
+        << decoded.status();
+  }
 }
 
 TEST(WireTest, CorruptCountRejectedBeforeAllocation) {
