@@ -388,19 +388,17 @@ std::unique_ptr<core::NodeStateStore> MakeWarmStore(
   auto store = std::make_unique<core::NodeStateStore>(
       config.num_nodes, config.mailbox_slots, config.embedding_dim);
   Rng rng(16);
-  std::vector<core::MailDelivery> mails;
+  std::vector<float> mail(static_cast<size_t>(config.embedding_dim));
   for (graph::NodeId v = 0; v < config.num_nodes; ++v) {
     std::vector<float> z(static_cast<size_t>(config.embedding_dim));
     for (auto& x : z) x = static_cast<float>(rng.Normal());
     store->SetLastEmbedding(v, z);
     const int count = 2 + static_cast<int>(rng.UniformInt(8));
     for (int i = 0; i < count; ++i) {
-      std::vector<float> mail(static_cast<size_t>(config.embedding_dim));
       for (auto& x : mail) x = static_cast<float>(rng.Normal());
-      mails.push_back({v, std::move(mail), 0.1 * i, 1});
+      store->Deliver(v, mail, 0.1 * i);
     }
   }
-  store->DeliverBatch(std::move(mails));
   return store;
 }
 

@@ -13,8 +13,9 @@
 // The synchronous path (EncodeNodes → decoder) touches only the state
 // store — node embeddings and mailboxes — and never queries the temporal
 // graph; the test suite asserts this via TemporalGraph::query_count().
-// The asynchronous path (ProcessBatchPostInference) appends events to
-// the graph and runs the propagator.
+// The asynchronous path (ProcessBatchPostInference) is the only graph
+// reader: it samples the k-hop neighbourhoods, runs the graph-free
+// propagation kernel over them, and appends the batch's events.
 
 #ifndef APAN_CORE_APAN_MODEL_H_
 #define APAN_CORE_APAN_MODEL_H_
@@ -98,23 +99,32 @@ class ApanModel : public nn::Module {
 
   // ---- Asynchronous link ---------------------------------------------------
 
-  /// \brief Completes a batch after inference: stores detached embeddings
-  /// as the nodes' new z(t−), runs mail propagation, and appends the
-  /// events to the temporal graph. Equivalent to ApplyEmbeddings +
-  /// propagator().Propagate + AppendEvents.
-  /// \param records one entry per event, in timestamp order.
+  /// \brief Completes a batch after inference, in flat form: `z` is the
+  /// batch's detached embedding matrix (row-major, embedding_dim wide) and
+  /// event r's endpoint embeddings are its rows `src_row[r]` and
+  /// `dst_row[r]`. In order: writes those rows as the endpoints' new z(t−)
+  /// (a later event wins on duplicates); samples each event's k-hop
+  /// neighbourhood N on the model's own graph, before the batch is
+  /// appended; runs propagator().PropagateRows; delivers the hop-0 rows in
+  /// event order, then each ρ-finalized row, through
+  /// NodeStateStore::Deliver; appends the events to the graph.
+  /// \param events one per row pair, in timestamp order.
   /// \return first error from the graph append, if any.
-  Status ProcessBatchPostInference(
-      const std::vector<InteractionRecord>& records);
+  Status ProcessBatchPostInference(std::span<const graph::Event> events,
+                                   std::span<const float> z,
+                                   std::span<const int64_t> src_row,
+                                   std::span<const int64_t> dst_row);
 
-  /// Stage 1 of post-inference: stores each record's embeddings as the
-  /// endpoints' new z(t−) (later records win on duplicates).
+  /// \name Record form
+  /// Post-inference stages 1 (z(t−) write) and 5 (graph append) over
+  /// InteractionRecords. Kept only for servebench/harness.cc, which
+  /// replays ProcessBatchPostInference call by call (see the record block
+  /// in core/propagator.h). AppendEvents must follow the batch's N
+  /// sampling, so that neighbourhoods reflect the graph at batch start.
+  ///@{
   void ApplyEmbeddings(const std::vector<InteractionRecord>& records);
-
-  /// Stage 3 of post-inference: appends the events to the temporal graph.
-  /// Must run *after* propagation sampling for the same batch, so that
-  /// neighborhoods reflect the graph at batch start.
   Status AppendEvents(const std::vector<InteractionRecord>& records);
+  ///@}
 
   /// Writes detached embedding values into the z(t−) table.
   void UpdateLastEmbeddings(const std::vector<graph::NodeId>& nodes,
@@ -155,6 +165,9 @@ class ApanModel : public nn::Module {
   EdgeDecoder edge_decoder_;
   NodeDecoder node_decoder_;
   MailPropagator propagator_;
+  /// N's draws under PropagationSampling::kUniform. Deliberately not
+  /// reset by ResetState: epochs continue one sampling stream.
+  Rng sampling_rng_{0xA9A17ULL};
   tensor::Tensor link_scale_;  // {1, 1} Eq. 7 calibration
   tensor::Tensor link_bias_;   // {1}
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "nn/attention.h"
 #include "obs/trace.h"
@@ -79,54 +78,8 @@ void Mailbox::Deliver(graph::NodeId node, std::span<const float> mail,
 }
 
 int64_t Mailbox::DeliverBatch(std::span<const MailDelivery> deliveries) {
-  if (deliveries.empty()) return 0;
-  // Stable grouping by recipient: mails for one node stay in span order.
-  std::vector<int64_t> idx(deliveries.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  std::stable_sort(idx.begin(), idx.end(), [&](int64_t a, int64_t b) {
-    return deliveries[static_cast<size_t>(a)].recipient <
-           deliveries[static_cast<size_t>(b)].recipient;
-  });
-
-  size_t i = 0;
-  while (i < idx.size()) {
-    const graph::NodeId node =
-        deliveries[static_cast<size_t>(idx[i])].recipient;
-    APAN_CHECK_MSG(node >= 0 && node < num_nodes_,
-                   "mailbox node out of range");
-    const auto n = static_cast<size_t>(node);
-    // Ring bookkeeping loaded once per recipient group.
-    int32_t head = head_[n];
-    int32_t count = count_[n];
-    const size_t base = n * static_cast<size_t>(slots_ * dim_);
-    for (; i < idx.size() &&
-           deliveries[static_cast<size_t>(idx[i])].recipient == node;
-         ++i) {
-      const MailDelivery& d = deliveries[static_cast<size_t>(idx[i])];
-      APAN_CHECK_MSG(static_cast<int64_t>(d.mail.size()) == dim_,
-                     "mail dimension mismatch");
-      int64_t slot;
-      if (count < slots_) {
-        slot = (head + count) % slots_;
-        ++count;
-        InsertIntoOrder(n, static_cast<int32_t>(slot), d.timestamp,
-                        count - 1);
-      } else {
-        slot = head;  // evict oldest
-        head = static_cast<int32_t>((head + 1) % slots_);
-        RemoveFromOrder(n, static_cast<int32_t>(slot),
-                        static_cast<int32_t>(slots_));
-        InsertIntoOrder(n, static_cast<int32_t>(slot), d.timestamp,
-                        static_cast<int32_t>(slots_) - 1);
-      }
-      std::copy(d.mail.begin(), d.mail.end(),
-                data_.begin() + base +
-                    static_cast<size_t>(slot) * static_cast<size_t>(dim_));
-      timestamps_[n * static_cast<size_t>(slots_) +
-                  static_cast<size_t>(slot)] = d.timestamp;
-    }
-    head_[n] = head;
-    count_[n] = count;
+  for (const MailDelivery& d : deliveries) {
+    Deliver(d.recipient, d.mail, d.timestamp);
   }
   return static_cast<int64_t>(deliveries.size());
 }

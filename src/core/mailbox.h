@@ -55,11 +55,9 @@ class Mailbox {
   void Deliver(graph::NodeId node, std::span<const float> mail,
                double timestamp);
 
-  /// \brief Delivers a batch of mails, grouping deliveries per node so the
-  /// ring bookkeeping (head/count/base offset) is computed once per
-  /// recipient instead of once per mail. Equivalent to calling Deliver()
-  /// per entry: mails addressed to the same node land in their span order
-  /// (grouping is stable), and inter-node order never affects state.
+  /// \brief Deliver() for each entry, in span order — the record form the
+  /// serving benchmark's serial replay (servebench/harness.cc) still
+  /// calls; every other path delivers row by row through Deliver().
   /// \return number of mails stored.
   int64_t DeliverBatch(std::span<const MailDelivery> deliveries);
 

@@ -103,19 +103,6 @@ Mailbox::ReadResult NodeStateStore::ReadBatch(
   return mailbox_.ReadBatch(rows);
 }
 
-int64_t NodeStateStore::DeliverBatch(std::vector<MailDelivery>&& deliveries) {
-  if (!dense_all_) {
-    for (MailDelivery& d : deliveries) d.recipient = LocalRow(d.recipient);
-  }
-  return mailbox_.DeliverBatch(deliveries);
-}
-
-int64_t NodeStateStore::DeliverBatch(std::span<const MailDelivery> deliveries) {
-  if (dense_all_) return mailbox_.DeliverBatch(deliveries);
-  std::vector<MailDelivery> translated(deliveries.begin(), deliveries.end());
-  return DeliverBatch(std::move(translated));
-}
-
 void NodeStateStore::Deliver(graph::NodeId node, std::span<const float> mail,
                              double timestamp) {
   mailbox_.Deliver(LocalRow(node), mail, timestamp);

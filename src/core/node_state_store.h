@@ -91,16 +91,10 @@ class NodeStateStore {
   /// Batched, time-sorted mailbox read-out for the encoder (global ids).
   Mailbox::ReadResult ReadBatch(const std::vector<graph::NodeId>& nodes) const;
 
-  /// \brief Delivers a batch of mails whose recipients this store owns.
-  /// The move overload rewrites recipients to local rows in place; the
-  /// span overload copies when translation is needed.
-  /// \return number of mails stored.
-  int64_t DeliverBatch(std::vector<MailDelivery>&& deliveries);
-  int64_t DeliverBatch(std::span<const MailDelivery> deliveries);
-
   /// Stores one mail (dim() floats) for owned `node` — Mailbox::Deliver
-  /// by global id. The sharded merge applies flat mail rows through this,
-  /// in replay order, with no intermediate MailDelivery.
+  /// by global id, the one mailbox write path: the serial
+  /// ApanModel::ProcessBatchPostInference and the sharded merge both
+  /// apply flat mail rows through this, in delivery order.
   void Deliver(graph::NodeId node, std::span<const float> mail,
                double timestamp);
 

@@ -18,50 +18,12 @@ void MailRow(const float* z_src, const float* e, const float* z_dst,
 }  // namespace
 
 MailPropagator::MailPropagator(const ApanConfig& config,
-                               const graph::TemporalGraph* graph,
                                const graph::EdgeFeatureStore* features)
-    : config_(config), graph_(graph), features_(features) {
-  APAN_CHECK(graph != nullptr && features != nullptr);
+    : config_(config), features_(features) {
+  APAN_CHECK(features != nullptr);
   APAN_CHECK(config.Validate().ok());
   APAN_CHECK_MSG(features->dim() == config.embedding_dim,
                  "mail dim must equal edge feature dim (paper §3.5)");
-}
-
-std::vector<float> MailPropagator::MakeMail(
-    const InteractionRecord& record) const {
-  const int64_t d = config_.embedding_dim;
-  APAN_CHECK_MSG(static_cast<int64_t>(record.z_src.size()) == d &&
-                     static_cast<int64_t>(record.z_dst.size()) == d,
-                 "interaction embeddings have wrong dimension");
-  std::vector<float> mail(static_cast<size_t>(d));
-  MailRow(record.z_src.data(), features_->Row(record.event.edge_id),
-          record.z_dst.data(), d, mail.data());
-  return mail;
-}
-
-PartialPropagation MailPropagator::ComputePartial(
-    std::span<const InteractionRecord> records,
-    std::span<const int64_t> event_index) const {
-  // N: sample each record's neighborhood on the local monolithic graph,
-  // then run the graph-free stage. Most-recent sampling is the paper's
-  // choice; uniform is the §3.5 alternative.
-  std::vector<std::vector<graph::HopEntry>> hops(records.size());
-  if (config_.propagation_hops > 0) {
-    for (size_t r = 0; r < records.size(); ++r) {
-      const InteractionRecord& record = records[r];
-      const double t = record.event.timestamp;
-      hops[r] =
-          config_.sampling == PropagationSampling::kMostRecent
-              ? graph::KHopMostRecent(
-                    *graph_, {record.event.src, record.event.dst}, t,
-                    config_.propagation_hops, config_.sampled_neighbors)
-              : graph::KHopUniform(
-                    *graph_, {record.event.src, record.event.dst}, t,
-                    config_.propagation_hops, config_.sampled_neighbors,
-                    &sampling_rng_);
-    }
-  }
-  return ComputePartialFromHops(records, event_index, hops);
 }
 
 void MailPropagator::PropagateRows(
@@ -171,6 +133,14 @@ void MailPropagator::PropagateRows(
   }
 }
 
+void MailPropagator::FinalizeRow(float* row, int64_t width, int64_t count) {
+  APAN_CHECK_MSG(count > 0, "FinalizeRow on an empty partial");
+  const float inv = 1.0f / static_cast<float>(count);
+  for (int64_t i = 0; i < width; ++i) row[i] *= inv;
+}
+
+// ---- Record form (servebench/harness.cc only; see propagator.h) ----------
+
 PartialPropagation MailPropagator::ComputePartialFromHops(
     std::span<const InteractionRecord> records,
     std::span<const int64_t> event_index,
@@ -218,12 +188,6 @@ PartialPropagation MailPropagator::ComputePartialFromHops(
   return out;
 }
 
-void MailPropagator::FinalizeRow(float* row, int64_t width, int64_t count) {
-  APAN_CHECK_MSG(count > 0, "FinalizeReduce on empty partial");
-  const float inv = 1.0f / static_cast<float>(count);
-  for (int64_t i = 0; i < width; ++i) row[i] *= inv;
-}
-
 MailDelivery MailPropagator::FinalizeReduce(
     PartialPropagation::PartialReduce&& partial) {
   MailDelivery delivery;
@@ -234,29 +198,6 @@ MailDelivery MailPropagator::FinalizeReduce(
   delivery.timestamp = partial.newest;
   delivery.contributions = partial.count;
   return delivery;
-}
-
-std::vector<MailDelivery> MailPropagator::ComputeDeliveries(
-    const std::vector<InteractionRecord>& batch) const {
-  std::vector<int64_t> event_index(batch.size());
-  std::iota(event_index.begin(), event_index.end(), 0);
-  PartialPropagation part = ComputePartial(batch, event_index);
-
-  std::vector<MailDelivery> out;
-  out.reserve(part.hop0.size() + part.partial.size());
-  for (auto& tagged : part.hop0) out.push_back(std::move(tagged.delivery));
-  // ρ: mean-reduce the propagated mails to one per recipient per batch.
-  for (auto& partial : part.partial) {
-    out.push_back(FinalizeReduce(std::move(partial)));
-  }
-  return out;
-}
-
-int64_t MailPropagator::Propagate(
-    const std::vector<InteractionRecord>& batch, Mailbox* mailbox) const {
-  APAN_CHECK(mailbox != nullptr);
-  const auto deliveries = ComputeDeliveries(batch);
-  return mailbox->DeliverBatch(deliveries);
 }
 
 }  // namespace core

@@ -1,7 +1,7 @@
 // The asynchronous mail propagator (paper §3.5, Figure 5).
 //
 // After the encoder produces embeddings for an interaction
-// (v_i, v_j, e_ij, t), the propagator:
+// (v_i, v_j, e_ij, t), propagation:
 //   φ  builds the mail  mail(t) = z_i(t) + e_ij(t) + z_j(t)  (summation
 //      keeps the mailbox memory footprint at one slot per mail);
 //   N  samples the k-hop most-recent neighborhood of {v_i, v_j} using only
@@ -10,6 +10,11 @@
 //   ρ  mean-reduces multiple mails arriving at one recipient in the same
 //      batch into a single mail;
 //   ψ  appends the reduced mail to each recipient's FIFO mailbox.
+//
+// MailPropagator is φ + f + ρ only: it holds no graph and no RNG. N is the
+// caller's — core::ApanModel samples its own TemporalGraph, each
+// serve::ShardedEngine worker samples its own graph::AdjacencyReplica —
+// and ψ is the caller's NodeStateStore::Deliver.
 //
 // The interacting endpoints themselves always receive the mail (their own
 // mailboxes are how they remember their own history); sampled neighbors
@@ -29,21 +34,9 @@
 #include "core/mailbox.h"
 #include "graph/edge_features.h"
 #include "graph/sampling.h"
-#include "graph/temporal_graph.h"
 
 namespace apan {
 namespace core {
-
-/// A completed interaction plus the (detached) embeddings the encoder
-/// produced for it — everything φ needs.
-struct InteractionRecord {
-  graph::Event event;
-  std::vector<float> z_src;
-  std::vector<float> z_dst;
-};
-
-// MailDelivery lives in core/mailbox.h (it is the unit Mailbox consumes);
-// re-exported here for existing includers.
 
 /// \brief A flat structure-of-arrays run of equal-width float rows beside
 /// their index columns — the unit propagation writes, serve::ShardedEngine
@@ -84,16 +77,23 @@ struct InteractionRows {
   std::span<const int64_t> dst_row;
 };
 
-/// \brief Unreduced propagation output for a slice of a batch — the
-/// per-element form of MailPropagator::PropagateRows.
-///
-/// Hop-0 deliveries carry a sequence tag (derived from the event's global
-/// position in the batch) so a recipient that gathers slices from several
-/// shards can reconstruct the exact per-node delivery order. Hops 1..k are
-/// returned as per-recipient partial *sums*; the recipient finalizes ρ
-/// (divide by the total contribution count) only after merging every
-/// slice, so the reduced mail spans the whole batch exactly as in the
-/// single-worker path.
+// ---- Record form ------------------------------------------------------------
+// InteractionRecord, PartialPropagation and the two MailPropagator members
+// under "Record form" below stay only because servebench/harness.cc (the
+// serving benchmark's serial replay) calls them — as it calls the record
+// overloads of ApanModel::ApplyEmbeddings / AppendEvents and
+// Mailbox::DeliverBatch. No serving or training path uses them. They go
+// when that harness moves to the flat API (InteractionRows + PropagateRows
+// + FinalizeRow + NodeStateStore::Deliver).
+
+/// A completed interaction plus its (detached) endpoint embeddings.
+struct InteractionRecord {
+  graph::Event event;
+  std::vector<float> z_src;
+  std::vector<float> z_dst;
+};
+
+/// PropagateRows' output in per-element form.
 struct PartialPropagation {
   struct TaggedDelivery {
     /// 2 * global event index + {0: src endpoint, 1: dst endpoint}.
@@ -106,89 +106,55 @@ struct PartialPropagation {
     double newest = 0.0;
     int64_t count = 0;
   };
-  /// In event order (src before dst within an event).
-  std::vector<TaggedDelivery> hop0;
-  /// Sorted by recipient; one entry per distinct hop-1..k recipient.
-  std::vector<PartialReduce> partial;
+  std::vector<TaggedDelivery> hop0;    ///< One per PropagateRows hop0 row.
+  std::vector<PartialReduce> partial;  ///< One per PropagateRows partial row.
 };
 
-/// \brief Stateless propagation logic; mailbox state lives in Mailbox.
+/// \brief φ + f + ρ over caller-sampled neighborhoods; graph-free and
+/// stateless, so one instance serves every shard worker concurrently.
 class MailPropagator {
  public:
-  /// `graph` and `features` must outlive the propagator. The graph is
-  /// queried on the *asynchronous* link only.
+  /// `features` must outlive the propagator.
   MailPropagator(const ApanConfig& config,
-                 const graph::TemporalGraph* graph,
                  const graph::EdgeFeatureStore* features);
 
-  /// \brief φ + N + f + ρ for one batch.
-  ///
-  /// Returns, in order: one *unreduced* delivery per event per endpoint
-  /// (hop 0 — a node's own interactions each occupy a mailbox slot), then
-  /// one ρ-mean-reduced delivery per distinct propagated recipient (hops
-  /// 1..k), sorted by recipient id. Endpoints never appear in the reduced
-  /// section for mails they already received directly.
-  std::vector<MailDelivery> ComputeDeliveries(
-      const std::vector<InteractionRecord>& batch) const;
-
-  /// \brief φ + N + f for a *slice* of a batch, leaving ρ unfinalized.
-  ///
-  /// `event_index[i]` is records[i]'s position in the full batch; it seeds
-  /// the hop-0 sequence tags. ComputeDeliveries(batch) is exactly
-  /// ComputePartial over the whole batch followed by FinalizeReduce on
-  /// each partial entry. Thread-safe for concurrent calls under
-  /// PropagationSampling::kMostRecent (kUniform draws from a shared RNG).
-  PartialPropagation ComputePartial(
-      std::span<const InteractionRecord> records,
-      std::span<const int64_t> event_index) const;
+  /// The edge features φ reads e_ij from (indexed by Event::edge_id).
+  const graph::EdgeFeatureStore& features() const { return *features_; }
 
   /// \brief φ + f + unfinalized ρ over *externally sampled* neighborhoods
-  /// — the one propagation kernel; every other entry point adapts it.
+  /// — the one propagation kernel.
   ///
   /// `hops[r]` is record r's k-hop expansion (hop order, as produced by
-  /// graph::KHopMostRecent or graph::AdjacencyReplica::SampleKHop — which
-  /// is how each serve::ShardedEngine worker samples its own graph
-  /// replica; only HopEntry::node is read). Replaces `*hop0` with one row
-  /// per event per endpoint in event order (src before dst), and
-  /// `*partial` with one ρ partial-sum row per distinct hop-1..k recipient,
-  /// ascending by recipient. Accumulation is record-major in hop-entry
-  /// order. No graph access; thread-safe.
+  /// graph::KHopMostRecent / graph::KHopUniform or
+  /// graph::AdjacencyReplica::SampleKHop; only HopEntry::node is read).
+  /// Replaces `*hop0` with one row per event per endpoint in event order
+  /// (src before dst; a self-loop gets one row), and `*partial` with one
+  /// ρ partial-sum row per distinct hop-1..k recipient, ascending by
+  /// recipient. Endpoints of an event never receive its propagated copy.
+  /// Accumulation is record-major in hop-entry order. Thread-safe.
   void PropagateRows(const InteractionRows& batch,
                      std::span<const std::vector<graph::HopEntry>> hops,
                      RowBlock* hop0, RowBlock* partial) const;
 
-  /// \brief PropagateRows in per-element form, for callers holding
-  /// InteractionRecords. ComputePartial is exactly sampling each record's
-  /// neighborhood locally, then delegating here; the two paths produce
-  /// bitwise-equal partials for equal hop lists.
+  /// ρ on a flat row: scales `width` merged floats by 1 / `count` in
+  /// place. Every path finalizes through this, so every path rounds
+  /// identically. `count` must be positive.
+  static void FinalizeRow(float* row, int64_t width, int64_t count);
+
+  // ---- Record form (see the block above the class) -----------------------
+
+  /// PropagateRows over records laid out one embedding row pair each.
   PartialPropagation ComputePartialFromHops(
       std::span<const InteractionRecord> records,
       std::span<const int64_t> event_index,
       std::span<const std::vector<graph::HopEntry>> hops) const;
 
-  /// ρ for one recipient: divides the merged sum by the contribution
-  /// count. `partial.count` must be positive.
+  /// FinalizeRow on a PartialReduce, as a MailDelivery.
   static MailDelivery FinalizeReduce(PartialPropagation::PartialReduce&& partial);
-
-  /// ρ on a flat row: scales `width` merged floats by 1 / `count` in
-  /// place. FinalizeReduce and the sharded merge both finalize through
-  /// this, so every path rounds identically. `count` must be positive.
-  static void FinalizeRow(float* row, int64_t width, int64_t count);
-
-  /// \brief Full propagation: ComputeDeliveries then ψ (mailbox append).
-  /// \return number of deliveries made.
-  int64_t Propagate(const std::vector<InteractionRecord>& batch,
-                    Mailbox* mailbox) const;
-
-  /// φ alone: mail(t) = z_i + e_ij + z_j. Exposed for tests.
-  std::vector<float> MakeMail(const InteractionRecord& record) const;
 
  private:
   ApanConfig config_;
-  const graph::TemporalGraph* graph_;
   const graph::EdgeFeatureStore* features_;
-  /// Only drawn from under PropagationSampling::kUniform.
-  mutable Rng sampling_rng_{0xA9A17ULL};
 };
 
 }  // namespace core

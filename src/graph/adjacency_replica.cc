@@ -1,6 +1,7 @@
 #include "graph/adjacency_replica.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace apan {
 namespace graph {
@@ -17,6 +18,11 @@ Status AdjacencyReplica::AppendBatch(std::span<const Event> events) {
       return Status::InvalidArgument(internal::StrCat(
           "event endpoints out of range: ", event.src, " -> ", event.dst,
           " (num_nodes=", num_nodes(), ")"));
+    }
+    // NaN compares false against everything: accepted, it would switch
+    // the order check off for every later append.
+    if (std::isnan(event.timestamp)) {
+      return Status::InvalidArgument("append: NaN event timestamp");
     }
     if (event.timestamp < latest) {
       return Status::FailedPrecondition(internal::StrCat(
@@ -89,6 +95,9 @@ Status AdjacencyReplica::Restore(const Checkpoint& checkpoint) {
     return Status::InvalidArgument(internal::StrCat(
         "replica restore: negative event count ", checkpoint.num_events));
   }
+  if (std::isnan(checkpoint.latest_timestamp)) {
+    return Status::InvalidArgument("replica restore: NaN latest timestamp");
+  }
   // Validate everything before mutating so a rejected checkpoint leaves
   // the live replica untouched.
   for (size_t r = 0; r < checkpoint.rows.size(); ++r) {
@@ -98,6 +107,10 @@ Status AdjacencyReplica::Restore(const Checkpoint& checkpoint) {
         return Status::InvalidArgument(internal::StrCat(
             "replica restore: row ", r, " entry ", i, " names node ",
             row[i].node, " outside [0, ", num_nodes(), ")"));
+      }
+      if (std::isnan(row[i].timestamp)) {
+        return Status::InvalidArgument(internal::StrCat(
+            "replica restore: row ", r, " entry ", i, " has a NaN timestamp"));
       }
       if (i > 0 && row[i].timestamp < row[i - 1].timestamp) {
         return Status::InvalidArgument(internal::StrCat(

@@ -65,8 +65,9 @@ class AdjacencyReplica {
   /// (a self-loop is stored once), exactly as TemporalGraph::AddEvent.
   /// The whole batch is validated first, so a rejected batch leaves the
   /// replica unchanged.
-  /// \return InvalidArgument for an out-of-range endpoint;
-  ///         FailedPrecondition for a timestamp older than one before it.
+  /// \return InvalidArgument for an out-of-range endpoint or a NaN
+  ///         timestamp; FailedPrecondition for a timestamp older than one
+  ///         before it.
   Status AppendBatch(std::span<const Event> events);
 
   /// \brief Appends to `out` the most-recent k-hop expansion of `seeds`
@@ -86,8 +87,9 @@ class AdjacencyReplica {
   Checkpoint Export() const;
 
   /// \brief Replaces the contents with a decoded checkpoint. It must have
-  /// one row per node, valid neighbour ids and timestamp-sorted rows; a
-  /// violation returns InvalidArgument with the replica unchanged.
+  /// one row per node, valid neighbour ids and timestamp-sorted rows
+  /// free of NaN (as is its latest timestamp); a violation returns
+  /// InvalidArgument with the replica unchanged.
   Status Restore(const Checkpoint& checkpoint);
 
   /// Bytes of adjacency payload (entries in use, Mailbox::MemoryBytes

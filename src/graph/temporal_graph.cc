@@ -1,6 +1,7 @@
 #include "graph/temporal_graph.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace apan {
 namespace graph {
@@ -15,6 +16,11 @@ Status TemporalGraph::AddEvent(const Event& event) {
     return Status::InvalidArgument(
         internal::StrCat("event endpoints out of range: ", event.src, " -> ",
                          event.dst, " (num_nodes=", num_nodes_, ")"));
+  }
+  // NaN compares false against everything: accepted, it would switch the
+  // order check off for every later event.
+  if (std::isnan(event.timestamp)) {
+    return Status::InvalidArgument("AddEvent: NaN event timestamp");
   }
   if (!events_.empty() && event.timestamp < latest_timestamp_) {
     return Status::FailedPrecondition(internal::StrCat(

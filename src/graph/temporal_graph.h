@@ -87,8 +87,9 @@ class TemporalGraph {
   /// \brief Appends an interaction. Both endpoints gain the other as a
   /// temporal neighbor (interactions are undirected for propagation, as in
   /// the paper's bipartite datasets).
-  /// \return InvalidArgument for bad node ids; FailedPrecondition when the
-  ///         timestamp is older than the newest event already stored.
+  /// \return InvalidArgument for bad node ids or a NaN timestamp;
+  ///         FailedPrecondition when the timestamp is older than the newest
+  ///         event already stored.
   Status AddEvent(const Event& event);
 
   int64_t num_nodes() const { return num_nodes_; }

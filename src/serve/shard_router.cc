@@ -27,29 +27,5 @@ int ShardRouter::ShardOf(graph::NodeId node) const {
   return partition_->owner_of[static_cast<size_t>(node)];
 }
 
-std::vector<std::vector<graph::NodeId>> ShardRouter::PartitionNodes(
-    std::span<const graph::NodeId> nodes) const {
-  std::vector<std::vector<graph::NodeId>> out(
-      static_cast<size_t>(num_shards()));
-  for (const graph::NodeId node : nodes) {
-    out[static_cast<size_t>(ShardOf(node))].push_back(node);
-  }
-  return out;
-}
-
-std::vector<std::vector<int64_t>> ShardRouter::PartitionEvents(
-    std::span<const graph::Event> events) const {
-  std::vector<std::vector<int64_t>> out(static_cast<size_t>(num_shards()));
-  for (size_t i = 0; i < events.size(); ++i) {
-    out[static_cast<size_t>(HomeShardOf(events[i]))].push_back(
-        static_cast<int64_t>(i));
-  }
-  return out;
-}
-
-std::vector<int64_t> ShardRouter::OwnedNodeCounts() const {
-  return partition_->owned_count;
-}
-
 }  // namespace serve
 }  // namespace apan

@@ -20,8 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "graph/node_partition.h"
 #include "graph/temporal_graph.h"
@@ -61,18 +59,6 @@ class ShardRouter {
   int HomeShardOf(const graph::Event& event) const {
     return ShardOf(event.src);
   }
-
-  /// \brief Stable partition of `nodes` into per-shard lists (input order
-  /// preserved within each shard).
-  std::vector<std::vector<graph::NodeId>> PartitionNodes(
-      std::span<const graph::NodeId> nodes) const;
-
-  /// \brief Indices into `events` grouped by home shard, order preserved.
-  std::vector<std::vector<int64_t>> PartitionEvents(
-      std::span<const graph::Event> events) const;
-
-  /// Number of owned nodes per shard (load-balance diagnostics).
-  std::vector<int64_t> OwnedNodeCounts() const;
 
  private:
   std::shared_ptr<const graph::NodePartition> partition_;

@@ -1,6 +1,7 @@
 #include "serve/sharded_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -120,9 +121,7 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
       router_(partition_),
       transport_(options_.transport ? options_.transport()
                                     : std::make_unique<InProcessTransport>()),
-      encode_pool_(options.encode_threads > 0
-                       ? options.encode_threads
-                       : static_cast<size_t>(options.num_shards)),
+      encode_pool_(static_cast<size_t>(options.num_shards)),
       shard_down_(static_cast<size_t>(options.num_shards)) {
   APAN_CHECK(model != nullptr);
   APAN_CHECK_MSG(partition_->num_shards == options_.num_shards &&
@@ -171,8 +170,9 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   ins_.stage_finalize = registry_->GetHistogram("stage.finalize", ns);
   APAN_CHECK_MSG(
       model->config().sampling == core::PropagationSampling::kMostRecent,
-      "ShardedEngine requires kMostRecent sampling: kUniform draws from a "
-      "shared RNG, which shard-concurrent sampling would race on");
+      "ShardedEngine requires kMostRecent sampling: each worker samples "
+      "its graph::AdjacencyReplica, which implements most-recent sampling "
+      "only");
   // The one and only model mutation: eval mode, before the engine runs.
   // From here on the model is weights-only to the engine (const access);
   // every mutable byte the engine serves lives in the per-shard stores.
@@ -227,18 +227,30 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   util::MutexLock infer_lock(infer_mu_);
   if (shutdown_) return Status::Cancelled("engine is shut down");
   // Caller events are validated here, before anything is encoded or
-  // counted: an out-of-range endpoint would abort in the router, and an
-  // out-of-order timestamp would pass the synchronous link only to abort
-  // every worker's replica append. The timestamp check mirrors
+  // counted: an out-of-range endpoint would abort in the router, an
+  // out-of-range edge id in a worker's φ (after the scores went back), and
+  // an out-of-order timestamp would pass the synchronous link only to
+  // abort every worker's replica append. A NaN timestamp compares false
+  // against everything, so it would switch the order check off for the
+  // rest of the stream. The timestamp checks mirror
   // AdjacencyReplica::AppendBatch, so a batch accepted here always
   // appends.
   const int64_t num_nodes = model_->config().num_nodes;
+  const int64_t num_edges = model_->propagator().features().num_edges();
   double latest = last_timestamp_;
   for (const graph::Event& e : events) {
     if (e.src < 0 || e.src >= num_nodes || e.dst < 0 || e.dst >= num_nodes) {
       return Status::InvalidArgument(internal::StrCat(
           "InferBatch: event endpoints out of range: ", e.src, " -> ", e.dst,
           " (num_nodes=", num_nodes, ")"));
+    }
+    if (e.edge_id < 0 || e.edge_id >= num_edges) {
+      return Status::InvalidArgument(internal::StrCat(
+          "InferBatch: edge id ", e.edge_id, " outside [0, ", num_edges,
+          ")"));
+    }
+    if (std::isnan(e.timestamp)) {
+      return Status::InvalidArgument("InferBatch: NaN event timestamp");
     }
     if (e.timestamp < latest) {
       return Status::FailedPrecondition(internal::StrCat(

@@ -143,9 +143,6 @@ class ShardedEngine {
     /// (each parked batch holds its routed mail).
     size_t queue_capacity = 32;
     OverflowPolicy overflow = OverflowPolicy::kBlock;
-    /// Threads encoding shard slices on the synchronous link; 0 means one
-    /// per shard.
-    size_t encode_threads = 0;
     /// Builds the shard-to-shard message transport; null means
     /// InProcessTransport (the pre-transport deque semantics).
     TransportFactory transport;
@@ -163,12 +160,13 @@ class ShardedEngine {
 
   /// `model` must outlive the engine and must not be used concurrently by
   /// other threads while the engine is running. Requires
-  /// PropagationSampling::kMostRecent (kUniform draws from a shared RNG,
-  /// which shard-concurrent sampling would race on). The model is put in
-  /// eval mode once here; afterwards the engine accesses it const-only
-  /// (core::ApanWeights): served state lands in the engine's own
-  /// per-shard NodeStateStores and graph replicas, NOT in model->graph(),
-  /// model->mailbox() or model->state_store(), which all stay empty.
+  /// PropagationSampling::kMostRecent (CHECK-enforced): workers sample
+  /// their graph::AdjacencyReplica, which samples most-recent only. The
+  /// model is put in eval mode once here; afterwards the engine accesses
+  /// it const-only (core::ApanWeights): served state lands in the
+  /// engine's own per-shard NodeStateStores and graph replicas, NOT in
+  /// model->graph(), model->mailbox() or model->state_store(), which all
+  /// stay empty.
   ShardedEngine(core::ApanModel* model, Options options);
   ~ShardedEngine();
 
@@ -185,8 +183,9 @@ class ShardedEngine {
   /// \brief Scores a batch of interactions on the synchronous link
   /// (shard-parallel encoding) and enqueues the per-shard asynchronous
   /// work. Concurrent callers are serialized.
-  /// \return Cancelled after Shutdown; InvalidArgument for an empty batch
-  /// or an endpoint outside [0, num_nodes); FailedPrecondition when the
+  /// \return Cancelled after Shutdown; InvalidArgument for an empty batch,
+  /// an endpoint outside [0, num_nodes), an edge id outside the model's
+  /// edge feature rows, or a NaN timestamp; FailedPrecondition when the
   /// timestamps decrease within the batch or fall before the last
   /// accepted batch's. A refused batch leaves the engine unchanged.
   Result<InferenceResult> InferBatch(const std::vector<graph::Event>& events)

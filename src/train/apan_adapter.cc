@@ -106,20 +106,22 @@ Status ApanLinkModel::Consume(const EventBatch& batch) {
   for (size_t i = 0; i < cache_nodes_.size(); ++i) {
     row_of[cache_nodes_[i]] = static_cast<int64_t>(i);
   }
-  const int64_t d = model_.config().embedding_dim;
-  std::vector<core::InteractionRecord> records;
-  records.reserve(batch.size());
+  // The cached embedding matrix goes in as is; each event names its
+  // endpoints' rows in it.
+  std::vector<graph::Event> events;
+  std::vector<int64_t> src_rows, dst_rows;
+  events.reserve(batch.size());
+  src_rows.reserve(batch.size());
+  dst_rows.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    core::InteractionRecord rec;
-    rec.event = batch.event(i);
-    const float* zs = cache_values_.data() + row_of.at(rec.event.src) * d;
-    const float* zd = cache_values_.data() + row_of.at(rec.event.dst) * d;
-    rec.z_src.assign(zs, zs + d);
-    rec.z_dst.assign(zd, zd + d);
-    records.push_back(std::move(rec));
+    const graph::Event& e = batch.event(i);
+    events.push_back(e);
+    src_rows.push_back(row_of.at(e.src));
+    dst_rows.push_back(row_of.at(e.dst));
   }
   has_cache_ = false;
-  return model_.ProcessBatchPostInference(records);
+  return model_.ProcessBatchPostInference(events, cache_values_, src_rows,
+                                          dst_rows);
 }
 
 void ApanLinkModel::ResetState() {

@@ -85,15 +85,16 @@ TEST(UniformPropagationTest, DeliversToHistoricalNeighbors) {
   ApanConfig cfg = BaseConfig();
   cfg.sampling = PropagationSampling::kUniform;
   ApanModel model(cfg, &features, 5);
-  auto record = [&](graph::NodeId s, graph::NodeId d, double t) {
-    InteractionRecord r;
-    r.event = {s, d, t, features.Append(std::vector<float>(kDim, 0.0f))};
-    r.z_src.assign(kDim, 1.0f);
-    r.z_dst.assign(kDim, 1.0f);
-    return r;
+  // One event per batch; both endpoints read row 0 of an all-ones matrix.
+  const std::vector<float> z(kDim, 1.0f);
+  const std::vector<int64_t> row = {0};
+  auto process = [&](graph::NodeId s, graph::NodeId d, double t) {
+    const std::vector<graph::Event> events = {
+        {s, d, t, features.Append(std::vector<float>(kDim, 0.0f))}};
+    return model.ProcessBatchPostInference(events, z, row, row);
   };
-  ASSERT_TRUE(model.ProcessBatchPostInference({record(0, 1, 1.0)}).ok());
-  ASSERT_TRUE(model.ProcessBatchPostInference({record(1, 2, 2.0)}).ok());
+  ASSERT_TRUE(process(0, 1, 1.0).ok());
+  ASSERT_TRUE(process(1, 2, 2.0).ok());
   // Node 0 is a historical neighbor of 1 — uniform propagation from the
   // (1,2) event must have reached it.
   EXPECT_GE(model.mailbox().ValidCount(0), 2);

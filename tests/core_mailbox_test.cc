@@ -102,9 +102,9 @@ TEST(MailboxTest, MemoryBoundedByNodesNotEdges) {
 }
 
 TEST(MailboxTest, DeliverBatchMatchesSequentialDeliver) {
-  // DeliverBatch groups per node to amortize ring bookkeeping; the
-  // resulting storage must be bitwise what per-mail Deliver produces,
-  // including evictions and repeated recipients.
+  // DeliverBatch (the record form the serving benchmark still calls) must
+  // leave storage bitwise what per-mail Deliver produces, including
+  // evictions and repeated recipients.
   Mailbox batched(5, 3, 4);
   Mailbox sequential(5, 3, 4);
   std::vector<MailDelivery> deliveries;

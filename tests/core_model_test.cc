@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <unordered_map>
+#include <vector>
+
+#include "data/synthetic.h"
+#include "tensor/arena.h"
+
 namespace apan {
 namespace core {
 namespace {
@@ -21,19 +29,33 @@ ApanConfig Config() {
   return c;
 }
 
+/// A batch in ProcessBatchPostInference's flat form. Add() gives each
+/// event its own two embedding rows, filled with constants.
+struct FlatBatch {
+  std::vector<graph::Event> events;
+  std::vector<float> z;
+  std::vector<int64_t> src_row, dst_row;
+
+  FlatBatch& Add(graph::NodeId s, graph::NodeId d, double t, graph::EdgeId e,
+                 float zs = 1.0f, float zd = 2.0f) {
+    events.push_back({s, d, t, e});
+    src_row.push_back(static_cast<int64_t>(z.size()) / kDim);
+    z.insert(z.end(), kDim, zs);
+    dst_row.push_back(static_cast<int64_t>(z.size()) / kDim);
+    z.insert(z.end(), kDim, zd);
+    return *this;
+  }
+};
+
 struct Fixture {
   Fixture() : features(kDim), model(Config(), &features, 99) {
     for (int i = 0; i < 8; ++i) {
       features.Append(std::vector<float>(kDim, 0.1f * (i + 1)));
     }
   }
-  InteractionRecord MakeRecord(graph::NodeId s, graph::NodeId d, double t,
-                               graph::EdgeId e) {
-    InteractionRecord r;
-    r.event = {s, d, t, e};
-    r.z_src.assign(kDim, 1.0f);
-    r.z_dst.assign(kDim, 2.0f);
-    return r;
+  Status Process(const FlatBatch& b) {
+    return model.ProcessBatchPostInference(b.events, b.z, b.src_row,
+                                           b.dst_row);
   }
   graph::EdgeFeatureStore features;
   ApanModel model;
@@ -42,10 +64,7 @@ struct Fixture {
 TEST(ApanModelTest, SynchronousPathNeverQueriesGraph) {
   Fixture f;
   // Populate some history through the async path.
-  ASSERT_TRUE(f.model
-                  .ProcessBatchPostInference(
-                      {f.MakeRecord(0, 1, 1.0, 0), f.MakeRecord(1, 2, 2.0, 1)})
-                  .ok());
+  ASSERT_TRUE(f.Process(FlatBatch().Add(0, 1, 1.0, 0).Add(1, 2, 2.0, 1)).ok());
   f.model.graph().ResetQueryCount();
   // Inference link: encode + decode only.
   tensor::NoGradGuard no_grad;
@@ -59,18 +78,15 @@ TEST(ApanModelTest, SynchronousPathNeverQueriesGraph) {
 
 TEST(ApanModelTest, AsynchronousPathDoesQueryGraph) {
   Fixture f;
-  ASSERT_TRUE(
-      f.model.ProcessBatchPostInference({f.MakeRecord(0, 1, 1.0, 0)}).ok());
+  ASSERT_TRUE(f.Process(FlatBatch().Add(0, 1, 1.0, 0)).ok());
   f.model.graph().ResetQueryCount();
-  ASSERT_TRUE(
-      f.model.ProcessBatchPostInference({f.MakeRecord(1, 2, 2.0, 1)}).ok());
+  ASSERT_TRUE(f.Process(FlatBatch().Add(1, 2, 2.0, 1)).ok());
   EXPECT_GT(f.model.graph().query_count(), 0);
 }
 
 TEST(ApanModelTest, ProcessBatchUpdatesStateMailboxGraph) {
   Fixture f;
-  ASSERT_TRUE(
-      f.model.ProcessBatchPostInference({f.MakeRecord(3, 4, 1.0, 2)}).ok());
+  ASSERT_TRUE(f.Process(FlatBatch().Add(3, 4, 1.0, 2)).ok());
   // State: z(t−) overwritten with the record embeddings.
   EXPECT_FLOAT_EQ(f.model.LastEmbedding(3)[0], 1.0f);
   EXPECT_FLOAT_EQ(f.model.LastEmbedding(4)[0], 2.0f);
@@ -85,10 +101,10 @@ TEST(ApanModelTest, ProcessBatchUpdatesStateMailboxGraph) {
 
 TEST(ApanModelTest, LaterRecordWinsStateOnDuplicates) {
   Fixture f;
-  auto r1 = f.MakeRecord(0, 1, 1.0, 0);
-  auto r2 = f.MakeRecord(0, 2, 2.0, 1);
-  r2.z_src.assign(kDim, 9.0f);
-  ASSERT_TRUE(f.model.ProcessBatchPostInference({r1, r2}).ok());
+  ASSERT_TRUE(f.Process(FlatBatch()
+                            .Add(0, 1, 1.0, 0)
+                            .Add(0, 2, 2.0, 1, /*zs=*/9.0f))
+                  .ok());
   EXPECT_FLOAT_EQ(f.model.LastEmbedding(0)[0], 9.0f);
 }
 
@@ -104,8 +120,7 @@ TEST(ApanModelTest, GatherAndUpdateRoundTrip) {
 
 TEST(ApanModelTest, ResetStateClearsEverything) {
   Fixture f;
-  ASSERT_TRUE(
-      f.model.ProcessBatchPostInference({f.MakeRecord(0, 1, 1.0, 0)}).ok());
+  ASSERT_TRUE(f.Process(FlatBatch().Add(0, 1, 1.0, 0)).ok());
   f.model.ResetState();
   EXPECT_FLOAT_EQ(f.model.LastEmbedding(0)[0], 0.0f);
   EXPECT_EQ(f.model.mailbox().ValidCount(0), 0);
@@ -119,8 +134,7 @@ TEST(ApanModelTest, EncodeNodesUsesMailboxContent) {
   f.model.SetTraining(false);
   tensor::NoGradGuard no_grad;
   auto before = f.model.EncodeNodes({5});
-  ASSERT_TRUE(
-      f.model.ProcessBatchPostInference({f.MakeRecord(5, 6, 1.0, 0)}).ok());
+  ASSERT_TRUE(f.Process(FlatBatch().Add(5, 6, 1.0, 0)).ok());
   // Zero out state so only the mailbox differs from the cold start.
   f.model.UpdateLastEmbeddings({5},
                                tensor::Tensor::Zeros({1, kDim}));
@@ -137,6 +151,114 @@ TEST(ApanModelTest, ParameterInventoryIncludesAllHeads) {
   // Encoder + link + edge + node decoders all contribute.
   const auto params = f.model.Parameters();
   EXPECT_GT(params.size(), 15u);
+}
+
+TEST(ApanModelDeathTest, EmbeddingRowOutOfRangeAborts) {
+  Fixture f;
+  FlatBatch b;
+  b.Add(0, 1, 1.0, 0);
+  b.dst_row[0] = 2;  // the matrix holds rows 0 and 1
+  EXPECT_DEATH(static_cast<void>(f.Process(b)), "row out of range");
+  b.dst_row[0] = -1;
+  EXPECT_DEATH(static_cast<void>(f.Process(b)), "row out of range");
+}
+
+// ---- Serial-path digests -----------------------------------------------------
+// The serial path is the oracle every sharded determinism suite compares
+// against, so its output is pinned here bit for bit: the z(t−) rows and
+// the mailbox (payloads, timestamps, ring and order planes) after serving
+// a synthetic stream twice with ResetState in between. The second pass
+// pins that ResetState leaves the kUniform sampling stream running. The
+// values were recorded from the record-form serial path this flat path
+// replaced (per-record mail vectors delivered by Mailbox::DeliverBatch).
+
+uint64_t Fnv1a(uint64_t h, const void* data, size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+template <typename T>
+uint64_t Fnv1a(uint64_t h, std::span<const T> values) {
+  return Fnv1a(h, values.data(), values.size_bytes());
+}
+
+struct SerialDigest {
+  uint64_t z = 0;
+  uint64_t mail = 0;
+};
+
+/// Encodes one batch's unique nodes once and completes it on the serial
+/// path.
+void ServeBatch(ApanModel* model, std::span<const graph::Event> slice) {
+  tensor::NoGradGuard no_grad;
+  tensor::ArenaScope arena;
+  std::vector<graph::NodeId> unique;
+  std::unordered_map<graph::NodeId, int64_t> row_of;
+  const auto intern = [&](graph::NodeId v) {
+    const auto [it, inserted] =
+        row_of.try_emplace(v, static_cast<int64_t>(unique.size()));
+    if (inserted) unique.push_back(v);
+    return it->second;
+  };
+  std::vector<int64_t> src_rows, dst_rows;
+  for (const graph::Event& e : slice) {
+    src_rows.push_back(intern(e.src));
+    dst_rows.push_back(intern(e.dst));
+  }
+  const ApanEncoder::Output enc = model->EncodeNodes(unique);
+  const std::span<const float> z(enc.embeddings.data(),
+                                 static_cast<size_t>(enc.embeddings.numel()));
+  ASSERT_TRUE(
+      model->ProcessBatchPostInference(slice, z, src_rows, dst_rows).ok());
+}
+
+SerialDigest ServeAndDigest(PropagationSampling sampling, int32_t hops) {
+  const data::Dataset ds = *data::GenerateSynthetic(
+      data::SyntheticConfig::WikipediaLike().Scaled(0.05));
+  ApanConfig config;
+  config.num_nodes = ds.num_nodes;
+  config.embedding_dim = ds.feature_dim();
+  config.mailbox_slots = 5;
+  config.sampled_neighbors = 5;
+  config.propagation_hops = hops;
+  config.dropout = 0.0f;
+  config.sampling = sampling;
+  ApanModel model(config, &ds.features, 11);
+  model.SetTraining(false);
+  const std::span<const graph::Event> events(ds.events.data(), 600);
+  for (int pass = 0; pass < 2; ++pass) {
+    model.ResetState();
+    for (size_t lo = 0; lo < events.size(); lo += 100) {
+      ServeBatch(&model, events.subspan(lo, 100));
+    }
+  }
+  const Mailbox& box = model.mailbox();
+  EXPECT_GT(box.ValidCount(ds.events[599].src), 0);
+  constexpr uint64_t kBasis = 14695981039346656037ULL;
+  SerialDigest digest;
+  digest.z = Fnv1a(kBasis, model.state_store().raw_state());
+  uint64_t h = Fnv1a(kBasis, box.raw_data());
+  h = Fnv1a(h, box.raw_timestamps());
+  h = Fnv1a(h, box.raw_head());
+  h = Fnv1a(h, box.raw_count());
+  digest.mail = Fnv1a(h, box.raw_order());
+  return digest;
+}
+
+TEST(ApanModelTest, SerialDigestIsPinnedMostRecentTwoHop) {
+  const SerialDigest d = ServeAndDigest(PropagationSampling::kMostRecent, 2);
+  EXPECT_EQ(d.z, 0xfc018b91cef9cae8ULL);
+  EXPECT_EQ(d.mail, 0xc202189d75aebee7ULL);
+}
+
+TEST(ApanModelTest, SerialDigestIsPinnedUniformTwoHop) {
+  const SerialDigest d = ServeAndDigest(PropagationSampling::kUniform, 2);
+  EXPECT_EQ(d.z, 0xfd4f5e4281385ebcULL);
+  EXPECT_EQ(d.mail, 0xaf5200b765b9f29fULL);
 }
 
 }  // namespace

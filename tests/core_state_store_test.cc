@@ -22,14 +22,6 @@ namespace apan {
 namespace core {
 namespace {
 
-MailDelivery Mail(graph::NodeId to, std::vector<float> payload, double t) {
-  MailDelivery d;
-  d.recipient = to;
-  d.mail = std::move(payload);
-  d.timestamp = t;
-  return d;
-}
-
 TEST(NodeStateStoreTest, AllNodesStoreIsIdentityMapped) {
   NodeStateStore store(/*num_nodes=*/6, /*slots=*/2, /*dim=*/3);
   EXPECT_EQ(store.num_nodes(), 6);
@@ -38,7 +30,7 @@ TEST(NodeStateStoreTest, AllNodesStoreIsIdentityMapped) {
   EXPECT_FALSE(store.Owns(-1));
   EXPECT_FALSE(store.Owns(6));
 
-  store.DeliverBatch({Mail(4, {1.f, 2.f, 3.f}, 5.0)});
+  store.Deliver(4, std::vector<float>{1.f, 2.f, 3.f}, 5.0);
   EXPECT_EQ(store.ValidCount(4), 1);
   EXPECT_EQ(store.ValidCount(0), 0);
   // Identity mapping: the raw local-row mailbox sees the same node id.
@@ -72,8 +64,9 @@ TEST(NodeStateStoreTest, SubsetStoreTranslatesGlobalIds) {
   EXPECT_FLOAT_EQ(store.LastEmbedding(9)[0], 4.f);
   EXPECT_FLOAT_EQ(store.LastEmbedding(7)[0], 0.f);  // untouched row
 
-  store.DeliverBatch({Mail(2, {1.f, 1.f}, 1.0), Mail(9, {2.f, 2.f}, 2.0),
-                      Mail(2, {3.f, 3.f}, 3.0)});
+  store.Deliver(2, std::vector<float>{1.f, 1.f}, 1.0);
+  store.Deliver(9, std::vector<float>{2.f, 2.f}, 2.0);
+  store.Deliver(2, std::vector<float>{3.f, 3.f}, 3.0);
   EXPECT_EQ(store.ValidCount(2), 2);
   EXPECT_EQ(store.ValidCount(9), 1);
   EXPECT_EQ(store.ValidCount(7), 0);
@@ -101,19 +94,13 @@ TEST(NodeStateStoreTest, SubsetStoreMatchesMonolithicPerNode) {
   NodeStateStore even(partition, 0, slots, dim);
   NodeStateStore odd(partition, 1, slots, dim);
 
-  std::vector<MailDelivery> all;
   for (int i = 0; i < 40; ++i) {
     const graph::NodeId to = (i * 7) % nodes;
-    all.push_back(Mail(to, {static_cast<float>(i), static_cast<float>(-i)},
-                       static_cast<double>(i)));
+    const std::vector<float> mail = {static_cast<float>(i),
+                                     static_cast<float>(-i)};
+    mono.Deliver(to, mail, static_cast<double>(i));
+    (to % 2 == 0 ? even : odd).Deliver(to, mail, static_cast<double>(i));
   }
-  mono.DeliverBatch(all);
-  std::vector<MailDelivery> evens, odds;
-  for (const auto& d : all) {
-    (d.recipient % 2 == 0 ? evens : odds).push_back(d);
-  }
-  even.DeliverBatch(std::move(evens));
-  odd.DeliverBatch(std::move(odds));
 
   for (graph::NodeId v = 0; v < nodes; ++v) {
     const NodeStateStore& shard = (v % 2 == 0) ? even : odd;
@@ -165,7 +152,7 @@ TEST(NodeStateStoreTest, EmptyStoreIsWellFormed) {
 TEST(NodeStateStoreTest, ResetZeroesStateAndDropsMail) {
   NodeStateStore store(4, 2, 2);
   store.SetLastEmbedding(1, std::vector<float>{1.f, 2.f});
-  store.DeliverBatch({Mail(1, {3.f, 4.f}, 1.0)});
+  store.Deliver(1, std::vector<float>{3.f, 4.f}, 1.0);
   store.Reset();
   EXPECT_FLOAT_EQ(store.LastEmbedding(1)[0], 0.f);
   EXPECT_EQ(store.ValidCount(1), 0);

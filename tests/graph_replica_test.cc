@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -288,6 +289,24 @@ TEST(AdjacencyReplicaTest, RejectedAppendLeavesReplicaUnchanged) {
   EXPECT_EQ(out[0].node, 5);
 }
 
+TEST(AdjacencyReplicaTest, RejectsNaNTimestamp) {
+  // NaN compares false against everything: accepted, it would become the
+  // newest timestamp and let every later out-of-order batch through.
+  AdjacencyReplica replica(10);
+  AdjacencyReplica reference(10);
+  const std::vector<Event> first = {{0, 1, 1.0, -1}, {2, 3, 2.0, -1}};
+  ASSERT_TRUE(replica.AppendBatch(first).ok());
+  ASSERT_TRUE(reference.AppendBatch(first).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Event> nan_last = {{4, 5, 3.0, -1}, {6, 7, nan, -1}};
+  EXPECT_TRUE(replica.AppendBatch(nan_last).IsInvalidArgument());
+  const std::vector<Event> nan_first = {{4, 5, nan, -1}, {6, 7, 3.0, -1}};
+  EXPECT_TRUE(replica.AppendBatch(nan_first).IsInvalidArgument());
+  const std::vector<Event> older = {{4, 5, 1.5, -1}};
+  EXPECT_TRUE(replica.AppendBatch(older).IsFailedPrecondition());
+  EXPECT_TRUE(SameContents(replica, reference));
+}
+
 TEST(AdjacencyReplicaTest, StoresEachOccurrenceInSixteenBytes) {
   const int64_t nodes = 24;
   TemporalGraph mono(nodes);
@@ -339,7 +358,18 @@ TEST(AdjacencyReplicaTest, ResetAndRestore) {
   ASSERT_NE(row, unsorted.rows.end());
   row->push_back({0, -1e9});
   EXPECT_TRUE(replica.Restore(unsorted).IsInvalidArgument());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  AdjacencyReplica::Checkpoint nan_entry = image;
+  nan_entry.rows[static_cast<size_t>(row - unsorted.rows.begin())].push_back(
+      {0, nan});
+  EXPECT_TRUE(replica.Restore(nan_entry).IsInvalidArgument());
+  AdjacencyReplica::Checkpoint nan_latest = image;
+  nan_latest.latest_timestamp = nan;
+  EXPECT_TRUE(replica.Restore(nan_latest).IsInvalidArgument());
   EXPECT_TRUE(SameContents(replica, rebuilt));
+  // The refusals left the order check in force.
+  const std::vector<Event> older = {{0, 1, image.latest_timestamp - 1.0, -1}};
+  EXPECT_TRUE(replica.AppendBatch(older).IsFailedPrecondition());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <utility>
 
@@ -32,6 +33,21 @@ TEST(TemporalGraphTest, RejectsOutOfOrderAppend) {
   EXPECT_TRUE(g.AddEvent({1, 2, 4.0, -1}).IsFailedPrecondition());
   // Equal timestamps are fine (batch arrivals).
   EXPECT_TRUE(g.AddEvent({1, 2, 5.0, -1}).ok());
+}
+
+TEST(TemporalGraphTest, RejectsNaNTimestamp) {
+  // NaN compares false against everything: accepted, it would become the
+  // newest timestamp and let every later out-of-order event through.
+  TemporalGraph g(3);
+  EXPECT_TRUE(g.AddEvent({0, 1, 5.0, -1}).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(g.AddEvent({1, 2, nan, -1}).IsInvalidArgument());
+  EXPECT_EQ(g.num_events(), 1);
+  EXPECT_TRUE(g.AddEvent({1, 2, 4.0, -1}).IsFailedPrecondition());
+  // Also as the very first event.
+  TemporalGraph empty(3);
+  EXPECT_TRUE(empty.AddEvent({0, 1, nan, -1}).IsInvalidArgument());
+  EXPECT_EQ(empty.num_events(), 0);
 }
 
 TEST(TemporalGraphTest, EdgeIdsAutoAssignedDense) {

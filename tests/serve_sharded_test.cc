@@ -58,7 +58,7 @@ TEST(ShardRouterTest, DeterministicAndInRange) {
 
 TEST(ShardRouterTest, SpreadsContiguousIdsAcrossShards) {
   ShardRouter router(4, 1024);
-  const std::vector<int64_t> counts = router.OwnedNodeCounts();
+  const std::vector<int64_t>& counts = router.partition()->owned_count;
   ASSERT_EQ(counts.size(), 4u);
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), int64_t{0}), 1024);
   for (const int64_t c : counts) {
@@ -69,43 +69,9 @@ TEST(ShardRouterTest, SpreadsContiguousIdsAcrossShards) {
   }
 }
 
-TEST(ShardRouterTest, PartitionNodesIsStable) {
-  ShardRouter router(3, 100);
-  const std::vector<graph::NodeId> nodes = {7, 3, 99, 7, 42, 3};
-  const auto parts = router.PartitionNodes(nodes);
-  size_t total = 0;
-  for (int s = 0; s < 3; ++s) {
-    total += parts[static_cast<size_t>(s)].size();
-    // Every node landed on its owner, input order preserved per shard.
-    graph::NodeId prev_pos = -1;
-    for (const graph::NodeId v : parts[static_cast<size_t>(s)]) {
-      EXPECT_EQ(router.ShardOf(v), s);
-      (void)prev_pos;
-    }
-  }
-  EXPECT_EQ(total, nodes.size());
-}
-
 TEST(ShardRouterTest, SingleShardOwnsEverything) {
   ShardRouter router(1, 50);
   for (graph::NodeId v = 0; v < 50; ++v) EXPECT_EQ(router.ShardOf(v), 0);
-}
-
-TEST(ShardRouterTest, PartitionEventsByHomeShard) {
-  ShardRouter router(2, 100);
-  std::vector<graph::Event> events;
-  for (int i = 0; i < 20; ++i) {
-    events.push_back({i % 100, (i * 7 + 1) % 100, static_cast<double>(i), i});
-  }
-  const auto parts = router.PartitionEvents(events);
-  size_t total = 0;
-  for (int s = 0; s < 2; ++s) {
-    for (const int64_t idx : parts[static_cast<size_t>(s)]) {
-      EXPECT_EQ(router.HomeShardOf(events[static_cast<size_t>(idx)]), s);
-    }
-    total += parts[static_cast<size_t>(s)].size();
-  }
-  EXPECT_EQ(total, events.size());
 }
 
 // ---- ShardedEngine: functional ---------------------------------------------
@@ -545,9 +511,9 @@ TEST(ShardedEngineTest, EmptyBatchRejected) {
 
 TEST(ShardedEngineTest, RejectsInvalidEventsWithoutSideEffects) {
   // Caller events are validated before the synchronous link runs: a batch
-  // with an endpoint outside [0, num_nodes) or a timestamp older than one
-  // already accepted is refused whole, and the engine carries on as if it
-  // had never been sent.
+  // with an endpoint outside [0, num_nodes), an edge id without a feature
+  // row, a NaN timestamp or a timestamp older than one already accepted is
+  // refused whole, and the engine carries on as if it had never been sent.
   Fixture f;
   const SerialRun serial = RunSerial(f.config, f.dataset, 7, 150, 50);
   core::ApanModel model(f.config, &f.dataset.features, 7);
@@ -569,6 +535,21 @@ TEST(ShardedEngineTest, RejectsInvalidEventsWithoutSideEffects) {
     EXPECT_TRUE(engine.InferBatch(events).status().IsInvalidArgument())
         << "src " << bad;
   }
+  // An edge id outside the feature rows would abort a worker's φ after
+  // the scores had gone back.
+  const graph::EdgeId num_edges = f.dataset.features.num_edges();
+  for (const graph::EdgeId bad : {graph::EdgeId{-1}, num_edges,
+                                  num_edges + 5}) {
+    std::vector<graph::Event> events = f.BatchEvents(50, 100);
+    events[25].edge_id = bad;
+    EXPECT_TRUE(engine.InferBatch(events).status().IsInvalidArgument())
+        << "edge id " << bad;
+  }
+  // A NaN timestamp compares false against everything; accepted, it would
+  // switch the order check off for the rest of the stream.
+  std::vector<graph::Event> nan_last = f.BatchEvents(50, 100);
+  nan_last.back().timestamp = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(engine.InferBatch(nan_last).status().IsInvalidArgument());
   // Older than the last accepted event (batch 0's last).
   std::vector<graph::Event> stale = f.BatchEvents(50, 100);
   stale[0].timestamp = std::nextafter(f.dataset.events[49].timestamp,

@@ -58,7 +58,6 @@ inline SerialRun RunSerial(const core::ApanConfig& config,
                                              num_events);
   core::ApanModel& model = *run.model;
   model.SetTraining(false);
-  const int64_t d = config.embedding_dim;
   for (size_t lo = 0; lo + batch <= events.size(); lo += batch) {
     tensor::NoGradGuard no_grad;
     tensor::ArenaScope arena;
@@ -83,16 +82,10 @@ inline SerialRun RunSerial(const core::ApanConfig& config,
         tensor::GatherRows(enc.embeddings, dst_rows)));
     run.scores.insert(run.scores.end(), probs.data(),
                       probs.data() + probs.numel());
-    std::vector<core::InteractionRecord> records(slice.size());
-    const float* emb = enc.embeddings.data();
-    for (size_t i = 0; i < slice.size(); ++i) {
-      records[i].event = slice[i];
-      records[i].z_src.assign(emb + src_rows[i] * d,
-                              emb + (src_rows[i] + 1) * d);
-      records[i].z_dst.assign(emb + dst_rows[i] * d,
-                              emb + (dst_rows[i] + 1) * d);
-    }
-    EXPECT_TRUE(model.ProcessBatchPostInference(records).ok());
+    const std::span<const float> z(enc.embeddings.data(),
+                                   static_cast<size_t>(enc.embeddings.numel()));
+    EXPECT_TRUE(
+        model.ProcessBatchPostInference(slice, z, src_rows, dst_rows).ok());
   }
   return run;
 }

@@ -487,8 +487,7 @@ struct EncoderFixture {
       for (int i = 0; i < mails; ++i) {
         std::vector<float> mail(static_cast<size_t>(config.embedding_dim));
         for (auto& x : mail) x = static_cast<float>(mail_rng.Normal());
-        core::MailDelivery d{v, std::move(mail), 0.5 * i, 1};
-        store->DeliverBatch(std::vector<core::MailDelivery>{std::move(d)});
+        store->Deliver(v, mail, 0.5 * i);
       }
     }
   }
