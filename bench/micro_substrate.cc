@@ -531,8 +531,8 @@ void BM_MailboxReadBatch(benchmark::State& state) {
 BENCHMARK(BM_MailboxReadBatch)->Arg(200)->Arg(1000);
 
 // ---- Wire codec -------------------------------------------------------------
-// The transport layer's own figure: one ShardPartial frame at the alipay
-// per-peer shape — about 1,000 rows of 32 floats across the three sections.
+// The transport layer's own figure: one ShardPartial frame of 600 ρ rows
+// of 32 floats.
 
 serve::ShardPartial MakeWirePartial() {
   constexpr int64_t kDim = 32;
@@ -540,24 +540,16 @@ serve::ShardPartial MakeWirePartial() {
   serve::ShardPartial m;
   m.batch = 12345;
   m.from_shard = 1;
-  const auto fill = [&rng](core::RowBlock* b, size_t rows, bool sequenced,
-                           bool timed) {
-    b->width = kDim;
-    for (size_t i = 0; i < rows; ++i) {
-      if (sequenced) b->sequence.push_back(static_cast<int64_t>(2 * i));
-      b->node.push_back(static_cast<graph::NodeId>(7 * i + 3));
-      if (timed) {
-        b->timestamp.push_back(static_cast<double>(i) * 0.5);
-        b->count.push_back(1 + static_cast<int64_t>(i % 3));
-      }
-      for (int64_t k = 0; k < kDim; ++k) {
-        b->rows.push_back(static_cast<float>(rng.Normal()));
-      }
+  core::RowBlock& b = m.partial;
+  b.width = kDim;
+  for (size_t i = 0; i < 600; ++i) {
+    b.node.push_back(static_cast<graph::NodeId>(7 * i + 3));
+    b.timestamp.push_back(static_cast<double>(i) * 0.5);
+    b.count.push_back(1 + static_cast<int64_t>(i % 3));
+    for (int64_t k = 0; k < kDim; ++k) {
+      b.rows.push_back(static_cast<float>(rng.Normal()));
     }
-  };
-  fill(&m.state, 200, /*sequenced=*/true, /*timed=*/false);
-  fill(&m.hop0, 200, /*sequenced=*/true, /*timed=*/true);
-  fill(&m.partial, 600, /*sequenced=*/false, /*timed=*/true);
+  }
   return m;
 }
 

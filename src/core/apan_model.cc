@@ -1,6 +1,6 @@
 #include "core/apan_model.h"
 
-#include <numeric>
+#include <cmath>
 
 #include "graph/sampling.h"
 #include "tensor/ops.h"
@@ -45,14 +45,12 @@ NodeStateStore& ApanModel::DefaultStore() const {
   return *store_;
 }
 
-ApanWeights ApanModel::weights() const {
-  return ApanWeights(&config_, &encoder_, &link_decoder_, &edge_decoder_,
-                     &node_decoder_, &propagator_, &link_scale_, &link_bias_);
-}
-
 Tensor ApanModel::ScoreLinkLogits(const Tensor& z_src,
                                   const Tensor& z_dst) const {
-  return weights().ScoreLinkLogits(z_src, z_dst);
+  const float inv_sqrt_d =
+      1.0f / std::sqrt(static_cast<float>(config_.embedding_dim));
+  Tensor dot = tensor::MulScalar(tensor::RowwiseDot(z_src, z_dst), inv_sqrt_d);
+  return tensor::Add(tensor::MatMul(dot, link_scale_), link_bias_);
 }
 
 Tensor ApanModel::GatherLastEmbeddings(
@@ -94,11 +92,20 @@ Status ApanModel::ProcessBatchPostInference(
     return z.subspan(static_cast<size_t>(row) * d, d);
   };
   NodeStateStore& store = DefaultStore();
-  // z(t−): when a node appears several times in a batch, the later event
-  // (newer timestamp) wins — events are required to be time-ordered.
+  // The endpoints, in event order. z(t−): when a node appears several
+  // times in a batch, the later event (newer timestamp) wins — events are
+  // required to be time-ordered. ψ at hop 0 (DeliverHop0): each endpoint
+  // keeps one unreduced slot per event, ahead of its ρ mail below.
+  std::vector<float> mail(d);
   for (size_t r = 0; r < n; ++r) {
-    store.SetLastEmbedding(events[r].src, embedding(src_row[r]));
-    store.SetLastEmbedding(events[r].dst, embedding(dst_row[r]));
+    const graph::Event& e = events[r];
+    propagator_.DeliverHop0(
+        e, embedding(src_row[r]).data(), embedding(dst_row[r]).data(), mail,
+        [&store, &e, d](graph::NodeId node, const float* z_node,
+                        std::span<const float> row) {
+          store.SetLastEmbedding(node, {z_node, d});
+          store.Deliver(node, row, e.timestamp);
+        });
   }
   // N: sampled before the batch's edges are appended, so neighbourhoods
   // reflect the graph at batch start (endpoints still receive their own
@@ -119,15 +126,9 @@ Status ApanModel::ProcessBatchPostInference(
                                          &sampling_rng_);
     }
   }
-  std::vector<int64_t> event_index(n);
-  std::iota(event_index.begin(), event_index.end(), int64_t{0});
-  RowBlock hop0, partial;
-  propagator_.PropagateRows({events, event_index, z, src_row, dst_row}, hops,
-                            &hop0, &partial);
-  // ψ: each node's own mails in event order, then its ρ-reduced one.
-  for (size_t i = 0; i < hop0.size(); ++i) {
-    store.Deliver(hop0.node[i], {hop0.row(i), d}, hop0.timestamp[i]);
-  }
+  RowBlock partial;
+  propagator_.PropagateRows({events, z, src_row, dst_row}, hops, &partial);
+  // ψ for ρ: each recipient's reduced mail.
   for (size_t i = 0; i < partial.size(); ++i) {
     MailPropagator::FinalizeRow(partial.row(i), partial.width,
                                 partial.count[i]);

@@ -3,7 +3,7 @@
 //
 //   · shared serve-time *weights* — encoder, task decoders, link
 //     calibration — small, immutable during serving, replicable on every
-//     shard (exposed as the const-only core::ApanWeights view);
+//     shard (serve::ShardedEngine reads them through a const model);
 //   · mutable per-node *state* — the z(t−) table and the mailbox — held
 //     in a core::NodeStateStore. The model owns one default store
 //     covering all nodes (the monolithic layout that training and the
@@ -25,7 +25,6 @@
 #include <span>
 #include <vector>
 
-#include "core/apan_weights.h"
 #include "core/config.h"
 #include "core/decoder.h"
 #include "core/encoder.h"
@@ -72,12 +71,6 @@ class ApanModel : public nn::Module {
   NodeDecoder& node_decoder() { return node_decoder_; }
   Rng* rng() { return &rng_; }
 
-  /// Const view over the replicable serve-time weights (encoder,
-  /// decoders, link calibration). Cheap to construct; the model must
-  /// outlive it. This is the only handle serve::ShardedEngine uses while
-  /// running — everything mutable lives in per-shard NodeStateStores.
-  ApanWeights weights() const;
-
   // ---- Synchronous link ----------------------------------------------------
 
   /// Current stored embedding z(t−) of each node as a constant tensor.
@@ -102,12 +95,14 @@ class ApanModel : public nn::Module {
   /// \brief Completes a batch after inference, in flat form: `z` is the
   /// batch's detached embedding matrix (row-major, embedding_dim wide) and
   /// event r's endpoint embeddings are its rows `src_row[r]` and
-  /// `dst_row[r]`. In order: writes those rows as the endpoints' new z(t−)
-  /// (a later event wins on duplicates); samples each event's k-hop
-  /// neighbourhood N on the model's own graph, before the batch is
-  /// appended; runs propagator().PropagateRows; delivers the hop-0 rows in
-  /// event order, then each ρ-finalized row, through
-  /// NodeStateStore::Deliver; appends the events to the graph.
+  /// `dst_row[r]`. In order: walks the events, writing those rows as the
+  /// endpoints' new z(t−) (a later event wins on duplicates) and
+  /// delivering each event's hop-0 mail (propagator().MailRow) to its
+  /// endpoints; samples each event's k-hop neighbourhood N on the model's
+  /// own graph, before the batch is appended; runs
+  /// propagator().PropagateRows and delivers each ρ-finalized row; appends
+  /// the events to the graph. Every mailbox write is
+  /// NodeStateStore::Deliver.
   /// \param events one per row pair, in timestamp order.
   /// \return first error from the graph append, if any.
   Status ProcessBatchPostInference(std::span<const graph::Event> events,

@@ -7,16 +7,6 @@
 namespace apan {
 namespace core {
 
-namespace {
-
-// φ: mail(t) = z_i(t) + e_ij(t) + z_j(t), one row of `d` floats.
-void MailRow(const float* z_src, const float* e, const float* z_dst,
-             int64_t d, float* out) {
-  for (int64_t i = 0; i < d; ++i) out[i] = z_src[i] + e[i] + z_dst[i];
-}
-
-}  // namespace
-
 MailPropagator::MailPropagator(const ApanConfig& config,
                                const graph::EdgeFeatureStore* features)
     : config_(config), features_(features) {
@@ -26,14 +16,21 @@ MailPropagator::MailPropagator(const ApanConfig& config,
                  "mail dim must equal edge feature dim (paper §3.5)");
 }
 
+void MailPropagator::MailRow(const graph::Event& event, const float* z_src,
+                             const float* z_dst, float* out) const {
+  const float* e = features_->Row(event.edge_id);
+  for (int64_t i = 0; i < config_.embedding_dim; ++i) {
+    out[i] = z_src[i] + e[i] + z_dst[i];
+  }
+}
+
 void MailPropagator::PropagateRows(
     const InteractionRows& batch,
-    std::span<const std::vector<graph::HopEntry>> hops, RowBlock* hop0,
+    std::span<const std::vector<graph::HopEntry>> hops,
     RowBlock* partial) const {
   const size_t n = batch.events.size();
-  APAN_CHECK_MSG(batch.event_index.size() == n && batch.src_row.size() == n &&
-                     batch.dst_row.size() == n,
-                 "one event index and embedding row pair per record");
+  APAN_CHECK_MSG(batch.src_row.size() == n && batch.dst_row.size() == n,
+                 "one embedding row pair per record");
   APAN_CHECK_MSG(hops.size() == n, "one hop expansion per record");
   const int64_t d = config_.embedding_dim;
   const auto du = static_cast<size_t>(d);
@@ -41,30 +38,17 @@ void MailPropagator::PropagateRows(
                  "interaction embeddings have wrong dimension");
   const auto z_rows = static_cast<int64_t>(batch.z.size() / du);
 
-  // Hop 0: each event's mail goes to both endpoints *unreduced* — a node's
-  // own interactions each occupy a mailbox slot, keeping its own history
-  // crisp. ρ applies only to the propagated k-hop copies below (that is
-  // where high-degree nodes would otherwise be flooded). φ writes each
-  // mail straight into its hop-0 row, so the arena is sized up front.
-  size_t hop0_rows = 0;
-  for (const graph::Event& e : batch.events) {
-    hop0_rows += e.src == e.dst ? 1 : 2;
-  }
-  *hop0 = RowBlock{};
-  hop0->width = d;
-  hop0->sequence.reserve(hop0_rows);
-  hop0->node.reserve(hop0_rows);
-  hop0->timestamp.reserve(hop0_rows);
-  hop0->count.reserve(hop0_rows);
-  hop0->rows.resize(hop0_rows * du);
-
-  // ρ accumulators, one flat row per distinct hop-1..k recipient in
-  // first-touch order; sorted by recipient on the way out.
+  // ρ applies only to the propagated k-hop copies (that is where
+  // high-degree nodes would otherwise be flooded); the endpoints' own
+  // unreduced hop-0 mail is the caller's. Accumulators: one flat row per
+  // distinct hop-1..k recipient in first-touch order, sorted by recipient
+  // on the way out.
   std::unordered_map<graph::NodeId, size_t> slot_of;
   std::vector<graph::NodeId> recipient;
   std::vector<double> newest;
   std::vector<int64_t> contributions;
   std::vector<float> sums;
+  std::vector<float> mail(du);
 
   for (size_t r = 0; r < n; ++r) {
     const graph::Event& event = batch.events[r];
@@ -73,17 +57,16 @@ void MailPropagator::PropagateRows(
     APAN_CHECK_MSG(src_row >= 0 && src_row < z_rows && dst_row >= 0 &&
                        dst_row < z_rows,
                    "interaction embedding row out of range");
-    float* mail = hop0->row(hop0->size());  // the next hop-0 row
-    MailRow(batch.z.data() + static_cast<size_t>(src_row) * du,
-            features_->Row(event.edge_id),
-            batch.z.data() + static_cast<size_t>(dst_row) * du, d, mail);
+    if (hops[r].empty()) continue;  // no copy to spread
+    MailRow(event, batch.z.data() + static_cast<size_t>(src_row) * du,
+            batch.z.data() + static_cast<size_t>(dst_row) * du, mail.data());
     const double t = event.timestamp;
 
     // Hops 1..k: mail passing f is the identity, so every sampled
     // occurrence receives the same payload.
     for (const auto& entry : hops[r]) {
       if (entry.node == event.src || entry.node == event.dst) {
-        continue;  // endpoints already receive the mail directly
+        continue;  // endpoints receive the mail directly, at hop 0
       }
       const auto [it, inserted] =
           slot_of.try_emplace(entry.node, recipient.size());
@@ -94,22 +77,9 @@ void MailPropagator::PropagateRows(
         sums.resize(sums.size() + du, 0.0f);
       }
       float* acc = sums.data() + it->second * du;
-      for (int64_t i = 0; i < d; ++i) acc[i] += mail[i];
+      for (int64_t i = 0; i < d; ++i) acc[i] += mail[static_cast<size_t>(i)];
       newest[it->second] = std::max(newest[it->second], t);
       ++contributions[it->second];
-    }
-
-    const int64_t seq = 2 * batch.event_index[r];
-    hop0->sequence.push_back(seq);
-    hop0->node.push_back(event.src);
-    hop0->timestamp.push_back(t);
-    hop0->count.push_back(1);
-    if (event.dst != event.src) {
-      std::copy_n(mail, du, hop0->row(hop0->size()));
-      hop0->sequence.push_back(seq + 1);
-      hop0->node.push_back(event.dst);
-      hop0->timestamp.push_back(t);
-      hop0->count.push_back(1);
     }
   }
 
@@ -166,17 +136,24 @@ PartialPropagation MailPropagator::ComputePartialFromHops(
     std::copy(record.z_dst.begin(), record.z_dst.end(),
               z.begin() + static_cast<ptrdiff_t>(2 * r + 1) * d);
   }
-  RowBlock hop0, partial;
-  PropagateRows({events, event_index, z, src_row, dst_row}, hops, &hop0,
-                &partial);
+  RowBlock partial;
+  PropagateRows({events, z, src_row, dst_row}, hops, &partial);
 
   PartialPropagation out;
-  out.hop0.reserve(hop0.size());
-  for (size_t i = 0; i < hop0.size(); ++i) {
-    out.hop0.push_back(
-        {hop0.sequence[i],
-         {hop0.node[i], std::vector<float>(hop0.row(i), hop0.row(i) + d),
-          hop0.timestamp[i], hop0.count[i]}});
+  out.hop0.reserve(2 * n);
+  std::vector<float> mail(static_cast<size_t>(d));
+  for (size_t r = 0; r < n; ++r) {
+    const graph::Event& e = events[r];
+    DeliverHop0(e, z.data() + 2 * r * static_cast<size_t>(d),
+                z.data() + (2 * r + 1) * static_cast<size_t>(d), mail,
+                [&](graph::NodeId node, const float*,
+                    std::span<const float> row) {
+                  const int64_t endpoint = node == e.src ? 0 : 1;
+                  out.hop0.push_back(
+                      {2 * event_index[r] + endpoint,
+                       {node, std::vector<float>(row.begin(), row.end()),
+                        e.timestamp, 1}});
+                });
   }
   out.partial.reserve(partial.size());
   for (size_t i = 0; i < partial.size(); ++i) {

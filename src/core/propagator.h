@@ -39,20 +39,15 @@ namespace apan {
 namespace core {
 
 /// \brief A flat structure-of-arrays run of equal-width float rows beside
-/// their index columns — the unit propagation writes, serve::ShardedEngine
-/// routes and merges, and serve/wire.h carries. No row owns a heap
-/// vector: row i is rows[i * width, (i + 1) * width).
-///
-/// A block uses the columns its role needs and leaves the others empty;
-/// a used column holds exactly size() entries:
-///   · hop-0 mail: sequence, node (recipient), timestamp, count (= 1);
-///   · ρ partial sums: node (recipient), timestamp (newest), count;
-///   · z(t−) write-backs (serve::ShardPartial::state): sequence, node.
+/// their index columns — the ρ partial sums propagation writes,
+/// serve::ShardedEngine routes and merges, and serve/wire.h carries. No
+/// row owns a heap vector: row i is rows[i * width, (i + 1) * width).
+/// Every column holds exactly size() entries: node (recipient),
+/// timestamp (newest contribution) and count (contributions).
 struct RowBlock {
   int64_t width = 0;                ///< Floats per row.
-  std::vector<int64_t> sequence;    ///< Replay tag per row.
   std::vector<graph::NodeId> node;  ///< Addressed node per row.
-  std::vector<double> timestamp;    ///< Mail time / newest contribution.
+  std::vector<double> timestamp;    ///< Newest contribution per row.
   std::vector<int64_t> count;       ///< Contributions per row.
   std::vector<float> rows;          ///< size() * width floats.
 
@@ -65,13 +60,10 @@ struct RowBlock {
 };
 
 /// \brief A batch slice in flat form, the propagation kernel's input:
-/// record r is `events[r]`, its endpoint embeddings are rows `src_row[r]`
-/// and `dst_row[r]` of `z` (row-major, embedding_dim wide), and
-/// `event_index[r]` is its position in the full batch (it seeds the hop-0
-/// sequence tags).
+/// record r is `events[r]`, and its endpoint embeddings are rows
+/// `src_row[r]` and `dst_row[r]` of `z` (row-major, embedding_dim wide).
 struct InteractionRows {
   std::span<const graph::Event> events;
-  std::span<const int64_t> event_index;
   std::span<const float> z;
   std::span<const int64_t> src_row;
   std::span<const int64_t> dst_row;
@@ -106,8 +98,8 @@ struct PartialPropagation {
     double newest = 0.0;
     int64_t count = 0;
   };
-  std::vector<TaggedDelivery> hop0;    ///< One per PropagateRows hop0 row.
-  std::vector<PartialReduce> partial;  ///< One per PropagateRows partial row.
+  std::vector<TaggedDelivery> hop0;    ///< One per endpoint (DeliverHop0).
+  std::vector<PartialReduce> partial;  ///< One per PropagateRows row.
 };
 
 /// \brief φ + f + ρ over caller-sampled neighborhoods; graph-free and
@@ -121,20 +113,43 @@ class MailPropagator {
   /// The edge features φ reads e_ij from (indexed by Event::edge_id).
   const graph::EdgeFeatureStore& features() const { return *features_; }
 
-  /// \brief φ + f + unfinalized ρ over *externally sampled* neighborhoods
-  /// — the one propagation kernel.
+  /// \brief φ for one event: out[i] = z_src[i] + e[i] + z_dst[i] over
+  /// the embedding_dim floats, e being the event's edge-feature row. The
+  /// one place mail is computed: the hop-0 mail an endpoint receives and
+  /// the copy PropagateRows spreads are this row. Thread-safe.
+  void MailRow(const graph::Event& event, const float* z_src,
+               const float* z_dst, float* out) const;
+
+  /// \brief The hop-0 rule, stated once for every path: each endpoint of
+  /// an event receives one unreduced copy of its mail. Computes the mail
+  /// into `mail` (embedding_dim floats) with MailRow, then calls
+  /// `deliver(node, z_node, mail)` for the source endpoint and then the
+  /// destination — once for a self-loop, with z_dst, the embedding a
+  /// second write of that node would leave. Thread-safe.
+  template <typename Deliver>
+  void DeliverHop0(const graph::Event& event, const float* z_src,
+                   const float* z_dst, std::span<float> mail,
+                   Deliver&& deliver) const {
+    MailRow(event, z_src, z_dst, mail.data());
+    const std::span<const float> row = mail;
+    if (event.src != event.dst) deliver(event.src, z_src, row);
+    deliver(event.dst, z_dst, row);
+  }
+
+  /// \brief f + unfinalized ρ over *externally sampled* neighborhoods —
+  /// the one propagation kernel.
   ///
   /// `hops[r]` is record r's k-hop expansion (hop order, as produced by
   /// graph::KHopMostRecent / graph::KHopUniform or
   /// graph::AdjacencyReplica::SampleKHop; only HopEntry::node is read).
-  /// Replaces `*hop0` with one row per event per endpoint in event order
-  /// (src before dst; a self-loop gets one row), and `*partial` with one
-  /// ρ partial-sum row per distinct hop-1..k recipient, ascending by
-  /// recipient. Endpoints of an event never receive its propagated copy.
-  /// Accumulation is record-major in hop-entry order. Thread-safe.
+  /// Replaces `*partial` with one ρ partial-sum row per distinct hop-1..k
+  /// recipient, ascending by recipient. Endpoints of an event never
+  /// receive its propagated copy: their hop-0 mail is the caller's, one
+  /// MailRow per endpoint. Accumulation is record-major in hop-entry
+  /// order. Thread-safe.
   void PropagateRows(const InteractionRows& batch,
                      std::span<const std::vector<graph::HopEntry>> hops,
-                     RowBlock* hop0, RowBlock* partial) const;
+                     RowBlock* partial) const;
 
   /// ρ on a flat row: scales `width` merged floats by 1 / `count` in
   /// place. Every path finalizes through this, so every path rounds
@@ -143,7 +158,9 @@ class MailPropagator {
 
   // ---- Record form (see the block above the class) -----------------------
 
-  /// PropagateRows over records laid out one embedding row pair each.
+  /// DeliverHop0 + PropagateRows over records laid out one embedding row
+  /// pair each; hop-0 sequences are 2 * event_index[r] + {0: src, 1: dst}
+  /// (a self-loop's one delivery is tagged 0).
   PartialPropagation ComputePartialFromHops(
       std::span<const InteractionRecord> records,
       std::span<const int64_t> event_index,

@@ -198,8 +198,13 @@ double Histogram::Quantile(double q) const {
                : (rank - static_cast<double>(before)) /
                      static_cast<double>(cnt);
   const double v = lower + frac * (upper - lower);
-  // The exact observed range is tighter than the bucket bounds.
-  return std::clamp(v, Min(), Max());
+  // The exact observed range is tighter than the bucket bounds. A Record
+  // racing this scrape bumps its bucket before its min/max CAS lands, so
+  // the range can still read inverted (max = -inf); clamping to it then
+  // is undefined, so the bucket estimate stands.
+  const double lo = Min();
+  const double hi = Max();
+  return lo <= hi ? std::clamp(v, lo, hi) : v;
 }
 
 void Histogram::Clear() {

@@ -54,8 +54,9 @@ class ShardRouter {
   /// Owner shard of `node`'s state-store rows (mailbox slice + z(t−)).
   int ShardOf(graph::NodeId node) const;
 
-  /// Home shard of an event: the shard that computes its mail (φ) and
-  /// k-hop fan-out (N), namely the source endpoint's owner.
+  /// Home shard of an event: the shard that samples its k-hop
+  /// neighbourhood (N) and sums its propagated mail there (ρ), namely the
+  /// source endpoint's owner.
   int HomeShardOf(const graph::Event& event) const {
     return ShardOf(event.src);
   }

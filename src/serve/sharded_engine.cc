@@ -21,41 +21,19 @@ using core::RowBlock;
 
 namespace {
 
-/// True when `b` is a well-formed section of `d`-wide rows carrying
-/// exactly the index columns its role uses (see core::RowBlock).
-bool SectionFits(const RowBlock& b, int64_t d, bool sequenced, bool timed) {
+/// True when `b` is a well-formed block of `d`-wide ρ rows (see
+/// core::RowBlock).
+bool BlockFits(const RowBlock& b, int64_t d) {
   const size_t n = b.size();
   return (n == 0 || b.width == d) &&
          b.rows.size() == n * static_cast<size_t>(d) &&
-         b.sequence.size() == (sequenced ? n : 0) &&
-         b.timestamp.size() == (timed ? n : 0) &&
-         b.count.size() == (timed ? n : 0);
+         b.timestamp.size() == n && b.count.size() == n;
 }
 
-/// Reserves `rows` rows in `out`, with the columns and width of `like`.
-void ReserveLike(RowBlock* out, const RowBlock& like, size_t rows) {
-  out->width = like.width;
-  if (!like.sequence.empty()) out->sequence.reserve(rows);
-  out->node.reserve(rows);
-  if (!like.timestamp.empty()) out->timestamp.reserve(rows);
-  if (!like.count.empty()) out->count.reserve(rows);
-  out->rows.reserve(rows * static_cast<size_t>(like.width));
-}
-
-/// Appends row `i` of `src`, every used column included, to `out`.
-void AppendRow(RowBlock* out, const RowBlock& src, size_t i) {
-  if (!src.sequence.empty()) out->sequence.push_back(src.sequence[i]);
-  out->node.push_back(src.node[i]);
-  if (!src.timestamp.empty()) out->timestamp.push_back(src.timestamp[i]);
-  if (!src.count.empty()) out->count.push_back(src.count[i]);
-  out->rows.insert(out->rows.end(), src.row(i), src.row(i) + src.width);
-}
-
-/// Splits `block` by the owner of each row's node into section `section`
-/// of each outbound partial, copying rows in order — so every piece stays
-/// an ascending run. A block whose rows all go to one shard moves whole.
+/// Splits `block` by the owner of each row's node into the partial of
+/// each outbound message, copying rows in order — so every piece stays an
+/// ascending run. A block whose rows all go to one shard moves whole.
 void SplitByOwner(const ShardRouter& router, RowBlock&& block,
-                  RowBlock ShardPartial::*section,
                   std::vector<ShardPartial>* outbound) {
   const size_t n = block.size();
   std::vector<int> owner(n);
@@ -66,41 +44,47 @@ void SplitByOwner(const ShardRouter& router, RowBlock&& block,
   }
   for (size_t t = 0; t < outbound->size(); ++t) {
     if (rows_to[t] == n) {
-      (*outbound)[t].*section = std::move(block);
+      (*outbound)[t].partial = std::move(block);
       return;
     }
   }
+  const auto width = static_cast<size_t>(block.width);
   for (size_t t = 0; t < outbound->size(); ++t) {
-    ReserveLike(&((*outbound)[t].*section), block, rows_to[t]);
+    RowBlock& out = (*outbound)[t].partial;
+    out.width = block.width;
+    out.node.reserve(rows_to[t]);
+    out.timestamp.reserve(rows_to[t]);
+    out.count.reserve(rows_to[t]);
+    out.rows.reserve(rows_to[t] * width);
   }
   for (size_t i = 0; i < n; ++i) {
-    AppendRow(&((*outbound)[static_cast<size_t>(owner[i])].*section), block,
-              i);
+    RowBlock& out = (*outbound)[static_cast<size_t>(owner[i])].partial;
+    out.node.push_back(block.node[i]);
+    out.timestamp.push_back(block.timestamp[i]);
+    out.count.push_back(block.count[i]);
+    out.rows.insert(out.rows.end(), block.row(i), block.row(i) + width);
   }
 }
 
-/// k-way merge of one section across a batch's sender runs (`runs[s]` is
-/// sender s's partial): calls visit(block, row) for every row in ascending
-/// key(block, row) order. Each run is already strictly ascending, so this
-/// is a scan of the run heads — no sort, no copy; rows with equal keys
-/// (one ρ recipient reported by several senders) visit in ascending
-/// sender order, the order ρ partials are summed in.
-template <typename Key, typename Visit>
-void MergeRuns(std::span<const ShardPartial* const> runs,
-               const RowBlock ShardPartial::*section, Key key, Visit visit) {
+/// k-way merge of a batch's sender runs (`runs[s]` is sender s's ρ rows):
+/// calls visit(block, row) for every row in ascending recipient order.
+/// Each run is already strictly ascending, so this is a scan of the run
+/// heads — no sort, no copy; rows with equal recipients (one ρ recipient
+/// reported by several senders) visit in ascending sender order, the
+/// order ρ partials are summed in.
+template <typename Visit>
+void MergeRuns(std::span<const RowBlock* const> runs, Visit visit) {
   std::vector<size_t> head(runs.size(), 0);
   while (true) {
     const RowBlock* best = nullptr;
     size_t best_sender = 0;
-    int64_t best_key = 0;
     for (size_t s = 0; s < runs.size(); ++s) {
-      const RowBlock& run = runs[s]->*section;
+      const RowBlock& run = *runs[s];
       if (head[s] == run.size()) continue;
-      const int64_t k = key(run, head[s]);
-      if (best == nullptr || k < best_key) {
+      if (best == nullptr ||
+          run.node[head[s]] < best->node[head[best_sender]]) {
         best = &run;
         best_sender = s;
-        best_key = k;
       }
     }
     if (best == nullptr) return;
@@ -121,7 +105,9 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
       router_(partition_),
       transport_(options_.transport ? options_.transport()
                                     : std::make_unique<InProcessTransport>()),
-      encode_pool_(static_cast<size_t>(options.num_shards)),
+      // InferBatch submits at most num_shards − 1 slices; the caller
+      // encodes the last one itself.
+      encode_pool_(static_cast<size_t>(options.num_shards - 1)),
       shard_down_(static_cast<size_t>(options.num_shards)) {
   APAN_CHECK(model != nullptr);
   APAN_CHECK_MSG(partition_->num_shards == options_.num_shards &&
@@ -325,7 +311,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
       {
         Shard& shard = *shards_[static_cast<size_t>(s)];
         util::MutexLock state_lock(shard.state_mu);
-        out = model_->weights().EncodeNodes(*shard.store, nodes);
+        out = model_->encoder().EncodeNodes(*shard.store, nodes);
       }
       const float* rows = out.embeddings.data();
       for (size_t r = 0; r < nodes.size(); ++r) {
@@ -418,19 +404,31 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     up_count += down[static_cast<size_t>(s)] == 0 ? 1 : 0;
   }
 
-  // Home every record on its source endpoint's shard.
+  // Home every record on its source endpoint's shard, and list for each
+  // shard the events with an endpoint it owns: the only events its merge
+  // visits. Events homed on a down shard are listed nowhere, so no shard
+  // writes their rows or mail.
   std::vector<BatchJob> jobs(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     jobs[static_cast<size_t>(s)].ctx = ctx;
   }
+  ctx->owned_events.resize(static_cast<size_t>(num_shards));
   for (size_t i = 0; i < events.size(); ++i) {
-    const int home = router_.HomeShardOf(events[i]);
+    const graph::Event& e = events[i];
+    const int home = router_.HomeShardOf(e);
     auto& job = jobs[static_cast<size_t>(home)];
-    job.events.push_back(events[i]);
+    job.events.push_back(e);
     job.src_row.push_back(src_rows[i]);
     job.dst_row.push_back(dst_rows[i]);
-    job.event_index.push_back(static_cast<int64_t>(i));
+    if (down[static_cast<size_t>(home)] != 0) continue;
+    ctx->owned_events[static_cast<size_t>(home)].push_back(i);
+    const int dst_owner = router_.ShardOf(e.dst);
+    if (dst_owner != home) {
+      ctx->owned_events[static_cast<size_t>(dst_owner)].push_back(i);
+    }
   }
+  ctx->src_row = std::move(src_rows);
+  ctx->dst_row = std::move(dst_rows);
   for (int s = 0; s < num_shards; ++s) {
     const auto homed = jobs[static_cast<size_t>(s)].events.size();
     if (homed == 0) continue;
@@ -582,29 +580,31 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
       ins_.stage_append->Record(shard_id, append_watch.ElapsedMillis());
     }
   }
-  RowBlock hop0, partial;
+  RowBlock partial;
   {
     APAN_TRACE_SPAN("propagate");
     Stopwatch propagate_watch;
     model_->propagator().PropagateRows(
-        {job.events, job.event_index, job.ctx->embeddings, job.src_row,
-         job.dst_row},
-        hops, &hop0, &partial);
+        {job.events, job.ctx->embeddings, job.src_row, job.dst_row}, hops,
+        &partial);
     if (stage_metrics_) {
       ins_.stage_propagate->Record(shard_id,
                                    propagate_watch.ElapsedMillis());
     }
   }
+  // The merge writes this shard's own endpoints from the context, so it
+  // is parked with the batch before the own partial can complete it.
+  const int64_t batch = job.ctx->batch;
+  shard.pending[batch].ctx = job.ctx;
   // The own partial is applied after the cross-shard ones are on their
   // way, and outside the route stage: applying it can complete a merge.
   SendPartial(shard_id, shard_id,
-              RouteMail(shard_id, job, std::move(hop0), std::move(partial)));
+              RouteMail(shard_id, batch, std::move(partial)));
 
   // Batch teardown is real per-batch work — freeing the nested hop
-  // vectors, the arena's recycle pass, and (for the last shard holding
-  // the context) the batch's event storage. It scales with batch size,
-  // so it gets its own stage instead of hiding in the attribution
-  // residue of the fig10 breakdown.
+  // vectors, the job's home-event columns and the arena's recycle pass.
+  // It scales with batch size, so it gets its own stage instead of hiding
+  // in the attribution residue of the fig10 breakdown.
   APAN_TRACE_SPAN("finalize");
   Stopwatch finalize_watch;
   hops.clear();
@@ -661,6 +661,12 @@ void ShardedEngine::SendPartial(int from_shard, int to_shard,
     // peer), and a peer missing this partial can never reach its
     // sender-count barrier, so retire that leg here or Flush wedges.
     ins_.sends_shed->Add(to_shard, 1);
+    if (to_shard == from_shard) {
+      // This worker's own partial: the batch can never merge here, so
+      // its parked context (events plus embedding matrix) is freed now
+      // instead of waiting for RestoreShard or ResetState.
+      shards_[to]->pending.erase(batch);
+    }
     CompensateLostPartial(to_shard, batch);
     return;
   }
@@ -708,11 +714,8 @@ void ShardedEngine::EnqueueMessage(int to_shard, ShardPartial message) {
   APAN_CHECK_MSG(valid_shard(message.from_shard),
                  "transport delivered a message with an out-of-range sender");
   // The merge reads d-wide rows and every index column blind, so the
-  // blocks' shape is checked here, once, at the delivery boundary.
-  const int64_t d = model_->config().embedding_dim;
-  APAN_CHECK_MSG(SectionFits(message.state, d, true, false) &&
-                     SectionFits(message.hop0, d, true, true) &&
-                     SectionFits(message.partial, d, false, true),
+  // block's shape is checked here, once, at the delivery boundary.
+  APAN_CHECK_MSG(BlockFits(message.partial, model_->config().embedding_dim),
                  "transport delivered a malformed ShardPartial");
   Shard& target = *shards_[static_cast<size_t>(to_shard)];
   int64_t depth = 0;
@@ -735,62 +738,24 @@ void ShardedEngine::CountDuplicateDropped(int shard_id) {
   ins_.duplicates_dropped->Add(shard_id, 1);
 }
 
-ShardPartial ShardedEngine::RouteMail(int from_shard, const BatchJob& job,
-                                      RowBlock&& hop0, RowBlock&& partial) {
+ShardPartial ShardedEngine::RouteMail(int from_shard, int64_t batch,
+                                      RowBlock&& partial) {
   APAN_TRACE_SPAN("route");
   Stopwatch route_watch;
   const int num_shards = options_.num_shards;
-  const int64_t d = model_->config().embedding_dim;
   std::vector<ShardPartial> outbound(static_cast<size_t>(num_shards));
   for (int t = 0; t < num_shards; ++t) {
-    outbound[static_cast<size_t>(t)].batch = job.ctx->batch;
+    outbound[static_cast<size_t>(t)].batch = batch;
     outbound[static_cast<size_t>(t)].from_shard = from_shard;
   }
+  const auto routed = static_cast<int64_t>(partial.size());
+  SplitByOwner(router_, std::move(partial), &outbound);
 
-  // z(t−) write-backs go to each endpoint's owner; sequence tags let the
-  // owner replay them in global event order (later events win). Rows are
-  // copied straight out of the batch's embedding matrix.
-  const size_t n = job.events.size();
-  std::vector<size_t> state_rows(static_cast<size_t>(num_shards), 0);
-  for (const graph::Event& e : job.events) {
-    ++state_rows[static_cast<size_t>(router_.ShardOf(e.src))];
-    ++state_rows[static_cast<size_t>(router_.ShardOf(e.dst))];
-  }
-  for (int t = 0; t < num_shards; ++t) {
-    RowBlock& state = outbound[static_cast<size_t>(t)].state;
-    const size_t rows = state_rows[static_cast<size_t>(t)];
-    state.width = d;
-    state.sequence.reserve(rows);
-    state.node.reserve(rows);
-    state.rows.reserve(rows * static_cast<size_t>(d));
-  }
-  const float* z = job.ctx->embeddings.data();
-  const auto add_state = [&](int64_t sequence, graph::NodeId node,
-                             int64_t row) {
-    RowBlock& state =
-        outbound[static_cast<size_t>(router_.ShardOf(node))].state;
-    state.sequence.push_back(sequence);
-    state.node.push_back(node);
-    state.rows.insert(state.rows.end(), z + row * d, z + (row + 1) * d);
-  };
-  for (size_t i = 0; i < n; ++i) {
-    const int64_t seq = 2 * job.event_index[i];
-    add_state(seq, job.events[i].src, job.src_row[i]);
-    add_state(seq + 1, job.events[i].dst, job.dst_row[i]);
-  }
-  SplitByOwner(router_, std::move(hop0), &ShardPartial::hop0, &outbound);
-  SplitByOwner(router_, std::move(partial), &ShardPartial::partial,
-               &outbound);
-
-  int64_t routed = 0;
   int64_t cross_shard = 0;
   for (int t = 0; t < num_shards; ++t) {
-    ShardPartial& out = outbound[static_cast<size_t>(t)];
-    const auto mails = static_cast<int64_t>(out.hop0.size() +
-                                            out.partial.size());
-    routed += mails;
     if (t == from_shard) continue;
-    cross_shard += mails;
+    ShardPartial& out = outbound[static_cast<size_t>(t)];
+    cross_shard += static_cast<int64_t>(out.partial.size());
     SendPartial(from_shard, t, std::move(out));
   }
   ins_.mails_routed->Add(from_shard, routed);
@@ -811,7 +776,7 @@ void ShardedEngine::OnMail(int shard_id, ShardPartial partial) {
     CountDuplicateDropped(shard_id);
     return;
   }
-  std::vector<ShardPartial>& parts = shard.pending[partial.batch];
+  std::vector<ShardPartial>& parts = shard.pending[partial.batch].parts;
   for (const ShardPartial& existing : parts) {
     if (existing.from_shard == partial.from_shard) {
       CountDuplicateDropped(shard_id);
@@ -825,10 +790,10 @@ void ShardedEngine::OnMail(int shard_id, ShardPartial partial) {
   while (true) {
     auto it = shard.pending.find(shard.next_merge);
     if (it == shard.pending.end() ||
-        static_cast<int>(it->second.size()) != options_.num_shards) {
+        static_cast<int>(it->second.parts.size()) != options_.num_shards) {
       break;
     }
-    std::vector<ShardPartial> merged = std::move(it->second);
+    Shard::PendingBatch merged = std::move(it->second);
     shard.pending.erase(it);
     ApplyMergedBatch(shard_id, std::move(merged));
     ++shard.next_merge;
@@ -842,52 +807,56 @@ void ShardedEngine::OnMail(int shard_id, ShardPartial partial) {
 }
 
 void ShardedEngine::ApplyMergedBatch(int shard_id,
-                                     std::vector<ShardPartial> parts) {
+                                     Shard::PendingBatch batch) {
   APAN_TRACE_SPAN("merge");
   Stopwatch watch;
+  // Every sender's partial is in, this shard's own included, and a shard
+  // parks the context before it sends its own partial.
+  APAN_CHECK_MSG(batch.ctx != nullptr, "merge without its batch context");
+  const int64_t batch_id = batch.ctx->batch;
   // One run per sender, indexed by sender: OnMail admits exactly one
   // partial per in-range sender, so every slot is filled.
-  std::vector<const ShardPartial*> runs(
-      static_cast<size_t>(options_.num_shards), nullptr);
-  for (const ShardPartial& part : parts) {
-    runs[static_cast<size_t>(part.from_shard)] = &part;
+  std::vector<const RowBlock*> runs(static_cast<size_t>(options_.num_shards),
+                                    nullptr);
+  for (const ShardPartial& part : batch.parts) {
+    runs[static_cast<size_t>(part.from_shard)] = &part.partial;
   }
-  const int64_t batch = parts.front().batch;
   const int64_t d = model_->config().embedding_dim;
-  const auto by_sequence = [](const RowBlock& b, size_t i) {
-    return b.sequence[i];
-  };
-  const auto by_recipient = [](const RowBlock& b, size_t i) {
-    return b.node[i];
-  };
+  const auto du = static_cast<size_t>(d);
+  int64_t hop0_delivered = 0;
   {
+    const BatchContext& ctx = *batch.ctx;
     // Everything this batch touches is the owner shard's private store:
-    // routed state updates and mail land in shard-local memory, never in
-    // the model or another shard's rows.
+    // z(t−) rows and mail land in shard-local memory, never in the model
+    // or another shard's rows.
     Shard& shard = *shards_[static_cast<size_t>(shard_id)];
     util::MutexLock state_lock(shard.state_mu);
     core::NodeStateStore& store = *shard.store;
 
-    // 1. z(t−) write-backs in global event order (later events win).
-    MergeRuns(runs, &ShardPartial::state, by_sequence,
-              [&store, d](const RowBlock& b, size_t i) {
-                store.SetLastEmbedding(b.node[i],
-                                       {b.row(i), static_cast<size_t>(d)});
-              });
+    // 1. The endpoints this shard owns, in event order: z(t−) (a later
+    // event wins) and the event's unreduced hop-0 mail — exactly the
+    // per-node delivery order the serial ApanModel path produces.
+    const MailPropagator& propagator = model_->propagator();
+    std::vector<float> mail(du);
+    for (const size_t i : ctx.owned_events[static_cast<size_t>(shard_id)]) {
+      const graph::Event& e = ctx.events[i];
+      propagator.DeliverHop0(
+          e, ctx.embeddings.data() + ctx.src_row[i] * d,
+          ctx.embeddings.data() + ctx.dst_row[i] * d, mail,
+          [&](graph::NodeId node, const float* z_node,
+              std::span<const float> row) {
+            if (router_.ShardOf(node) != shard_id) return;
+            store.SetLastEmbedding(node, {z_node, du});
+            store.Deliver(node, row, e.timestamp);
+            ++hop0_delivered;
+          });
+    }
 
-    // 2. Hop-0 mail replayed in global event order — exactly the per-node
-    // delivery order the serial ApanModel path produces.
-    MergeRuns(runs, &ShardPartial::hop0, by_sequence,
-              [&store, d](const RowBlock& b, size_t i) {
-                store.Deliver(b.node[i], {b.row(i), static_cast<size_t>(d)},
-                              b.timestamp[i]);
-              });
-
-    // 3. ρ across the whole batch: one recipient's partial sums arrive
+    // 2. ρ across the whole batch: one recipient's partial sums arrive
     // consecutively, in sender order; the first is copied, the rest are
     // added, and the finalized mean is delivered — the serial path's
     // arithmetic, one scratch row, no per-recipient vector.
-    std::vector<float> sum(static_cast<size_t>(d));
+    std::vector<float> sum(du);
     bool open = false;
     graph::NodeId recipient = -1;
     double newest = 0.0;
@@ -896,35 +865,35 @@ void ShardedEngine::ApplyMergedBatch(int shard_id,
       MailPropagator::FinalizeRow(sum.data(), d, contributions);
       store.Deliver(recipient, sum, newest);
     };
-    MergeRuns(runs, &ShardPartial::partial, by_recipient,
-              [&](const RowBlock& b, size_t i) {
-                const float* row = b.row(i);
-                if (open && b.node[i] == recipient) {
-                  for (int64_t k = 0; k < d; ++k) {
-                    sum[static_cast<size_t>(k)] += row[k];
-                  }
-                  newest = std::max(newest, b.timestamp[i]);
-                  contributions += b.count[i];
-                  return;
-                }
-                if (open) deliver_reduced();
-                open = true;
-                std::copy_n(row, d, sum.data());
-                recipient = b.node[i];
-                newest = b.timestamp[i];
-                contributions = b.count[i];
-              });
+    MergeRuns(runs, [&](const RowBlock& b, size_t i) {
+      const float* row = b.row(i);
+      if (open && b.node[i] == recipient) {
+        for (int64_t k = 0; k < d; ++k) {
+          sum[static_cast<size_t>(k)] += row[k];
+        }
+        newest = std::max(newest, b.timestamp[i]);
+        contributions += b.count[i];
+        return;
+      }
+      if (open) deliver_reduced();
+      open = true;
+      std::copy_n(row, d, sum.data());
+      recipient = b.node[i];
+      newest = b.timestamp[i];
+      contributions = b.count[i];
+    });
     if (open) deliver_reduced();
   }
-  // Teardown inside the watch: the senders' row blocks are freed here, a
-  // real batch-sized slice of the merge — dropping them after the record
-  // would leak it into the fig10 attribution residue.
-  parts.clear();
-  parts.shrink_to_fit();
+  ins_.mails_routed->Add(shard_id, hop0_delivered);
+  // Teardown inside the watch: the senders' row blocks (and, for the last
+  // shard holding it, the batch context) are freed here, a real
+  // batch-sized slice of the merge — dropping them after the record would
+  // leak it into the fig10 attribution residue.
+  batch = Shard::PendingBatch{};
   ins_.stage_merge->Record(shard_id, watch.ElapsedMillis());
 
   util::MutexLock lock(flush_mu_);
-  auto remaining = apply_remaining_.find(batch);
+  auto remaining = apply_remaining_.find(batch_id);
   // A missing barrier (or a leg already retired) means the shed
   // compensation beat a late merge here: an at-least-once transport
   // delivered a held duplicate of a partial whose original was shed when
@@ -971,6 +940,7 @@ Status ShardedEngine::SnapshotShardLocal(int shard_id, int64_t next_batch,
     util::MutexLock state_lock(shard.state_mu);
     const core::Mailbox& mailbox = shard.store->mailbox();
     snap.owned_nodes = mailbox.num_nodes();
+    snap.owned_digest = snapshot::OwnedNodesDigest(*partition_, shard_id);
     snap.mailbox_slots = mailbox.slots();
     snap.mail_dim = mailbox.dim();
     snap.state_dim = shard.store->dim();
@@ -1163,6 +1133,14 @@ Status ShardedEngine::RestoreShard(int shard, const std::string& path) {
     return Status::InvalidArgument(internal::StrCat(
         "snapshot owns ", snap->owned_nodes, " nodes; shard ", shard,
         " owns ", owned, " under this partition"));
+  }
+  // Rows restore by local position, so the image must also own the same
+  // nodes in the same row order — an equal count is not enough.
+  if (snap->owned_digest != snapshot::OwnedNodesDigest(*partition_, shard)) {
+    return Status::InvalidArgument(internal::StrCat(
+        "snapshot of shard ", shard,
+        " was taken under a different partition: its owned-node digest ",
+        snap->owned_digest, " does not match this engine's"));
   }
   const int64_t restored_batch = snap->next_batch;
   const int64_t restored_ordinal = snap->next_ordinal;

@@ -11,13 +11,13 @@
 // owns its nodes' mutable state — a core::NodeStateStore holding its
 // mailbox slice and z(t−) rows — and its worker keeps a private, full
 // graph::AdjacencyReplica of the temporal graph. The model itself is
-// touched only through the const core::ApanWeights view (the weights are
-// replicated, the state is partitioned): the engine never locks or writes
-// a byte of ApanModel's mutable state while running, so the model's
-// default store stays empty and Shard::state_mu guards genuinely
-// shard-private memory — no false sharing on the synchronous link. Each
-// shard has a bounded inbox of batch jobs and runs one propagation
-// worker. The division of labour per batch:
+// touched only through a const pointer (the weights are replicated, the
+// state is partitioned): the engine never locks or writes a byte of
+// ApanModel's mutable state while running, so the model's default store
+// stays empty and Shard::state_mu guards genuinely shard-private memory —
+// no false sharing on the synchronous link. Each shard has a bounded inbox
+// of batch jobs and runs one propagation worker. The division of labour
+// per batch:
 //
 //   Synchronous link (InferBatch, what the caller waits for)
 //     · the batch's unique nodes are split by owner shard and encoded
@@ -26,31 +26,35 @@
 //     · link scores are decoded on the calling thread and returned.
 //
 //   Asynchronous link (per-shard workers, off the latency path)
-//     · every event is homed on its source endpoint's shard; the home
-//       shard computes the event's mail (φ) and samples its k-hop
+//     · every worker receives the whole batch and its embedding matrix
+//       (one shared BatchContext). Every event is homed on its source
+//       endpoint's shard; the home shard samples the event's k-hop
 //       neighbourhood (N) from the worker's own replica. Every worker
-//       receives the whole batch, samples its home events first and then
-//       appends all of the batch's events — the serial oracle's order —
-//       so a replica read sees exactly batches 0..b-1 with no versioning
-//       and no shard ever waits on another to sample;
-//     · the home shard's propagation kernel writes the event's mail rows
-//       and ρ partial sums into flat row blocks, which are *routed* —
-//       split by owner with row copies, z(t−) write-backs alongside — as
-//       one ShardPartial per recipient shard. Cross-shard mail therefore
-//       arrives interleaved with other shards' traffic — out of order by
+//       samples its home events first and then appends all of the
+//       batch's events — the serial oracle's order — so a replica read
+//       sees exactly batches 0..b-1 with no versioning and no shard ever
+//       waits on another to sample;
+//     · the home shard's propagation kernel sums the event's mail (φ)
+//       into ρ partial sums over flat row blocks, which are *routed* —
+//       split by owner with row copies — as one ShardPartial per
+//       recipient shard. Cross-shard partials therefore arrive
+//       interleaved with other shards' traffic — out of order by
 //       construction; a shard's partial to itself skips the transport;
-//     · a recipient shard reassembles a batch once partials from all N
-//       shards have arrived, then k-way merges the N sender runs (each
-//       already in sequence / recipient order) straight into its rows in
-//       global event order, restoring exactly the per-node delivery order
-//       of the serial ApanModel path.
+//     · a recipient shard merges a batch once partials from all N shards
+//       have arrived. It first walks, in order, the batch's events with
+//       an endpoint it owns (listed per shard at ingest) and, for each
+//       such endpoint, writes the z(t−) row and delivers the hop-0 mail
+//       (φ, computed from the shared context), then k-way
+//       merges the N sender runs (each already in recipient order)
+//       straight into its rows — exactly the per-node delivery order of
+//       the serial ApanModel path.
 //
 // Transport plane: every cross-shard ShardPartial travels through a
 // pluggable serve::Transport (Options::transport) — synchronous in-process
 // delivery by default, or a Unix-domain-socket lane per ordered pair of
 // distinct shards carrying serve/wire.h frames. The engine assumes only
-// at-least-once delivery with no ordering: sequence tags reconstruct every
-// order that matters, and duplicated deliveries are dropped by their
+// at-least-once delivery with no ordering: a batch merges only once every
+// sender's partial is in, and duplicated deliveries are dropped by their
 // (batch, sender) tag.
 // With the state plane split into per-shard stores, nothing crosses a
 // shard boundary through shared memory: a shard's entire mutable
@@ -59,7 +63,7 @@
 // (docs/serving.md).
 //
 // Determinism: because neighborhood expansion, per-node delivery order and
-// ρ-reduction are reconstructed exactly, the final mailbox timestamps and
+// ρ-reduction are reproduced exactly, the final mailbox timestamps and
 // counts after Flush() are bitwise-identical to the serial ApanModel path
 // (ProcessBatchPostInference, batch by batch) on the same stream. Mail
 // *payloads* sum ρ partials in sender-shard order, so they equal the
@@ -163,7 +167,7 @@ class ShardedEngine {
   /// PropagationSampling::kMostRecent (CHECK-enforced): workers sample
   /// their graph::AdjacencyReplica, which samples most-recent only. The
   /// model is put in eval mode once here; afterwards the engine accesses
-  /// it const-only (core::ApanWeights): served state lands in the
+  /// it const-only (weights and propagator): served state lands in the
   /// engine's own per-shard NodeStateStores and graph replicas, NOT in
   /// model->graph(), model->mailbox() or model->state_store(), which all
   /// stay empty.
@@ -230,7 +234,9 @@ class ShardedEngine {
 
   /// \brief Restores shard `shard` from a snapshot written by
   /// SnapshotShard: decodes + validates the file against this engine's
-  /// topology (shard id, shard count, node count, mailbox/state geometry),
+  /// topology (shard id, shard count, node count, mailbox/state geometry,
+  /// and the digest of the nodes the shard owns under this engine's
+  /// partition — an image from another partition is InvalidArgument),
   /// then installs it via a control job on the shard's worker and adopts
   /// the snapshot's batch/ordinal numbering (all shards of one recovery
   /// set carry the same quiesced numbering, so per-shard adoption is
@@ -248,8 +254,11 @@ class ShardedEngine {
   /// to it are shed (counted in Stats::events_shed), partials to it are
   /// shed at send (Stats::sends_shed), and its merge contribution is
   /// synthesized empty so healthy shards' reassembly barriers still
-  /// complete. Healthy shards still sample nodes it owns from their own
-  /// replicas. Scores keep flowing — encoded against the down shard's
+  /// complete. Healthy shards write no z(t−) row and no mail for a shed
+  /// event, and still sample nodes the down shard owns from their own
+  /// replicas. A shard marked down at runtime drops each batch context
+  /// its queued jobs park, since those batches can never merge there.
+  /// Scores keep flowing — encoded against the down shard's
   /// frozen state. Flushes in-flight work before flipping the flag, so
   /// the transition lands at a batch boundary.
   /// No-op after Shutdown.
@@ -264,9 +273,11 @@ class ShardedEngine {
     /// also counted in mails_dropped). The accounting identity is
     /// batches_ingested == batches attempted − batches_rejected.
     int64_t batches_rejected = 0;
-    /// MailDeliveries routed shard→shard (hop-0 plus reduced).
+    /// Mails produced: hop-0 deliveries (counted at the owner) plus ρ
+    /// partial-sum rows (counted at the sender).
     int64_t mails_routed = 0;
-    /// Subset of mails_routed whose sender and owner shards differ.
+    /// ρ partial-sum rows sent to a shard other than their sender — the
+    /// only mail that crosses shards.
     int64_t mails_cross_shard = 0;
     /// Interaction records dropped whole by the overflow policy.
     int64_t mails_dropped = 0;
@@ -315,10 +326,11 @@ class ShardedEngine {
   obs::Registry* registry() const { return registry_; }
 
  private:
-  /// Shared per-batch bookkeeping for the in-process job path, read-only
-  /// once built: the whole batch, which every shard appends to its
-  /// replica, and the synchronous link's embedding matrix, which every
-  /// home shard reads its events' z rows from. (The apply barrier lives in
+  /// Shared per-batch bookkeeping, read-only once built: the whole batch,
+  /// which every shard appends to its replica, each shard's list of the
+  /// events whose endpoints it writes at merge time, and the synchronous
+  /// link's embedding matrix,
+  /// which every shard reads z rows from. (The apply barrier lives in
   /// apply_remaining_, keyed by batch — ShardPartials cross the transport
   /// and cannot carry pointers.)
   struct BatchContext {
@@ -326,19 +338,25 @@ class ShardedEngine {
     std::vector<graph::Event> events;
     /// {unique nodes, d} row-major: each of the batch's nodes encoded once.
     std::vector<float> embeddings;
+    /// Each event's endpoint rows in `embeddings`.
+    std::vector<int64_t> src_row;
+    std::vector<int64_t> dst_row;
+    /// Per shard, ascending: the events with an endpoint that shard owns
+    /// whose home shard was up at ingest — the z(t−) rows and hop-0 mail
+    /// its merge writes. Events homed on a down shard are shed.
+    std::vector<std::vector<size_t>> owned_events;
   };
 
   /// A batch's home-events slice for one shard, or a control job. Jobs
   /// stay in-process (they carry the caller's encoder output); only
   /// ShardPartials travel the transport.
   struct BatchJob {
-    std::shared_ptr<BatchContext> ctx;
-    /// The home events, their endpoints' rows in ctx->embeddings, and
-    /// their global batch positions — core::InteractionRows, by column.
+    std::shared_ptr<const BatchContext> ctx;
+    /// The home events and their endpoints' rows in ctx->embeddings —
+    /// core::InteractionRows, by column.
     std::vector<graph::Event> events;
     std::vector<int64_t> src_row;
     std::vector<int64_t> dst_row;
-    std::vector<int64_t> event_index;
     /// Set for a control job (reset, snapshot, restore), which runs this
     /// on the owning worker instead of propagating a batch. Routing it
     /// through the inbox keeps every worker-confined field (merge cursor,
@@ -376,8 +394,14 @@ class ShardedEngine {
     /// only): sampled for its home events, then appended every batch.
     std::unique_ptr<graph::AdjacencyReplica> replica;
 
-    /// Worker-local per-batch reassembly (worker thread only).
-    std::map<int64_t, std::vector<ShardPartial>> pending;
+    /// Worker-local per-batch reassembly (worker thread only): the
+    /// batch's context, stored when this worker runs the batch's job, and
+    /// the partials received so far.
+    struct PendingBatch {
+      std::shared_ptr<const BatchContext> ctx;
+      std::vector<ShardPartial> parts;
+    };
+    std::map<int64_t, PendingBatch> pending;
     int64_t next_merge = 0;
 
     std::thread worker;
@@ -398,15 +422,15 @@ class ShardedEngine {
   Status RunControlJob(int shard, std::function<Status(int shard_id)> control)
       APAN_REQUIRES(infer_mu_) APAN_EXCLUDES(flush_mu_);
   void OnMail(int shard_id, ShardPartial partial) APAN_EXCLUDES(flush_mu_);
-  void ApplyMergedBatch(int shard_id, std::vector<ShardPartial> parts)
+  /// Writes the shard's own endpoints (z(t−) rows, hop-0 mail) from the
+  /// batch's context, then merges its N ρ runs.
+  void ApplyMergedBatch(int shard_id, Shard::PendingBatch batch)
       APAN_EXCLUDES(flush_mu_);
-  /// Splits a job's propagation output and z(t−) write-backs by owner
-  /// into one ShardPartial per shard, sends the cross-shard ones, and
-  /// returns the one addressed to `from_shard` (applied by the caller
-  /// after the route stage is timed).
-  ShardPartial RouteMail(int from_shard, const BatchJob& job,
-                         core::RowBlock&& hop0, core::RowBlock&& partial)
-      APAN_EXCLUDES(flush_mu_);
+  /// Splits a job's ρ partial sums by owner into one ShardPartial per
+  /// shard, sends the cross-shard ones, and returns the one addressed to
+  /// `from_shard` (applied by the caller after the route stage is timed).
+  ShardPartial RouteMail(int from_shard, int64_t batch,
+                         core::RowBlock&& partial) APAN_EXCLUDES(flush_mu_);
   /// Hands one partial to the transport (which delivers it through
   /// EnqueueMessage, possibly on another thread, possibly more than
   /// once) — or, addressed to the sending shard itself, straight to
@@ -431,7 +455,7 @@ class ShardedEngine {
   std::vector<std::vector<graph::HopEntry>> SampleKHop(int shard_id,
                                                        const BatchJob& job);
 
-  /// Const-only while running: weights are read through model_->weights();
+  /// Const-only while running: only weights and the propagator are read;
   /// all mutable serve state lives in the per-shard stores above.
   const core::ApanModel* model_;
   Options options_;
@@ -497,7 +521,7 @@ class ShardedEngine {
     obs::Counter* batches_ingested = nullptr;   ///< 1 cell (caller thread)
     obs::Counter* batches_propagated = nullptr;  ///< cell = completing shard
     obs::Counter* batches_rejected = nullptr;   ///< 1 cell
-    obs::Counter* mails_routed = nullptr;       ///< cell = sender shard
+    obs::Counter* mails_routed = nullptr;  ///< cell = owner / ρ sender
     obs::Counter* mails_cross_shard = nullptr;  ///< cell = sender shard
     obs::Counter* mails_dropped = nullptr;      ///< 1 cell
     obs::Counter* duplicates_dropped = nullptr;  ///< cell = dropping shard

@@ -82,6 +82,25 @@ Status Errno(const char* op, const std::string& path) {
 
 }  // namespace
 
+uint64_t OwnedNodesDigest(const graph::NodePartition& partition, int shard) {
+  std::vector<graph::NodeId> owned(static_cast<size_t>(
+      partition.owned_count[static_cast<size_t>(shard)]));
+  for (size_t v = 0; v < partition.owner_of.size(); ++v) {
+    if (partition.owner_of[v] == shard) {
+      owned[static_cast<size_t>(partition.local_row[v])] =
+          static_cast<graph::NodeId>(v);
+    }
+  }
+  uint64_t h = 14695981039346656037ull;
+  for (const graph::NodeId v : owned) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (static_cast<uint64_t>(v) >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
 uint32_t Crc32(std::span<const uint8_t> bytes) {
   const uint32_t* table = Crc32Table();
   uint32_t crc = 0xffffffffu;
@@ -101,6 +120,7 @@ std::vector<uint8_t> EncodeShardSnapshot(const ShardSnapshot& snap) {
   PutI64(&payload, snap.next_ordinal);
   // Geometry.
   PutI64(&payload, snap.owned_nodes);
+  PutU64(&payload, snap.owned_digest);
   PutI64(&payload, snap.mailbox_slots);
   PutI64(&payload, snap.mail_dim);
   PutI64(&payload, snap.state_dim);
@@ -200,6 +220,7 @@ Result<ShardSnapshot> DecodeShardSnapshot(std::span<const uint8_t> bytes) {
     return Status::IoError("snapshot: negative replay position");
   }
   APAN_RETURN_NOT_OK(r.ReadI64(&snap.owned_nodes, "owned_nodes"));
+  APAN_RETURN_NOT_OK(r.ReadU64(&snap.owned_digest, "owned_digest"));
   APAN_RETURN_NOT_OK(r.ReadI64(&snap.mailbox_slots, "mailbox_slots"));
   APAN_RETURN_NOT_OK(r.ReadI64(&snap.mail_dim, "mail_dim"));
   APAN_RETURN_NOT_OK(r.ReadI64(&snap.state_dim, "state_dim"));

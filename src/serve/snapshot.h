@@ -7,7 +7,9 @@
 // rows), its worker's graph::AdjacencyReplica (one {node, timestamp} row
 // per node of the whole graph), and the replay state the at-least-once
 // transport contract depends on (merge cursor, engine batch/ordinal
-// numbering). Restoring a snapshot reproduces the shard bitwise, so
+// numbering), plus a digest of the node ids the shard owns, so an image
+// is never restored under a different partition (its rows restore by
+// local position). Restoring a snapshot reproduces the shard bitwise, so
 // replaying the event tail from the snapshot's batch watermark yields a
 // mailbox identical to a run that never crashed.
 //
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "graph/adjacency_replica.h"
+#include "graph/node_partition.h"
 #include "util/status.h"
 
 namespace apan {
@@ -51,8 +54,9 @@ inline constexpr uint32_t kMagic = 0x4e535041u;
 /// Current format version. Bump on any layout change; decoding rejects
 /// every other version (forward and backward) with InvalidArgument.
 /// Version 1 held a partitioned graph slice plus frontier replay state;
-/// version 2 holds the shard's full graph replica instead.
-inline constexpr uint32_t kVersion = 2;
+/// version 2 held the shard's full graph replica instead; version 3 adds
+/// the owned-node digest.
+inline constexpr uint32_t kVersion = 3;
 
 /// Bytes before the payload (magic + version + payload length).
 inline constexpr size_t kHeaderBytes = 16;
@@ -78,6 +82,8 @@ struct ShardSnapshot {
 
   // ---- State-plane geometry (validated against the restoring store) ----
   int64_t owned_nodes = 0;
+  /// OwnedNodesDigest of the partition the image was taken under.
+  uint64_t owned_digest = 0;
   int64_t mailbox_slots = 0;
   int64_t mail_dim = 0;
   int64_t state_dim = 0;
@@ -98,6 +104,12 @@ struct ShardSnapshot {
   // ---- Replay state (worker-confined merge cursor) ---------------------
   int64_t next_merge = 0;
 };
+
+/// FNV-1a (64-bit) over the node ids `shard` owns under `partition`, in
+/// local-row order, each id as 8 little-endian bytes. Two partitions give
+/// a shard the same rows exactly when their digests agree (up to hash
+/// collisions).
+uint64_t OwnedNodesDigest(const graph::NodePartition& partition, int shard);
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.
 uint32_t Crc32(std::span<const uint8_t> bytes);

@@ -1,8 +1,8 @@
 // The pluggable shard-to-shard messaging plane.
 //
-// serve::ShardedEngine routes every cross-shard interaction — mail
-// partials and z(t−) write-backs, one ShardPartial per (sender,
-// recipient, batch) with sender != recipient — through a Transport. A
+// serve::ShardedEngine routes every cross-shard interaction — ρ partial
+// sums, one ShardPartial per (sender, recipient, batch) with sender !=
+// recipient — through a Transport. A
 // shard's partial to itself never touches the transport. The engine only
 // assumes:
 //
@@ -12,8 +12,9 @@
 //   · thread-safe Send from any engine thread, and a handler that may be
 //     invoked from any transport thread (the engine's inbox push is
 //     mutex-guarded);
-//   · no ordering at all: sequence-tag replay reconstructs every order
-//     that matters (docs/serving.md, "Transport plane").
+//   · no ordering at all: per-batch reassembly and the in-order merge
+//     cursor reconstruct every order that matters (docs/serving.md,
+//     "Transport plane").
 //
 // Implementations:
 //   · InProcessTransport — Send invokes the handler synchronously on the

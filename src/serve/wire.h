@@ -14,18 +14,23 @@
 // All integers are little-endian fixed-width; floating-point values are
 // bit-cast to the same-width integer, so a round trip is bitwise exact for
 // every representable value (negative zero, NaN payloads, ±inf). Vectors
-// are a u64 count followed by the elements. A kind-1 body is batch,
-// from_shard, then the state, hop0 and partial sections, each a u64 row
-// count followed by its rows (wire.cc spells out the row layout).
+// are a u64 count followed by the elements. A kind-1 body is
+//
+//   body := i64 batch | i32 from_shard | section(partial)
+//
+// where the section is a u64 row count followed by its ρ partial-sum rows
+// (wire.cc spells out the row layout). Only ρ partials cross shards, so a
+// partial has no other section; the kind stays 1 because the engines at
+// both ends of a lane are always one binary.
 //
 // Decoding is defensive: every read is bounds-checked, vector counts are
 // validated against the bytes actually remaining before any allocation,
 // and a payload with trailing bytes is rejected — a truncated or corrupt
 // frame yields a non-OK Status, never UB. Decoding also validates what a
-// ShardPartial's flat row blocks promise the receiver: every row of a
-// section has the same width, and each section's run is strictly
-// ascending by its merge key. Encoders and decoders are pure functions
-// with no shared state; they are safe to call from any thread.
+// ShardPartial's flat row block promises the receiver: every row has the
+// same width, and the run is strictly ascending by recipient. Encoders and
+// decoders are pure functions with no shared state; they are safe to call
+// from any thread.
 
 #ifndef APAN_SERVE_WIRE_H_
 #define APAN_SERVE_WIRE_H_
@@ -54,9 +59,8 @@ inline constexpr uint32_t kMaxPayloadBytes = 256u * 1024u * 1024u;
 std::vector<uint8_t> EncodeMessage(const ShardPartial& message);
 
 /// \brief Parses a payload produced by EncodeMessage. Rejects unknown
-/// kinds, truncation anywhere, oversized vector counts, ragged row widths
-/// within a section, runs that are not strictly ascending, and trailing
-/// bytes.
+/// kinds, truncation anywhere, oversized vector counts, ragged row widths,
+/// recipients that are not strictly ascending, and trailing bytes.
 Result<ShardPartial> DecodeMessage(std::span<const uint8_t> payload);
 
 /// \brief Appends a full frame (length prefix + payload) for `message` to

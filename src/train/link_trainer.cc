@@ -5,10 +5,8 @@
 
 #include "data/batching.h"
 #include "data/negative_sampler.h"
-#include "graph/node_partition.h"
 #include "obs/metrics.h"
 #include "tensor/arena.h"
-#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
 #include "train/metrics.h"
@@ -71,84 +69,6 @@ struct ScoredSplit {
   std::vector<double> batch_millis;
 };
 
-/// One data-parallel training step (config.data_parallel_shards > 1).
-/// The batch's events are grouped by the NodePartition owner of their
-/// source node; each non-empty shard runs its own forward/backward over
-/// its sub-batch with the loss scaled by the shard's share of the batch
-/// (the BCE means decompose: sum_s (n_s/n) * mean_s == mean over the
-/// full batch), and the per-shard gradient partials are reduced in
-/// ascending shard order before the caller's single optimizer step —
-/// so the reduced gradient is independent of shard execution order and
-/// equals the single-shard gradient up to float summation order.
-Status ShardedTrainStep(TemporalModel* model, const data::Dataset& dataset,
-                        const EventBatch& batch,
-                        const graph::NodePartition& part,
-                        tensor::Adam* optimizer,
-                        tensor::TrainingArena* arena) {
-  const int shards = part.num_shards;
-  std::vector<std::vector<size_t>> shard_events(
-      static_cast<size_t>(shards));
-  std::vector<std::vector<graph::NodeId>> shard_negs(
-      static_cast<size_t>(shards));
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const auto s = static_cast<size_t>(
-        part.owner_of[static_cast<size_t>(batch.event(i).src)]);
-    shard_events[s].push_back(batch.begin + i);
-    shard_negs[s].push_back(batch.negatives[i]);
-  }
-
-  std::vector<tensor::Tensor> params = model->Parameters();
-  size_t total_numel = 0;
-  for (auto& p : params) total_numel += static_cast<size_t>(p.numel());
-
-  // partials[s] stays all-zero when shard s drew no events this batch.
-  std::vector<std::vector<float>> partials(
-      static_cast<size_t>(shards), std::vector<float>(total_numel, 0.0f));
-  const float inv_batch = 1.0f / static_cast<float>(batch.size());
-  for (int s = 0; s < shards; ++s) {
-    const auto& events = shard_events[static_cast<size_t>(s)];
-    if (events.empty()) continue;  // ScoreLinks requires a non-empty batch
-    EventBatch sub{&dataset, batch.begin, batch.end,
-                   shard_negs[static_cast<size_t>(s)], events};
-    optimizer->ZeroGrad();
-    {
-      tensor::TrainingStepScope step_scope(arena);
-      TemporalModel::LinkScores scores = model->ScoreLinks(sub);
-      std::vector<float> pos_targets(sub.size(), 1.0f);
-      std::vector<float> neg_targets(sub.size(), 0.0f);
-      tensor::Tensor loss = tensor::MulScalar(
-          tensor::Add(tensor::BceWithLogits(scores.pos_logits, pos_targets),
-                      tensor::BceWithLogits(scores.neg_logits, neg_targets)),
-          0.5f * static_cast<float>(sub.size()) * inv_batch);
-      APAN_RETURN_NOT_OK(loss.Backward());
-    }
-    size_t offset = 0;
-    for (auto& p : params) {
-      const size_t n = static_cast<size_t>(p.numel());
-      const std::vector<float> g = p.GradToVector();
-      if (!g.empty()) {
-        std::copy(g.begin(), g.end(),
-                  partials[static_cast<size_t>(s)].begin() +
-                      static_cast<ptrdiff_t>(offset));
-      }
-      offset += n;
-    }
-  }
-
-  optimizer->ZeroGrad();
-  for (int s = 0; s < shards; ++s) {
-    size_t offset = 0;
-    for (auto& p : params) {
-      const auto n = static_cast<size_t>(p.numel());
-      tensor::kernels::Accumulate(
-          partials[static_cast<size_t>(s)].data() + offset, p.grad_data(),
-          static_cast<int64_t>(n));
-      offset += n;
-    }
-  }
-  return Status::OK();
-}
-
 /// Snapshot / restore of model parameter values (early stopping).
 std::vector<float> SnapshotParams(TemporalModel* model) {
   std::vector<float> snap;
@@ -192,11 +112,6 @@ Result<LinkReport> LinkTrainer::Run(TemporalModel* model,
   // later step (across epochs too — the op sequence doesn't change)
   // replays from the sealed pool.
   tensor::TrainingArena train_arena;
-  std::shared_ptr<const graph::NodePartition> partition;
-  if (config_.data_parallel_shards > 1) {
-    partition = graph::NodePartition::BuildDefault(
-        static_cast<int64_t>(dataset.num_nodes), config_.data_parallel_shards);
-  }
 
   for (int epoch = 0; epoch < config_.max_epochs; ++epoch) {
     // ---- Train pass -------------------------------------------------------
@@ -211,9 +126,8 @@ Result<LinkReport> LinkTrainer::Run(TemporalModel* model,
     while (!train_iter.Done()) {
       const data::Batch b = train_iter.Next();
       EventBatch batch{&dataset, b.begin, b.end,
-                       DrawNegatives(dataset, b, sampler, &neg_rng),
-                       {}};
-      if (partition == nullptr) {
+                       DrawNegatives(dataset, b, sampler, &neg_rng)};
+      {
         tensor::TrainingStepScope step_scope(&train_arena);
         TemporalModel::LinkScores scores = model->ScoreLinks(batch);
         std::vector<float> pos_targets(batch.size(), 1.0f);
@@ -224,9 +138,6 @@ Result<LinkReport> LinkTrainer::Run(TemporalModel* model,
             0.5f);
         optimizer.ZeroGrad();
         APAN_RETURN_NOT_OK(loss.Backward());
-      } else {
-        APAN_RETURN_NOT_OK(ShardedTrainStep(model, dataset, batch, *partition,
-                                            &optimizer, &train_arena));
       }
       optimizer.ClipGradNorm(config_.grad_clip);
       optimizer.Step();
@@ -248,8 +159,7 @@ Result<LinkReport> LinkTrainer::Run(TemporalModel* model,
       while (!val_iter.Done()) {
         const data::Batch b = val_iter.Next();
         EventBatch batch{&dataset, b.begin, b.end,
-                         DrawNegatives(dataset, b, sampler, &neg_rng),
-                         {}};
+                         DrawNegatives(dataset, b, sampler, &neg_rng)};
         TemporalModel::LinkScores scores = model->ScoreLinks(batch);
         for (size_t i = 0; i < batch.size(); ++i) {
           val.scores.push_back(
@@ -315,7 +225,7 @@ Result<LinkTrainer::EvalResult> LinkTrainer::Evaluate(
   data::BatchIterator warm_iter(0, dataset.train_end, config_.batch_size);
   while (!warm_iter.Done()) {
     const data::Batch b = warm_iter.Next();
-    EventBatch batch{&dataset, b.begin, b.end, {}, {}};
+    EventBatch batch{&dataset, b.begin, b.end, {}};
     APAN_RETURN_NOT_OK(model->Consume(batch));
     for (size_t i = b.begin; i < b.end; ++i) {
       ObserveEvent(dataset, dataset.events[i], &sampler);
@@ -329,8 +239,7 @@ Result<LinkTrainer::EvalResult> LinkTrainer::Evaluate(
     while (!iter.Done()) {
       const data::Batch b = iter.Next();
       EventBatch batch{&dataset, b.begin, b.end,
-                       DrawNegatives(dataset, b, sampler, &neg_rng),
-                       {}};
+                       DrawNegatives(dataset, b, sampler, &neg_rng)};
       Stopwatch watch;
       TemporalModel::LinkScores scores = model->ScoreLinks(batch);
       const double millis = watch.ElapsedMillis();

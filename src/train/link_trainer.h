@@ -31,14 +31,6 @@ struct LinkTrainConfig {
   float grad_clip = 5.0f;
   uint64_t negative_seed = 99;
   bool verbose = false;
-  /// Data-parallel training shards. 1 (the default) runs the classic
-  /// single-stream step, bit for bit. With k > 1 each batch is split by
-  /// the graph::NodePartition ownership index (owner of the source
-  /// node), every shard runs its own forward/backward, and the
-  /// per-shard gradient partials are reduced in fixed shard order
-  /// before one optimizer step — the summed gradient equals the
-  /// single-shard gradient up to float summation order.
-  int data_parallel_shards = 1;
 };
 
 /// Metrics of one split.

@@ -34,15 +34,10 @@ struct EventBatch {
   /// One negative destination per event; may be empty for calls that only
   /// need endpoint embeddings (EmbedEndpoints / Consume).
   std::vector<graph::NodeId> negatives;
-  /// Optional non-contiguous view: when non-empty, the batch consists of
-  /// dataset->events[indices[i]] with negatives[i] paired positionally
-  /// (the data-parallel trainer's per-shard sub-batches — events grouped
-  /// by NodePartition owner). begin/end still bound the parent range.
-  std::vector<size_t> indices;
 
-  size_t size() const { return indices.empty() ? end - begin : indices.size(); }
+  size_t size() const { return end - begin; }
   const graph::Event& event(size_t i) const {
-    return dataset->events[indices.empty() ? begin + i : indices[i]];
+    return dataset->events[begin + i];
   }
 };
 

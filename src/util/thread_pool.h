@@ -1,5 +1,5 @@
-// Minimal fixed-size thread pool used for data-parallel sections (neighbor
-// sampling fan-out, baseline walk generation).
+// Minimal fixed-size thread pool: serve::ShardedEngine runs the
+// synchronous link's per-shard encode slices on it.
 
 #ifndef APAN_UTIL_THREAD_POOL_H_
 #define APAN_UTIL_THREAD_POOL_H_
@@ -51,30 +51,6 @@ class ThreadPool {
     }
     cv_.NotifyOne();
     return fut;
-  }
-
-  /// \brief Runs fn(i) for i in [0, n) across the pool and blocks until all
-  /// iterations complete. Falls back to inline execution for tiny n.
-  template <typename Fn>
-  void ParallelFor(size_t n, Fn&& fn) {
-    if (n == 0) return;
-    if (n == 1 || workers_.size() == 1) {
-      for (size_t i = 0; i < n; ++i) fn(i);
-      return;
-    }
-    const size_t shards = std::min(n, workers_.size());
-    const size_t chunk = (n + shards - 1) / shards;
-    std::vector<std::future<void>> futs;
-    futs.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) {
-      const size_t lo = s * chunk;
-      const size_t hi = std::min(n, lo + chunk);
-      if (lo >= hi) break;
-      futs.push_back(Submit([lo, hi, &fn] {
-        for (size_t i = lo; i < hi; ++i) fn(i);
-      }));
-    }
-    for (auto& f : futs) f.get();
   }
 
  private:

@@ -145,8 +145,8 @@ TEST(MailboxTest, DeliverBatchEmptyIsNoop) {
 
 TEST(MailboxTest, DeliverBatchKeepsPerNodeOrderAcrossInterleavings) {
   // Mails for one node interleaved with other recipients keep their span
-  // order — the property the sharded engine's sequence-tag replay relies
-  // on for ring-eviction determinism.
+  // order — the property the serial replay of servebench's record form
+  // relies on for ring-eviction determinism.
   Mailbox box(2, 2, 4);
   std::vector<MailDelivery> deliveries;
   for (int i = 0; i < 5; ++i) {

@@ -99,6 +99,30 @@ TEST(ApanModelTest, ProcessBatchUpdatesStateMailboxGraph) {
   EXPECT_EQ(f.model.graph().num_events(), 1);
 }
 
+TEST(ApanModelTest, EndpointsReceiveEachEventUnreduced) {
+  Fixture f;
+  // Node 0 is in two events: it keeps one slot per event, in event order.
+  ASSERT_TRUE(f.Process(FlatBatch()
+                            .Add(0, 4, 1.0, 0, /*zs=*/1.0f, /*zd=*/0.0f)
+                            .Add(0, 5, 2.0, 0, /*zs=*/2.0f, /*zd=*/0.0f))
+                  .ok());
+  EXPECT_EQ(f.model.mailbox().ValidCount(0), 2);
+  const auto read = f.model.mailbox().ReadBatch({0});
+  EXPECT_EQ(read.timestamps[0], 1.0);
+  EXPECT_EQ(read.timestamps[1], 2.0);
+  EXPECT_FLOAT_EQ(read.mails.data()[0], 1.0f + 0.1f);
+  EXPECT_FLOAT_EQ(read.mails.data()[kDim], 2.0f + 0.1f);
+  EXPECT_EQ(f.model.mailbox().ValidCount(4), 1);
+  EXPECT_EQ(f.model.mailbox().ValidCount(5), 1);
+}
+
+TEST(ApanModelTest, SelfLoopDeliversOnce) {
+  Fixture f;
+  ASSERT_TRUE(f.Process(FlatBatch().Add(2, 2, 1.0, 0, 1.0f, 1.0f)).ok());
+  EXPECT_EQ(f.model.mailbox().ValidCount(2), 1);
+  EXPECT_FLOAT_EQ(f.model.mailbox().RawSlot(2, 0)[0], 1.0f + 0.1f + 1.0f);
+}
+
 TEST(ApanModelTest, LaterRecordWinsStateOnDuplicates) {
   Fixture f;
   ASSERT_TRUE(f.Process(FlatBatch()

@@ -31,33 +31,31 @@ ApanConfig Config(int32_t hops) {
 /// embedding rows, filled with constants.
 struct FlatBatch {
   std::vector<graph::Event> events;
-  std::vector<int64_t> event_index;
   std::vector<float> z;
   std::vector<int64_t> src_row, dst_row;
 
   void Add(graph::NodeId src, graph::NodeId dst, double t, graph::EdgeId edge,
            float zs, float zd) {
-    event_index.push_back(static_cast<int64_t>(events.size()));
     events.push_back({src, dst, t, edge});
     src_row.push_back(static_cast<int64_t>(z.size()) / kDim);
     z.insert(z.end(), kDim, zs);
     dst_row.push_back(static_cast<int64_t>(z.size()) / kDim);
     z.insert(z.end(), kDim, zd);
   }
-  InteractionRows rows() const {
-    return {events, event_index, z, src_row, dst_row};
+  InteractionRows rows() const { return {events, z, src_row, dst_row}; }
+  /// Event r's mail, through MailPropagator::MailRow.
+  std::vector<float> Mail(const MailPropagator& prop, size_t r) const {
+    std::vector<float> mail(kDim);
+    prop.MailRow(events[r], z.data() + src_row[r] * kDim,
+                 z.data() + dst_row[r] * kDim, mail.data());
+    return mail;
   }
 };
 
-struct Output {
-  RowBlock hop0;
-  RowBlock partial;
-};
-
 /// N on `graph` the way the serial path samples it (most-recent, strictly
-/// before each event), then the kernel.
-Output Propagate(const MailPropagator& prop, const ApanConfig& config,
-                 const graph::TemporalGraph& graph, const FlatBatch& batch) {
+/// before each event), then the kernel's ρ partial sums.
+RowBlock Propagate(const MailPropagator& prop, const ApanConfig& config,
+                   const graph::TemporalGraph& graph, const FlatBatch& batch) {
   std::vector<std::vector<graph::HopEntry>> hops(batch.events.size());
   for (size_t r = 0; r < hops.size(); ++r) {
     const graph::Event& e = batch.events[r];
@@ -65,9 +63,9 @@ Output Propagate(const MailPropagator& prop, const ApanConfig& config,
                                     config.propagation_hops,
                                     config.sampled_neighbors);
   }
-  Output out;
-  prop.PropagateRows(batch.rows(), hops, &out.hop0, &out.partial);
-  return out;
+  RowBlock partial;
+  prop.PropagateRows(batch.rows(), hops, &partial);
+  return partial;
 }
 
 struct Fixture {
@@ -90,17 +88,11 @@ struct Fixture {
 // ---- Independent oracle -----------------------------------------------------
 // A naive reference written straight from the paper's equations (§3.5),
 // sharing no code with the kernel: per event, φ gives
-// mail = z_src + e + z_dst; both endpoints receive it unreduced (a
-// self-loop once); every sampled occurrence of a non-endpoint node v adds
-// it to v's ρ sum, records its time, and counts one contribution. Sums run
-// in event order, then hop-entry order, as the kernel documents.
+// mail = z_src + e + z_dst; every sampled occurrence of a non-endpoint
+// node v adds it to v's ρ sum, records its time, and counts one
+// contribution. Sums run in event order, then hop-entry order, as the
+// kernel documents.
 
-struct ReferenceHop0 {
-  int64_t sequence;
-  graph::NodeId node;
-  double timestamp;
-  std::vector<float> mail;
-};
 struct ReferenceSum {
   std::vector<float> sum;
   double newest = 0.0;
@@ -110,7 +102,7 @@ struct ReferenceSum {
 void NaiveReference(const InteractionRows& batch,
                     const graph::EdgeFeatureStore& features,
                     const std::vector<std::vector<graph::HopEntry>>& hops,
-                    std::vector<ReferenceHop0>* hop0,
+                    std::vector<std::vector<float>>* mails,
                     std::map<graph::NodeId, ReferenceSum>* sums) {
   for (size_t r = 0; r < batch.events.size(); ++r) {
     const graph::Event& ev = batch.events[r];
@@ -121,11 +113,7 @@ void NaiveReference(const InteractionRows& batch,
       const float zj = batch.z[static_cast<size_t>(batch.dst_row[r] * kDim + i)];
       mail[static_cast<size_t>(i)] = zi + e[i] + zj;
     }
-    hop0->push_back({2 * batch.event_index[r], ev.src, ev.timestamp, mail});
-    if (ev.dst != ev.src) {
-      hop0->push_back(
-          {2 * batch.event_index[r] + 1, ev.dst, ev.timestamp, mail});
-    }
+    mails->push_back(mail);
     for (const graph::HopEntry& entry : hops[r]) {
       if (entry.node == ev.src || entry.node == ev.dst) continue;
       ReferenceSum& acc = (*sums)[entry.node];
@@ -146,8 +134,8 @@ bool SameFloats(const float* a, const std::vector<float>& b) {
 TEST(MailPropagatorTest, PropagateRowsMatchesNaiveReferenceBitwise) {
   // Random history, random embeddings in one shared matrix (an endpoint
   // reused across events is one row), random edge features, a self-loop,
-  // a non-zero event_index base, 2-hop most-recent neighbourhoods, plus
-  // hand-added hop entries naming endpoints and repeated recipients.
+  // 2-hop most-recent neighbourhoods, plus hand-added hop entries naming
+  // endpoints and repeated recipients.
   for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
@@ -172,9 +160,8 @@ TEST(MailPropagatorTest, PropagateRowsMatchesNaiveReferenceBitwise) {
     }
     MailPropagator prop(config, &features);
 
-    const int64_t base = 7;
     std::vector<graph::Event> events;
-    std::vector<int64_t> event_index, src_row, dst_row;
+    std::vector<int64_t> src_row, dst_row;
     std::vector<graph::NodeId> row_node;  // node of each z row
     std::vector<float> z;
     const auto row_of = [&](graph::NodeId v) {
@@ -192,7 +179,6 @@ TEST(MailPropagatorTest, PropagateRowsMatchesNaiveReferenceBitwise) {
       const auto dst = r == 4 ? src  // a self-loop
                               : static_cast<graph::NodeId>(rng.UniformInt(nodes));
       events.push_back({src, dst, t, features.Append(random_row())});
-      event_index.push_back(base + r);
       src_row.push_back(row_of(src));
       dst_row.push_back(row_of(dst));
       hops.push_back(graph::KHopMostRecent(graph, {src, dst}, t,
@@ -205,26 +191,21 @@ TEST(MailPropagatorTest, PropagateRowsMatchesNaiveReferenceBitwise) {
         hops.back().push_back({static_cast<graph::NodeId>(r % nodes)});
       }
     }
-    const InteractionRows batch{events, event_index, z, src_row, dst_row};
+    const InteractionRows batch{events, z, src_row, dst_row};
 
-    RowBlock hop0, partial;
-    prop.PropagateRows(batch, hops, &hop0, &partial);
-    std::vector<ReferenceHop0> want_hop0;
+    RowBlock partial;
+    prop.PropagateRows(batch, hops, &partial);
+    std::vector<std::vector<float>> want_mails;
     std::map<graph::NodeId, ReferenceSum> want_sums;
-    NaiveReference(batch, features, hops, &want_hop0, &want_sums);
+    NaiveReference(batch, features, hops, &want_mails, &want_sums);
 
-    EXPECT_EQ(hop0.width, kDim);
-    ASSERT_EQ(hop0.size(), want_hop0.size());
-    ASSERT_EQ(hop0.rows.size(), hop0.size() * kDim);
-    for (size_t i = 0; i < hop0.size(); ++i) {
-      EXPECT_EQ(hop0.sequence[i], want_hop0[i].sequence) << i;
-      EXPECT_EQ(hop0.node[i], want_hop0[i].node) << i;
-      EXPECT_EQ(hop0.timestamp[i], want_hop0[i].timestamp) << i;
-      EXPECT_EQ(hop0.count[i], 1) << i;
-      EXPECT_TRUE(SameFloats(hop0.row(i), want_hop0[i].mail)) << i;
+    std::vector<float> mail(kDim);
+    for (size_t r = 0; r < events.size(); ++r) {
+      prop.MailRow(events[r], z.data() + src_row[r] * kDim,
+                   z.data() + dst_row[r] * kDim, mail.data());
+      EXPECT_TRUE(SameFloats(mail.data(), want_mails[r])) << r;
     }
     EXPECT_EQ(partial.width, kDim);
-    EXPECT_TRUE(partial.sequence.empty());
     ASSERT_EQ(partial.size(), want_sums.size());
     ASSERT_GT(partial.size(), 3u);
     size_t i = 0;
@@ -243,28 +224,61 @@ TEST(MailPropagatorTest, PhiIsSum) {
   MailPropagator prop(Config(0), &f.features);
   FlatBatch b;
   b.Add(0, 1, 10.0, f.features.Append({1, 2, 3, 4}), 0.5f, 0.25f);
-  const Output out = Propagate(prop, Config(0), f.graph, b);
-  ASSERT_EQ(out.hop0.size(), 2u);
-  // mail = z_src + e + z_dst, to both endpoints.
-  EXPECT_FLOAT_EQ(out.hop0.row(0)[0], 0.5f + 1.0f + 0.25f);
-  EXPECT_FLOAT_EQ(out.hop0.row(0)[3], 0.5f + 4.0f + 0.25f);
-  EXPECT_FLOAT_EQ(out.hop0.row(1)[3], 0.5f + 4.0f + 0.25f);
+  const std::vector<float> mail = b.Mail(prop, 0);
+  // mail = z_src + e + z_dst.
+  EXPECT_FLOAT_EQ(mail[0], 0.5f + 1.0f + 0.25f);
+  EXPECT_FLOAT_EQ(mail[3], 0.5f + 4.0f + 0.25f);
 }
 
-TEST(MailPropagatorTest, EndpointsAlwaysReceiveUnreduced) {
+TEST(MailPropagatorTest, DeliverHop0GivesEachEndpointTheMailOnce) {
   Fixture f;
   MailPropagator prop(Config(0), &f.features);
-  // Node 0 involved in two events: gets two separate rows.
   FlatBatch b;
-  b.Add(0, 4, 10.0, f.ZeroEdge(), 1.0f, 0.0f);
-  b.Add(0, 5, 11.0, f.ZeroEdge(), 2.0f, 0.0f);
-  const Output out = Propagate(prop, Config(0), f.graph, b);
-  EXPECT_EQ(out.hop0.node, (std::vector<graph::NodeId>{0, 4, 0, 5}));
-  EXPECT_EQ(out.hop0.count, (std::vector<int64_t>{1, 1, 1, 1}));
-  EXPECT_EQ(out.hop0.sequence, (std::vector<int64_t>{0, 1, 2, 3}));
-  EXPECT_FLOAT_EQ(out.hop0.row(0)[0], 1.0f);
-  EXPECT_FLOAT_EQ(out.hop0.row(2)[0], 2.0f);
-  EXPECT_TRUE(out.partial.empty());  // no hops
+  b.Add(0, 1, 10.0, f.features.Append({1, 2, 3, 4}), 0.5f, 0.25f);
+  b.Add(2, 2, 11.0, f.ZeroEdge(), 1.0f, 2.0f);  // self-loop
+  struct Call {
+    graph::NodeId node;
+    const float* z;
+    std::vector<float> mail;
+  };
+  std::vector<float> scratch(kDim);
+  for (size_t r = 0; r < b.events.size(); ++r) {
+    std::vector<Call> calls;
+    const float* z_src = b.z.data() + b.src_row[r] * kDim;
+    const float* z_dst = b.z.data() + b.dst_row[r] * kDim;
+    prop.DeliverHop0(b.events[r], z_src, z_dst, scratch,
+                     [&calls](graph::NodeId node, const float* z,
+                              std::span<const float> mail) {
+                       calls.push_back(
+                           {node, z, std::vector<float>(mail.begin(),
+                                                        mail.end())});
+                     });
+    const std::vector<float> mail = b.Mail(prop, r);
+    if (r == 0) {  // source first, then destination, each with its own z
+      ASSERT_EQ(calls.size(), 2u);
+      EXPECT_EQ(calls[0].node, 0);
+      EXPECT_EQ(calls[0].z, z_src);
+      EXPECT_EQ(calls[1].node, 1);
+      EXPECT_EQ(calls[1].z, z_dst);
+    } else {  // a self-loop's one delivery carries z_dst
+      ASSERT_EQ(calls.size(), 1u);
+      EXPECT_EQ(calls[0].node, 2);
+      EXPECT_EQ(calls[0].z, z_dst);
+    }
+    for (const Call& call : calls) EXPECT_EQ(call.mail, mail);
+  }
+}
+
+TEST(MailPropagatorTest, EndpointsNeverReceiveThePropagatedCopy) {
+  Fixture f;
+  MailPropagator prop(Config(1), &f.features);
+  // 1-hop neighbours of 1 are {0, 2} and of 2 are {1, 3}: endpoints 1 and
+  // 2 sample each other, but only 0 and 3 get ρ rows.
+  FlatBatch b;
+  b.Add(1, 2, 10.0, f.ZeroEdge(), 1.0f, 0.0f);
+  const RowBlock partial = Propagate(prop, Config(1), f.graph, b);
+  EXPECT_EQ(partial.node, (std::vector<graph::NodeId>{0, 3}));
+  EXPECT_EQ(partial.count, (std::vector<int64_t>{1, 1}));
 }
 
 TEST(MailPropagatorTest, PropagatedMailsAreMeanReduced) {
@@ -275,31 +289,29 @@ TEST(MailPropagatorTest, PropagatedMailsAreMeanReduced) {
   FlatBatch b;
   b.Add(1, 4, 10.0, f.ZeroEdge(), 1.0f, 0.0f);
   b.Add(3, 5, 11.0, f.ZeroEdge(), 3.0f, 0.0f);
-  Output out = Propagate(prop, Config(1), f.graph, b);
-  const auto it = std::find(out.partial.node.begin(), out.partial.node.end(), 2);
-  ASSERT_NE(it, out.partial.node.end());
-  EXPECT_EQ(std::count(out.partial.node.begin(), out.partial.node.end(), 2), 1)
+  RowBlock partial = Propagate(prop, Config(1), f.graph, b);
+  const auto it = std::find(partial.node.begin(), partial.node.end(), 2);
+  ASSERT_NE(it, partial.node.end());
+  EXPECT_EQ(std::count(partial.node.begin(), partial.node.end(), 2), 1)
       << "node 2 must get exactly one reduced row";
-  const auto i = static_cast<size_t>(it - out.partial.node.begin());
-  EXPECT_EQ(out.partial.count[i], 2);
-  EXPECT_EQ(out.partial.timestamp[i], 11.0);  // newest contribution
-  EXPECT_FLOAT_EQ(out.partial.row(i)[0], 4.0f);  // unfinalized: 1 + 3
+  const auto i = static_cast<size_t>(it - partial.node.begin());
+  EXPECT_EQ(partial.count[i], 2);
+  EXPECT_EQ(partial.timestamp[i], 11.0);  // newest contribution
+  EXPECT_FLOAT_EQ(partial.row(i)[0], 4.0f);  // unfinalized: 1 + 3
   // ρ: mean of mails (1.0) and (3.0) elementwise = 2.0.
-  MailPropagator::FinalizeRow(out.partial.row(i), kDim, out.partial.count[i]);
+  MailPropagator::FinalizeRow(partial.row(i), kDim, partial.count[i]);
   for (int64_t k = 0; k < kDim; ++k) {
-    EXPECT_FLOAT_EQ(out.partial.row(i)[k], 2.0f);
+    EXPECT_FLOAT_EQ(partial.row(i)[k], 2.0f);
   }
-  EXPECT_TRUE(std::is_sorted(out.partial.node.begin(), out.partial.node.end()));
+  EXPECT_TRUE(std::is_sorted(partial.node.begin(), partial.node.end()));
 }
 
-TEST(MailPropagatorTest, ZeroHopsReachesOnlyEndpoints) {
+TEST(MailPropagatorTest, ZeroHopsPropagatesNothing) {
   Fixture f;
   MailPropagator prop(Config(0), &f.features);
   FlatBatch b;
   b.Add(1, 4, 10.0, f.ZeroEdge(), 0.0f, 0.0f);
-  const Output out = Propagate(prop, Config(0), f.graph, b);
-  EXPECT_EQ(out.hop0.node, (std::vector<graph::NodeId>{1, 4}));
-  EXPECT_TRUE(out.partial.empty());
+  EXPECT_TRUE(Propagate(prop, Config(0), f.graph, b).empty());
 }
 
 TEST(MailPropagatorTest, TwoHopReachesNeighborsOfNeighbors) {
@@ -309,9 +321,8 @@ TEST(MailPropagatorTest, TwoHopReachesNeighborsOfNeighbors) {
   // endpoint so only 1 and 2 appear in the reduced section.
   FlatBatch b;
   b.Add(3, 5, 10.0, f.ZeroEdge(), 0.0f, 0.0f);
-  const Output out = Propagate(prop, Config(2), f.graph, b);
-  EXPECT_EQ(out.hop0.node, (std::vector<graph::NodeId>{3, 5}));
-  EXPECT_EQ(out.partial.node, (std::vector<graph::NodeId>{1, 2}));
+  const RowBlock partial = Propagate(prop, Config(2), f.graph, b);
+  EXPECT_EQ(partial.node, (std::vector<graph::NodeId>{1, 2}));
 }
 
 TEST(MailPropagatorTest, SamplingNeverUsesTheFuture) {
@@ -321,22 +332,9 @@ TEST(MailPropagatorTest, SamplingNeverUsesTheFuture) {
   // is in the future.
   FlatBatch b;
   b.Add(1, 5, 1.5, f.ZeroEdge(), 0.0f, 0.0f);
-  const Output out = Propagate(prop, Config(1), f.graph, b);
-  EXPECT_EQ(out.partial.node, (std::vector<graph::NodeId>{0}));
-  for (const graph::NodeId v : out.hop0.node) {
-    EXPECT_NE(v, 2) << "future edge leaked into propagation";
-  }
-}
-
-TEST(MailPropagatorTest, SelfLoopSingleEndpointDelivery) {
-  Fixture f;
-  MailPropagator prop(Config(0), &f.features);
-  FlatBatch b;
-  b.Add(2, 2, 10.0, f.ZeroEdge(), 1.0f, 1.0f);
-  const Output out = Propagate(prop, Config(0), f.graph, b);
-  EXPECT_EQ(out.hop0.node, (std::vector<graph::NodeId>{2}));
-  EXPECT_EQ(out.hop0.sequence, (std::vector<int64_t>{0}));
-  EXPECT_TRUE(out.partial.empty());
+  const RowBlock partial = Propagate(prop, Config(1), f.graph, b);
+  EXPECT_EQ(partial.node, (std::vector<graph::NodeId>{0}))
+      << "a future edge leaked into propagation";
 }
 
 TEST(MailPropagatorTest, DimensionMismatchRejectedAtConstruction) {

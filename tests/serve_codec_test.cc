@@ -117,20 +117,20 @@ TEST(CodecTest, OversizedCountRejectedBeforeAllocation) {
 // ---- Error prefixes ---------------------------------------------------------
 
 TEST(CodecTest, BothFormatsReportThroughTheirPrefix) {
-  // A wire payload cut after its kind byte, and one whose first count
-  // claims 2^64-1 state updates.
+  // A wire payload cut after its kind byte, and one whose row count
+  // claims 2^64-1 rows.
   std::vector<uint8_t> frame = wire::EncodeMessage(ShardPartial{});
   Result<ShardPartial> cut =
       wire::DecodeMessage(std::span<const uint8_t>(frame.data(), 1));
   ASSERT_FALSE(cut.ok());
   EXPECT_EQ(cut.status().message(),
             "wire: truncated payload reading partial.batch");
-  // Layout: kind(1) + batch(8) + from_shard(4) + state_updates count(8).
+  // Layout: kind(1) + batch(8) + from_shard(4) + row count(8).
   for (size_t i = 13; i < 21; ++i) frame[i] = 0xFF;
   Result<ShardPartial> huge = wire::DecodeMessage(frame);
   ASSERT_FALSE(huge.ok());
   EXPECT_TRUE(StartsWith(huge.status().message(),
-                         "wire: corrupt count for partial.state_updates"))
+                         "wire: corrupt count for partial.partial"))
       << huge.status().message();
 
   // A snapshot image whose first plane count is corrupt under a valid
@@ -139,8 +139,8 @@ TEST(CodecTest, BothFormatsReportThroughTheirPrefix) {
   snap.shard = 0;
   snap.num_shards = 1;
   std::vector<uint8_t> image = snapshot::EncodeShardSnapshot(snap);
-  // The first plane's count follows the 64-byte fixed prologue.
-  const size_t count_at = snapshot::kHeaderBytes + 64;
+  // The first plane's count follows the 72-byte fixed prologue.
+  const size_t count_at = snapshot::kHeaderBytes + 72;
   for (size_t i = 0; i < 8; ++i) image[count_at + i] = 0xFF;
   const size_t payload_bytes =
       image.size() - snapshot::kHeaderBytes - snapshot::kTrailerBytes;

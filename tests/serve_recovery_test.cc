@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -55,13 +56,15 @@ struct EngineRun {
   std::unique_ptr<ShardedEngine> engine;
 };
 
-EngineRun MakeEngine(const Fixture& f, TransportFactory factory,
-                     int num_shards = 4) {
+EngineRun MakeEngine(
+    const Fixture& f, TransportFactory factory, int num_shards = 4,
+    std::shared_ptr<const graph::NodePartition> partition = nullptr) {
   EngineRun run;
   run.model = std::make_unique<core::ApanModel>(f.config,
                                                 &f.dataset.features, 7);
   ShardedEngine::Options options;
   options.num_shards = num_shards;
+  options.partition = std::move(partition);
   options.transport = std::move(factory);
   run.engine = std::make_unique<ShardedEngine>(run.model.get(), options);
   return run;
@@ -171,6 +174,37 @@ TEST(RestoreGuardTest, RestoreRejectsWrongShardAndMissingFile) {
   ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
 }
 
+TEST(RestoreGuardTest, RestoreRejectsImageFromAnotherPartition) {
+  // Two partitions that give each shard as many nodes, but not the same
+  // nodes: nodes 0 and 1 trade shards. Rows restore by local position,
+  // so shard 0's image from one must not restore under the other.
+  Fixture f;
+  const int64_t n = f.config.num_nodes;
+  const auto by_parity = graph::NodePartition::Build(
+      n, 2, [](graph::NodeId v) { return static_cast<int>(v % 2); });
+  const auto swapped = graph::NodePartition::Build(n, 2, [](graph::NodeId v) {
+    return static_cast<int>(v < 2 ? (v + 1) % 2 : v % 2);
+  });
+  ASSERT_EQ(by_parity->owned_count, swapped->owned_count);
+  const std::string path = SnapPath("partition", 0, 0);
+  {
+    auto before = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess),
+                             2, by_parity);
+    Stream(f, *before.engine, 0, 80, 40);
+    before.engine->Flush();
+    ASSERT_TRUE(before.engine->SnapshotShard(0, path).ok());
+  }
+  auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess), 2,
+                        swapped);
+  Stream(f, *run.engine, 0, 80, 40);
+  run.engine->Flush();
+  const Status restored = run.engine->RestoreShard(0, path);
+  EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument) << restored;
+  // The refused restore changed nothing.
+  const auto reference = RunSerial(f.config, f.dataset, 7, 80, 40).model;
+  ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+}
+
 TEST(RestoreGuardTest, SnapshotToUnwritablePathFailsCleanly) {
   Fixture f;
   auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
@@ -260,6 +294,81 @@ TEST(DegradationTest, DownShardShedsWithoutBlockingThenRecoversByReset) {
   Stream(f, *run.engine, 0, events, batch);
   run.engine->Flush();
   ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+}
+
+TEST(DegradationTest, ShedEventsLeaveNoRowsOrMailOnHealthyShards) {
+  // Every event gets its own timestamp, so a mailbox slot names the event
+  // behind it: hop-0 mail carries its event's time and a ρ row its newest
+  // contribution's. With shard 3 down from the start, its home events are
+  // shed: no healthy shard may hold a slot from one, nor a z(t−) row for
+  // a node that only shed events touched. Every other event is homed on
+  // shard 3 and points at one of 8 healthy nodes no kept event touches.
+  Fixture f;
+  auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
+  constexpr int kDown = 3;
+  const ShardRouter& router = run.engine->router();
+  std::vector<graph::NodeId> down_nodes, healthy_nodes;
+  for (graph::NodeId v = 0; v < f.config.num_nodes; ++v) {
+    (router.ShardOf(v) == kDown ? down_nodes : healthy_nodes).push_back(v);
+  }
+  constexpr size_t kShedOnly = 8;
+  ASSERT_GT(healthy_nodes.size(), 2 * kShedOnly);
+  const size_t kept_pool = healthy_nodes.size() - kShedOnly;
+  std::vector<graph::Event> stream;
+  for (size_t i = 0; i < 200; ++i) {
+    graph::Event e;
+    if (i % 2 == 0) {  // homed on the down shard: shed
+      e.src = down_nodes[(i / 2) % down_nodes.size()];
+      e.dst = healthy_nodes[(i / 2) % kShedOnly];
+    } else {  // homed on a healthy shard; may point at a down-owned node
+      e.src = healthy_nodes[kShedOnly + (7 * i) % kept_pool];
+      e.dst = i % 3 == 0 ? down_nodes[i % down_nodes.size()]
+                         : healthy_nodes[kShedOnly + (13 * i) % kept_pool];
+    }
+    e.timestamp = static_cast<double>(i + 1);
+    e.edge_id = static_cast<graph::EdgeId>(i);
+    stream.push_back(e);
+  }
+  run.engine->SetShardDown(kDown, true);
+  for (size_t lo = 0; lo < stream.size(); lo += 40) {
+    ASSERT_TRUE(run.engine
+                    ->InferBatch(std::vector<graph::Event>(
+                        stream.begin() + static_cast<ptrdiff_t>(lo),
+                        stream.begin() + static_cast<ptrdiff_t>(lo + 40)))
+                    .ok());
+  }
+  run.engine->Flush();
+
+  std::set<double> kept_times;
+  std::set<graph::NodeId> kept_endpoints, shed_endpoints;
+  for (const graph::Event& e : stream) {
+    const bool shed = router.HomeShardOf(e) == kDown;
+    if (!shed) kept_times.insert(e.timestamp);
+    auto& endpoints = shed ? shed_endpoints : kept_endpoints;
+    endpoints.insert(e.src);
+    endpoints.insert(e.dst);
+  }
+  int64_t shed_only = 0, slots = 0;
+  for (graph::NodeId v = 0; v < f.config.num_nodes; ++v) {
+    const int owner = router.ShardOf(v);
+    if (owner == kDown) continue;
+    const core::NodeStateStore& store = run.engine->state_store(owner);
+    const auto read = store.ReadBatch({v});
+    for (int64_t i = 0; i < read.counts[0]; ++i) {
+      ++slots;
+      EXPECT_EQ(kept_times.count(read.timestamps[static_cast<size_t>(i)]), 1u)
+          << "node " << v << " holds mail from a shed event";
+    }
+    if (shed_endpoints.count(v) != 0 && kept_endpoints.count(v) == 0) {
+      ++shed_only;
+      for (const float x : store.LastEmbedding(v)) {
+        ASSERT_EQ(x, 0.0f) << "node " << v << " has a shed event's z(t-)";
+      }
+    }
+  }
+  EXPECT_EQ(shed_only, static_cast<int64_t>(kShedOnly));
+  EXPECT_GT(slots, 0);
+  EXPECT_GT(run.engine->stats().events_shed, 0);
 }
 
 TEST(DegradationTest, DownShardShedsOverUnixSocket) {

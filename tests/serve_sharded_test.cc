@@ -100,8 +100,8 @@ TEST(ShardedEngineTest, ScoresEveryEvent) {
 // The tentpole determinism claim: cross-shard mail arrives out of order by
 // construction, yet after Flush() the engine's per-shard stores, stitched
 // by ownership, hold mailbox timestamps and counts bitwise-identical to
-// the serial ApanModel path on the same stream (sequence-tagged replay
-// restores per-node delivery order, and ρ is finalized over the whole
+// the serial ApanModel path on the same stream (each owner delivers its
+// endpoints' hop-0 mail in event order, and ρ is finalized over the whole
 // batch after merging every shard's partials). The serial oracle and the
 // stitched helper live in serve_state_util.h, shared with the transport,
 // recovery and state tests.

@@ -44,6 +44,7 @@ bool Equal(const ShardSnapshot& a, const ShardSnapshot& b) {
   if (a.shard != b.shard || a.num_shards != b.num_shards ||
       a.num_nodes != b.num_nodes || a.next_batch != b.next_batch ||
       a.next_ordinal != b.next_ordinal || a.owned_nodes != b.owned_nodes ||
+      a.owned_digest != b.owned_digest ||
       a.mailbox_slots != b.mailbox_slots || a.mail_dim != b.mail_dim ||
       a.state_dim != b.state_dim) {
     return false;
@@ -85,6 +86,7 @@ ShardSnapshot RichSnapshot() {
   snap.next_batch = 7;
   snap.next_ordinal = 350;
   snap.owned_nodes = 3;
+  snap.owned_digest = 0xfedcba9876543210ull;
   snap.mailbox_slots = 2;
   snap.mail_dim = 2;
   snap.state_dim = 2;
@@ -233,16 +235,34 @@ TEST(SnapshotTest, VersionSkewRejected) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SnapshotTest, VersionOneImageRejected) {
+TEST(SnapshotTest, OlderVersionImagesRejected) {
   // A v1 image (partitioned graph slice + frontier replay state) cannot
-  // be restored into a replica engine; it must fail cleanly as a version
-  // mismatch, not be misparsed.
-  std::vector<uint8_t> bytes = EncodeShardSnapshot(RichSnapshot());
-  bytes[4] = 1;
-  for (size_t i = 5; i < 8; ++i) bytes[i] = 0;
-  Result<ShardSnapshot> decoded = DecodeShardSnapshot(bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  // be restored into a replica engine, and a v2 image carries no
+  // owned-node digest to check its partition against; both must fail
+  // cleanly as a version mismatch, not be misparsed.
+  ASSERT_EQ(kVersion, 3u);
+  for (const uint8_t version : {uint8_t{1}, uint8_t{2}}) {
+    std::vector<uint8_t> bytes = EncodeShardSnapshot(RichSnapshot());
+    bytes[4] = version;
+    for (size_t i = 5; i < 8; ++i) bytes[i] = 0;
+    Result<ShardSnapshot> decoded = DecodeShardSnapshot(bytes);
+    ASSERT_FALSE(decoded.ok()) << int{version};
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(SnapshotTest, OwnedNodesDigestNamesTheOwnedNodes) {
+  // A shard digests alike exactly when it owns the same nodes, whatever
+  // its id and whichever partition it belongs to.
+  const auto even = graph::NodePartition::Build(
+      6, 2, [](graph::NodeId v) { return static_cast<int>(v % 2); });
+  const auto odd = graph::NodePartition::Build(
+      6, 2, [](graph::NodeId v) { return static_cast<int>((v + 1) % 2); });
+  const auto low = graph::NodePartition::Build(
+      6, 2, [](graph::NodeId v) { return v < 3 ? 0 : 1; });
+  EXPECT_NE(OwnedNodesDigest(*even, 0), OwnedNodesDigest(*odd, 0));
+  EXPECT_EQ(OwnedNodesDigest(*even, 0), OwnedNodesDigest(*odd, 1));
+  EXPECT_NE(OwnedNodesDigest(*even, 0), OwnedNodesDigest(*low, 0));
 }
 
 TEST(SnapshotTest, ReplicaRowCountMustMatchNodeCount) {
@@ -264,12 +284,12 @@ TEST(SnapshotTest, BadMagicRejected) {
 
 TEST(SnapshotTest, CorruptCountRejectedBeforeAllocation) {
   // The first mailbox plane's element count lives right after the fixed
-  // 64-byte prologue (identity 16 + replay 16 + geometry 32). Claim 2^64−1
+  // 72-byte prologue (identity 16 + replay 16 + geometry 40). Claim 2^64−1
   // floats with a valid CRC: the decoder must reject the count against the
   // bytes remaining BEFORE sizing any vector — under ASan a speculative
   // allocation of that size is the loud failure this test exists to catch.
   std::vector<uint8_t> bytes = EncodeShardSnapshot(RichSnapshot());
-  constexpr size_t kDataCountOffset = kHeaderBytes + 64;
+  constexpr size_t kDataCountOffset = kHeaderBytes + 72;
   for (size_t i = 0; i < 8; ++i) bytes[kDataCountOffset + i] = 0xFF;
   RecomputeCrc(&bytes);
   Result<ShardSnapshot> decoded = DecodeShardSnapshot(bytes);

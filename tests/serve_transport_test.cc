@@ -3,7 +3,7 @@
 // must stay bitwise-equal to the serial ApanModel path when every
 // cross-shard message crosses a Unix-domain socket, and when a
 // FaultyTransport delays, reorders, and duplicates messages under a
-// seeded RNG — sequence-tag replay absorbs reordering, and replay tags
+// seeded RNG — per-batch reassembly absorbs reordering, and replay tags
 // drop duplicates instead of re-applying them.
 
 #include "serve/transport.h"
@@ -204,8 +204,8 @@ TEST(TransportFaultSoakTest, EveryMessageDuplicatedIsDroppedByTag) {
 
 // ---- Partition independence ------------------------------------------------
 // Determinism must not depend on WHERE nodes live: any disjoint ownership
-// map yields the same stitched mailbox, because sequence-tag replay keys
-// on (batch, sequence), never on shard ids. The suite re-runs bitwise
+// map yields the same stitched mailbox, because every owner walks each
+// batch in event order, whoever owns which node. The suite re-runs bitwise
 // equality and the fault soak under the locality-aware partitioner at
 // 2, 4, and 8 shards over both real transports.
 

@@ -37,7 +37,7 @@ bool SameFloats(const std::vector<float>& a, const std::vector<float>& b) {
 
 bool Equal(const core::RowBlock& a, const core::RowBlock& b) {
   if (a.size() != b.size() || (!a.empty() && a.width != b.width) ||
-      a.sequence != b.sequence || a.node != b.node || a.count != b.count ||
+      a.node != b.node || a.count != b.count ||
       a.timestamp.size() != b.timestamp.size() ||
       !SameFloats(a.rows, b.rows)) {
     return false;
@@ -50,7 +50,6 @@ bool Equal(const core::RowBlock& a, const core::RowBlock& b) {
 
 bool Equal(const ShardPartial& a, const ShardPartial& b) {
   return a.batch == b.batch && a.from_shard == b.from_shard &&
-         Equal(a.state, b.state) && Equal(a.hop0, b.hop0) &&
          Equal(a.partial, b.partial);
 }
 
@@ -61,34 +60,17 @@ void ExpectRoundTrip(const ShardPartial& message) {
   EXPECT_TRUE(Equal(message, *decoded));
 }
 
-// ---- Row builders -----------------------------------------------------------
-// Each appends one row to a section; the section's width is its rows'.
-
-void AddRow(core::RowBlock* b, graph::NodeId node, std::vector<float> row) {
-  b->width = static_cast<int64_t>(row.size());
-  b->node.push_back(node);
-  b->rows.insert(b->rows.end(), row.begin(), row.end());
-}
-
-void AddState(ShardPartial* m, int64_t sequence, graph::NodeId node,
-              std::vector<float> z) {
-  m->state.sequence.push_back(sequence);
-  AddRow(&m->state, node, std::move(z));
-}
-
-void AddHop0(ShardPartial* m, int64_t sequence, graph::NodeId recipient,
-             std::vector<float> mail, double timestamp, int64_t count) {
-  m->hop0.sequence.push_back(sequence);
-  m->hop0.timestamp.push_back(timestamp);
-  m->hop0.count.push_back(count);
-  AddRow(&m->hop0, recipient, std::move(mail));
-}
+// ---- Row builder ------------------------------------------------------------
+// Appends one ρ row; the block's width is its rows'.
 
 void AddPartial(ShardPartial* m, graph::NodeId recipient,
                 std::vector<float> sum, double newest, int64_t count) {
-  m->partial.timestamp.push_back(newest);
-  m->partial.count.push_back(count);
-  AddRow(&m->partial, recipient, std::move(sum));
+  core::RowBlock& b = m->partial;
+  b.width = static_cast<int64_t>(sum.size());
+  b.node.push_back(recipient);
+  b.timestamp.push_back(newest);
+  b.count.push_back(count);
+  b.rows.insert(b.rows.end(), sum.begin(), sum.end());
 }
 
 // ---- Exemplar messages (edge values included) ------------------------------
@@ -99,18 +81,12 @@ constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
 /// A NaN with a non-default payload: the wire must carry its exact bits.
 float PayloadNaN() { return std::bit_cast<float>(0x7fc00123u); }
 
-/// Every section populated at one width per section, with NaN payloads,
-/// -0.0, a denormal, ±inf, int64 extremes and negative timestamps.
+/// Two rows with -0.0, a denormal, int64 extremes and extreme
+/// timestamps.
 ShardPartial MakePartial() {
   ShardPartial m;
   m.batch = 41;
   m.from_shard = 3;
-  AddState(&m, 0, 7, {1.0f, -2.5f, -0.0f});
-  AddState(&m, std::numeric_limits<int64_t>::max(), 0,
-           {PayloadNaN(), kDenorm, kInf});
-  AddHop0(&m, 5, 11, {-kInf, 0.0f}, -123.5, 1);
-  AddHop0(&m, 6, 12, {PayloadNaN(), -0.0f},
-          std::numeric_limits<double>::infinity(), 2);
   AddPartial(&m, std::numeric_limits<int64_t>::min(), {0.25f, 0.75f}, -0.0,
              3);
   AddPartial(&m, 9, {kDenorm, -1.0f}, std::numeric_limits<double>::lowest(),
@@ -118,7 +94,8 @@ ShardPartial MakePartial() {
   return m;
 }
 
-/// The extremes of every fixed-width field, with only reductions set.
+/// The extremes of every fixed-width field, and float rows holding both
+/// infinities and a NaN with a non-default payload.
 ShardPartial MakeExtremePartial() {
   ShardPartial m;
   m.batch = std::numeric_limits<int64_t>::max();
@@ -127,16 +104,16 @@ ShardPartial MakeExtremePartial() {
              std::numeric_limits<double>::lowest(),
              std::numeric_limits<int64_t>::max());
   AddPartial(&m, 0, {0.0f, 0.0f}, 0.0, 0);
+  AddPartial(&m, 7, {PayloadNaN(), kInf}, 1.5, 2);
   return m;
 }
 
-/// Zero-width rows: sections whose rows carry index columns only.
+/// Zero-width rows: index columns only, with NaN and infinite times.
 ShardPartial MakeZeroWidthPartial() {
   ShardPartial m;
   m.batch = -1;
-  AddState(&m, std::numeric_limits<int64_t>::min(), 3, {});
-  AddState(&m, 2, 3, {});
-  AddHop0(&m, 4, 5, {}, -1.0, 1);
+  AddPartial(&m, 3, {}, std::numeric_limits<double>::quiet_NaN(), 1);
+  AddPartial(&m, 5, {}, -std::numeric_limits<double>::infinity(), 2);
   return m;
 }
 
@@ -167,23 +144,18 @@ TEST(WireTest, RoundTripsEveryExemplar) {
   }
 }
 
-// MakePartial's payload as encoded by the per-row-vector codec that the
-// flat row blocks replaced: the kind-1 layout is unchanged, so a
-// uniform-width message must still encode to exactly these bytes.
+// MakePartial's payload: kind 1, batch 41, from_shard 3, then the
+// partial section. The section's bytes (from the row count on) are the
+// partial section of the three-section kind-1 golden this layout
+// replaced, byte for byte: only the state and hop0 sections went.
 constexpr char kMakePartialGolden[] =
-    "0129000000000000000300000002000000000000000000000000000000070000000000"
-    "000003000000000000000000803f000020c000000080ffffffffffffff7f0000000000"
-    "00000003000000000000002301c07f010000000000807f020000000000000005000000"
-    "000000000b000000000000000200000000000000000080ff000000000000000000e05e"
-    "c0010000000000000006000000000000000c0000000000000002000000000000002301"
-    "c07f00000080000000000000f07f020000000000000002000000000000000000000000"
-    "00008002000000000000000000803e0000403f00000000000000800300000000000000"
-    "0900000000000000020000000000000001000000000080bfffffffffffffefffffffff"
-    "ffffffff7f";
+    "0129000000000000000300000002000000000000000000000000000080020000000000"
+    "00000000803e0000403f00000000000000800300000000000000090000000000000002"
+    "0000000000000001000000000080bfffffffffffffefffffffffffffffff7f";
 
-TEST(WireTest, UniformMessageEncodesAsBefore) {
+TEST(WireTest, PartialSectionEncodesAsBefore) {
   const std::vector<uint8_t> payload = wire::EncodeMessage(MakePartial());
-  EXPECT_EQ(payload.size(), 285u);
+  EXPECT_EQ(payload.size(), 101u);
   EXPECT_EQ(Hex(payload), kMakePartialGolden);
 }
 
@@ -254,79 +226,61 @@ TEST(WireTest, UnknownKindRejected) {
   EXPECT_FALSE(wire::DecodeMessage(batch).ok());
 }
 
-/// A kind-1 payload whose state section holds two rows of the given
+/// A kind-1 payload whose partial section holds two rows of the given
 /// widths, hand-written because the encoder refuses a ragged block.
-std::vector<uint8_t> TwoStateRows(uint64_t first_width,
-                                  uint64_t second_width) {
+std::vector<uint8_t> TwoRows(uint64_t first_width, uint64_t second_width) {
   std::vector<uint8_t> out = {1};
   codec::PutI64(&out, 0);  // batch
   codec::PutI32(&out, 0);  // from_shard
   codec::PutU64(&out, 2);
   for (int64_t row = 0; row < 2; ++row) {
-    codec::PutI64(&out, row);  // sequence
-    codec::PutI64(&out, 7);    // node
+    codec::PutI64(&out, 7 + row);  // recipient
     const uint64_t width = row == 0 ? first_width : second_width;
     codec::PutU64(&out, width);
     for (uint64_t i = 0; i < width; ++i) codec::PutF32(&out, 1.0f);
+    codec::PutF64(&out, 0.0);  // newest
+    codec::PutI64(&out, 1);    // count
   }
-  codec::PutU64(&out, 0);  // hop0
-  codec::PutU64(&out, 0);  // partial
   return out;
 }
 
 TEST(WireTest, RaggedRowsRejectedNamingTheField) {
-  ASSERT_TRUE(wire::DecodeMessage(TwoStateRows(2, 2)).ok());
+  ASSERT_TRUE(wire::DecodeMessage(TwoRows(2, 2)).ok());
   for (const auto& [first, second] :
        {std::pair<uint64_t, uint64_t>{2, 3}, {3, 2}, {0, 1}, {1, 0}}) {
-    Result<ShardPartial> decoded =
-        wire::DecodeMessage(TwoStateRows(first, second));
+    Result<ShardPartial> decoded = wire::DecodeMessage(TwoRows(first, second));
     ASSERT_FALSE(decoded.ok()) << first << " then " << second;
     EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
-    EXPECT_NE(decoded.status().message().find("ragged state_update.z"),
+    EXPECT_NE(decoded.status().message().find("ragged reduce.sum"),
               std::string::npos)
         << decoded.status();
   }
 }
 
 TEST(WireTest, OutOfOrderRunsRejectedNamingTheField) {
-  struct Case {
-    ShardPartial message;
-    const char* field;
-  };
-  std::vector<Case> cases;
-  {
-    ShardPartial m;  // state: sequences repeat
-    AddState(&m, 4, 1, {1.0f});
-    AddState(&m, 4, 2, {2.0f});
-    cases.push_back({m, "state_update.sequence not ascending"});
-  }
-  {
-    ShardPartial m;  // hop0: sequences descend
-    AddHop0(&m, 6, 1, {1.0f}, 0.0, 1);
-    AddHop0(&m, 5, 2, {2.0f}, 0.0, 1);
-    cases.push_back({m, "hop0.sequence not ascending"});
-  }
-  {
-    ShardPartial m;  // partial: a recipient twice in one run
-    AddPartial(&m, 9, {1.0f}, 0.0, 1);
-    AddPartial(&m, 9, {2.0f}, 0.0, 1);
-    cases.push_back({m, "reduce.recipient not ascending"});
-  }
-  for (const Case& c : cases) {
+  ShardPartial repeated;  // a recipient twice in one run
+  AddPartial(&repeated, 9, {1.0f}, 0.0, 1);
+  AddPartial(&repeated, 9, {2.0f}, 0.0, 1);
+  ShardPartial descending;
+  AddPartial(&descending, 9, {1.0f}, 0.0, 1);
+  AddPartial(&descending, 4, {2.0f}, 0.0, 1);
+  for (const ShardPartial& m : {repeated, descending}) {
     Result<ShardPartial> decoded =
-        wire::DecodeMessage(wire::EncodeMessage(c.message));
-    ASSERT_FALSE(decoded.ok()) << c.field;
+        wire::DecodeMessage(wire::EncodeMessage(m));
+    ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
-    EXPECT_NE(decoded.status().message().find(c.field), std::string::npos)
+    EXPECT_NE(
+        decoded.status().message().find("reduce.recipient not ascending"),
+        std::string::npos)
         << decoded.status();
   }
 }
 
 TEST(WireTest, CorruptCountRejectedBeforeAllocation) {
-  // A partial whose state_updates count claims 2^61 entries: the decoder
-  // must reject against the bytes remaining, not try to resize.
+  // A partial whose row count claims 2^64 - 1 rows: the decoder must
+  // reject against the bytes remaining, not try to resize.
   std::vector<uint8_t> payload = wire::EncodeMessage(ShardPartial{});
-  // Layout: kind(1) + batch(8) + from_shard(4) + state_updates count(8).
+  // Layout: kind(1) + batch(8) + from_shard(4) + row count(8).
   ASSERT_GE(payload.size(), 21u);
   for (size_t i = 13; i < 21; ++i) payload[i] = 0xFF;
   Result<ShardPartial> decoded = wire::DecodeMessage(payload);

@@ -1,11 +1,9 @@
-// Training fast path: graph-planned TrainingArena replay, same-ISA
-// bitwise determinism of the kernel-substrate backward pass, and
-// data-parallel shard equivalence (see docs/performance.md, "Training
-// fast path").
+// Training fast path: graph-planned TrainingArena replay and same-ISA
+// bitwise determinism of the kernel-substrate backward pass (see
+// docs/performance.md, "Training fast path").
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -28,11 +26,11 @@ data::Dataset TinyDataset() {
   return *data::GenerateSynthetic(cfg);
 }
 
-core::ApanConfig ApanFor(const data::Dataset& ds, float dropout = 0.1f) {
+core::ApanConfig ApanFor(const data::Dataset& ds) {
   core::ApanConfig c;
   c.num_nodes = ds.num_nodes;
   c.embedding_dim = ds.feature_dim();
-  c.dropout = dropout;
+  c.dropout = 0.1f;
   return c;
 }
 
@@ -160,62 +158,6 @@ TEST(TrainFastpathTest, TrainingIsBitwiseDeterministicOnOneHost) {
   }
   EXPECT_DOUBLE_EQ(r1->test.ap, r2->test.ap);
   EXPECT_DOUBLE_EQ(r1->validation.ap, r2->validation.ap);
-}
-
-TEST(TrainFastpathTest, ShardedEpochMatchesSingleShard) {
-  data::Dataset ds = TinyDataset();
-  // Dropout off: the only sharded-vs-single difference is then float
-  // summation order in the reduced gradient (the BCE mean decomposes
-  // exactly across shards).
-  LinkTrainConfig base;
-  base.max_epochs = 1;
-  base.patience = 3;
-
-  ApanLinkModel single(ApanFor(ds, 0.0f), &ds.features, 42);
-  auto r_single = LinkTrainer(base).Run(&single, ds);
-  ASSERT_TRUE(r_single.ok()) << r_single.status();
-  const auto p_single = FlatParams(&single);
-
-  for (const int shards : {2, 4}) {
-    LinkTrainConfig cfg = base;
-    cfg.data_parallel_shards = shards;
-    ApanLinkModel sharded(ApanFor(ds, 0.0f), &ds.features, 42);
-    auto r_sharded = LinkTrainer(cfg).Run(&sharded, ds);
-    ASSERT_TRUE(r_sharded.ok()) << r_sharded.status();
-
-    const auto p_sharded = FlatParams(&sharded);
-    ASSERT_EQ(p_sharded.size(), p_single.size());
-    double max_diff = 0.0;
-    for (size_t i = 0; i < p_single.size(); ++i) {
-      max_diff = std::max(
-          max_diff,
-          static_cast<double>(std::abs(p_sharded[i] - p_single[i])));
-    }
-    EXPECT_LT(max_diff, 5e-2) << shards << " shards";
-    EXPECT_NEAR(r_sharded->validation.ap, r_single->validation.ap, 0.05)
-        << shards << " shards";
-  }
-}
-
-TEST(TrainFastpathTest, SingleShardConfigIsTheDefaultPathBitwise) {
-  data::Dataset ds = TinyDataset();
-  LinkTrainConfig base;
-  base.max_epochs = 1;
-  base.patience = 3;
-  LinkTrainConfig explicit_one = base;
-  explicit_one.data_parallel_shards = 1;
-
-  ApanLinkModel m1(ApanFor(ds), &ds.features, 42);
-  ApanLinkModel m2(ApanFor(ds), &ds.features, 42);
-  auto r1 = LinkTrainer(base).Run(&m1, ds);
-  auto r2 = LinkTrainer(explicit_one).Run(&m2, ds);
-  ASSERT_TRUE(r1.ok() && r2.ok());
-  const auto p1 = FlatParams(&m1);
-  const auto p2 = FlatParams(&m2);
-  ASSERT_EQ(p1.size(), p2.size());
-  for (size_t i = 0; i < p1.size(); ++i) {
-    ASSERT_EQ(p1[i], p2[i]) << "param coord " << i;
-  }
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <vector>
 
 namespace apan {
@@ -18,26 +17,6 @@ TEST(ThreadPoolTest, ExecutesSubmittedTasks) {
   }
   for (auto& f : futs) f.get();
   EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(3);
-  std::vector<int> hits(1000, 0);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i] += 1; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 1000);
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroAndOne) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(0, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  pool.ParallelFor(1, [&](size_t i) {
-    EXPECT_EQ(i, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
 }
 
 TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
