@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
       "served %zu interactions in %lld batches across %d shards "
       "(transport: %s)\n",
       served, (long long)stats.batches_ingested,
-      engine.router().num_shards(), engine.transport_name());
+      engine.router().num_shards, engine.transport_name());
   std::printf("\nsynchronous link (what the user waits for):\n");
   std::printf("  mean %.3f ms/batch | p50 %.3f | p99 %.3f\n",
               engine.sync_latency().Mean(), engine.sync_latency().P50(),
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
     std::printf("  mean %.3f ms/merge | p50 %.3f | p99 %.3f\n", merge->mean,
                 merge->p50, merge->p99);
   }
-  const int num_shards = engine.router().num_shards();
+  const int num_shards = engine.router().num_shards;
   const auto* homed = snap.FindCounter("serve.events_homed");
   const auto* merges = snap.FindCounter("serve.batches_propagated");
   const auto* job_hw = snap.FindGauge("serve.job_queue_highwater");

@@ -7,21 +7,13 @@ namespace apan {
 namespace core {
 
 NodeStateStore::NodeStateStore(int64_t num_nodes, int64_t slots, int64_t dim)
-    : num_nodes_(num_nodes),
-      dim_(dim),
-      dense_all_(true),
-      mailbox_(num_nodes, slots, dim),
-      state_(static_cast<size_t>(num_nodes * dim), 0.0f) {
-  APAN_CHECK_MSG(num_nodes > 0 && dim > 0,
-                 "NodeStateStore dimensions must be positive");
-}
+    : NodeStateStore(graph::NodePartition::BuildDefault(num_nodes, 1),
+                     /*shard=*/0, slots, dim) {}
 
-NodeStateStore::NodeStateStore(std::shared_ptr<const Partition> partition,
-                               int shard, int64_t slots, int64_t dim)
-    : num_nodes_(partition != nullptr
-                     ? static_cast<int64_t>(partition->owner_of.size())
-                     : 0),
-      dim_(dim),
+NodeStateStore::NodeStateStore(
+    std::shared_ptr<const graph::NodePartition> partition, int shard,
+    int64_t slots, int64_t dim)
+    : dim_(dim),
       partition_(std::move(partition)),
       shard_(shard),
       mailbox_(partition_ != nullptr && shard >= 0 &&
@@ -30,23 +22,21 @@ NodeStateStore::NodeStateStore(std::shared_ptr<const Partition> partition,
                    : 0,
                slots, dim),
       state_(static_cast<size_t>(mailbox_.num_nodes() * dim), 0.0f) {
-  APAN_CHECK_MSG(partition_ != nullptr, "null Partition");
+  APAN_CHECK_MSG(partition_ != nullptr, "null NodePartition");
   APAN_CHECK_MSG(shard >= 0 && shard < partition_->num_shards,
-                 "shard id out of range for the Partition");
-  APAN_CHECK_MSG(num_nodes_ > 0 && dim > 0,
+                 "shard id out of range for the NodePartition");
+  APAN_CHECK_MSG(partition_->num_nodes() > 0 && dim > 0,
                  "NodeStateStore dimensions must be positive");
 }
 
 bool NodeStateStore::Owns(graph::NodeId node) const {
-  if (node < 0 || node >= num_nodes_) return false;
-  return dense_all_ ||
-         partition_->owner_of[static_cast<size_t>(node)] == shard_;
+  if (node < 0 || node >= num_nodes()) return false;
+  return partition_->owner_of[static_cast<size_t>(node)] == shard_;
 }
 
 int64_t NodeStateStore::LocalRow(graph::NodeId node) const {
-  APAN_CHECK_MSG(node >= 0 && node < num_nodes_,
+  APAN_CHECK_MSG(node >= 0 && node < num_nodes(),
                  "node id out of range in NodeStateStore");
-  if (dense_all_) return node;
   APAN_CHECK_MSG(partition_->owner_of[static_cast<size_t>(node)] == shard_,
                  "node is not owned by this NodeStateStore");
   return partition_->local_row[static_cast<size_t>(node)];
@@ -96,7 +86,6 @@ void NodeStateStore::SetLastEmbedding(graph::NodeId node,
 
 Mailbox::ReadResult NodeStateStore::ReadBatch(
     const std::vector<graph::NodeId>& nodes) const {
-  if (dense_all_) return mailbox_.ReadBatch(nodes);
   std::vector<graph::NodeId> rows;
   rows.reserve(nodes.size());
   for (const graph::NodeId v : nodes) rows.push_back(LocalRow(v));
@@ -141,12 +130,10 @@ int64_t NodeStateStore::MemoryBytes() const {
   // store its amortized share so summing over the partition counts the
   // index exactly once.
   const int64_t index_bytes =
-      partition_ != nullptr
-          ? static_cast<int64_t>((partition_->owner_of.size() +
-                                  partition_->local_row.size()) *
-                                 sizeof(int32_t)) /
-                partition_->num_shards
-          : 0;
+      static_cast<int64_t>(
+          (partition_->owner_of.size() + partition_->local_row.size()) *
+          sizeof(int32_t)) /
+      partition_->num_shards;
   return mailbox_.MemoryBytes() +
          static_cast<int64_t>(state_.size() * sizeof(float)) + index_bytes;
 }

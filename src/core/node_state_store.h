@@ -7,14 +7,16 @@
 // small and trivially replicable).
 //
 // Addressing is by *global* node id: the store translates to its dense
-// local rows internally and CHECK-fails on a node it does not own, so a
-// misrouted write can never land in a foreign shard's memory. A store
-// constructed without an ownership list covers every node with the
-// identity mapping — that is ApanModel's default store, through which
+// local rows through a shared graph::NodePartition and CHECK-fails on a
+// node it does not own, so a misrouted write can never land in a foreign
+// shard's memory. There is one code path: a store constructed from a
+// node count is shard 0 of a 1-shard partition, whose local rows equal
+// the node ids — that is ApanModel's default store, through which
 // training and the serial serving path keep exactly their monolithic
-// behavior. serve::ShardedEngine constructs one disjoint store
-// per shard instead, so each shard's mutable state lives in genuinely
-// private memory (no false sharing on the synchronous encode path).
+// behavior. serve::ShardedEngine constructs one disjoint store per shard
+// of its partition instead, so each shard's mutable state lives in
+// genuinely private memory (no false sharing on the synchronous encode
+// path).
 
 #ifndef APAN_CORE_NODE_STATE_STORE_H_
 #define APAN_CORE_NODE_STATE_STORE_H_
@@ -37,30 +39,25 @@ namespace core {
 /// subset, addressed by global node id.
 class NodeStateStore {
  public:
-  /// \brief Dense index over a disjoint N-way partition of the node
-  /// space, built once and shared (shared_ptr) by every store of the
-  /// partition AND by serve::ShardRouter (one engine stores the index
-  /// exactly once). Without sharing, per-store index memory would scale
-  /// O(num_shards * num_nodes) and sink the "partitioned stores sum to
-  /// ~1x monolithic" invariant at high shard counts.
-  using Partition = graph::NodePartition;
-
-  /// Store covering all of `[0, num_nodes)` with the identity mapping
-  /// (local row == node id). This is the monolithic / default layout.
+  /// Store covering all of `[0, num_nodes)`: shard 0 of
+  /// graph::NodePartition::BuildDefault(num_nodes, 1), so local row ==
+  /// node id. This is the monolithic / default layout.
   NodeStateStore(int64_t num_nodes, int64_t slots, int64_t dim);
 
   /// One shard's store of a shared partition — the serve-time layout
-  /// (serve::ShardedEngine builds one Partition and N of these). An
+  /// (serve::ShardedEngine builds one partition and N of these). The
+  /// index is shared (shared_ptr) by every store of the partition and by
+  /// the engine's routing, so one engine stores it exactly once. An
   /// arbitrary subset is the 1-shard-of-2 special case: put the subset
   /// on one shard of the partition and the rest on the other.
-  NodeStateStore(std::shared_ptr<const Partition> partition, int shard,
-                 int64_t slots, int64_t dim);
+  NodeStateStore(std::shared_ptr<const graph::NodePartition> partition,
+                 int shard, int64_t slots, int64_t dim);
 
   NodeStateStore(const NodeStateStore&) = delete;
   NodeStateStore& operator=(const NodeStateStore&) = delete;
 
   /// Size of the *global* id space this store addresses into.
-  int64_t num_nodes() const { return num_nodes_; }
+  int64_t num_nodes() const { return partition_->num_nodes(); }
   /// Nodes this store actually holds state for.
   int64_t owned_count() const { return mailbox_.num_nodes(); }
   int64_t slots() const { return mailbox_.slots(); }
@@ -127,8 +124,8 @@ class NodeStateStore {
 
   /// Bytes of mutable state: mailbox payload (mail + timestamps, as
   /// Mailbox::MemoryBytes counts it) + z(t−) rows + this store's
-  /// amortized 1/num_shards share of the shared Partition index (the
-  /// all-nodes store needs no index). Disjoint stores over a partition
+  /// amortized 1/num_shards share of the shared partition index (all of
+  /// it for the all-nodes store). Disjoint stores over a partition
   /// therefore sum to ~1x the monolithic store at ANY shard count: each
   /// node's rows live in exactly one store, and the partition index is
   /// counted once total — provided the caller instantiates the whole
@@ -139,13 +136,9 @@ class NodeStateStore {
   /// Dense row of `node`; CHECK-fails when the store does not own it.
   int64_t LocalRow(graph::NodeId node) const;
 
-  int64_t num_nodes_;
   int64_t dim_;
-  /// Identity fast path for the all-nodes store (no index needed);
-  /// otherwise the shared partition_ + shard_ form is the index.
-  bool dense_all_ = false;
-  std::shared_ptr<const Partition> partition_;
-  int shard_ = -1;
+  std::shared_ptr<const graph::NodePartition> partition_;
+  int shard_;
   Mailbox mailbox_;           // owned_count rows
   std::vector<float> state_;  // owned_count * dim, z(t−) per row
 };

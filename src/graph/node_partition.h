@@ -1,21 +1,23 @@
-// The shared node-ownership index of an N-way node partition.
+// The one node-ownership index of an N-way node partition: it answers
+// every "which shard owns node v, and at which row" query.
 //
 // The partitioned state plane — core::NodeStateStore (mailbox slice +
-// z(t−) rows) — and serve::ShardRouter need the same two dense maps:
-// node -> owning shard and node -> local row within that shard.
-// NodePartition stores the pair once; the router and every store of one
+// z(t−) rows) — needs two dense maps: node -> owning shard and node ->
+// local row within that shard. NodePartition stores the pair once; the
+// serving engine's routing (ShardOf, HomeShardOf) and every store of one
 // engine reference the same immutable instance through a shared_ptr, so
-// the index costs ~8 bytes/node per ENGINE instead of per consumer.
-// Rows are assigned in ascending node-id order within each shard.
-// (The temporal adjacency is not partitioned: every shard worker samples
-// from its own full graph::AdjacencyReplica.)
+// the index costs ~8 bytes/node per ENGINE instead of per consumer. The
+// all-nodes store is shard 0 of a 1-shard partition, whose local rows are
+// the node ids. Rows are assigned in ascending node-id order within each
+// shard. (The temporal adjacency is not partitioned: every shard worker
+// samples from its own full graph::AdjacencyReplica.)
 //
 // Two builders ship: the canonical hash (BuildDefault — stateless, any
 // tier can recompute it) and a locality-aware greedy assignment over a
 // temporal event stream (BuildLocality — LDG-style co-location under a
 // balance cap, built from a warmup prefix or a prior epoch's events).
 // Either way the result is the same immutable index type, so every
-// consumer — router, state stores — is partition-agnostic.
+// consumer — routing, state stores — is partition-agnostic.
 
 #ifndef APAN_GRAPH_NODE_PARTITION_H_
 #define APAN_GRAPH_NODE_PARTITION_H_
@@ -28,6 +30,7 @@
 
 #include "graph/temporal_graph.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace apan {
 namespace graph {
@@ -52,6 +55,19 @@ struct NodePartition {
   int64_t num_nodes() const {
     return static_cast<int64_t>(owner_of.size());
   }
+
+  /// Owner shard of `node`'s state rows (mailbox slice + z(t−)).
+  /// CHECK-fails on a node outside [0, num_nodes()).
+  int ShardOf(NodeId node) const {
+    APAN_CHECK_MSG(node >= 0 && node < num_nodes(),
+                   "node id out of range in ShardOf");
+    return owner_of[static_cast<size_t>(node)];
+  }
+
+  /// Home shard of an event: the shard that samples its k-hop
+  /// neighbourhood (N) and sums its propagated mail there (ρ), namely the
+  /// source endpoint's owner.
+  int HomeShardOf(const Event& event) const { return ShardOf(event.src); }
 
   /// Builds from an arbitrary ownership function (must return a shard in
   /// [0, num_shards) for every node; CHECK-fails otherwise).

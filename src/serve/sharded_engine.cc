@@ -33,13 +33,13 @@ bool BlockFits(const RowBlock& b, int64_t d) {
 /// Splits `block` by the owner of each row's node into the partial of
 /// each outbound message, copying rows in order — so every piece stays an
 /// ascending run. A block whose rows all go to one shard moves whole.
-void SplitByOwner(const ShardRouter& router, RowBlock&& block,
+void SplitByOwner(const graph::NodePartition& partition, RowBlock&& block,
                   std::vector<ShardPartial>* outbound) {
   const size_t n = block.size();
   std::vector<int> owner(n);
   std::vector<size_t> rows_to(outbound->size(), 0);
   for (size_t i = 0; i < n; ++i) {
-    owner[i] = router.ShardOf(block.node[i]);
+    owner[i] = partition.ShardOf(block.node[i]);
     ++rows_to[static_cast<size_t>(owner[i])];
   }
   for (size_t t = 0; t < outbound->size(); ++t) {
@@ -102,11 +102,10 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
                      : graph::NodePartition::BuildDefault(
                            model != nullptr ? model->config().num_nodes : 1,
                            options.num_shards)),
-      router_(partition_),
       transport_(options_.transport ? options_.transport()
                                     : std::make_unique<InProcessTransport>()),
       // InferBatch submits at most num_shards − 1 slices; the caller
-      // encodes the last one itself.
+      // encodes the last one itself, so one shard starts no pool thread.
       encode_pool_(static_cast<size_t>(options.num_shards - 1)),
       shard_down_(static_cast<size_t>(options.num_shards)) {
   APAN_CHECK(model != nullptr);
@@ -118,12 +117,6 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   // Resolve metric handles once. Per-shard writers get one cell per
   // shard; transport lanes get one cell per directed (from, to) pair.
   stage_metrics_ = options_.stage_metrics;
-  if (options_.registry != nullptr) {
-    registry_ = options_.registry;
-  } else {
-    owned_registry_ = std::make_unique<obs::Registry>();
-    registry_ = owned_registry_.get();
-  }
   const int ns = options_.num_shards;
   ins_.batches_ingested = registry_->GetCounter("serve.batches_ingested");
   ins_.batches_propagated =
@@ -164,8 +157,8 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   // every mutable byte the engine serves lives in the per-shard stores.
   model->SetTraining(false);
   // Partition the node space into disjoint per-shard state stores. The
-  // ownership index is partition_ — the SAME instance the router reads —
-  // so owner + local row per node is stored once for the whole engine.
+  // ownership index is partition_ — the SAME instance routing reads — so
+  // owner + local row per node is stored once for the whole engine.
   // The graph, by contrast, is replicated: each worker samples its own.
   const core::ApanConfig& config = model->config();
   shards_.reserve(static_cast<size_t>(options_.num_shards));
@@ -213,7 +206,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   util::MutexLock infer_lock(infer_mu_);
   if (shutdown_) return Status::Cancelled("engine is shut down");
   // Caller events are validated here, before anything is encoded or
-  // counted: an out-of-range endpoint would abort in the router, an
+  // counted: an out-of-range endpoint would abort in ShardOf, an
   // out-of-range edge id in a worker's φ (after the scores went back), and
   // an out-of-order timestamp would pass the synchronous link only to
   // abort every worker's replica append. A NaN timestamp compares false
@@ -285,7 +278,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     std::vector<std::vector<size_t>> shard_unique(
         static_cast<size_t>(num_shards));
     for (size_t u = 0; u < unique_nodes.size(); ++u) {
-      const int s = router_.ShardOf(unique_nodes[u]);
+      const int s = partition_->ShardOf(unique_nodes[u]);
       shard_nodes[static_cast<size_t>(s)].push_back(unique_nodes[u]);
       shard_unique[static_cast<size_t>(s)].push_back(u);
     }
@@ -415,14 +408,14 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   ctx->owned_events.resize(static_cast<size_t>(num_shards));
   for (size_t i = 0; i < events.size(); ++i) {
     const graph::Event& e = events[i];
-    const int home = router_.HomeShardOf(e);
+    const int home = partition_->HomeShardOf(e);
     auto& job = jobs[static_cast<size_t>(home)];
     job.events.push_back(e);
     job.src_row.push_back(src_rows[i]);
     job.dst_row.push_back(dst_rows[i]);
     if (down[static_cast<size_t>(home)] != 0) continue;
     ctx->owned_events[static_cast<size_t>(home)].push_back(i);
-    const int dst_owner = router_.ShardOf(e.dst);
+    const int dst_owner = partition_->ShardOf(e.dst);
     if (dst_owner != home) {
       ctx->owned_events[static_cast<size_t>(dst_owner)].push_back(i);
     }
@@ -749,7 +742,7 @@ ShardPartial ShardedEngine::RouteMail(int from_shard, int64_t batch,
     outbound[static_cast<size_t>(t)].from_shard = from_shard;
   }
   const auto routed = static_cast<int64_t>(partial.size());
-  SplitByOwner(router_, std::move(partial), &outbound);
+  SplitByOwner(*partition_, std::move(partial), &outbound);
 
   int64_t cross_shard = 0;
   for (int t = 0; t < num_shards; ++t) {
@@ -845,7 +838,7 @@ void ShardedEngine::ApplyMergedBatch(int shard_id,
           ctx.embeddings.data() + ctx.dst_row[i] * d, mail,
           [&](graph::NodeId node, const float* z_node,
               std::span<const float> row) {
-            if (router_.ShardOf(node) != shard_id) return;
+            if (partition_->ShardOf(node) != shard_id) return;
             store.SetLastEmbedding(node, {z_node, du});
             store.Deliver(node, row, e.timestamp);
             ++hop0_delivered;

@@ -5,19 +5,19 @@
 // order", which the mailbox absorbs by keeping each node's slots
 // time-sorted at write). num_shards = 1 is the single-worker deployment.
 //
-// A ShardRouter partitions the node space into N shards through a shared
-// graph::NodePartition index (canonical hash by default, or a
-// locality-aware index via Options::partition). Each shard exclusively
-// owns its nodes' mutable state — a core::NodeStateStore holding its
-// mailbox slice and z(t−) rows — and its worker keeps a private, full
-// graph::AdjacencyReplica of the temporal graph. The model itself is
-// touched only through a const pointer (the weights are replicated, the
-// state is partitioned): the engine never locks or writes a byte of
-// ApanModel's mutable state while running, so the model's default store
-// stays empty and Shard::state_mu guards genuinely shard-private memory —
-// no false sharing on the synchronous link. Each shard has a bounded inbox
-// of batch jobs and runs one propagation worker. The division of labour
-// per batch:
+// One graph::NodePartition index partitions the node space into N shards
+// (canonical hash by default, or a locality-aware index via
+// Options::partition) and answers every owner query. Each shard
+// exclusively owns its nodes' mutable state — a core::NodeStateStore
+// holding its mailbox slice and z(t−) rows — and its worker keeps a
+// private, full graph::AdjacencyReplica of the temporal graph. The model
+// itself is touched only through a const pointer (the weights are
+// replicated, the state is partitioned): the engine never locks or writes
+// a byte of ApanModel's mutable state while running, so the model's
+// default store stays empty and Shard::state_mu guards genuinely
+// shard-private memory — no false sharing on the synchronous link. Each
+// shard has a bounded inbox of batch jobs and runs one propagation worker.
+// The division of labour per batch:
 //
 //   Synchronous link (InferBatch, what the caller waits for)
 //     · the batch's unique nodes are split by owner shard and encoded
@@ -101,7 +101,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/shard_message.h"
-#include "serve/shard_router.h"
 #include "serve/snapshot.h"
 #include "serve/transport.h"
 #include "util/status.h"
@@ -131,15 +130,17 @@ class ShardedEngine {
  public:
   struct Options {
     int num_shards = 4;
-    /// Shared node-ownership index for the router and the state stores.
+    /// Shared node-ownership index for routing and the state stores.
     /// Null means the canonical hash
     /// (graph::NodePartition::BuildDefault). Pass a
     /// NodePartition::BuildLocality index — built from a warmup prefix or
     /// a prior epoch's events — to keep k-hop propagation shard-local.
     /// Must cover exactly the model's node count with `num_shards` shards
-    /// (CHECK-enforced). Determinism is partition-independent: replay
-    /// tags make delivery order irrelevant, so every suite passes under
-    /// any ownership map.
+    /// (CHECK-enforced). Mailbox timestamps and counts equal the serial
+    /// path's bitwise under any ownership map. Mail payloads (and the
+    /// z(t−) rows and scores encoded from them) do only at 1 shard: ρ
+    /// partials are summed in sender-shard order, so at N > 1 the
+    /// payloads are only digest-pinned.
     std::shared_ptr<const graph::NodePartition> partition;
     /// Maximum in-flight batches per shard before InferBatch applies the
     /// overflow policy. It also bounds how far decoupled workers drift
@@ -150,10 +151,6 @@ class ShardedEngine {
     /// Builds the shard-to-shard message transport; null means
     /// InProcessTransport (the pre-transport deque semantics).
     TransportFactory transport;
-    /// Metrics land here; null means the engine owns a private registry
-    /// (reachable via registry()). Sharing one registry across engines
-    /// accumulates counts across them — benches pass null per run.
-    obs::Registry* registry = nullptr;
     /// Stage-level histograms, queue gauges and trace spans. Counters
     /// (the stats() substrate) are always on — they are single relaxed
     /// adds and strictly cheaper than the mutexed fields they replaced.
@@ -300,7 +297,8 @@ class ShardedEngine {
   };
   Stats stats() const;
 
-  const ShardRouter& router() const { return router_; }
+  /// The engine's ownership index: ShardOf(node), HomeShardOf(event).
+  const graph::NodePartition& router() const { return *partition_; }
   /// The transport the engine is running over ("inproc", "uds", ...).
   const char* transport_name() const { return transport_->name(); }
   /// One shard worker's graph replica (quiescent inspection: call after
@@ -310,7 +308,8 @@ class ShardedEngine {
   }
   /// One shard's mutable node state — its mailbox slice + z(t−) rows
   /// (quiescent inspection: call after Flush). Stitching the per-shard
-  /// stores by router ownership reconstructs the monolithic state.
+  /// stores by router().ShardOf ownership reconstructs the monolithic
+  /// state.
   /// Analysis opt-out: the store pointee is guarded by Shard::state_mu,
   /// but this accessor's contract is quiescence (post-Flush, no batch in
   /// flight), not a lock — taking state_mu here would hand the caller an
@@ -321,9 +320,9 @@ class ShardedEngine {
   }
   /// Latency of the synchronous path per batch (what the user waits for).
   const obs::Histogram& sync_latency() const { return *ins_.stage_sync; }
-  /// The registry this engine's metrics live in (Options::registry, or
-  /// the engine-owned default). Scrape after Flush for exact totals.
-  obs::Registry* registry() const { return registry_; }
+  /// The engine-owned registry its metrics live in. Scrape after Flush
+  /// for exact totals.
+  obs::Registry* registry() const { return registry_.get(); }
 
  private:
   /// Shared per-batch bookkeeping, read-only once built: the whole batch,
@@ -374,8 +373,8 @@ class ShardedEngine {
     /// The pointer itself is set once at construction and never reseated.
     util::Mutex state_mu;
     /// This shard's mutable node state: its mailbox slice + z(t−) rows,
-    /// dense over the nodes the router assigns to it. Exclusively owned —
-    /// no other shard (and not the model) ever touches these bytes.
+    /// dense over the nodes the partition assigns to it. Exclusively
+    /// owned — no other shard (and not the model) ever touches these bytes.
     std::unique_ptr<core::NodeStateStore> store APAN_PT_GUARDED_BY(state_mu);
 
     /// Inbox lock. Jobs are bounded by Options::queue_capacity (client
@@ -459,12 +458,10 @@ class ShardedEngine {
   /// all mutable serve state lives in the per-shard stores above.
   const core::ApanModel* model_;
   Options options_;
-  /// The ONE ownership index of this engine, shared by the router and
-  /// every per-shard NodeStateStore (element-identical maps, stored once).
+  /// The ONE ownership index of this engine: routing reads it and every
+  /// per-shard NodeStateStore shares it (stored once).
   /// Options::partition, or the canonical hash when none was given.
-  /// Declared before router_: it consumes it at construction.
   std::shared_ptr<const graph::NodePartition> partition_;
-  ShardRouter router_;
   std::unique_ptr<Transport> transport_;
   ThreadPool encode_pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -543,8 +540,8 @@ class ShardedEngine {
     obs::Histogram* stage_idle = nullptr;
     obs::Histogram* stage_finalize = nullptr;
   };
-  std::unique_ptr<obs::Registry> owned_registry_;
-  obs::Registry* registry_ = nullptr;
+  std::unique_ptr<obs::Registry> registry_ =
+      std::make_unique<obs::Registry>();
   Instruments ins_;
   bool stage_metrics_ = true;
 };

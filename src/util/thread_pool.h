@@ -10,15 +10,16 @@
 #include <thread>
 #include <vector>
 
+#include "util/status.h"
 #include "util/thread_annotations.h"
 
 namespace apan {
 
-/// \brief Fixed-size pool executing std::function tasks FIFO.
+/// \brief Fixed-size pool executing std::function tasks FIFO. A pool of
+/// zero threads starts none and accepts no task.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads) {
-    if (num_threads == 0) num_threads = 1;
     workers_.reserve(num_threads);
     for (size_t i = 0; i < num_threads; ++i) {
       workers_.emplace_back([this] { WorkerLoop(); });
@@ -40,8 +41,10 @@ class ThreadPool {
   size_t num_threads() const { return workers_.size(); }
 
   /// \brief Schedules `fn` and returns a future for its completion.
+  /// CHECK-fails on a pool of zero threads, where it would never run.
   template <typename Fn>
   std::future<void> Submit(Fn&& fn) APAN_EXCLUDES(mu_) {
+    APAN_CHECK_MSG(!workers_.empty(), "Submit on a pool with no threads");
     auto task =
         std::make_shared<std::packaged_task<void()>>(std::forward<Fn>(fn));
     std::future<void> fut = task->get_future();

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <vector>
 
+#include "core/node_state_store.h"
+#include "tensor/arena.h"
 #include "tensor/ops.h"
 
 namespace apan {
@@ -124,6 +130,110 @@ TEST(ApanEncoderTest, GradientsFlowToAllSubmodules) {
   }
   // Positional table, attention (4), layer norm (2), MLP (4) all live.
   EXPECT_GE(with_grad, 10);
+}
+
+// ---- Batch invariance ------------------------------------------------------
+// The serving path encodes a node inside whatever batch its events arrive
+// in, so the inference forward must give every row the same bits whatever
+// else shares its batch and wherever it sits. The engine relies on this to
+// move encode work (between shards, into another batch) and still match
+// the serial path bitwise.
+
+/// Inference-mode encode of `nodes` (the serving path: no grad, one arena
+/// scope per call, as each engine encode task opens), rows copied out
+/// before the arena rewinds.
+std::vector<float> EncodeRows(const ApanEncoder& enc,
+                              const NodeStateStore& store,
+                              const std::vector<graph::NodeId>& nodes) {
+  tensor::NoGradGuard no_grad;
+  tensor::ArenaScope arena;
+  const Tensor z = enc.EncodeNodes(store, nodes).embeddings;
+  return std::vector<float>(z.data(), z.data() + z.numel());
+}
+
+/// Encodes `order` in consecutive batches of `batch_size` (the last one
+/// shorter) and counts the rows whose bits differ from `reference`
+/// (indexed by node id).
+int64_t MismatchedRows(const ApanEncoder& enc, const NodeStateStore& store,
+                       const std::vector<graph::NodeId>& order,
+                       size_t batch_size,
+                       const std::vector<float>& reference) {
+  const auto d = static_cast<size_t>(enc.dim());
+  int64_t mismatched = 0;
+  for (size_t lo = 0; lo < order.size(); lo += batch_size) {
+    const std::vector<graph::NodeId> batch(
+        order.begin() + static_cast<std::ptrdiff_t>(lo),
+        order.begin() + static_cast<std::ptrdiff_t>(
+                            std::min(order.size(), lo + batch_size)));
+    const std::vector<float> rows = EncodeRows(enc, store, batch);
+    for (size_t r = 0; r < batch.size(); ++r) {
+      const float* want =
+          reference.data() + static_cast<size_t>(batch[r]) * d;
+      if (std::memcmp(rows.data() + r * d, want, d * sizeof(float)) != 0) {
+        ++mismatched;
+      }
+    }
+  }
+  return mismatched;
+}
+
+TEST(ApanEncoderProperty, RowsAreBatchInvariant) {
+  constexpr int64_t kNodes = 300;
+  for (const PositionalMode mode :
+       {PositionalMode::kLearnedPosition, PositionalMode::kTimeKernel}) {
+    for (const int64_t d : {8, 32, 100, 172}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "positional mode "
+                   << (mode == PositionalMode::kTimeKernel ? "time-kernel"
+                                                           : "learned")
+                   << ", d = " << d);
+      ApanConfig cfg;
+      cfg.num_nodes = kNodes;
+      cfg.embedding_dim = d;
+      cfg.positional = mode;
+      cfg.dropout = 0.0f;
+      Rng rng(static_cast<uint64_t>(d) * 2 +
+              (mode == PositionalMode::kTimeKernel ? 1 : 0));
+      ApanEncoder enc(cfg, &rng);
+      enc.SetTraining(false);
+
+      // Every node gets a random z(t−) and 0 .. slots+2 mails at random
+      // times: empty mailboxes, partly filled ones and evicting rings.
+      NodeStateStore store(kNodes, cfg.mailbox_slots, d);
+      std::vector<float> row(static_cast<size_t>(d));
+      for (graph::NodeId v = 0; v < kNodes; ++v) {
+        for (float& x : row) x = static_cast<float>(rng.Normal());
+        store.SetLastEmbedding(v, row);
+        const int64_t mails =
+            rng.UniformInt(int64_t{0}, cfg.mailbox_slots + 2);
+        for (int64_t m = 0; m < mails; ++m) {
+          for (float& x : row) x = static_cast<float>(rng.Normal());
+          store.Deliver(v, row, rng.Uniform(0.0, 100.0));
+        }
+      }
+
+      // Reference: all 300 nodes in one batch, in id order.
+      std::vector<graph::NodeId> ids(static_cast<size_t>(kNodes));
+      std::iota(ids.begin(), ids.end(), graph::NodeId{0});
+      const std::vector<float> reference = EncodeRows(enc, store, ids);
+
+      // The same rows alone, in batches of 3 and 17 drawn from a shuffled
+      // order, and inside the full batch reversed and shuffled: every row
+      // sits at many positions among many different neighbours.
+      std::vector<graph::NodeId> shuffled = ids;
+      std::shuffle(shuffled.begin(), shuffled.end(), rng);
+      const std::vector<graph::NodeId> reversed(ids.rbegin(), ids.rend());
+      EXPECT_EQ(MismatchedRows(enc, store, ids, 1, reference), 0) << "alone";
+      EXPECT_EQ(MismatchedRows(enc, store, shuffled, 3, reference), 0)
+          << "batches of 3";
+      EXPECT_EQ(MismatchedRows(enc, store, shuffled, 17, reference), 0)
+          << "batches of 17";
+      EXPECT_EQ(MismatchedRows(enc, store, reversed, 300, reference), 0)
+          << "300-node batch, reversed";
+      EXPECT_EQ(MismatchedRows(enc, store, shuffled, 300, reference), 0)
+          << "300-node batch, shuffled";
+    }
+  }
 }
 
 TEST(ApanConfigTest, ValidationCatchesEachField) {

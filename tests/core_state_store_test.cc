@@ -41,9 +41,9 @@ TEST(NodeStateStoreTest, AllNodesStoreIsIdentityMapped) {
 
 /// Partition with `owned` on shard 0 and every other node on shard 1 —
 /// how an arbitrary subset store is expressed.
-std::shared_ptr<const NodeStateStore::Partition> SubsetPartition(
+std::shared_ptr<const graph::NodePartition> SubsetPartition(
     int64_t num_nodes, std::vector<graph::NodeId> owned) {
-  return NodeStateStore::Partition::Build(
+  return graph::NodePartition::Build(
       num_nodes, 2, [owned = std::move(owned)](graph::NodeId v) {
         return std::find(owned.begin(), owned.end(), v) != owned.end() ? 0
                                                                        : 1;
@@ -89,7 +89,7 @@ TEST(NodeStateStoreTest, SubsetStoreMatchesMonolithicPerNode) {
   // included.
   const int64_t nodes = 12, slots = 3, dim = 2;
   NodeStateStore mono(nodes, slots, dim);
-  const auto partition = NodeStateStore::Partition::Build(
+  const auto partition = graph::NodePartition::Build(
       nodes, 2, [](graph::NodeId v) { return static_cast<int>(v % 2); });
   NodeStateStore even(partition, 0, slots, dim);
   NodeStateStore odd(partition, 1, slots, dim);
@@ -118,11 +118,11 @@ TEST(NodeStateStoreTest, SubsetStoreMatchesMonolithicPerNode) {
 TEST(NodeStateStoreTest, DisjointStoresSumToMonolithicMemory) {
   // 32 and 64 shards are the regression teeth: a per-store O(num_nodes)
   // index would make the sum scale with the shard count; the shared
-  // Partition index is charged exactly once across all stores.
+  // partition index is charged exactly once across all stores.
   const int64_t nodes = 1024, slots = 4, dim = 16;
   NodeStateStore mono(nodes, slots, dim);
   for (const int shards : {1, 2, 4, 8, 32, 64}) {
-    const auto partition = NodeStateStore::Partition::Build(
+    const auto partition = graph::NodePartition::Build(
         nodes, shards,
         [shards](graph::NodeId v) { return graph::NodeShardOf(v, shards); });
     int64_t sum = 0;

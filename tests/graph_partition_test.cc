@@ -50,6 +50,54 @@ TEST(NodePartitionTest, BuildDefaultMatchesHash) {
   }
 }
 
+TEST(NodePartitionTest, ShardOfIsDeterministicAndInRange) {
+  auto p = NodePartition::BuildDefault(1000, 4);
+  for (NodeId v = 0; v < 1000; ++v) {
+    const int s = p->ShardOf(v);
+    EXPECT_GE(s, 0);
+    EXPECT_LT(s, 4);
+    EXPECT_EQ(s, p->ShardOf(v));  // pure function of (node, shards)
+  }
+}
+
+TEST(NodePartitionTest, ShardOfSpreadsContiguousIdsAcrossShards) {
+  auto p = NodePartition::BuildDefault(1024, 4);
+  std::vector<int64_t> counts(4, 0);
+  for (NodeId v = 0; v < 1024; ++v) {
+    ++counts[static_cast<size_t>(p->ShardOf(v))];
+  }
+  EXPECT_EQ(counts, p->owned_count);
+  for (const int64_t c : counts) {
+    // A hashed partition of 1024 contiguous ids should not starve or
+    // swamp any shard (256 expected; allow wide slack).
+    EXPECT_GT(c, 128);
+    EXPECT_LT(c, 384);
+  }
+}
+
+TEST(NodePartitionTest, ShardOfSingleShardOwnsEverything) {
+  auto p = NodePartition::BuildDefault(50, 1);
+  for (NodeId v = 0; v < 50; ++v) {
+    EXPECT_EQ(p->ShardOf(v), 0);
+    // The all-nodes layout: local rows are the node ids.
+    EXPECT_EQ(p->local_row[static_cast<size_t>(v)], v);
+  }
+}
+
+TEST(NodePartitionTest, HomeShardOfIsTheSourceOwner) {
+  auto p = NodePartition::BuildDefault(64, 4);
+  for (NodeId v = 0; v < 64; ++v) {
+    EXPECT_EQ(p->HomeShardOf(E(v, 63 - v, 0.0)), p->ShardOf(v));
+  }
+}
+
+TEST(NodePartitionDeathTest, ShardOfRejectsOutOfRangeNodes) {
+  auto p = NodePartition::BuildDefault(10, 2);
+  EXPECT_DEATH(p->ShardOf(-1), "out of range");
+  EXPECT_DEATH(p->ShardOf(10), "out of range");
+  EXPECT_DEATH(p->HomeShardOf(E(10, 0, 0.0)), "out of range");
+}
+
 TEST(NodePartitionTest, LocalityCoLocatesInteractionClusters) {
   // Two disjoint interaction cliques over 16 nodes. Locality must put
   // each clique on one shard, making every observed edge shard-local —

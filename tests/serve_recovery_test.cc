@@ -306,7 +306,7 @@ TEST(DegradationTest, ShedEventsLeaveNoRowsOrMailOnHealthyShards) {
   Fixture f;
   auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
   constexpr int kDown = 3;
-  const ShardRouter& router = run.engine->router();
+  const graph::NodePartition& router = run.engine->router();
   std::vector<graph::NodeId> down_nodes, healthy_nodes;
   for (graph::NodeId v = 0; v < f.config.num_nodes; ++v) {
     (router.ShardOf(v) == kDown ? down_nodes : healthy_nodes).push_back(v);

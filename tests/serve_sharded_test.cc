@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <thread>
 
 #include "data/synthetic.h"
@@ -43,36 +42,6 @@ struct Fixture {
   data::Dataset dataset;
   core::ApanConfig config;
 };
-
-// ---- ShardRouter -----------------------------------------------------------
-
-TEST(ShardRouterTest, DeterministicAndInRange) {
-  ShardRouter router(4, 1000);
-  for (graph::NodeId v = 0; v < 1000; ++v) {
-    const int s = router.ShardOf(v);
-    EXPECT_GE(s, 0);
-    EXPECT_LT(s, 4);
-    EXPECT_EQ(s, router.ShardOf(v));  // pure function of (node, shards)
-  }
-}
-
-TEST(ShardRouterTest, SpreadsContiguousIdsAcrossShards) {
-  ShardRouter router(4, 1024);
-  const std::vector<int64_t>& counts = router.partition()->owned_count;
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), int64_t{0}), 1024);
-  for (const int64_t c : counts) {
-    // A hashed partition of 1024 contiguous ids should not starve or
-    // swamp any shard (256 expected; allow wide slack).
-    EXPECT_GT(c, 128);
-    EXPECT_LT(c, 384);
-  }
-}
-
-TEST(ShardRouterTest, SingleShardOwnsEverything) {
-  ShardRouter router(1, 50);
-  for (graph::NodeId v = 0; v < 50; ++v) EXPECT_EQ(router.ShardOf(v), 0);
-}
 
 // ---- ShardedEngine: functional ---------------------------------------------
 

@@ -19,12 +19,17 @@ TEST(ThreadPoolTest, ExecutesSubmittedTasks) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
+TEST(ThreadPoolTest, ZeroThreadsStartsNone) {
+  // A 1-shard engine sizes its encode pool at zero: no idle thread.
+  {
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.num_threads(), 0u);
+  }  // destruction joins nothing and returns
+}
+
+TEST(ThreadPoolDeathTest, SubmitOnEmptyPoolAborts) {
   ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::atomic<int> counter{0};
-  pool.Submit([&] { ++counter; }).get();
-  EXPECT_EQ(counter.load(), 1);
+  EXPECT_DEATH(pool.Submit([] {}), "no threads");
 }
 
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
