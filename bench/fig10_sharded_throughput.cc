@@ -42,8 +42,7 @@
 //
 // --trace=<path> replays one extra metrics-on run at the maximum shard
 // count with the span recorder enabled and flushes a Chrome trace_event
-// JSON there (open at https://ui.perfetto.dev). Requires a build with
-// APAN_TRACING=ON (the default); compiled-out builds warn and skip.
+// JSON there (open at https://ui.perfetto.dev).
 //
 //   ./build/bench/fig10_sharded_throughput
 //   ./build/bench/fig10_sharded_throughput --transport=uds --trace=f10.json
@@ -647,36 +646,29 @@ int main(int argc, char** argv) {
 
   // ---- Optional traced replay (--trace=<path>) ---------------------------
   if (!trace_path.empty()) {
-    if (!obs::TraceRecorder::kCompiledIn) {
-      std::fprintf(stderr,
-                   "--trace: tracing compiled out (APAN_TRACING=OFF); "
-                   "skipping %s\n",
-                   trace_path.c_str());
-    } else {
-      const int shards = 8;
-      core::ApanModel model(config, &wiki.features, /*seed=*/2021);
-      serve::ShardedEngine::Options options;
-      options.num_shards = shards;
-      options.transport = serve::MakeTransportFactory(planes.back());
-      serve::ShardedEngine engine(&model, options);
-      obs::TraceRecorder::Global().Clear();
-      obs::TraceRecorder::Global().Enable();
-      Replay(engine, wiki, batch);
-      obs::TraceRecorder::Global().Disable();
-      const Status st = obs::TraceRecorder::Global().WriteChromeTrace(
-          trace_path);
-      if (!st.ok()) {
-        std::fprintf(stderr, "--trace: %s\n", st.ToString().c_str());
-        return 1;
-      }
-      std::printf(
-          "\ntraced replay (x%d, %s) written to %s — open at "
-          "https://ui.perfetto.dev\n",
-          shards, engine.transport_name(), trace_path.c_str());
-      if (obs::TraceRecorder::Global().dropped() > 0) {
-        std::printf("  (ring wrapped: %llu oldest spans dropped)\n",
-                    (unsigned long long)obs::TraceRecorder::Global().dropped());
-      }
+    const int shards = 8;
+    core::ApanModel model(config, &wiki.features, /*seed=*/2021);
+    serve::ShardedEngine::Options options;
+    options.num_shards = shards;
+    options.transport = serve::MakeTransportFactory(planes.back());
+    serve::ShardedEngine engine(&model, options);
+    obs::TraceRecorder::Global().Clear();
+    obs::TraceRecorder::Global().Enable();
+    Replay(engine, wiki, batch);
+    obs::TraceRecorder::Global().Disable();
+    const Status st = obs::TraceRecorder::Global().WriteChromeTrace(
+        trace_path);
+    if (!st.ok()) {
+      std::fprintf(stderr, "--trace: %s\n", st.ToString().c_str());
+      return 1;
+    }
+    std::printf(
+        "\ntraced replay (x%d, %s) written to %s — open at "
+        "https://ui.perfetto.dev\n",
+        shards, engine.transport_name(), trace_path.c_str());
+    if (obs::TraceRecorder::Global().dropped() > 0) {
+      std::printf("  (ring wrapped: %llu oldest spans dropped)\n",
+                  (unsigned long long)obs::TraceRecorder::Global().dropped());
     }
   }
 

@@ -61,13 +61,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--transport=uds: AF_UNIX unavailable here\n");
     return 1;
   }
-  if (!trace_path.empty() && !obs::TraceRecorder::kCompiledIn) {
-    std::fprintf(stderr,
-                 "--trace: tracing compiled out (APAN_TRACING=OFF); "
-                 "ignoring\n");
-    trace_path.clear();
-  }
-
   auto dataset = data::GenerateSynthetic(
       data::SyntheticConfig::WikipediaLike().Scaled(0.2));
   if (!dataset.ok()) {

@@ -4,6 +4,12 @@
 
 namespace apan {
 namespace graph {
+namespace {
+
+/// BuildLocality's per-shard node cap as a multiple of the balanced share.
+constexpr double kBalanceFactor = 1.2;
+
+}  // namespace
 
 std::shared_ptr<const NodePartition> NodePartition::Build(
     int64_t num_nodes, int num_shards,
@@ -35,22 +41,14 @@ std::shared_ptr<const NodePartition> NodePartition::BuildDefault(
 
 std::shared_ptr<const NodePartition> NodePartition::BuildLocality(
     int64_t num_nodes, int num_shards, std::span<const Event> events) {
-  return BuildLocality(num_nodes, num_shards, events, LocalityOptions());
-}
-
-std::shared_ptr<const NodePartition> NodePartition::BuildLocality(
-    int64_t num_nodes, int num_shards, std::span<const Event> events,
-    const LocalityOptions& options) {
   APAN_CHECK_MSG(num_nodes > 0 && num_shards > 0,
                  "NodePartition needs positive node and shard counts");
-  APAN_CHECK_MSG(options.balance_factor >= 1.0,
-                 "balance_factor below 1.0 cannot hold every node");
   // cap >= ceil(n/shards) guarantees total capacity >= n, so a shard with
   // headroom always exists and the fill loop below cannot fail.
   const int64_t fair =
       (num_nodes + num_shards - 1) / static_cast<int64_t>(num_shards);
   const int64_t cap = std::max(
-      fair, static_cast<int64_t>(options.balance_factor *
+      fair, static_cast<int64_t>(kBalanceFactor *
                                  static_cast<double>(num_nodes) /
                                  static_cast<double>(num_shards)));
 

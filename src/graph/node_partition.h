@@ -81,19 +81,13 @@ struct NodePartition {
   static std::shared_ptr<const NodePartition> BuildDefault(int64_t num_nodes,
                                                            int num_shards);
 
-  /// Tuning for BuildLocality.
-  struct LocalityOptions {
-    /// Per-shard node cap as a multiple of the perfectly balanced share:
-    /// cap = max(ceil(n/shards), floor(balance_factor * n / shards)).
-    /// 1.0 forces perfect balance (degenerates toward round-robin on
-    /// skewed streams); larger values trade balance for locality.
-    double balance_factor = 1.2;
-  };
-
   /// \brief Greedy locality-aware assignment over a temporal edge stream
   /// (LDG-style): endpoints of observed interactions are co-located on
   /// one shard when its balance cap allows, so k-hop propagation stays
-  /// shard-local instead of ~(N-1)/N cross-shard under the hash.
+  /// shard-local instead of ~(N-1)/N cross-shard under the hash. The
+  /// per-shard node cap is max(ceil(n/shards), floor(1.2 · n/shards)):
+  /// 20% headroom over the balanced share buys locality without letting
+  /// a hub pull the whole graph onto one shard.
   ///
   /// Single deterministic pass in stream order: an event whose endpoints
   /// are both unassigned pins them to the least-loaded shard (lowest id
@@ -102,14 +96,8 @@ struct NodePartition {
   /// endpoints are left alone (first interaction wins). Nodes never seen
   /// in `events` — built from a warmup prefix or a prior epoch, so most
   /// nodes ARE seen — are filled onto least-loaded shards in ascending
-  /// node-id order. A pure function of (num_nodes, num_shards, events,
-  /// options): every tier handed the same warmup stream computes the
-  /// same index.
-  static std::shared_ptr<const NodePartition> BuildLocality(
-      int64_t num_nodes, int num_shards, std::span<const Event> events,
-      const LocalityOptions& options);
-  /// Same with default LocalityOptions (a nested-class NSDMI cannot serve
-  /// as a default argument inside the enclosing class).
+  /// node-id order. A pure function of (num_nodes, num_shards, events):
+  /// every tier handed the same warmup stream computes the same index.
   static std::shared_ptr<const NodePartition> BuildLocality(
       int64_t num_nodes, int num_shards, std::span<const Event> events);
 };

@@ -232,8 +232,6 @@ bool ValidateJson(std::string_view text, std::string* error) {
   return JsonScanner(text).Validate(error);
 }
 
-#if APAN_TRACING_ENABLED
-
 // ---------------------------------------------------------- TraceRecorder
 
 struct TraceRecorder::ThreadBuffer {
@@ -413,8 +411,6 @@ Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
   }
   return Status();
 }
-
-#endif  // APAN_TRACING_ENABLED
 
 }  // namespace obs
 }  // namespace apan

@@ -12,11 +12,8 @@
 // kRingCapacity spans per thread and counts what it overwrote, so a long
 // run degrades to "most recent window" instead of unbounded memory.
 //
-// When CMake is configured with -DAPAN_TRACING=OFF this entire header
-// compiles to no-op stubs: Span is an empty object, APAN_TRACE_SPAN is
-// `(void)0`, and WriteChromeTrace returns FailedPrecondition. The serve
-// plane keeps the macro calls in place at zero cost — that is the
-// compile-out contract the trace-off CI build enforces.
+// Tracing is switched on at runtime (Enable). While the recorder is
+// disabled, a span costs one relaxed atomic load and records nothing.
 
 #ifndef APAN_OBS_TRACE_H_
 #define APAN_OBS_TRACE_H_
@@ -32,16 +29,11 @@
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
-#ifndef APAN_TRACING_ENABLED
-#define APAN_TRACING_ENABLED 1
-#endif
-
 namespace apan {
 namespace obs {
 
 /// \brief Minimal JSON well-formedness validator (recursive descent, no
-/// DOM). Always compiled — tools/trace_check and the trace tests use it
-/// regardless of whether tracing itself is compiled in.
+/// DOM). tools/trace_check and the trace tests use it.
 bool ValidateJson(std::string_view text, std::string* error);
 
 /// One finished span. `name` must be a string literal (spans store the
@@ -53,11 +45,8 @@ struct TraceEvent {
   int tid = 0;          ///< recorder-assigned thread index
 };
 
-#if APAN_TRACING_ENABLED
-
 class TraceRecorder {
  public:
-  static constexpr bool kCompiledIn = true;
   static constexpr size_t kRingCapacity = 1 << 16;  ///< spans kept per thread
 
   /// Process-wide recorder. The serve plane records here; a local
@@ -135,42 +124,6 @@ class Span {
 #define APAN_TRACE_CONCAT(a, b) APAN_TRACE_CONCAT_INNER(a, b)
 #define APAN_TRACE_SPAN(name) \
   ::apan::obs::Span APAN_TRACE_CONCAT(apan_trace_span_, __COUNTER__)(name)
-
-#else  // !APAN_TRACING_ENABLED — no-op stubs, zero cost.
-
-class TraceRecorder {
- public:
-  static constexpr bool kCompiledIn = false;
-  static constexpr size_t kRingCapacity = 0;
-
-  static TraceRecorder& Global() {
-    static TraceRecorder r;
-    return r;
-  }
-
-  void Enable() {}
-  void Disable() {}
-  bool enabled() const { return false; }
-  void Record(const char*, double, double) {}
-  double NowMicros() const { return 0.0; }
-  std::vector<TraceEvent> Snapshot() const { return {}; }
-  uint64_t dropped() const { return 0; }
-  void Clear() {}
-  Status WriteChromeTrace(const std::string&) const {
-    return Status::FailedPrecondition(
-        "tracing compiled out (build with -DAPAN_TRACING=ON)");
-  }
-};
-
-class Span {
- public:
-  explicit Span(const char*) {}
-  Span(const char*, TraceRecorder*) {}
-};
-
-#define APAN_TRACE_SPAN(name) static_cast<void>(0)
-
-#endif  // APAN_TRACING_ENABLED
 
 }  // namespace obs
 }  // namespace apan

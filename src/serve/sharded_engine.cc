@@ -121,11 +121,9 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   ins_.batches_ingested = registry_->GetCounter("serve.batches_ingested");
   ins_.batches_propagated =
       registry_->GetCounter("serve.batches_propagated", ns);
-  ins_.batches_rejected = registry_->GetCounter("serve.batches_rejected");
   ins_.mails_routed = registry_->GetCounter("serve.mails_routed", ns);
   ins_.mails_cross_shard =
       registry_->GetCounter("serve.mails_cross_shard", ns);
-  ins_.mails_dropped = registry_->GetCounter("serve.mails_dropped");
   ins_.duplicates_dropped =
       registry_->GetCounter("serve.duplicates_dropped", ns);
   ins_.events_homed = registry_->GetCounter("serve.events_homed", ns);
@@ -347,27 +345,11 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   result.sync_millis = watch.ElapsedMillis();
   ins_.stage_sync->Record(result.sync_millis);
 
-  // ---- Hand off to the asynchronous link. ----
-  if (options_.overflow == OverflowPolicy::kBlock) {
-    for (auto& shard : shards_) {
-      util::MutexLock lock(shard->mu);
-      while (shard->jobs_in_flight >= options_.queue_capacity) {
-        shard->cv.Wait(shard->mu);
-      }
-    }
-  } else {
-    // A batch is dropped whole: enqueueing it on a subset of shards would
-    // leave the reassembly barrier waiting forever. The inference result
-    // stays valid — the mail is simply lost, as in an overloaded broker.
-    bool any_full = false;
-    for (auto& shard : shards_) {
-      util::MutexLock lock(shard->mu);
-      any_full |= shard->jobs_in_flight >= options_.queue_capacity;
-    }
-    if (any_full) {
-      ins_.batches_rejected->Add(1);
-      ins_.mails_dropped->Add(static_cast<int64_t>(events.size()));
-      return result;
+  // ---- Hand off to the asynchronous link (back-pressure when full). ----
+  for (auto& shard : shards_) {
+    util::MutexLock lock(shard->mu);
+    while (shard->jobs_in_flight >= options_.queue_capacity) {
+      shard->cv.Wait(shard->mu);
     }
   }
 
@@ -490,17 +472,15 @@ void ShardedEngine::WorkerLoop(int shard_id) {
       if (!shard.closed && shard.mail.empty() && shard.jobs.empty()) {
         // Only time the wait when the worker actually blocks: on the
         // busy path (work already queued) the clock reads themselves
-        // would be the dominant cost of a meaningless ~0 sample.
-        if (stage_metrics_) {
-          Stopwatch idle_watch;
-          while (!shard.closed && shard.mail.empty() && shard.jobs.empty()) {
-            shard.cv.Wait(shard.mu);
-          }
-          ins_.stage_idle->Record(shard_id, idle_watch.ElapsedMillis());
-        } else {
-          while (!shard.closed && shard.mail.empty() && shard.jobs.empty()) {
-            shard.cv.Wait(shard.mu);
-          }
+        // would be the dominant cost of a meaningless ~0 sample. With
+        // stage metrics off the clock is never read.
+        std::optional<Stopwatch> idle_watch;
+        if (stage_metrics_) idle_watch.emplace();
+        while (!shard.closed && shard.mail.empty() && shard.jobs.empty()) {
+          shard.cv.Wait(shard.mu);
+        }
+        if (idle_watch) {
+          ins_.stage_idle->Record(shard_id, idle_watch->ElapsedMillis());
         }
       }
       // Messages first: applying a finished batch is cheap and retires
@@ -644,15 +624,16 @@ void ShardedEngine::SendPartial(int from_shard, int to_shard,
                                 ShardPartial partial) {
   const int64_t batch = partial.batch;
   const auto to = static_cast<size_t>(to_shard);
-  if (shard_down_[static_cast<size_t>(from_shard)].load(
-          std::memory_order_relaxed) ||
-      shard_down_[to].load(std::memory_order_relaxed)) {
-    // Degraded path: a partial to (or from) a down shard is shed before
-    // it touches the transport. Its batch counted the destination's
-    // application leg at ingest (a batch ingested after the peer went
-    // down never routes a partial to it — its apply set excludes the
-    // peer), and a peer missing this partial can never reach its
-    // sender-count barrier, so retire that leg here or Flush wedges.
+  if (shard_down_[to].load(std::memory_order_relaxed)) {
+    // Degraded path: a partial to a down shard is shed before it touches
+    // the transport. Its batch counted the destination's application leg
+    // at ingest (a batch ingested after the peer went down never routes a
+    // partial to it — its apply set excludes the peer), and a peer
+    // missing this partial can never reach its sender-count barrier, so
+    // retire that leg here or Flush wedges. A partial *from* a down shard
+    // (one marked down by a lane failure while its jobs were still
+    // queued) is sent as usual: its healthy recipients counted it at
+    // ingest, and their in-order merge cursors wait for it.
     ins_.sends_shed->Add(to_shard, 1);
     if (to_shard == from_shard) {
       // This worker's own partial: the batch can never merge here, so
@@ -689,7 +670,11 @@ void ShardedEngine::CompensateLostPartial(int to_shard, int64_t batch) {
   // (batch, peer) — another sender's, or a duplicate — finds the leg
   // already retired and is a no-op.
   if (remaining->second.erase(to_shard) == 0) return;
-  if (remaining->second.empty()) apply_remaining_.erase(remaining);
+  if (remaining->second.empty()) {
+    // The written-off leg was the last: every shard still up has merged.
+    apply_remaining_.erase(remaining);
+    ins_.batches_propagated->Add(to_shard, 1);
+  }
   if (--inflight_ == 0) flush_cv_.NotifyAll();
 }
 
@@ -1203,10 +1188,8 @@ ShardedEngine::Stats ShardedEngine::stats() const {
   Stats s;
   s.batches_ingested = ins_.batches_ingested->Value();
   s.batches_propagated = ins_.batches_propagated->Value();
-  s.batches_rejected = ins_.batches_rejected->Value();
   s.mails_routed = ins_.mails_routed->Value();
   s.mails_cross_shard = ins_.mails_cross_shard->Value();
-  s.mails_dropped = ins_.mails_dropped->Value();
   s.duplicates_dropped = ins_.duplicates_dropped->Value();
   s.events_shed = ins_.events_shed->Value();
   s.sends_shed = ins_.sends_shed->Value();

@@ -111,17 +111,6 @@
 namespace apan {
 namespace serve {
 
-/// What InferBatch does when a shard's inbox is at Options::queue_capacity.
-enum class OverflowPolicy {
-  /// Wait for space (back-pressure on the caller; default).
-  kBlock,
-  /// Drop the incoming batch whole — a partially enqueued batch would
-  /// wedge the cross-shard reassembly barrier. Its scores are still
-  /// returned; its mail is lost and counted (Stats::batches_rejected,
-  /// Stats::mails_dropped).
-  kDropNewest,
-};
-
 /// \brief Runs one ApanModel behind an N-shard partition of the node
 /// space: per-shard mailbox/memory ownership, per-shard propagation
 /// workers sampling private graph replicas, cross-shard mail routing over
@@ -142,12 +131,12 @@ class ShardedEngine {
     /// partials are summed in sender-shard order, so at N > 1 the
     /// payloads are only digest-pinned.
     std::shared_ptr<const graph::NodePartition> partition;
-    /// Maximum in-flight batches per shard before InferBatch applies the
-    /// overflow policy. It also bounds how far decoupled workers drift
-    /// apart, and with it the partials a fast shard parks for a slow one
-    /// (each parked batch holds its routed mail).
+    /// Maximum in-flight batches per shard: at the cap, InferBatch waits
+    /// for space (back-pressure on the caller). It also bounds how far
+    /// decoupled workers drift apart, and with it the partials a fast
+    /// shard parks for a slow one (each parked batch holds its routed
+    /// mail).
     size_t queue_capacity = 32;
-    OverflowPolicy overflow = OverflowPolicy::kBlock;
     /// Builds the shard-to-shard message transport; null means
     /// InProcessTransport (the pre-transport deque semantics).
     TransportFactory transport;
@@ -264,11 +253,12 @@ class ShardedEngine {
 
   struct Stats {
     int64_t batches_ingested = 0;
-    /// Batches fully applied on every shard.
+    /// Batches fully applied on every shard — every shard that was up,
+    /// once a down shard's application leg is written off.
     int64_t batches_propagated = 0;
-    /// Batches refused whole by a drop overflow policy (their records are
-    /// also counted in mails_dropped). The accounting identity is
-    /// batches_ingested == batches attempted − batches_rejected.
+    /// Always 0: a full inbox back-pressures the caller instead of
+    /// refusing the batch. Kept so that readers of the old overflow
+    /// counter still build.
     int64_t batches_rejected = 0;
     /// Mails produced: hop-0 deliveries (counted at the owner) plus ρ
     /// partial-sum rows (counted at the sender).
@@ -276,8 +266,6 @@ class ShardedEngine {
     /// ρ partial-sum rows sent to a shard other than their sender — the
     /// only mail that crosses shards.
     int64_t mails_cross_shard = 0;
-    /// Interaction records dropped whole by the overflow policy.
-    int64_t mails_dropped = 0;
     /// Always 0: every worker samples its own graph replica, so no
     /// frontier is ever forwarded to another shard. Kept so that readers
     /// of the old frontier counters still build.
@@ -290,7 +278,7 @@ class ShardedEngine {
     /// Interaction records homed to a down shard and shed whole while it
     /// was down (SetShardDown). Zero in any run with no shard down.
     int64_t events_shed = 0;
-    /// Partials shed at send — to or from a down shard, or refused by
+    /// Partials shed at send — addressed to a down shard, or refused by
     /// the transport after its lane-level recovery (reconnect/backoff)
     /// gave up. Zero in a healthy run.
     int64_t sends_shed = 0;
@@ -433,7 +421,7 @@ class ShardedEngine {
   /// Hands one partial to the transport (which delivers it through
   /// EnqueueMessage, possibly on another thread, possibly more than
   /// once) — or, addressed to the sending shard itself, straight to
-  /// OnMail — or sheds it when either end is down or the lane is dead
+  /// OnMail — or sheds it when its recipient is down or the lane is dead
   /// beyond the transport's own recovery. Worker thread only.
   void SendPartial(int from_shard, int to_shard, ShardPartial partial)
       APAN_EXCLUDES(flush_mu_);
@@ -441,7 +429,7 @@ class ShardedEngine {
   /// ShardPartial to it was shed: erases the peer from the batch's
   /// apply_remaining_ set and decrements inflight_ if the leg was still
   /// present, so Flush cannot wedge on a merge the dead peer will never
-  /// perform.
+  /// perform. Retiring the last leg counts the batch propagated.
   void CompensateLostPartial(int to_shard, int64_t batch)
       APAN_EXCLUDES(flush_mu_);
   /// Transport delivery handler: pushes onto the target shard's inbox.
@@ -469,8 +457,10 @@ class ShardedEngine {
   /// Per-shard down flags (SetShardDown), sized num_shards at
   /// construction and never resized. Atomics because the readers span
   /// lock domains — InferBatch under infer_mu_, SendPartial on worker
-  /// threads under no engine lock — and the flag
-  /// only flips at a flushed quiescent point, so relaxed reads suffice.
+  /// threads under no engine lock. Relaxed reads suffice: SetShardDown
+  /// flips a flag only at a flushed quiescent point, and a failed lane
+  /// send only ever sets one, where a reader that still sees the peer up
+  /// sends into the dead lane once more and sheds on that failure.
   std::vector<std::atomic<bool>> shard_down_;
 
   /// Serializes Shutdown callers end-to-end. Outermost engine lock:
@@ -517,10 +507,8 @@ class ShardedEngine {
   struct Instruments {
     obs::Counter* batches_ingested = nullptr;   ///< 1 cell (caller thread)
     obs::Counter* batches_propagated = nullptr;  ///< cell = completing shard
-    obs::Counter* batches_rejected = nullptr;   ///< 1 cell
     obs::Counter* mails_routed = nullptr;  ///< cell = owner / ρ sender
     obs::Counter* mails_cross_shard = nullptr;  ///< cell = sender shard
-    obs::Counter* mails_dropped = nullptr;      ///< 1 cell
     obs::Counter* duplicates_dropped = nullptr;  ///< cell = dropping shard
     obs::Counter* events_homed = nullptr;        ///< cell = home shard
     obs::Counter* events_shed = nullptr;         ///< cell = down home shard

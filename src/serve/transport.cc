@@ -235,7 +235,7 @@ Status UnixSocketTransport::WriteFrame(int from_shard, int to_shard,
         last_error = reconnected;
         continue;
       }
-      if (metrics_.valid() && metrics_.lane_reconnects != nullptr) {
+      if (metrics_.valid()) {
         metrics_.lane_reconnects->Add(metrics_.lane(from_shard, to_shard), 1);
       }
     }
@@ -268,7 +268,7 @@ Status UnixSocketTransport::WriteFrame(int from_shard, int to_shard,
       return Status::OK();
     }
   }
-  if (metrics_.valid() && metrics_.send_failures != nullptr) {
+  if (metrics_.valid()) {
     metrics_.send_failures->Add(metrics_.lane(from_shard, to_shard), 1);
   }
   return last_error;

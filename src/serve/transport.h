@@ -61,17 +61,17 @@ struct TransportMetrics {
   obs::Counter* frames = nullptr;
   obs::Counter* bytes = nullptr;
   obs::Counter* syscalls = nullptr;
-  /// Robustness accounting, optional on top of valid(): lane_reconnects
-  /// counts successful lane rebuilds after a peer death (one per rebuilt
-  /// socketpair), send_failures counts Sends that returned a
-  /// non-OK Status after exhausting reconnect attempts. Per directed
-  /// lane, like the others. Null handles skip the count, not the retry.
+  /// Robustness accounting: lane_reconnects counts successful lane
+  /// rebuilds after a peer death (one per rebuilt socketpair),
+  /// send_failures counts Sends that returned a non-OK Status after
+  /// exhausting reconnect attempts. Per directed lane, like the others.
   obs::Counter* lane_reconnects = nullptr;
   obs::Counter* send_failures = nullptr;
   int num_shards = 0;
 
   bool valid() const {
     return frames != nullptr && bytes != nullptr && syscalls != nullptr &&
+           lane_reconnects != nullptr && send_failures != nullptr &&
            num_shards > 0;
   }
   int lane(int from_shard, int to_shard) const {

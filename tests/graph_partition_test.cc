@@ -136,27 +136,11 @@ TEST(NodePartitionTest, LocalityRespectsBalanceCap) {
   for (NodeId v = 1; v < 40; ++v) {
     events.push_back(E(0, v, static_cast<double>(v)));
   }
-  NodePartition::LocalityOptions opts;
-  opts.balance_factor = 1.2;
-  auto p = NodePartition::BuildLocality(40, 4, events, opts);
+  auto p = NodePartition::BuildLocality(40, 4, events);
   ExpectWellFormed(*p, 40, 4);
   const int64_t cap = 12;  // floor(1.2 * 40 / 4)
   for (int s = 0; s < 4; ++s) {
     EXPECT_LE(p->owned_count[static_cast<size_t>(s)], cap);
-  }
-}
-
-TEST(NodePartitionTest, LocalityPerfectBalanceAtFactorOne) {
-  std::vector<Event> events;
-  for (NodeId v = 1; v < 32; ++v) {
-    events.push_back(E(0, v, static_cast<double>(v)));
-  }
-  NodePartition::LocalityOptions opts;
-  opts.balance_factor = 1.0;
-  auto p = NodePartition::BuildLocality(32, 4, events, opts);
-  ExpectWellFormed(*p, 32, 4);
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(p->owned_count[static_cast<size_t>(s)], 8);
   }
 }
 

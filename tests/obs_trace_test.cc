@@ -27,7 +27,7 @@ std::string ReadFile(const std::string& path) {
   return out.str();
 }
 
-// ---- JSON validator (always compiled, even with APAN_TRACING=OFF) ----------
+// ---- JSON validator -------------------------------------------------------
 
 TEST(ValidateJsonTest, AcceptsWellFormed) {
   std::string err;
@@ -51,9 +51,7 @@ TEST(ValidateJsonTest, RejectsMalformed) {
   EXPECT_FALSE(err.empty());  // errors come with a message
 }
 
-#if APAN_TRACING_ENABLED
-
-// ---- Recorder behaviour (only meaningful when tracing is compiled in) ------
+// ---- Recorder behaviour ---------------------------------------------------
 
 TEST(TraceRecorderTest, DisabledRecordsNothing) {
   TraceRecorder recorder;
@@ -166,27 +164,6 @@ TEST(TraceRecorderTest, GlobalSingletonRoundTrips) {
   EXPECT_STREQ(events[0].name, "global_span");
   g.Clear();
 }
-
-#else  // !APAN_TRACING_ENABLED
-
-// ---- Compile-out contract: stubs still link, macro is a no-op --------------
-
-TEST(TraceStubTest, CompiledOutStubsLinkAndRefuseToWrite) {
-  static_assert(!TraceRecorder::kCompiledIn);
-  TraceRecorder& recorder = TraceRecorder::Global();
-  recorder.Enable();  // no-op
-  EXPECT_FALSE(recorder.enabled());
-  recorder.Record("x", 0.0, 1.0);
-  EXPECT_TRUE(recorder.Snapshot().empty());
-  {
-    APAN_TRACE_SPAN("noop");
-    Span s("also_noop", &recorder);
-  }
-  const Status st = recorder.WriteChromeTrace("/dev/null");
-  EXPECT_TRUE(st.IsFailedPrecondition());
-}
-
-#endif  // APAN_TRACING_ENABLED
 
 }  // namespace
 }  // namespace obs
