@@ -531,24 +531,27 @@ void BM_MailboxReadBatch(benchmark::State& state) {
 BENCHMARK(BM_MailboxReadBatch)->Arg(200)->Arg(1000);
 
 // ---- Wire codec -------------------------------------------------------------
-// The transport layer's own figure: one ShardPartial frame of 600 ρ rows
-// of 32 floats.
+// The transport layer's own figure: one ShardPartial frame of the shape a
+// cross-shard lane carries on the alipay servebench workload (x2 hash, 2
+// hops) — a hop list over a 200-event batch with about 48.6 cross-shard
+// entries per event, node ids from its 76k-node space.
 
 serve::ShardPartial MakeWirePartial() {
-  constexpr int64_t kDim = 32;
+  constexpr size_t kEvents = 200;
+  constexpr uint64_t kNodes = 76000;
   Rng rng(9);
   serve::ShardPartial m;
   m.batch = 12345;
   m.from_shard = 1;
-  core::RowBlock& b = m.partial;
-  b.width = kDim;
-  for (size_t i = 0; i < 600; ++i) {
-    b.node.push_back(static_cast<graph::NodeId>(7 * i + 3));
-    b.timestamp.push_back(static_cast<double>(i) * 0.5);
-    b.count.push_back(1 + static_cast<int64_t>(i % 3));
-    for (int64_t k = 0; k < kDim; ++k) {
-      b.rows.push_back(static_cast<float>(rng.Normal()));
+  core::HopList& hops = m.hops;
+  hops.offset.push_back(0);
+  for (size_t i = 0; i < kEvents; ++i) {
+    // 0..97 entries, 48.5 on average.
+    const uint64_t entries = rng.UniformInt(uint64_t{98});
+    for (uint64_t k = 0; k < entries; ++k) {
+      hops.node.push_back(static_cast<graph::NodeId>(rng.UniformInt(kNodes)));
     }
+    hops.offset.push_back(static_cast<uint32_t>(hops.node.size()));
   }
   return m;
 }

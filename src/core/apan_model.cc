@@ -127,7 +127,8 @@ Status ApanModel::ProcessBatchPostInference(
     }
   }
   RowBlock partial;
-  propagator_.PropagateRows({events, z, src_row, dst_row}, hops, &partial);
+  propagator_.PropagateRows({events, z, src_row, dst_row},
+                            HopList::FromEntries(hops), &partial);
   // ψ for ρ: each recipient's reduced mail.
   for (size_t i = 0; i < partial.size(); ++i) {
     MailPropagator::FinalizeRow(partial.row(i), partial.width,

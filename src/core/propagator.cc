@@ -1,6 +1,7 @@
 #include "core/propagator.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <unordered_map>
 
@@ -24,14 +25,36 @@ void MailPropagator::MailRow(const graph::Event& event, const float* z_src,
   }
 }
 
-void MailPropagator::PropagateRows(
-    const InteractionRows& batch,
-    std::span<const std::vector<graph::HopEntry>> hops,
-    RowBlock* partial) const {
+bool HopList::WellFormed() const {
+  if (offset.empty()) return node.empty();
+  if (offset.front() != 0 || offset.back() != node.size()) return false;
+  return std::is_sorted(offset.begin(), offset.end());
+}
+
+HopList HopList::FromEntries(
+    std::span<const std::vector<graph::HopEntry>> hops) {
+  HopList list;
+  list.offset.reserve(hops.size() + 1);
+  list.offset.push_back(0);
+  for (const std::vector<graph::HopEntry>& entries : hops) {
+    for (const graph::HopEntry& entry : entries) {
+      list.node.push_back(entry.node);
+    }
+    APAN_CHECK_MSG(list.node.size() <= std::numeric_limits<uint32_t>::max(),
+                   "hop list exceeds 2^32 entries");
+    list.offset.push_back(static_cast<uint32_t>(list.node.size()));
+  }
+  return list;
+}
+
+void MailPropagator::PropagateRows(const InteractionRows& batch,
+                                   const HopList& hops,
+                                   RowBlock* partial) const {
   const size_t n = batch.events.size();
   APAN_CHECK_MSG(batch.src_row.size() == n && batch.dst_row.size() == n,
                  "one embedding row pair per record");
-  APAN_CHECK_MSG(hops.size() == n, "one hop expansion per record");
+  APAN_CHECK_MSG(hops.offset.size() == n + 1 && hops.WellFormed(),
+                 "one hop list per record");
   const int64_t d = config_.embedding_dim;
   const auto du = static_cast<size_t>(d);
   APAN_CHECK_MSG(batch.z.size() % du == 0,
@@ -57,22 +80,24 @@ void MailPropagator::PropagateRows(
     APAN_CHECK_MSG(src_row >= 0 && src_row < z_rows && dst_row >= 0 &&
                        dst_row < z_rows,
                    "interaction embedding row out of range");
-    if (hops[r].empty()) continue;  // no copy to spread
+    const std::span<const graph::NodeId> reached = hops.hops(r);
+    if (reached.empty()) continue;  // no copy to spread
     MailRow(event, batch.z.data() + static_cast<size_t>(src_row) * du,
             batch.z.data() + static_cast<size_t>(dst_row) * du, mail.data());
     const double t = event.timestamp;
 
     // Hops 1..k: mail passing f is the identity, so every sampled
     // occurrence receives the same payload.
-    for (const auto& entry : hops[r]) {
-      if (entry.node == event.src || entry.node == event.dst) {
+    for (const graph::NodeId node : reached) {
+      if (node == event.src || node == event.dst) {
         continue;  // endpoints receive the mail directly, at hop 0
       }
-      const auto [it, inserted] =
-          slot_of.try_emplace(entry.node, recipient.size());
+      const auto [it, inserted] = slot_of.try_emplace(node, recipient.size());
       if (inserted) {
-        recipient.push_back(entry.node);
-        newest.push_back(0.0);
+        // A recipient's newest timestamp starts at its first
+        // contribution's, never at a constant a negative time would lose to.
+        recipient.push_back(node);
+        newest.push_back(t);
         contributions.push_back(0);
         sums.resize(sums.size() + du, 0.0f);
       }
@@ -137,7 +162,8 @@ PartialPropagation MailPropagator::ComputePartialFromHops(
               z.begin() + static_cast<ptrdiff_t>(2 * r + 1) * d);
   }
   RowBlock partial;
-  PropagateRows({events, z, src_row, dst_row}, hops, &partial);
+  PropagateRows({events, z, src_row, dst_row}, HopList::FromEntries(hops),
+                &partial);
 
   PartialPropagation out;
   out.hop0.reserve(2 * n);

@@ -27,6 +27,7 @@
 #ifndef APAN_CORE_PROPAGATOR_H_
 #define APAN_CORE_PROPAGATOR_H_
 
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -39,9 +40,9 @@ namespace apan {
 namespace core {
 
 /// \brief A flat structure-of-arrays run of equal-width float rows beside
-/// their index columns — the ρ partial sums propagation writes,
-/// serve::ShardedEngine routes and merges, and serve/wire.h carries. No
-/// row owns a heap vector: row i is rows[i * width, (i + 1) * width).
+/// their index columns — the ρ partial sums PropagateRows writes and its
+/// caller finalizes (FinalizeRow) and delivers. No row owns a heap vector:
+/// row i is rows[i * width, (i + 1) * width).
 /// Every column holds exactly size() entries: node (recipient),
 /// timestamp (newest contribution) and count (contributions).
 struct RowBlock {
@@ -67,6 +68,32 @@ struct InteractionRows {
   std::span<const float> z;
   std::span<const int64_t> src_row;
   std::span<const int64_t> dst_row;
+};
+
+/// \brief A batch's sampled k-hop neighbourhoods (N) in CSR form — the
+/// kernel's hop input and the one payload serve::ShardPartial carries.
+/// Record r's hop nodes, in hop order, are
+/// node[offset[r], offset[r + 1]): `offset` holds one entry per record
+/// plus one, starts at 0, never decreases, and ends at node.size(). A
+/// list with no offsets at all is the empty list (no records, no nodes).
+struct HopList {
+  std::vector<uint32_t> offset;
+  std::vector<graph::NodeId> node;
+
+  size_t num_events() const { return offset.empty() ? 0 : offset.size() - 1; }
+  bool empty() const { return offset.empty(); }
+  /// Record r's hop nodes.
+  std::span<const graph::NodeId> hops(size_t r) const {
+    return std::span<const graph::NodeId>(node).subspan(
+        offset[r], offset[r + 1] - offset[r]);
+  }
+  /// True when the offsets describe `node` as documented above.
+  bool WellFormed() const;
+  /// The list of per-record expansions as produced by graph::KHopMostRecent
+  /// / graph::KHopUniform / graph::AdjacencyReplica::SampleKHop (only
+  /// HopEntry::node is kept).
+  static HopList FromEntries(
+      std::span<const std::vector<graph::HopEntry>> hops);
 };
 
 // ---- Record form ------------------------------------------------------------
@@ -95,7 +122,7 @@ struct PartialPropagation {
   struct PartialReduce {
     graph::NodeId recipient = -1;
     std::vector<float> sum;  ///< Σ of propagated mails, not yet ρ-averaged.
-    double newest = 0.0;
+    double newest = -std::numeric_limits<double>::infinity();
     int64_t count = 0;
   };
   std::vector<TaggedDelivery> hop0;    ///< One per endpoint (DeliverHop0).
@@ -137,18 +164,17 @@ class MailPropagator {
   }
 
   /// \brief f + unfinalized ρ over *externally sampled* neighborhoods —
-  /// the one propagation kernel.
+  /// the one propagation kernel, and the one place ρ is summed.
   ///
-  /// `hops[r]` is record r's k-hop expansion (hop order, as produced by
-  /// graph::KHopMostRecent / graph::KHopUniform or
-  /// graph::AdjacencyReplica::SampleKHop; only HopEntry::node is read).
-  /// Replaces `*partial` with one ρ partial-sum row per distinct hop-1..k
-  /// recipient, ascending by recipient. Endpoints of an event never
-  /// receive its propagated copy: their hop-0 mail is the caller's, one
-  /// MailRow per endpoint. Accumulation is record-major in hop-entry
-  /// order. Thread-safe.
-  void PropagateRows(const InteractionRows& batch,
-                     std::span<const std::vector<graph::HopEntry>> hops,
+  /// `hops` holds one hop list per record of `batch`
+  /// (HopList::num_events() == batch size). Replaces `*partial` with one
+  /// ρ partial-sum row per distinct hop-1..k recipient, ascending by
+  /// recipient; a row's timestamp is its newest contribution's. Endpoints
+  /// of an event never receive its propagated copy: their hop-0 mail is
+  /// the caller's, one MailRow per endpoint. Accumulation is record-major
+  /// in hop order, so a recipient's sum depends only on which records
+  /// reach it and in what order — not on who sampled them. Thread-safe.
+  void PropagateRows(const InteractionRows& batch, const HopList& hops,
                      RowBlock* partial) const;
 
   /// ρ on a flat row: scales `width` merged floats by 1 / `count` in

@@ -1,22 +1,25 @@
 // The shard-to-shard message of the serving tier.
 //
-// Only ρ partial sums cross a shard boundary, and they travel as one
-// ShardPartial per (sender, recipient, batch). Everything else a shard
-// writes it derives itself: every worker holds the whole batch and its
-// embedding matrix in process, so each owner writes its own endpoints'
-// z(t−) rows and hop-0 mail. (k-hop sampling needs no messages either:
-// every shard worker samples its own graph::AdjacencyReplica.) The struct
-// is pure data — ids, a tag, one flat row block — with no pointers into
-// engine state, so a message can be handed to an in-process deque or
-// serialized onto a wire (serve/wire.h) without the receiver sharing the
-// sender's address space.
+// Only hop lists cross a shard boundary, and they travel as one
+// ShardPartial per (sender, recipient, batch). No float does: every worker
+// holds the whole batch and its embedding matrix in process, so each owner
+// writes its own endpoints' z(t−) rows and hop-0 mail and runs the
+// propagation kernel (φ + f + ρ) over the batch itself. The one thing an
+// owner cannot derive is the k-hop sample N, which only an event's home
+// shard draws (from its own graph::AdjacencyReplica); the home shard
+// therefore splits each event's sampled hop nodes by owner and sends each
+// owner its share. The struct is pure data — ids, a tag, one CSR list —
+// with no pointers into engine state, so a message can be handed to an
+// in-process deque or serialized onto a wire (serve/wire.h) without the
+// receiver sharing the sender's address space.
 //
-// The partial section is one core::RowBlock — index columns beside one
-// contiguous rows × d float arena — written by the propagation kernel,
-// split by owner with row copies, and merged straight into the recipient's
-// NodeStateStore. Its rows are one sender's *run*: strictly ascending by
-// recipient, which is what lets the recipient k-way merge the N runs of a
-// batch without sorting.
+// The list is one core::HopList over the *whole* batch: record r is batch
+// event r, and only the sender's home events have entries, each event's
+// nodes in hop order with its endpoints dropped. Events are homed on
+// exactly one shard, so the N lists a recipient receives for a batch are
+// disjoint by event; concatenated in event order they are exactly the
+// serial path's hop lists restricted to the recipient's nodes, which is
+// what makes its ρ bitwise the serial one.
 //
 // Replay tags: a ShardPartial is keyed by (batch, from_shard), which is
 // enough for a receiver to drop duplicates, so the engine runs over an
@@ -33,15 +36,15 @@
 namespace apan {
 namespace serve {
 
-/// One shard's ρ partial sums of one batch, addressed to one recipient
-/// shard. Sent for every (sender, recipient, batch) triple — empty slices
-/// included — so the recipient can detect batch completion by counting
-/// senders; (batch, from_shard) is the duplicate-drop tag.
+/// One shard's hop entries of one batch that land on one recipient
+/// shard's nodes. Sent for every (sender, recipient, batch) triple — an
+/// empty list included — so the recipient can detect batch completion by
+/// counting senders; (batch, from_shard) is the duplicate-drop tag.
 struct ShardPartial {
   int64_t batch = 0;
   int from_shard = 0;
-  /// ρ partial sums: node (recipient), timestamp (newest), count, sum row.
-  core::RowBlock partial;
+  /// Empty, or one record per batch event (see the header comment).
+  core::HopList hops;
 };
 
 }  // namespace serve

@@ -17,82 +17,6 @@ namespace apan {
 namespace serve {
 
 using core::MailPropagator;
-using core::RowBlock;
-
-namespace {
-
-/// True when `b` is a well-formed block of `d`-wide ρ rows (see
-/// core::RowBlock).
-bool BlockFits(const RowBlock& b, int64_t d) {
-  const size_t n = b.size();
-  return (n == 0 || b.width == d) &&
-         b.rows.size() == n * static_cast<size_t>(d) &&
-         b.timestamp.size() == n && b.count.size() == n;
-}
-
-/// Splits `block` by the owner of each row's node into the partial of
-/// each outbound message, copying rows in order — so every piece stays an
-/// ascending run. A block whose rows all go to one shard moves whole.
-void SplitByOwner(const graph::NodePartition& partition, RowBlock&& block,
-                  std::vector<ShardPartial>* outbound) {
-  const size_t n = block.size();
-  std::vector<int> owner(n);
-  std::vector<size_t> rows_to(outbound->size(), 0);
-  for (size_t i = 0; i < n; ++i) {
-    owner[i] = partition.ShardOf(block.node[i]);
-    ++rows_to[static_cast<size_t>(owner[i])];
-  }
-  for (size_t t = 0; t < outbound->size(); ++t) {
-    if (rows_to[t] == n) {
-      (*outbound)[t].partial = std::move(block);
-      return;
-    }
-  }
-  const auto width = static_cast<size_t>(block.width);
-  for (size_t t = 0; t < outbound->size(); ++t) {
-    RowBlock& out = (*outbound)[t].partial;
-    out.width = block.width;
-    out.node.reserve(rows_to[t]);
-    out.timestamp.reserve(rows_to[t]);
-    out.count.reserve(rows_to[t]);
-    out.rows.reserve(rows_to[t] * width);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    RowBlock& out = (*outbound)[static_cast<size_t>(owner[i])].partial;
-    out.node.push_back(block.node[i]);
-    out.timestamp.push_back(block.timestamp[i]);
-    out.count.push_back(block.count[i]);
-    out.rows.insert(out.rows.end(), block.row(i), block.row(i) + width);
-  }
-}
-
-/// k-way merge of a batch's sender runs (`runs[s]` is sender s's ρ rows):
-/// calls visit(block, row) for every row in ascending recipient order.
-/// Each run is already strictly ascending, so this is a scan of the run
-/// heads — no sort, no copy; rows with equal recipients (one ρ recipient
-/// reported by several senders) visit in ascending sender order, the
-/// order ρ partials are summed in.
-template <typename Visit>
-void MergeRuns(std::span<const RowBlock* const> runs, Visit visit) {
-  std::vector<size_t> head(runs.size(), 0);
-  while (true) {
-    const RowBlock* best = nullptr;
-    size_t best_sender = 0;
-    for (size_t s = 0; s < runs.size(); ++s) {
-      const RowBlock& run = *runs[s];
-      if (head[s] == run.size()) continue;
-      if (best == nullptr ||
-          run.node[head[s]] < best->node[head[best_sender]]) {
-        best = &run;
-        best_sender = s;
-      }
-    }
-    if (best == nullptr) return;
-    visit(*best, head[best_sender]++);
-  }
-}
-
-}  // namespace
 
 ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
     : model_(model),
@@ -391,10 +315,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   for (size_t i = 0; i < events.size(); ++i) {
     const graph::Event& e = events[i];
     const int home = partition_->HomeShardOf(e);
-    auto& job = jobs[static_cast<size_t>(home)];
-    job.events.push_back(e);
-    job.src_row.push_back(src_rows[i]);
-    job.dst_row.push_back(dst_rows[i]);
+    jobs[static_cast<size_t>(home)].home.push_back(i);
     if (down[static_cast<size_t>(home)] != 0) continue;
     ctx->owned_events[static_cast<size_t>(home)].push_back(i);
     const int dst_owner = partition_->ShardOf(e.dst);
@@ -405,7 +326,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   ctx->src_row = std::move(src_rows);
   ctx->dst_row = std::move(dst_rows);
   for (int s = 0; s < num_shards; ++s) {
-    const auto homed = jobs[static_cast<size_t>(s)].events.size();
+    const auto homed = jobs[static_cast<size_t>(s)].home.size();
     if (homed == 0) continue;
     if (down[static_cast<size_t>(s)] != 0) {
       ins_.events_shed->Add(s, static_cast<int64_t>(homed));
@@ -531,18 +452,13 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
     if (--inflight_ == 0) flush_cv_.NotifyAll();
     return;
   }
-  // φ + N over this shard's home events, sampled from the worker's own
+  // N over this shard's home events, sampled from the worker's own
   // replica BEFORE this batch is appended to it — the serial oracle's
   // order, so sampling sees exactly the events of batches 0..b-1.
-  // Propagation is plain flat-row math today; the scope makes any tensor
-  // op a future propagator grows draw from this worker's pool. Arena
-  // tensors are thread-confined: anything that enters a ShardPartial
-  // (read by OTHER shards' workers) must be copied into its row blocks,
-  // never handed over as a pooled tensor.
   Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  std::optional<tensor::ArenaScope> arena_scope;
-  arena_scope.emplace();
-  std::vector<std::vector<graph::HopEntry>> hops = SampleKHop(shard_id, job);
+  std::vector<graph::HopEntry> entries;
+  std::vector<size_t> entries_end;
+  SampleKHop(shard_id, job, &entries, &entries_end);
   {
     // Every worker appends the whole batch: its replica is a full copy.
     APAN_TRACE_SPAN("append");
@@ -553,36 +469,23 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
       ins_.stage_append->Record(shard_id, append_watch.ElapsedMillis());
     }
   }
-  RowBlock partial;
-  {
-    APAN_TRACE_SPAN("propagate");
-    Stopwatch propagate_watch;
-    model_->propagator().PropagateRows(
-        {job.events, job.ctx->embeddings, job.src_row, job.dst_row}, hops,
-        &partial);
-    if (stage_metrics_) {
-      ins_.stage_propagate->Record(shard_id,
-                                   propagate_watch.ElapsedMillis());
-    }
-  }
-  // The merge writes this shard's own endpoints from the context, so it
-  // is parked with the batch before the own partial can complete it.
+  // The merge runs over the context, so it is parked with the batch before
+  // the own hop list can complete it.
   const int64_t batch = job.ctx->batch;
   shard.pending[batch].ctx = job.ctx;
-  // The own partial is applied after the cross-shard ones are on their
-  // way, and outside the route stage: applying it can complete a merge.
+  // The own list is applied after the cross-shard ones are on their way,
+  // and outside the route stage: applying it can complete a merge.
   SendPartial(shard_id, shard_id,
-              RouteMail(shard_id, batch, std::move(partial)));
+              RouteMail(shard_id, job, entries, entries_end));
 
-  // Batch teardown is real per-batch work — freeing the nested hop
-  // vectors, the job's home-event columns and the arena's recycle pass.
-  // It scales with batch size, so it gets its own stage instead of hiding
-  // in the attribution residue of the fig10 breakdown.
+  // Batch teardown is real per-batch work — freeing the sampled entries
+  // and the job's home-event list. It scales with batch size, so it gets
+  // its own stage instead of hiding in the attribution residue of the
+  // fig10 breakdown.
   APAN_TRACE_SPAN("finalize");
   Stopwatch finalize_watch;
-  hops.clear();
-  hops.shrink_to_fit();
-  arena_scope.reset();
+  entries = {};
+  entries_end = {};
   job = BatchJob{};
   {
     util::MutexLock lock(shard.mu);
@@ -600,24 +503,25 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
   }
 }
 
-std::vector<std::vector<graph::HopEntry>> ShardedEngine::SampleKHop(
-    int shard_id, const BatchJob& job) {
+void ShardedEngine::SampleKHop(int shard_id, const BatchJob& job,
+                               std::vector<graph::HopEntry>* entries,
+                               std::vector<size_t>* entries_end) {
   APAN_TRACE_SPAN("sample");
   Stopwatch sample_watch;
-  std::vector<std::vector<graph::HopEntry>> hops(job.events.size());
   const int32_t num_hops = model_->config().propagation_hops;
   const int64_t fanout = model_->config().sampled_neighbors;
   const graph::AdjacencyReplica& replica =
       *shards_[static_cast<size_t>(shard_id)]->replica;
-  for (size_t i = 0; i < job.events.size(); ++i) {
-    const graph::Event& event = job.events[i];
+  entries_end->reserve(job.home.size());
+  for (const size_t i : job.home) {
+    const graph::Event& event = job.ctx->events[i];
     const graph::NodeId seeds[] = {event.src, event.dst};
-    replica.SampleKHop(seeds, event.timestamp, num_hops, fanout, &hops[i]);
+    replica.SampleKHop(seeds, event.timestamp, num_hops, fanout, entries);
+    entries_end->push_back(entries->size());
   }
   if (stage_metrics_) {
     ins_.stage_sample->Record(shard_id, sample_watch.ElapsedMillis());
   }
-  return hops;
 }
 
 void ShardedEngine::SendPartial(int from_shard, int to_shard,
@@ -691,9 +595,9 @@ void ShardedEngine::EnqueueMessage(int to_shard, ShardPartial message) {
                  "transport delivered a message to an out-of-range shard");
   APAN_CHECK_MSG(valid_shard(message.from_shard),
                  "transport delivered a message with an out-of-range sender");
-  // The merge reads d-wide rows and every index column blind, so the
-  // block's shape is checked here, once, at the delivery boundary.
-  APAN_CHECK_MSG(BlockFits(message.partial, model_->config().embedding_dim),
+  // The merge reads the hop list's offsets blind, so its shape is checked
+  // here, once, at the delivery boundary (the store range-checks nodes).
+  APAN_CHECK_MSG(message.hops.WellFormed(),
                  "transport delivered a malformed ShardPartial");
   Shard& target = *shards_[static_cast<size_t>(to_shard)];
   int64_t depth = 0;
@@ -716,25 +620,52 @@ void ShardedEngine::CountDuplicateDropped(int shard_id) {
   ins_.duplicates_dropped->Add(shard_id, 1);
 }
 
-ShardPartial ShardedEngine::RouteMail(int from_shard, int64_t batch,
-                                      RowBlock&& partial) {
+ShardPartial ShardedEngine::RouteMail(
+    int from_shard, const BatchJob& job,
+    std::span<const graph::HopEntry> entries,
+    std::span<const size_t> entries_end) {
   APAN_TRACE_SPAN("route");
   Stopwatch route_watch;
-  const int num_shards = options_.num_shards;
-  std::vector<ShardPartial> outbound(static_cast<size_t>(num_shards));
-  for (int t = 0; t < num_shards; ++t) {
-    outbound[static_cast<size_t>(t)].batch = batch;
-    outbound[static_cast<size_t>(t)].from_shard = from_shard;
+  const BatchContext& ctx = *job.ctx;
+  const size_t n = ctx.events.size();
+  const auto num_shards = static_cast<size_t>(options_.num_shards);
+  // One list per recipient shard over the whole batch: record i is batch
+  // event i, and only this shard's home events get entries. Endpoint
+  // entries are dropped — endpoints take their mail at hop 0.
+  std::vector<ShardPartial> outbound(num_shards);
+  for (ShardPartial& out : outbound) {
+    out.batch = ctx.batch;
+    out.from_shard = from_shard;
+    out.hops.offset.reserve(n + 1);
+    out.hops.offset.push_back(0);
   }
-  const auto routed = static_cast<int64_t>(partial.size());
-  SplitByOwner(*partition_, std::move(partial), &outbound);
+  size_t next_home = 0, k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (next_home < job.home.size() && job.home[next_home] == i) {
+      const graph::Event& e = ctx.events[i];
+      for (; k < entries_end[next_home]; ++k) {
+        const graph::NodeId v = entries[k].node;
+        if (v == e.src || v == e.dst) continue;
+        outbound[static_cast<size_t>(partition_->ShardOf(v))]
+            .hops.node.push_back(v);
+      }
+      ++next_home;
+    }
+    for (ShardPartial& out : outbound) {
+      out.hops.offset.push_back(static_cast<uint32_t>(out.hops.node.size()));
+    }
+  }
 
-  int64_t cross_shard = 0;
-  for (int t = 0; t < num_shards; ++t) {
-    if (t == from_shard) continue;
-    ShardPartial& out = outbound[static_cast<size_t>(t)];
-    cross_shard += static_cast<int64_t>(out.partial.size());
-    SendPartial(from_shard, t, std::move(out));
+  int64_t routed = 0, cross_shard = 0;
+  for (size_t t = 0; t < num_shards; ++t) {
+    ShardPartial& out = outbound[t];
+    const auto size = static_cast<int64_t>(out.hops.node.size());
+    // A list with no entries goes out empty: no offsets on the wire.
+    if (size == 0) out.hops = core::HopList{};
+    routed += size;
+    if (static_cast<int>(t) == from_shard) continue;
+    cross_shard += size;
+    SendPartial(from_shard, static_cast<int>(t), std::move(out));
   }
   ins_.mails_routed->Add(from_shard, routed);
   ins_.mails_cross_shard->Add(from_shard, cross_shard);
@@ -784,21 +715,64 @@ void ShardedEngine::OnMail(int shard_id, ShardPartial partial) {
   }
 }
 
+core::RowBlock ShardedEngine::ReduceBatch(int shard_id,
+                                          const Shard::PendingBatch& batch) {
+  APAN_TRACE_SPAN("propagate");
+  Stopwatch propagate_watch;
+  const BatchContext& ctx = *batch.ctx;
+  const size_t n = ctx.events.size();
+  // The senders' lists in sender order. OnMail admits exactly one partial
+  // per in-range sender, and an event is homed on exactly one shard, so
+  // at most one list has entries for any event.
+  std::vector<const core::HopList*> lists(
+      static_cast<size_t>(options_.num_shards), nullptr);
+  const core::HopList* hops = nullptr;
+  size_t nonempty = 0;
+  for (const ShardPartial& part : batch.parts) {
+    if (part.hops.empty()) continue;
+    APAN_CHECK_MSG(part.hops.num_events() == n,
+                   "hop list does not cover its batch");
+    lists[static_cast<size_t>(part.from_shard)] = &part.hops;
+    hops = &part.hops;
+    ++nonempty;
+  }
+  core::RowBlock reduced;
+  if (hops == nullptr) return reduced;
+  // Concatenated in event order they are the serial path's hop lists
+  // restricted to this shard's nodes (one sender's list is used as is).
+  core::HopList merged;
+  if (nonempty > 1) {
+    merged.offset.reserve(n + 1);
+    merged.offset.push_back(0);
+    for (size_t r = 0; r < n; ++r) {
+      for (const core::HopList* list : lists) {
+        if (list == nullptr) continue;
+        const std::span<const graph::NodeId> reached = list->hops(r);
+        merged.node.insert(merged.node.end(), reached.begin(), reached.end());
+      }
+      merged.offset.push_back(static_cast<uint32_t>(merged.node.size()));
+    }
+    hops = &merged;
+  }
+  model_->propagator().PropagateRows(
+      {ctx.events, ctx.embeddings, ctx.src_row, ctx.dst_row}, *hops,
+      &reduced);
+  if (stage_metrics_) {
+    ins_.stage_propagate->Record(shard_id, propagate_watch.ElapsedMillis());
+  }
+  return reduced;
+}
+
 void ShardedEngine::ApplyMergedBatch(int shard_id,
                                      Shard::PendingBatch batch) {
-  APAN_TRACE_SPAN("merge");
-  Stopwatch watch;
-  // Every sender's partial is in, this shard's own included, and a shard
-  // parks the context before it sends its own partial.
+  // Every sender's list is in, this shard's own included, and a shard
+  // parks the context before it sends its own list.
   APAN_CHECK_MSG(batch.ctx != nullptr, "merge without its batch context");
   const int64_t batch_id = batch.ctx->batch;
-  // One run per sender, indexed by sender: OnMail admits exactly one
-  // partial per in-range sender, so every slot is filled.
-  std::vector<const RowBlock*> runs(static_cast<size_t>(options_.num_shards),
-                                    nullptr);
-  for (const ShardPartial& part : batch.parts) {
-    runs[static_cast<size_t>(part.from_shard)] = &part.partial;
-  }
+  // ρ runs before the state lock: it reads only the context and the lists.
+  core::RowBlock reduced = ReduceBatch(shard_id, batch);
+  APAN_TRACE_SPAN("merge");
+  Stopwatch watch;
   const int64_t d = model_->config().embedding_dim;
   const auto du = static_cast<size_t>(d);
   int64_t hop0_delivered = 0;
@@ -830,44 +804,21 @@ void ShardedEngine::ApplyMergedBatch(int shard_id,
           });
     }
 
-    // 2. ρ across the whole batch: one recipient's partial sums arrive
-    // consecutively, in sender order; the first is copied, the rest are
-    // added, and the finalized mean is delivered — the serial path's
-    // arithmetic, one scratch row, no per-recipient vector.
-    std::vector<float> sum(du);
-    bool open = false;
-    graph::NodeId recipient = -1;
-    double newest = 0.0;
-    int64_t contributions = 0;
-    const auto deliver_reduced = [&] {
-      MailPropagator::FinalizeRow(sum.data(), d, contributions);
-      store.Deliver(recipient, sum, newest);
-    };
-    MergeRuns(runs, [&](const RowBlock& b, size_t i) {
-      const float* row = b.row(i);
-      if (open && b.node[i] == recipient) {
-        for (int64_t k = 0; k < d; ++k) {
-          sum[static_cast<size_t>(k)] += row[k];
-        }
-        newest = std::max(newest, b.timestamp[i]);
-        contributions += b.count[i];
-        return;
-      }
-      if (open) deliver_reduced();
-      open = true;
-      std::copy_n(row, d, sum.data());
-      recipient = b.node[i];
-      newest = b.timestamp[i];
-      contributions = b.count[i];
-    });
-    if (open) deliver_reduced();
+    // 2. Each ρ recipient's mean, in ascending recipient order — the
+    // serial path's ψ.
+    for (size_t i = 0; i < reduced.size(); ++i) {
+      MailPropagator::FinalizeRow(reduced.row(i), d, reduced.count[i]);
+      store.Deliver(reduced.node[i], {reduced.row(i), du},
+                    reduced.timestamp[i]);
+    }
   }
   ins_.mails_routed->Add(shard_id, hop0_delivered);
-  // Teardown inside the watch: the senders' row blocks (and, for the last
-  // shard holding it, the batch context) are freed here, a real
-  // batch-sized slice of the merge — dropping them after the record would
-  // leak it into the fig10 attribution residue.
+  // Teardown inside the watch: the senders' hop lists, the ρ rows and,
+  // for the last shard holding it, the batch context are freed here, a
+  // real batch-sized slice of the merge — dropping them after the record
+  // would leak it into the fig10 attribution residue.
   batch = Shard::PendingBatch{};
+  reduced = core::RowBlock{};
   ins_.stage_merge->Record(shard_id, watch.ElapsedMillis());
 
   util::MutexLock lock(flush_mu_);

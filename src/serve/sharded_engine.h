@@ -34,27 +34,27 @@
 //       batch's events — the serial oracle's order — so a replica read
 //       sees exactly batches 0..b-1 with no versioning and no shard ever
 //       waits on another to sample;
-//     · the home shard's propagation kernel sums the event's mail (φ)
-//       into ρ partial sums over flat row blocks, which are *routed* —
-//       split by owner with row copies — as one ShardPartial per
-//       recipient shard. Cross-shard partials therefore arrive
-//       interleaved with other shards' traffic — out of order by
-//       construction; a shard's partial to itself skips the transport;
-//     · a recipient shard merges a batch once partials from all N shards
-//       have arrived. It first walks, in order, the batch's events with
-//       an endpoint it owns (listed per shard at ingest) and, for each
-//       such endpoint, writes the z(t−) row and delivers the hop-0 mail
-//       (φ, computed from the shared context), then k-way
-//       merges the N sender runs (each already in recipient order)
-//       straight into its rows — exactly the per-node delivery order of
-//       the serial ApanModel path.
+//     · the home shard drops each sampled entry that is an endpoint of its
+//       event and *routes* the rest — node ids only, split by owner — as
+//       one CSR hop list (core::HopList) per recipient shard, a
+//       ShardPartial. Cross-shard lists therefore arrive interleaved with
+//       other shards' traffic — out of order by construction; a shard's
+//       list to itself skips the transport;
+//     · a recipient shard merges a batch once lists from all N shards
+//       have arrived. It concatenates them in event order and runs the
+//       serial path's kernel (MailPropagator::PropagateRows: φ + f + ρ)
+//       over the shared context, then, under its state lock, walks in
+//       order the batch's events with an endpoint it owns (listed per
+//       shard at ingest), writing each such endpoint's z(t−) row and
+//       hop-0 mail, and delivers each ρ mean — exactly the per-node
+//       delivery order of the serial ApanModel path.
 //
 // Transport plane: every cross-shard ShardPartial travels through a
 // pluggable serve::Transport (Options::transport) — synchronous in-process
 // delivery by default, or a Unix-domain-socket lane per ordered pair of
 // distinct shards carrying serve/wire.h frames. The engine assumes only
 // at-least-once delivery with no ordering: a batch merges only once every
-// sender's partial is in, and duplicated deliveries are dropped by their
+// sender's list is in, and duplicated deliveries are dropped by their
 // (batch, sender) tag.
 // With the state plane split into per-shard stores, nothing crosses a
 // shard boundary through shared memory: a shard's entire mutable
@@ -62,16 +62,16 @@
 // connected sockets separate this from a true multi-process deployment
 // (docs/serving.md).
 //
-// Determinism: because neighborhood expansion, per-node delivery order and
-// ρ-reduction are reproduced exactly, the final mailbox timestamps and
-// counts after Flush() are bitwise-identical to the serial ApanModel path
-// (ProcessBatchPostInference, batch by batch) on the same stream. Mail
-// *payloads* sum ρ partials in sender-shard order, so they equal the
-// serial path's bitwise at 1 shard and agree up to floating-point
-// summation order otherwise (tests/serve_sharded_test.cc asserts both and
-// pins the multi-shard payloads by digest — and
-// tests/serve_transport_test.cc re-asserts the mailbox over a socket
-// transport and under injected delay/reorder/duplication faults).
+// Determinism: neighborhood expansion and per-node delivery order are
+// reproduced exactly, and ρ is summed in one place — PropagateRows on the
+// recipient, over the batch's hop lists in event order, the serial
+// path's own order. So after Flush() the stitched mailbox timestamps and
+// counts are bitwise the serial ApanModel path's (ProcessBatchPostInference,
+// batch by batch) on the same stream, under every partition and
+// transport; served flush-stepped (every encode sees settled state), so
+// are the mail payload bytes, the z(t−) rows and the scores
+// (tests/serve_sharded_test.cc, serve_transport_test.cc and the
+// differential fuzz in serve_recovery_test.cc).
 //
 // Skew and deadlock freedom: batch-job inboxes are bounded (back-pressure
 // on the caller), shard-to-shard messages are unbounded, and no worker
@@ -90,6 +90,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -125,17 +126,15 @@ class ShardedEngine {
     /// NodePartition::BuildLocality index — built from a warmup prefix or
     /// a prior epoch's events — to keep k-hop propagation shard-local.
     /// Must cover exactly the model's node count with `num_shards` shards
-    /// (CHECK-enforced). Mailbox timestamps and counts equal the serial
-    /// path's bitwise under any ownership map. Mail payloads (and the
-    /// z(t−) rows and scores encoded from them) do only at 1 shard: ρ
-    /// partials are summed in sender-shard order, so at N > 1 the
-    /// payloads are only digest-pinned.
+    /// (CHECK-enforced). The served state equals the serial path's
+    /// bitwise under any ownership map (see Determinism above): the
+    /// partition decides who sums ρ for a node, never the order of the
+    /// sum.
     std::shared_ptr<const graph::NodePartition> partition;
     /// Maximum in-flight batches per shard: at the cap, InferBatch waits
     /// for space (back-pressure on the caller). It also bounds how far
-    /// decoupled workers drift apart, and with it the partials a fast
-    /// shard parks for a slow one (each parked batch holds its routed
-    /// mail).
+    /// decoupled workers drift apart, and with it the hop lists a fast
+    /// shard parks for a slow one.
     size_t queue_capacity = 32;
     /// Builds the shard-to-shard message transport; null means
     /// InProcessTransport (the pre-transport deque semantics).
@@ -260,11 +259,11 @@ class ShardedEngine {
     /// refusing the batch. Kept so that readers of the old overflow
     /// counter still build.
     int64_t batches_rejected = 0;
-    /// Mails produced: hop-0 deliveries (counted at the owner) plus ρ
-    /// partial-sum rows (counted at the sender).
+    /// Mail routed: hop-0 deliveries (counted at the owner) plus routed
+    /// hop entries, one per propagated copy (counted at the home shard).
     int64_t mails_routed = 0;
-    /// ρ partial-sum rows sent to a shard other than their sender — the
-    /// only mail that crosses shards.
+    /// Hop entries sent to a shard other than their home shard — the only
+    /// thing that crosses shards; a subset of mails_routed.
     int64_t mails_cross_shard = 0;
     /// Always 0: every worker samples its own graph replica, so no
     /// frontier is ever forwarded to another shard. Kept so that readers
@@ -339,11 +338,9 @@ class ShardedEngine {
   /// ShardPartials travel the transport.
   struct BatchJob {
     std::shared_ptr<const BatchContext> ctx;
-    /// The home events and their endpoints' rows in ctx->embeddings —
-    /// core::InteractionRows, by column.
-    std::vector<graph::Event> events;
-    std::vector<int64_t> src_row;
-    std::vector<int64_t> dst_row;
+    /// Ascending indices into ctx->events of the events homed here: the
+    /// ones this worker samples.
+    std::vector<size_t> home;
     /// Set for a control job (reset, snapshot, restore), which runs this
     /// on the owning worker instead of propagating a batch. Routing it
     /// through the inbox keeps every worker-confined field (merge cursor,
@@ -383,7 +380,7 @@ class ShardedEngine {
 
     /// Worker-local per-batch reassembly (worker thread only): the
     /// batch's context, stored when this worker runs the batch's job, and
-    /// the partials received so far.
+    /// the hop lists received so far.
     struct PendingBatch {
       std::shared_ptr<const BatchContext> ctx;
       std::vector<ShardPartial> parts;
@@ -409,15 +406,23 @@ class ShardedEngine {
   Status RunControlJob(int shard, std::function<Status(int shard_id)> control)
       APAN_REQUIRES(infer_mu_) APAN_EXCLUDES(flush_mu_);
   void OnMail(int shard_id, ShardPartial partial) APAN_EXCLUDES(flush_mu_);
-  /// Writes the shard's own endpoints (z(t−) rows, hop-0 mail) from the
-  /// batch's context, then merges its N ρ runs.
+  /// Runs ReduceBatch, then writes the shard's own endpoints (z(t−) rows,
+  /// hop-0 mail) from the batch's context and delivers its ρ means.
   void ApplyMergedBatch(int shard_id, Shard::PendingBatch batch)
       APAN_EXCLUDES(flush_mu_);
-  /// Splits a job's ρ partial sums by owner into one ShardPartial per
-  /// shard, sends the cross-shard ones, and returns the one addressed to
-  /// `from_shard` (applied by the caller after the route stage is timed).
-  ShardPartial RouteMail(int from_shard, int64_t batch,
-                         core::RowBlock&& partial) APAN_EXCLUDES(flush_mu_);
+  /// Concatenates a batch's N hop lists in event order and runs
+  /// PropagateRows over the context: the ρ partial sums of this shard's
+  /// recipients, ascending, not yet finalized. Takes no lock.
+  core::RowBlock ReduceBatch(int shard_id, const Shard::PendingBatch& batch);
+  /// Drops endpoint entries from a job's sample (home event j's entries
+  /// are entries[entries_end[j - 1], entries_end[j])), splits the rest by
+  /// owner into one hop list per shard, sends the cross-shard ones, and
+  /// returns the one addressed to `from_shard` (applied by the caller
+  /// after the route stage is timed).
+  ShardPartial RouteMail(int from_shard, const BatchJob& job,
+                         std::span<const graph::HopEntry> entries,
+                         std::span<const size_t> entries_end)
+      APAN_EXCLUDES(flush_mu_);
   /// Hands one partial to the transport (which delivers it through
   /// EnqueueMessage, possibly on another thread, possibly more than
   /// once) — or, addressed to the sending shard itself, straight to
@@ -436,11 +441,13 @@ class ShardedEngine {
   void EnqueueMessage(int to_shard, ShardPartial message);
   void CountDuplicateDropped(int shard_id);
 
-  /// k-hop expansion of a job's events from the shard's own replica,
-  /// which holds exactly the batches before the job's (sampling runs
-  /// before the job's append).
-  std::vector<std::vector<graph::HopEntry>> SampleKHop(int shard_id,
-                                                       const BatchJob& job);
+  /// k-hop expansion of a job's home events from the shard's own
+  /// replica, which holds exactly the batches before the job's (sampling
+  /// runs before the job's append), appended to `entries`; home event j's
+  /// expansion ends at (*entries_end)[j].
+  void SampleKHop(int shard_id, const BatchJob& job,
+                  std::vector<graph::HopEntry>* entries,
+                  std::vector<size_t>* entries_end);
 
   /// Const-only while running: only weights and the propagator are read;
   /// all mutable serve state lives in the per-shard stores above.
@@ -507,7 +514,7 @@ class ShardedEngine {
   struct Instruments {
     obs::Counter* batches_ingested = nullptr;   ///< 1 cell (caller thread)
     obs::Counter* batches_propagated = nullptr;  ///< cell = completing shard
-    obs::Counter* mails_routed = nullptr;  ///< cell = owner / ρ sender
+    obs::Counter* mails_routed = nullptr;  ///< cell = owner / home shard
     obs::Counter* mails_cross_shard = nullptr;  ///< cell = sender shard
     obs::Counter* duplicates_dropped = nullptr;  ///< cell = dropping shard
     obs::Counter* events_homed = nullptr;        ///< cell = home shard

@@ -1,9 +1,9 @@
 // The pluggable shard-to-shard messaging plane.
 //
-// serve::ShardedEngine routes every cross-shard interaction — ρ partial
-// sums, one ShardPartial per (sender, recipient, batch) with sender !=
+// serve::ShardedEngine routes every cross-shard interaction — hop lists,
+// one ShardPartial per (sender, recipient, batch) with sender !=
 // recipient — through a Transport. A
-// shard's partial to itself never touches the transport. The engine only
+// shard's list to itself never touches the transport. The engine only
 // assumes:
 //
 //   · at-least-once delivery: every accepted Send is delivered at least

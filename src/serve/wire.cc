@@ -14,97 +14,61 @@ namespace {
 // 2 and 3 (the frontier protocol) and 4 (coalesced batches) are retired.
 constexpr uint8_t kShardPartialKind = 1;
 
-using codec::PutArray;
-using codec::PutF64;
 using codec::PutI32;
 using codec::PutI64;
 using codec::PutU32;
-using codec::PutU64;
 using codec::PutU8;
+using codec::PutVec;
 using codec::Reader;
 
-// ---- The partial section ----------------------------------------------------
-// A kind-1 body is batch | from_shard | section, and the section is a u64
-// row count followed by its rows:
+// ---- The hop-list section --------------------------------------------------
+// A kind-1 body is batch | from_shard | hop list, and the hop list is a
+// CSR pair of vectors (wire.h spells out the grammar):
 //
-//   row := i64 recipient | u64 width | width × f32 sum | f64 newest
-//          | i64 count
+//   hops := u64 offsets | offsets × u32 offset | u64 nodes | nodes × i64 node
 //
+// Each vector is one bulk copy on encode and one bounds check on decode.
 // The layout is part of wire kind 1 (tests/serve_wire_test.cc pins a
-// golden frame). A row's fixed fields and floats are written with one
-// bulk copy per array, and read with one bounds check per array.
-
-/// Bytes per row besides its floats.
-constexpr size_t kRowFixedBytes = 8 + 8 + 8 + 8;
+// golden frame built from this grammar by hand).
 
 size_t PayloadBytes(const ShardPartial& m) {
-  return 1 + 8 + 4 + 8 + m.partial.size() * kRowFixedBytes +
-         m.partial.rows.size() * sizeof(float);
+  return 1 + 8 + 4 + 8 + m.hops.offset.size() * sizeof(uint32_t) + 8 +
+         m.hops.node.size() * sizeof(graph::NodeId);
 }
 
 void EncodePayloadTo(const ShardPartial& message, std::vector<uint8_t>* out) {
-  const core::RowBlock& b = message.partial;
-  const size_t n = b.size();
-  APAN_CHECK_MSG(b.width >= 0 &&
-                     b.rows.size() == n * static_cast<size_t>(b.width) &&
-                     b.timestamp.size() == n && b.count.size() == n,
-                 "wire: malformed row block");
+  APAN_CHECK_MSG(message.hops.WellFormed(), "wire: malformed hop list");
   PutU8(out, kShardPartialKind);
   PutI64(out, message.batch);
   PutI32(out, message.from_shard);
-  const auto width = static_cast<uint64_t>(b.width);
-  PutU64(out, n);
-  for (size_t i = 0; i < n; ++i) {
-    PutI64(out, b.node[i]);
-    PutU64(out, width);
-    PutArray(out, b.row(i), b.width);
-    PutF64(out, b.timestamp[i]);
-    PutI64(out, b.count[i]);
-  }
+  PutVec<uint32_t>(out, message.hops.offset);
+  PutVec<graph::NodeId>(out, message.hops.node);
 }
 
-/// Decodes the body, validating what the flat block and the receiver's
-/// k-way merge assume: every row has the section's one width, and the
-/// run is strictly ascending by recipient.
+/// Decodes the body, validating what the recipient's merge reads blind:
+/// the offsets start at 0 and never decrease, and the node count equals
+/// the last offset — checked before the node column is allocated.
 Status DecodeBody(Reader* r, ShardPartial* m) {
   APAN_RETURN_NOT_OK(r->ReadI64(&m->batch, "partial.batch"));
   APAN_RETURN_NOT_OK(r->ReadI32(&m->from_shard, "partial.from_shard"));
-  uint64_t rows = 0;
-  // Min row size: the fixed fields of a zero-width row.
-  APAN_RETURN_NOT_OK(r->ReadCount(&rows, kRowFixedBytes, "partial.partial"));
-  const auto n = static_cast<size_t>(rows);
-  core::RowBlock& b = m->partial;
-  b = core::RowBlock{};
-  b.node.resize(n);
-  b.timestamp.resize(n);
-  b.count.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    APAN_RETURN_NOT_OK(r->ReadI64(&b.node[i], "reduce.recipient"));
-    uint64_t width = 0;
-    APAN_RETURN_NOT_OK(r->ReadCount(&width, sizeof(float), "reduce.sum"));
-    if (i == 0) {
-      b.width = static_cast<int64_t>(width);
-      // The remaining rows must fit in the bytes left, so this reserve is
-      // bounded by the frame, never by a corrupt count.
-      const size_t row_bytes = kRowFixedBytes + width * sizeof(float);
-      b.rows.reserve(std::min(n, 1 + r->remaining() / row_bytes) * width);
-    } else if (width != static_cast<uint64_t>(b.width)) {
-      return Status::IoError(internal::StrCat(
-          "wire: ragged reduce.sum: row ", i, " has ", width,
-          " floats, the section's first row ", b.width));
-    }
-    const size_t at = b.rows.size();
-    b.rows.resize(at + width);
-    APAN_RETURN_NOT_OK(r->ReadArray(b.rows.data() + at, width, "reduce.sum"));
-    APAN_RETURN_NOT_OK(r->ReadF64(&b.timestamp[i], "reduce.newest"));
-    APAN_RETURN_NOT_OK(r->ReadI64(&b.count[i], "reduce.count"));
-    if (i > 0 && b.node[i] <= b.node[i - 1]) {
-      return Status::IoError(internal::StrCat(
-          "wire: reduce.recipient not ascending at row ", i, " (", b.node[i],
-          " after ", b.node[i - 1], ")"));
-    }
+  core::HopList& hops = m->hops;
+  APAN_RETURN_NOT_OK(r->ReadVec(&hops.offset, "partial.hops.offset"));
+  if (!hops.offset.empty() &&
+      (hops.offset.front() != 0 ||
+       !std::is_sorted(hops.offset.begin(), hops.offset.end()))) {
+    return Status::IoError("wire: partial.hops.offset not monotone from 0");
   }
-  return Status::OK();
+  uint64_t nodes = 0;
+  APAN_RETURN_NOT_OK(
+      r->ReadCount(&nodes, sizeof(graph::NodeId), "partial.hops.node"));
+  const uint64_t last = hops.offset.empty() ? 0 : hops.offset.back();
+  if (nodes != last) {
+    return Status::IoError(internal::StrCat(
+        "wire: partial.hops.node holds ", nodes,
+        " entries, the last offset says ", last));
+  }
+  hops.node.resize(static_cast<size_t>(nodes));
+  return r->ReadArray(hops.node.data(), hops.node.size(), "partial.hops.node");
 }
 
 }  // namespace

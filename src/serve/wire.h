@@ -11,24 +11,26 @@
 // none is reused, and all decode as unknown. (An engine sends exactly one
 // partial per peer per batch, so there is nothing to coalesce.)
 //
-// All integers are little-endian fixed-width; floating-point values are
-// bit-cast to the same-width integer, so a round trip is bitwise exact for
-// every representable value (negative zero, NaN payloads, ±inf). Vectors
-// are a u64 count followed by the elements. A kind-1 body is
+// All integers are little-endian fixed-width. Vectors are a u64 count
+// followed by the elements. A kind-1 body is
 //
-//   body := i64 batch | i32 from_shard | section(partial)
+//   body := i64 batch | i32 from_shard | hops
+//   hops := u64 offsets | offsets × u32 offset | u64 nodes | nodes × i64 node
 //
-// where the section is a u64 row count followed by its ρ partial-sum rows
-// (wire.cc spells out the row layout). Only ρ partials cross shards, so a
-// partial has no other section; the kind stays 1 because the engines at
-// both ends of a lane are always one binary.
+// `hops` is the message's core::HopList in CSR form: event r's hop nodes
+// are node[offset[r], offset[r + 1]). Offsets are u32 because a frame
+// is capped at kMaxPayloadBytes, far below 2^32 eight-byte nodes. Only
+// ids cross shards — no float does — so a partial has no other section;
+// the kind stays 1 because the engines at both ends of a lane are always
+// one binary.
 //
 // Decoding is defensive: every read is bounds-checked, vector counts are
 // validated against the bytes actually remaining before any allocation,
 // and a payload with trailing bytes is rejected — a truncated or corrupt
-// frame yields a non-OK Status, never UB. Decoding also validates what a
-// ShardPartial's flat row block promises the receiver: every row has the
-// same width, and the run is strictly ascending by recipient. Encoders and
+// frame yields a non-OK Status, never UB. Decoding also validates what
+// the recipient reads blind: the offsets start at 0 and never decrease,
+// and the node count equals the last offset (zero when there are no
+// offsets), checked before the node column is allocated. Encoders and
 // decoders are pure functions with no shared state; they are safe to call
 // from any thread.
 
@@ -50,7 +52,7 @@ namespace wire {
 inline constexpr size_t kFrameHeaderBytes = 4;
 
 /// Upper bound on a frame payload. Far above any real batch (a 200-event
-/// batch's largest partial is a few hundred KiB); its job is to make a
+/// batch's largest hop list is tens of KiB); its job is to make a
 /// corrupt length prefix fail fast instead of driving a giant allocation.
 inline constexpr uint32_t kMaxPayloadBytes = 256u * 1024u * 1024u;
 
@@ -59,8 +61,9 @@ inline constexpr uint32_t kMaxPayloadBytes = 256u * 1024u * 1024u;
 std::vector<uint8_t> EncodeMessage(const ShardPartial& message);
 
 /// \brief Parses a payload produced by EncodeMessage. Rejects unknown
-/// kinds, truncation anywhere, oversized vector counts, ragged row widths,
-/// recipients that are not strictly ascending, and trailing bytes.
+/// kinds, truncation anywhere, oversized vector counts, offsets that do not
+/// start at 0 or decrease, a node count other than the last offset, and
+/// trailing bytes.
 Result<ShardPartial> DecodeMessage(std::span<const uint8_t> payload);
 
 /// \brief Appends a full frame (length prefix + payload) for `message` to

@@ -123,6 +123,17 @@ TEST(ApanModelTest, SelfLoopDeliversOnce) {
   EXPECT_FLOAT_EQ(f.model.mailbox().RawSlot(2, 0)[0], 1.0f + 0.1f + 1.0f);
 }
 
+TEST(ApanModelTest, PropagatedMailAfterNegativeTimesIsNotStampedInTheFuture) {
+  // Negative timestamps are valid input. Node 0 is reached at hop 1 by the
+  // second event, so its propagated mail carries that event's time, -5 —
+  // not a constant the ρ reduction started from.
+  Fixture f;
+  ASSERT_TRUE(f.Process(FlatBatch().Add(0, 1, -10.0, 0)).ok());
+  ASSERT_TRUE(f.Process(FlatBatch().Add(1, 2, -5.0, 1)).ok());
+  EXPECT_EQ(f.model.mailbox().ValidCount(0), 2);
+  EXPECT_EQ(f.model.mailbox().NewestTimestamp(0), -5.0);
+}
+
 TEST(ApanModelTest, LaterRecordWinsStateOnDuplicates) {
   Fixture f;
   ASSERT_TRUE(f.Process(FlatBatch()

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -64,7 +65,7 @@ RowBlock Propagate(const MailPropagator& prop, const ApanConfig& config,
                                     config.sampled_neighbors);
   }
   RowBlock partial;
-  prop.PropagateRows(batch.rows(), hops, &partial);
+  prop.PropagateRows(batch.rows(), HopList::FromEntries(hops), &partial);
   return partial;
 }
 
@@ -95,7 +96,7 @@ struct Fixture {
 
 struct ReferenceSum {
   std::vector<float> sum;
-  double newest = 0.0;
+  double newest = -std::numeric_limits<double>::infinity();
   int64_t count = 0;
 };
 
@@ -194,7 +195,7 @@ TEST(MailPropagatorTest, PropagateRowsMatchesNaiveReferenceBitwise) {
     const InteractionRows batch{events, z, src_row, dst_row};
 
     RowBlock partial;
-    prop.PropagateRows(batch, hops, &partial);
+    prop.PropagateRows(batch, HopList::FromEntries(hops), &partial);
     std::vector<std::vector<float>> want_mails;
     std::map<graph::NodeId, ReferenceSum> want_sums;
     NaiveReference(batch, features, hops, &want_mails, &want_sums);
@@ -216,7 +217,60 @@ TEST(MailPropagatorTest, PropagateRowsMatchesNaiveReferenceBitwise) {
       EXPECT_TRUE(SameFloats(partial.row(i), want.sum)) << i;
       ++i;
     }
+
+    // Restricting every record's hops to one owner's nodes — the list a
+    // sharded owner runs the kernel over — yields exactly that owner's
+    // rows of the full result, bit for bit.
+    for (graph::NodeId owner = 0; owner < 3; ++owner) {
+      std::vector<std::vector<graph::HopEntry>> owned(hops.size());
+      for (size_t r = 0; r < hops.size(); ++r) {
+        for (const graph::HopEntry& entry : hops[r]) {
+          if (entry.node % 3 == owner) owned[r].push_back(entry);
+        }
+      }
+      RowBlock part;
+      prop.PropagateRows(batch, HopList::FromEntries(owned), &part);
+      size_t j = 0;
+      for (size_t k = 0; k < partial.size(); ++k) {
+        if (partial.node[k] % 3 != owner) continue;
+        ASSERT_LT(j, part.size());
+        EXPECT_EQ(part.node[j], partial.node[k]);
+        EXPECT_EQ(part.timestamp[j], partial.timestamp[k]);
+        EXPECT_EQ(part.count[j], partial.count[k]);
+        EXPECT_EQ(std::memcmp(part.row(j), partial.row(k),
+                              kDim * sizeof(float)),
+                  0);
+        ++j;
+      }
+      EXPECT_EQ(j, part.size()) << "owner " << owner;
+    }
   }
+}
+
+TEST(HopListTest, FromEntriesIsCsrOverTheRecords) {
+  const std::vector<std::vector<graph::HopEntry>> entries = {
+      {{4}, {5}}, {}, {{7}}};
+  const HopList list = HopList::FromEntries(entries);
+  EXPECT_EQ(list.offset, (std::vector<uint32_t>{0, 2, 2, 3}));
+  EXPECT_EQ(list.node, (std::vector<graph::NodeId>{4, 5, 7}));
+  EXPECT_EQ(list.num_events(), 3u);
+  EXPECT_TRUE(list.hops(1).empty());
+  EXPECT_EQ(list.hops(2)[0], 7);
+  EXPECT_TRUE(list.WellFormed());
+  EXPECT_TRUE(HopList{}.WellFormed());
+}
+
+TEST(HopListTest, WellFormedRejectsBadOffsets) {
+  HopList list;
+  list.node = {1, 2};
+  list.offset = {0, 2, 1, 2};  // decreasing
+  EXPECT_FALSE(list.WellFormed());
+  list.offset = {1, 2};  // does not start at 0
+  EXPECT_FALSE(list.WellFormed());
+  list.offset = {0, 1};  // ends short of the nodes
+  EXPECT_FALSE(list.WellFormed());
+  list.offset = {};  // no records, yet nodes
+  EXPECT_FALSE(list.WellFormed());
 }
 
 TEST(MailPropagatorTest, PhiIsSum) {

@@ -117,20 +117,20 @@ TEST(CodecTest, OversizedCountRejectedBeforeAllocation) {
 // ---- Error prefixes ---------------------------------------------------------
 
 TEST(CodecTest, BothFormatsReportThroughTheirPrefix) {
-  // A wire payload cut after its kind byte, and one whose row count
-  // claims 2^64-1 rows.
+  // A wire payload cut after its kind byte, and one whose offset count
+  // claims 2^64-1 offsets.
   std::vector<uint8_t> frame = wire::EncodeMessage(ShardPartial{});
   Result<ShardPartial> cut =
       wire::DecodeMessage(std::span<const uint8_t>(frame.data(), 1));
   ASSERT_FALSE(cut.ok());
   EXPECT_EQ(cut.status().message(),
             "wire: truncated payload reading partial.batch");
-  // Layout: kind(1) + batch(8) + from_shard(4) + row count(8).
+  // Layout: kind(1) + batch(8) + from_shard(4) + offset count(8).
   for (size_t i = 13; i < 21; ++i) frame[i] = 0xFF;
   Result<ShardPartial> huge = wire::DecodeMessage(frame);
   ASSERT_FALSE(huge.ok());
   EXPECT_TRUE(StartsWith(huge.status().message(),
-                         "wire: corrupt count for partial.partial"))
+                         "wire: corrupt count for partial.hops.offset"))
       << huge.status().message();
 
   // A snapshot image whose first plane count is corrupt under a valid

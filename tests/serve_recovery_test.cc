@@ -5,7 +5,9 @@
 // UDS lane whose peer dies reconnects under the write path's backoff
 // instead of crashing the engine, and a shard administratively marked
 // down degrades gracefully: its traffic is shed and counted while
-// healthy shards keep serving.
+// healthy shards keep serving. A seeded differential fuzz draws the
+// deployment and the snapshot point and checks the restored run against
+// the serial oracle bitwise: scores, mail payloads and z(t−) rows.
 
 #include <gtest/gtest.h>
 
@@ -158,6 +160,84 @@ TEST(KillAndRejoinSoakTest, TwoHopsInProcess) {
 
 TEST(KillAndRejoinSoakTest, TwoHopsUnixSocket) {
   KillAndRejoinSoak(2, TransportKind::kUnixSocket, "uds2", 300);
+}
+
+// ---- Differential fuzz -----------------------------------------------------
+// Each seed draws a deployment — N in 1..4, the hash or locality partition,
+// 1 or 2 hops, the batch size, the transport (inproc, uds, or faulty over
+// either) — and one snapshot point. Engine A serves the head flush-stepped
+// and is checkpointed there; a fresh engine B, on its own transport,
+// restores every shard and serves the tail. Every score A and B returned,
+// and B's stitched mail payload bytes and z(t−) rows, must equal the
+// serial oracle's bitwise.
+
+void StreamScored(const Fixture& f, ShardedEngine& engine, size_t lo,
+                  size_t hi, size_t batch, std::vector<float>* scores) {
+  for (size_t at = lo; at + batch <= hi; at += batch) {
+    auto result = engine.InferBatch(f.BatchEvents(at, at + batch));
+    ASSERT_TRUE(result.ok()) << result.status();
+    scores->insert(scores->end(), result->scores.begin(),
+                   result->scores.end());
+    engine.Flush();
+  }
+}
+
+TEST(DifferentialFuzzTest, RestoredTailMatchesSerialBitwise) {
+  Fixture f;
+  const bool uds = UnixSocketTransport::Available();
+  for (uint64_t seed = 0; seed < 48; ++seed) {
+    Rng rng(0xD1FF + seed);
+    const int shards = 1 + static_cast<int>(rng.UniformInt(uint64_t{4}));
+    const bool locality = rng.Bernoulli(0.5);
+    f.config.propagation_hops = 1 + static_cast<int32_t>(rng.UniformInt(2));
+    const size_t batch = 10 * (1 + rng.UniformInt(uint64_t{5}));
+    const size_t batches = 3 + rng.UniformInt(uint64_t{5});
+    const size_t events = batch * batches;
+    const size_t cut = batch * (1 + rng.UniformInt(uint64_t{batches - 1}));
+    const TransportKind inner = uds && rng.Bernoulli(0.5)
+                                    ? TransportKind::kUnixSocket
+                                    : TransportKind::kInProcess;
+    const bool faulty = rng.Bernoulli(0.5);
+    SCOPED_TRACE(testing::Message()
+                 << "seed " << seed << ": x" << shards
+                 << (locality ? " locality " : " hash ")
+                 << f.config.propagation_hops << " hops, " << batches
+                 << " batches of " << batch << ", snapshot after " << cut
+                 << (faulty ? ", faulty " : ", ")
+                 << (inner == TransportKind::kUnixSocket ? "uds" : "inproc"));
+    const auto transport = [&](uint64_t salt) {
+      return faulty ? FaultyFactory(inner, seed + salt)
+                    : MakeTransportFactory(inner);
+    };
+    const auto partition =
+        locality ? graph::NodePartition::BuildLocality(
+                       f.config.num_nodes, shards,
+                       std::span<const graph::Event>(f.dataset.events.data(),
+                                                     events))
+                 : nullptr;
+    const testutil::SerialRun serial =
+        RunSerial(f.config, f.dataset, 7, events, batch);
+    std::vector<float> scores;
+    {
+      auto before = MakeEngine(f, transport(0), shards, partition);
+      StreamScored(f, *before.engine, 0, cut, batch, &scores);
+      for (int shard = 0; shard < shards; ++shard) {
+        ASSERT_TRUE(before.engine
+                        ->SnapshotShard(shard, SnapPath("fuzz", seed, shard))
+                        .ok());
+      }
+    }
+    auto after = MakeEngine(f, transport(5000), shards, partition);
+    for (int shard = 0; shard < shards; ++shard) {
+      ASSERT_TRUE(
+          after.engine->RestoreShard(shard, SnapPath("fuzz", seed, shard))
+              .ok());
+    }
+    StreamScored(f, *after.engine, cut, events, batch, &scores);
+    testutil::ExpectScoresBitwise(scores, serial.scores);
+    testutil::ExpectStitchedStateBitwise(*after.engine, *serial.model,
+                                         f.config.num_nodes);
+  }
 }
 
 // ---- Restore guards --------------------------------------------------------

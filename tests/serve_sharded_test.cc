@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <thread>
@@ -17,6 +16,7 @@ namespace serve {
 namespace {
 
 using testutil::ExpectModelStateUntouched;
+using testutil::ExpectScoresBitwise;
 using testutil::ExpectStitchedMailboxEqual;
 using testutil::ExpectStitchedStateBitwise;
 using testutil::RunSerial;
@@ -69,8 +69,8 @@ TEST(ShardedEngineTest, ScoresEveryEvent) {
 // construction, yet after Flush() the engine's per-shard stores, stitched
 // by ownership, hold mailbox timestamps and counts bitwise-identical to
 // the serial ApanModel path on the same stream (each owner delivers its
-// endpoints' hop-0 mail in event order, and ρ is finalized over the whole
-// batch after merging every shard's partials). The serial oracle and the
+// endpoints' hop-0 mail in event order, and runs ρ over the whole batch
+// once every home shard's hop list is in). The serial oracle and the
 // stitched helper live in serve_state_util.h, shared with the transport,
 // recovery and state tests.
 
@@ -152,10 +152,9 @@ TEST(ShardedEngineTest, MatchesSerialBitwiseTwoHops) {
 }
 
 TEST(ShardedEngineTest, SingleShardMatchesSerial) {
-  // At 1 shard the engine's ρ order is the serial order, so with a flush
-  // between batches (every encode sees settled state, as the serial path's
-  // always does) scores, mail payloads and z(t−) rows are all bitwise the
-  // oracle's — not merely close.
+  // With a flush between batches (every encode sees settled state, as the
+  // serial path's always does) scores, mail payloads and z(t−) rows are
+  // all bitwise the oracle's — here with no transport in the way at all.
   Fixture f;
   const SerialRun serial = RunSerial(f.config, f.dataset, 11, 200, 50);
   core::ApanModel sharded(f.config, &f.dataset.features, 11);
@@ -169,66 +168,71 @@ TEST(ShardedEngineTest, SingleShardMatchesSerial) {
     scores.insert(scores.end(), result->scores.begin(), result->scores.end());
     engine.Flush();
   }
-  ASSERT_EQ(scores.size(), serial.scores.size());
-  EXPECT_EQ(std::memcmp(scores.data(), serial.scores.data(),
-                        scores.size() * sizeof(float)),
-            0)
-      << "InferBatch scores differ from the serial oracle's bitwise";
+  ExpectScoresBitwise(scores, serial.scores);
   ExpectStitchedStateBitwise(engine, *serial.model, f.config.num_nodes);
   EXPECT_EQ(engine.stats().mails_cross_shard, 0);
 }
 
-// Multi-shard payloads sum ρ partials in sender-shard order, which the
-// serial oracle cannot reproduce; this pins them instead. Each config is
-// served flush-stepped (so encodes see settled state and the digest is a
-// pure function of the stream) with 2-hop fan-out across hash and
-// locality partitions, and the digest of the stitched payloads and z(t−)
-// rows must equal the value recorded before the flat mail-block rework.
-// The values also fold in the encoder's libm calls (exp, cos), so a
-// platform whose libm rounds differently has to record its own.
-TEST(ShardedEngineTest, StitchedStateDigestIsPinned) {
-  struct Config {
-    int shards;
-    bool locality;
-    uint64_t digest;
-  };
-  const Config configs[] = {
-      {2, false, 0xa85d5000233fb49eull},
-      {2, true, 0x75c6788580d49d2eull},
-      {4, false, 0xd179366c87f2ea30ull},
-      {4, true, 0x97808955eb58e517ull},
-  };
-  Fixture f;
-  f.config.propagation_hops = 2;
+// The partition decides which shard sums ρ for a node, never the order
+// of the sum: each owner runs the serial kernel over the batch's hop
+// lists in event order. So a flush-stepped run (encodes see settled
+// state) is bitwise the serial oracle — scores, mail payload bytes and
+// z(t−) rows — at 1, 2 and 4 shards, under hash and locality partitions,
+// at 1 and 2 hops (hop-2 frontiers land on third shards), over both real
+// transports.
+TEST(ShardedEngineTest, FlushSteppedStateIsBitwiseUnderEveryPartition) {
   const size_t events = 300, batch = 50;
-  for (const Config& c : configs) {
-    SCOPED_TRACE(testing::Message()
-                 << "x" << c.shards << (c.locality ? " locality" : " hash"));
-    core::ApanModel model(f.config, &f.dataset.features, 5);
-    ShardedEngine::Options options;
-    options.num_shards = c.shards;
-    if (c.locality) {
-      options.partition = graph::NodePartition::BuildLocality(
-          f.config.num_nodes, c.shards,
-          std::span<const graph::Event>(f.dataset.events.data(), events));
+  for (const int32_t hops : {1, 2}) {
+    Fixture f;
+    f.config.propagation_hops = hops;
+    const SerialRun serial = RunSerial(f.config, f.dataset, 5, events, batch);
+    for (const TransportKind kind :
+         {TransportKind::kInProcess, TransportKind::kUnixSocket}) {
+      if (kind == TransportKind::kUnixSocket &&
+          !UnixSocketTransport::Available()) {
+        continue;
+      }
+      for (const int shards : {1, 2, 4}) {
+        for (const bool locality : {false, true}) {
+          const bool uds = kind == TransportKind::kUnixSocket;
+          SCOPED_TRACE(testing::Message()
+                       << (uds ? "uds" : "inproc") << " x" << shards
+                       << (locality ? " locality " : " hash ") << hops
+                       << " hops");
+          core::ApanModel model(f.config, &f.dataset.features, 5);
+          ShardedEngine::Options options;
+          options.num_shards = shards;
+          options.transport = MakeTransportFactory(kind);
+          if (locality) {
+            options.partition = graph::NodePartition::BuildLocality(
+                f.config.num_nodes, shards,
+                std::span<const graph::Event>(f.dataset.events.data(),
+                                              events));
+          }
+          ShardedEngine engine(&model, options);
+          std::vector<float> scores;
+          for (size_t lo = 0; lo < events; lo += batch) {
+            auto result = engine.InferBatch(f.BatchEvents(lo, lo + batch));
+            ASSERT_TRUE(result.ok()) << result.status();
+            scores.insert(scores.end(), result->scores.begin(),
+                          result->scores.end());
+            engine.Flush();
+          }
+          if (shards > 1) EXPECT_GT(engine.stats().mails_cross_shard, 0);
+          ExpectScoresBitwise(scores, serial.scores);
+          ExpectStitchedStateBitwise(engine, *serial.model,
+                                     f.config.num_nodes);
+        }
+      }
     }
-    ShardedEngine engine(&model, options);
-    for (size_t lo = 0; lo < events; lo += batch) {
-      ASSERT_TRUE(engine.InferBatch(f.BatchEvents(lo, lo + batch)).ok());
-      engine.Flush();
-    }
-    EXPECT_GT(engine.stats().mails_cross_shard, 0);
-    const uint64_t digest =
-        testutil::StitchedStateDigest(engine, f.config.num_nodes);
-    EXPECT_EQ(digest, c.digest) << std::hex << "0x" << digest;
   }
 }
 
 TEST(ShardedEngineTest, FlushSteppedPayloadsAndScoresTrackSerial) {
   // With a flush between batches the engine encodes from fully-settled
-  // state, as the serial path always does, so scores and mail payloads
-  // agree up to floating-point summation order in the cross-shard
-  // ρ-merge.
+  // state, as the serial path always does, and sums ρ in the serial
+  // order, so scores and every raw mailbox slot equal the oracle's
+  // bitwise.
   Fixture f;
   f.config.mailbox_slots = 8;
   const SerialRun serial = RunSerial(f.config, f.dataset, 3, 300, 50);
@@ -245,12 +249,7 @@ TEST(ShardedEngineTest, FlushSteppedPayloadsAndScoresTrackSerial) {
     scores.insert(scores.end(), result->scores.begin(), result->scores.end());
     engine.Flush();
   }
-  ASSERT_EQ(scores.size(), serial.scores.size());
-  double score_gap = 0.0;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    score_gap += std::abs(serial.scores[i] - scores[i]);
-  }
-  EXPECT_LT(score_gap / static_cast<double>(scores.size()), 1e-3);
+  ExpectScoresBitwise(scores, serial.scores);
 
   for (graph::NodeId v = 0; v < f.config.num_nodes; ++v) {
     // Stitch: v's mail lives in its owner shard's store. The ring
@@ -263,10 +262,9 @@ TEST(ShardedEngineTest, FlushSteppedPayloadsAndScoresTrackSerial) {
     for (int64_t slot = 0; slot < count; ++slot) {
       const auto a = reference.mailbox().RawSlot(v, slot);
       const auto b = store.RawSlot(v, slot);
-      for (size_t i = 0; i < a.size(); ++i) {
-        ASSERT_NEAR(a[i], b[i], 1e-3f)
-            << "node " << v << " slot " << slot << " dim " << i;
-      }
+      ASSERT_EQ(a.size(), b.size());
+      ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+          << "node " << v << " slot " << slot;
     }
   }
 }

@@ -121,8 +121,9 @@ inline void ExpectStitchedMailboxEqual(const ShardedEngine& engine,
 
 /// Asserts the engine's stitched state is bitwise the serial oracle's in
 /// full: every node's valid mail rows (payload bytes, read-out order), their
-/// timestamps, and its z(t−) row. Holds whenever the ρ reduction order
-/// matches the serial one — always at 1 shard. Call after Flush.
+/// timestamps, and its z(t−) row. Holds under every partition and
+/// transport once encodes see settled state (flush-stepped). Call after
+/// Flush.
 inline void ExpectStitchedStateBitwise(const ShardedEngine& engine,
                                        const core::ApanModel& reference,
                                        int64_t num_nodes) {
@@ -146,34 +147,14 @@ inline void ExpectStitchedStateBitwise(const ShardedEngine& engine,
   }
 }
 
-/// FNV-1a (64-bit) over the engine's stitched state, node by node: valid
-/// mail count, the valid mail rows' bytes and timestamps in read-out
-/// order, then the z(t−) row bytes. A pinned value proves a rework changed
-/// no arithmetic anywhere in the propagate → route → merge path, including
-/// the multi-shard ρ order the serial oracle cannot check.
-inline uint64_t StitchedStateDigest(const ShardedEngine& engine,
-                                    int64_t num_nodes) {
-  uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](const void* data, size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  };
-  for (graph::NodeId v = 0; v < num_nodes; ++v) {
-    const core::NodeStateStore& store =
-        engine.state_store(engine.router().ShardOf(v));
-    const auto read = store.ReadBatch({v});
-    const int64_t count = read.counts[0];
-    mix(&count, sizeof(count));
-    mix(read.mails.data(),
-        static_cast<size_t>(count * read.mails.shape()[2]) * sizeof(float));
-    mix(read.timestamps.data(), static_cast<size_t>(count) * sizeof(double));
-    const std::vector<float> z = store.LastEmbedding(v);
-    mix(z.data(), z.size() * sizeof(float));
-  }
-  return h;
+/// Asserts InferBatch `scores` are bitwise the oracle's `serial` scores.
+inline void ExpectScoresBitwise(const std::vector<float>& scores,
+                                const std::vector<float>& serial) {
+  ASSERT_EQ(scores.size(), serial.size());
+  EXPECT_EQ(std::memcmp(scores.data(), serial.data(),
+                        scores.size() * sizeof(float)),
+            0)
+      << "InferBatch scores differ from the serial oracle's bitwise";
 }
 
 /// Asserts the engine left the model's own mutable state untouched. The

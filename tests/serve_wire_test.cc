@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
@@ -15,42 +13,9 @@ namespace apan {
 namespace serve {
 namespace {
 
-// ---- Bitwise equality helpers ----------------------------------------------
-// Doubles are compared through their bit patterns so that NaN payloads and
-// negative zero count as round-trip-preserved, not as mismatches.
-
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-bool SameBits(float a, float b) {
-  return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
-}
-
-bool SameFloats(const std::vector<float>& a, const std::vector<float>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!SameBits(a[i], b[i])) return false;
-  }
-  return true;
-}
-
-bool Equal(const core::RowBlock& a, const core::RowBlock& b) {
-  if (a.size() != b.size() || (!a.empty() && a.width != b.width) ||
-      a.node != b.node || a.count != b.count ||
-      a.timestamp.size() != b.timestamp.size() ||
-      !SameFloats(a.rows, b.rows)) {
-    return false;
-  }
-  for (size_t i = 0; i < a.timestamp.size(); ++i) {
-    if (!SameBits(a.timestamp[i], b.timestamp[i])) return false;
-  }
-  return true;
-}
-
 bool Equal(const ShardPartial& a, const ShardPartial& b) {
   return a.batch == b.batch && a.from_shard == b.from_shard &&
-         Equal(a.partial, b.partial);
+         a.hops.offset == b.hops.offset && a.hops.node == b.hops.node;
 }
 
 void ExpectRoundTrip(const ShardPartial& message) {
@@ -60,69 +25,44 @@ void ExpectRoundTrip(const ShardPartial& message) {
   EXPECT_TRUE(Equal(message, *decoded));
 }
 
-// ---- Row builder ------------------------------------------------------------
-// Appends one ρ row; the block's width is its rows'.
-
-void AddPartial(ShardPartial* m, graph::NodeId recipient,
-                std::vector<float> sum, double newest, int64_t count) {
-  core::RowBlock& b = m->partial;
-  b.width = static_cast<int64_t>(sum.size());
-  b.node.push_back(recipient);
-  b.timestamp.push_back(newest);
-  b.count.push_back(count);
-  b.rows.insert(b.rows.end(), sum.begin(), sum.end());
-}
-
 // ---- Exemplar messages (edge values included) ------------------------------
 
-constexpr float kInf = std::numeric_limits<float>::infinity();
-constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
-
-/// A NaN with a non-default payload: the wire must carry its exact bits.
-float PayloadNaN() { return std::bit_cast<float>(0x7fc00123u); }
-
-/// Two rows with -0.0, a denormal, int64 extremes and extreme
-/// timestamps.
+/// Three events: the first reaches two nodes (the int64 extremes'
+/// minimum and 9), the second none, the third the int64 maximum.
 ShardPartial MakePartial() {
   ShardPartial m;
   m.batch = 41;
   m.from_shard = 3;
-  AddPartial(&m, std::numeric_limits<int64_t>::min(), {0.25f, 0.75f}, -0.0,
-             3);
-  AddPartial(&m, 9, {kDenorm, -1.0f}, std::numeric_limits<double>::lowest(),
-             std::numeric_limits<int64_t>::max());
+  m.hops.offset = {0, 2, 2, 3};
+  m.hops.node = {std::numeric_limits<int64_t>::min(), 9,
+                 std::numeric_limits<int64_t>::max()};
   return m;
 }
 
-/// The extremes of every fixed-width field, and float rows holding both
-/// infinities and a NaN with a non-default payload.
+/// The extremes of the fixed-width fields, over a batch whose events
+/// reach no node of the recipient.
 ShardPartial MakeExtremePartial() {
   ShardPartial m;
   m.batch = std::numeric_limits<int64_t>::max();
   m.from_shard = std::numeric_limits<int>::max();
-  AddPartial(&m, std::numeric_limits<int64_t>::min(), {kDenorm, -kInf},
-             std::numeric_limits<double>::lowest(),
-             std::numeric_limits<int64_t>::max());
-  AddPartial(&m, 0, {0.0f, 0.0f}, 0.0, 0);
-  AddPartial(&m, 7, {PayloadNaN(), kInf}, 1.5, 2);
+  m.hops.offset = {0, 0, 0};
   return m;
 }
 
-/// Zero-width rows: index columns only, with NaN and infinite times.
-ShardPartial MakeZeroWidthPartial() {
+/// A zero-event list: one offset, no nodes.
+ShardPartial MakeZeroEventPartial() {
   ShardPartial m;
   m.batch = -1;
-  AddPartial(&m, 3, {}, std::numeric_limits<double>::quiet_NaN(), 1);
-  AddPartial(&m, 5, {}, -std::numeric_limits<double>::infinity(), 2);
+  m.hops.offset = {0};
   return m;
 }
 
 std::vector<ShardPartial> Exemplars() {
   std::vector<ShardPartial> out;
   out.push_back(MakePartial());
-  out.push_back(ShardPartial{});  // all-empty partial (the batch sentinel)
+  out.push_back(ShardPartial{});  // the empty list (the batch sentinel)
   out.push_back(MakeExtremePartial());
-  out.push_back(MakeZeroWidthPartial());
+  out.push_back(MakeZeroEventPartial());
   return out;
 }
 
@@ -144,19 +84,29 @@ TEST(WireTest, RoundTripsEveryExemplar) {
   }
 }
 
-// MakePartial's payload: kind 1, batch 41, from_shard 3, then the
-// partial section. The section's bytes (from the row count on) are the
-// partial section of the three-section kind-1 golden this layout
-// replaced, byte for byte: only the state and hop0 sections went.
+// MakePartial's frame, written by hand from the grammar in wire.h, field
+// by field, little-endian.
 constexpr char kMakePartialGolden[] =
-    "0129000000000000000300000002000000000000000000000000000080020000000000"
-    "00000000803e0000403f00000000000000800300000000000000090000000000000002"
-    "0000000000000001000000000080bfffffffffffffefffffffffffffffff7f";
+    "45000000"          // u32 payload length: 69
+    "01"                // u8 kind 1
+    "2900000000000000"  // i64 batch 41
+    "03000000"          // i32 from_shard 3
+    "0400000000000000"  // u64 offsets: 4
+    "00000000"          // u32 offset 0
+    "02000000"          // u32 offset 2
+    "02000000"          // u32 offset 2
+    "03000000"          // u32 offset 3
+    "0300000000000000"  // u64 nodes: 3
+    "0000000000000080"  // i64 node INT64_MIN
+    "0900000000000000"  // i64 node 9
+    "ffffffffffffff7f"  // i64 node INT64_MAX
+    ;
 
-TEST(WireTest, PartialSectionEncodesAsBefore) {
-  const std::vector<uint8_t> payload = wire::EncodeMessage(MakePartial());
-  EXPECT_EQ(payload.size(), 101u);
-  EXPECT_EQ(Hex(payload), kMakePartialGolden);
+TEST(WireTest, GoldenFrameFollowsTheGrammar) {
+  std::vector<uint8_t> frame;
+  wire::AppendFrame(MakePartial(), &frame);
+  EXPECT_EQ(frame.size(), 73u);
+  EXPECT_EQ(Hex(frame), kMakePartialGolden);
 }
 
 TEST(WireTest, FrameRoundTrip) {
@@ -226,61 +176,69 @@ TEST(WireTest, UnknownKindRejected) {
   EXPECT_FALSE(wire::DecodeMessage(batch).ok());
 }
 
-/// A kind-1 payload whose partial section holds two rows of the given
-/// widths, hand-written because the encoder refuses a ragged block.
-std::vector<uint8_t> TwoRows(uint64_t first_width, uint64_t second_width) {
+/// A kind-1 payload carrying `offsets` and then a node count of
+/// `node_count` followed by `node_count` nodes, hand-written because the
+/// encoder refuses a malformed list.
+std::vector<uint8_t> HopPayload(const std::vector<uint32_t>& offsets,
+                                uint64_t node_count) {
   std::vector<uint8_t> out = {1};
   codec::PutI64(&out, 0);  // batch
   codec::PutI32(&out, 0);  // from_shard
-  codec::PutU64(&out, 2);
-  for (int64_t row = 0; row < 2; ++row) {
-    codec::PutI64(&out, 7 + row);  // recipient
-    const uint64_t width = row == 0 ? first_width : second_width;
-    codec::PutU64(&out, width);
-    for (uint64_t i = 0; i < width; ++i) codec::PutF32(&out, 1.0f);
-    codec::PutF64(&out, 0.0);  // newest
-    codec::PutI64(&out, 1);    // count
+  codec::PutVec<uint32_t>(&out, offsets);
+  codec::PutU64(&out, node_count);
+  for (uint64_t i = 0; i < node_count; ++i) {
+    codec::PutI64(&out, static_cast<int64_t>(i));
   }
   return out;
 }
 
-TEST(WireTest, RaggedRowsRejectedNamingTheField) {
-  ASSERT_TRUE(wire::DecodeMessage(TwoRows(2, 2)).ok());
-  for (const auto& [first, second] :
-       {std::pair<uint64_t, uint64_t>{2, 3}, {3, 2}, {0, 1}, {1, 0}}) {
-    Result<ShardPartial> decoded = wire::DecodeMessage(TwoRows(first, second));
-    ASSERT_FALSE(decoded.ok()) << first << " then " << second;
+TEST(WireTest, NonMonotoneOffsetsRejectedNamingTheField) {
+  ASSERT_TRUE(wire::DecodeMessage(HopPayload({0, 2, 2, 3}, 3)).ok());
+  for (const std::vector<uint32_t>& offsets :
+       {std::vector<uint32_t>{0, 3, 2, 3}, {1, 2, 3}, {0, 3, 3, 2}}) {
+    Result<ShardPartial> decoded =
+        wire::DecodeMessage(HopPayload(offsets, offsets.back()));
+    ASSERT_FALSE(decoded.ok()) << offsets[0] << "," << offsets[1];
     EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
-    EXPECT_NE(decoded.status().message().find("ragged reduce.sum"),
+    EXPECT_NE(decoded.status().message().find(
+                  "partial.hops.offset not monotone from 0"),
               std::string::npos)
         << decoded.status();
   }
 }
 
-TEST(WireTest, OutOfOrderRunsRejectedNamingTheField) {
-  ShardPartial repeated;  // a recipient twice in one run
-  AddPartial(&repeated, 9, {1.0f}, 0.0, 1);
-  AddPartial(&repeated, 9, {2.0f}, 0.0, 1);
-  ShardPartial descending;
-  AddPartial(&descending, 9, {1.0f}, 0.0, 1);
-  AddPartial(&descending, 4, {2.0f}, 0.0, 1);
-  for (const ShardPartial& m : {repeated, descending}) {
+TEST(WireTest, NodeCountMismatchRejectedBeforeAllocation) {
+  // The nodes are present in full, so only the offsets can refuse them.
+  for (const auto& [offsets, nodes] :
+       {std::pair<std::vector<uint32_t>, uint64_t>{{0, 2, 3}, 2},
+        {{0, 2, 3}, 4},
+        {{}, 1},
+        {{0}, 1}}) {
     Result<ShardPartial> decoded =
-        wire::DecodeMessage(wire::EncodeMessage(m));
-    ASSERT_FALSE(decoded.ok());
+        wire::DecodeMessage(HopPayload(offsets, nodes));
+    ASSERT_FALSE(decoded.ok()) << nodes << " nodes";
     EXPECT_EQ(decoded.status().code(), StatusCode::kIoError);
-    EXPECT_NE(
-        decoded.status().message().find("reduce.recipient not ascending"),
-        std::string::npos)
+    EXPECT_NE(decoded.status().message().find("the last offset says"),
+              std::string::npos)
         << decoded.status();
   }
+  // A node count claiming 2^64 - 1 entries fails on the bytes remaining.
+  std::vector<uint8_t> huge = HopPayload({0, 1}, 1);
+  // Layout: kind(1) + batch(8) + from_shard(4) + offsets(8 + 2 × 4).
+  for (size_t i = 21 + 8; i < 21 + 16; ++i) huge[i] = 0xFF;
+  Result<ShardPartial> decoded = wire::DecodeMessage(huge);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find(
+                "corrupt count for partial.hops.node"),
+            std::string::npos)
+      << decoded.status();
 }
 
 TEST(WireTest, CorruptCountRejectedBeforeAllocation) {
-  // A partial whose row count claims 2^64 - 1 rows: the decoder must
+  // A list whose offset count claims 2^64 - 1 offsets: the decoder must
   // reject against the bytes remaining, not try to resize.
   std::vector<uint8_t> payload = wire::EncodeMessage(ShardPartial{});
-  // Layout: kind(1) + batch(8) + from_shard(4) + row count(8).
+  // Layout: kind(1) + batch(8) + from_shard(4) + offset count(8).
   ASSERT_GE(payload.size(), 21u);
   for (size_t i = 13; i < 21; ++i) payload[i] = 0xFF;
   Result<ShardPartial> decoded = wire::DecodeMessage(payload);
