@@ -440,7 +440,8 @@ void BM_EncoderServeForward(benchmark::State& state) {
   tensor::NoGradGuard no_grad;
   for (auto _ : state) {
     tensor::ArenaScope arena;
-    benchmark::DoNotOptimize(f.encoder.EncodeNodes(*f.store, f.nodes));
+    benchmark::DoNotOptimize(f.encoder.Forward(
+        f.store->GatherLastEmbeddings(f.nodes), f.store->ReadBatch(f.nodes)));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -451,7 +452,8 @@ void BM_EncoderServeForwardNoArena(benchmark::State& state) {
   ServeEncodeFixture f(state.range(0));
   tensor::NoGradGuard no_grad;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.encoder.EncodeNodes(*f.store, f.nodes));
+    benchmark::DoNotOptimize(f.encoder.Forward(
+        f.store->GatherLastEmbeddings(f.nodes), f.store->ReadBatch(f.nodes)));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

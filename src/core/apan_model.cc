@@ -60,7 +60,10 @@ Tensor ApanModel::GatherLastEmbeddings(
 
 ApanEncoder::Output ApanModel::EncodeNodes(
     const std::vector<graph::NodeId>& nodes) {
-  return encoder_.EncodeNodes(DefaultStore(), nodes, &rng_);
+  APAN_CHECK_MSG(!nodes.empty(), "EncodeNodes on empty node list");
+  const NodeStateStore& store = DefaultStore();
+  return encoder_.Forward(store.GatherLastEmbeddings(nodes),
+                          store.ReadBatch(nodes), &rng_);
 }
 
 void ApanModel::UpdateLastEmbeddings(

@@ -1,6 +1,5 @@
 #include "core/encoder.h"
 
-#include "core/node_state_store.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 
@@ -83,15 +82,6 @@ ApanEncoder::ApanEncoder(const ApanConfig& config, Rng* rng)
   RegisterChild(&attention_);
   RegisterChild(&layer_norm_);
   RegisterChild(&mlp_);
-}
-
-ApanEncoder::Output ApanEncoder::EncodeNodes(
-    const NodeStateStore& store, const std::vector<graph::NodeId>& nodes,
-    Rng* dropout_rng) const {
-  APAN_CHECK_MSG(!nodes.empty(), "EncodeNodes on empty node list");
-  const Tensor last = store.GatherLastEmbeddings(nodes);
-  const Mailbox::ReadResult read = store.ReadBatch(nodes);
-  return Forward(last, read, dropout_rng);
 }
 
 ApanEncoder::Output ApanEncoder::Forward(

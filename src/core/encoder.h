@@ -13,8 +13,6 @@
 #ifndef APAN_CORE_ENCODER_H_
 #define APAN_CORE_ENCODER_H_
 
-#include <vector>
-
 #include "core/config.h"
 #include "core/mailbox.h"
 #include "nn/attention.h"
@@ -24,8 +22,6 @@
 
 namespace apan {
 namespace core {
-
-class NodeStateStore;
 
 /// \brief The encoder network. One instance serves every node.
 class ApanEncoder : public nn::Module {
@@ -40,20 +36,16 @@ class ApanEncoder : public nn::Module {
     tensor::Tensor attention;
   };
 
+  /// \brief The one entry point: encodes a batch from copies of its
+  /// state, so it reads no store and needs no lock. Callers gather the
+  /// inputs from a NodeStateStore (GatherLastEmbeddings + ReadBatch);
+  /// a sharded deployment gathers under the shard's state lock and runs
+  /// this after releasing it.
   /// \param last_embeddings z(t−) as a constant {batch, dim} tensor.
   /// \param mailbox_read time-sorted mails + mask from Mailbox::ReadBatch.
   Output Forward(const tensor::Tensor& last_embeddings,
                  const Mailbox::ReadResult& mailbox_read,
                  Rng* dropout_rng = nullptr) const;
-
-  /// \brief Full encoder pass for `nodes` against a caller-supplied state
-  /// store: reads the store's mailbox rows + last embeddings, then
-  /// Forward. The store must own every node; no graph queries. This is
-  /// how a sharded deployment encodes against shard-local state with
-  /// replicated weights.
-  Output EncodeNodes(const NodeStateStore& store,
-                     const std::vector<graph::NodeId>& nodes,
-                     Rng* dropout_rng = nullptr) const;
 
   int64_t dim() const { return dim_; }
   int64_t slots() const { return slots_; }

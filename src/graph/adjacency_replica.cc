@@ -19,10 +19,10 @@ Status AdjacencyReplica::AppendBatch(std::span<const Event> events) {
           "event endpoints out of range: ", event.src, " -> ", event.dst,
           " (num_nodes=", num_nodes(), ")"));
     }
-    // NaN compares false against everything: accepted, it would switch
-    // the order check off for every later append.
-    if (std::isnan(event.timestamp)) {
-      return Status::InvalidArgument("append: NaN event timestamp");
+    // Accepted, NaN (false against everything) would switch the order
+    // check off for every later append, and +∞ would refuse every one.
+    if (!std::isfinite(event.timestamp)) {
+      return Status::InvalidArgument("append: non-finite event timestamp");
     }
     if (event.timestamp < latest) {
       return Status::FailedPrecondition(internal::StrCat(
@@ -95,8 +95,10 @@ Status AdjacencyReplica::Restore(const Checkpoint& checkpoint) {
     return Status::InvalidArgument(internal::StrCat(
         "replica restore: negative event count ", checkpoint.num_events));
   }
-  if (std::isnan(checkpoint.latest_timestamp)) {
-    return Status::InvalidArgument("replica restore: NaN latest timestamp");
+  // −∞ is the empty replica's latest timestamp; NaN and +∞ are no event's.
+  const double latest = checkpoint.latest_timestamp;
+  if (std::isnan(latest) || (std::isinf(latest) && latest > 0)) {
+    return Status::InvalidArgument("replica restore: NaN or +inf latest time");
   }
   // Validate everything before mutating so a rejected checkpoint leaves
   // the live replica untouched.
@@ -108,9 +110,10 @@ Status AdjacencyReplica::Restore(const Checkpoint& checkpoint) {
             "replica restore: row ", r, " entry ", i, " names node ",
             row[i].node, " outside [0, ", num_nodes(), ")"));
       }
-      if (std::isnan(row[i].timestamp)) {
+      if (!std::isfinite(row[i].timestamp)) {
         return Status::InvalidArgument(internal::StrCat(
-            "replica restore: row ", r, " entry ", i, " has a NaN timestamp"));
+            "replica restore: row ", r, " entry ", i,
+            " has a non-finite timestamp"));
       }
       if (i > 0 && row[i].timestamp < row[i - 1].timestamp) {
         return Status::InvalidArgument(internal::StrCat(

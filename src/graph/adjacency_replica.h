@@ -65,7 +65,7 @@ class AdjacencyReplica {
   /// (a self-loop is stored once), exactly as TemporalGraph::AddEvent.
   /// The whole batch is validated first, so a rejected batch leaves the
   /// replica unchanged.
-  /// \return InvalidArgument for an out-of-range endpoint or a NaN
+  /// \return InvalidArgument for an out-of-range endpoint or a non-finite
   ///         timestamp; FailedPrecondition for a timestamp older than one
   ///         before it.
   Status AppendBatch(std::span<const Event> events);
@@ -87,9 +87,10 @@ class AdjacencyReplica {
   Checkpoint Export() const;
 
   /// \brief Replaces the contents with a decoded checkpoint. It must have
-  /// one row per node, valid neighbour ids and timestamp-sorted rows
-  /// free of NaN (as is its latest timestamp); a violation returns
-  /// InvalidArgument with the replica unchanged.
+  /// one row per node, valid neighbour ids, timestamp-sorted rows of
+  /// finite timestamps, and a latest timestamp that is finite or −∞ (the
+  /// empty replica's); a violation returns InvalidArgument with the
+  /// replica unchanged.
   Status Restore(const Checkpoint& checkpoint);
 
   /// Bytes of adjacency payload (entries in use, Mailbox::MemoryBytes

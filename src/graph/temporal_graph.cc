@@ -17,10 +17,10 @@ Status TemporalGraph::AddEvent(const Event& event) {
         internal::StrCat("event endpoints out of range: ", event.src, " -> ",
                          event.dst, " (num_nodes=", num_nodes_, ")"));
   }
-  // NaN compares false against everything: accepted, it would switch the
-  // order check off for every later event.
-  if (std::isnan(event.timestamp)) {
-    return Status::InvalidArgument("AddEvent: NaN event timestamp");
+  // Accepted, NaN (false against everything) would switch the order check
+  // off for every later event, and +∞ would refuse every one.
+  if (!std::isfinite(event.timestamp)) {
+    return Status::InvalidArgument("AddEvent: non-finite event timestamp");
   }
   if (!events_.empty() && event.timestamp < latest_timestamp_) {
     return Status::FailedPrecondition(internal::StrCat(

@@ -87,7 +87,7 @@ class TemporalGraph {
   /// \brief Appends an interaction. Both endpoints gain the other as a
   /// temporal neighbor (interactions are undirected for propagation, as in
   /// the paper's bipartite datasets).
-  /// \return InvalidArgument for bad node ids or a NaN timestamp;
+  /// \return InvalidArgument for bad node ids or a non-finite timestamp;
   ///         FailedPrecondition when the timestamp is older than the newest
   ///         event already stored.
   Status AddEvent(const Event& event);

@@ -131,11 +131,11 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   // counted: an out-of-range endpoint would abort in ShardOf, an
   // out-of-range edge id in a worker's φ (after the scores went back), and
   // an out-of-order timestamp would pass the synchronous link only to
-  // abort every worker's replica append. A NaN timestamp compares false
-  // against everything, so it would switch the order check off for the
-  // rest of the stream. The timestamp checks mirror
-  // AdjacencyReplica::AppendBatch, so a batch accepted here always
-  // appends.
+  // abort every worker's replica append. A NaN timestamp (false against
+  // everything) would switch the order check off for the rest of the
+  // stream, +∞ would refuse every later batch, and −∞ ages mail by +∞.
+  // The timestamp checks mirror AdjacencyReplica::AppendBatch, so a batch
+  // accepted here always appends.
   const int64_t num_nodes = model_->config().num_nodes;
   const int64_t num_edges = model_->propagator().features().num_edges();
   double latest = last_timestamp_;
@@ -150,8 +150,8 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
           "InferBatch: edge id ", e.edge_id, " outside [0, ", num_edges,
           ")"));
     }
-    if (std::isnan(e.timestamp)) {
-      return Status::InvalidArgument("InferBatch: NaN event timestamp");
+    if (!std::isfinite(e.timestamp)) {
+      return Status::InvalidArgument("InferBatch: non-finite event timestamp");
     }
     if (e.timestamp < latest) {
       return Status::FailedPrecondition(internal::StrCat(
@@ -166,8 +166,9 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   const int64_t d = model_->config().embedding_dim;
   // What the asynchronous link gets of the synchronous one: the batch's
   // embedding matrix and each event's two row indices into it.
-  std::vector<float> batch_z;
-  std::vector<int64_t> src_rows, dst_rows;
+  auto ctx = std::make_shared<BatchContext>();
+  std::vector<int64_t>& src_rows = ctx->src_row;
+  std::vector<int64_t>& dst_rows = ctx->dst_row;
   {
     // ---- Synchronous link: shard-parallel encoding over local state. ----
     APAN_TRACE_SPAN("sync");
@@ -178,41 +179,46 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     tensor::ArenaScope arena_scope;
 
     // Deduplicate nodes: each node's embedding is generated once per batch
-    // (paper §3.2), then split the unique set by owner shard.
-    std::vector<graph::NodeId> unique_nodes;
-    std::unordered_map<graph::NodeId, size_t> index_of;
+    // (paper §3.2). Rows are in owner order, so each shard's nodes are one
+    // contiguous block: a node's row is its position in its owner's list
+    // plus the rows of the shards before that owner.
+    std::vector<std::vector<graph::NodeId>> shard_nodes(
+        static_cast<size_t>(num_shards));
+    std::unordered_map<graph::NodeId, int64_t> position_of;
     auto intern = [&](graph::NodeId v) {
-      auto [it, inserted] = index_of.try_emplace(v, unique_nodes.size());
-      if (inserted) unique_nodes.push_back(v);
+      auto [it, inserted] = position_of.try_emplace(v);
+      if (inserted) {
+        auto& nodes = shard_nodes[static_cast<size_t>(partition_->ShardOf(v))];
+        it->second = static_cast<int64_t>(nodes.size());
+        nodes.push_back(v);
+      }
       return it->second;
     };
     src_rows.reserve(events.size());
     dst_rows.reserve(events.size());
     for (const auto& e : events) {
-      src_rows.push_back(static_cast<int64_t>(intern(e.src)));
-      dst_rows.push_back(static_cast<int64_t>(intern(e.dst)));
+      src_rows.push_back(intern(e.src));
+      dst_rows.push_back(intern(e.dst));
     }
-
-    // Split the unique set by owner shard, remembering each row's index
-    // in the first-appearance order so tasks can scatter results.
-    std::vector<std::vector<graph::NodeId>> shard_nodes(
-        static_cast<size_t>(num_shards));
-    std::vector<std::vector<size_t>> shard_unique(
-        static_cast<size_t>(num_shards));
-    for (size_t u = 0; u < unique_nodes.size(); ++u) {
-      const int s = partition_->ShardOf(unique_nodes[u]);
-      shard_nodes[static_cast<size_t>(s)].push_back(unique_nodes[u]);
-      shard_unique[static_cast<size_t>(s)].push_back(u);
+    std::vector<int64_t> first_row(static_cast<size_t>(num_shards) + 1, 0);
+    for (size_t s = 0; s < shard_nodes.size(); ++s) {
+      first_row[s + 1] =
+          first_row[s] + static_cast<int64_t>(shard_nodes[s].size());
+    }
+    for (size_t i = 0; i < events.size(); ++i) {
+      src_rows[i] += first_row[partition_->ShardOf(events[i].src)];
+      dst_rows[i] += first_row[partition_->ShardOf(events[i].dst)];
     }
 
     // Encode each shard's slice concurrently against that shard's own
-    // state store — replicated weights over partitioned state, so the
-    // only cache lines an encode touches are the shard's private rows.
-    // Each task copies its rows straight into the shared flat matrix
-    // (disjoint offsets) and drops its tensors before returning: encode
-    // intermediates live and die on the pool thread that owns the arena.
-    std::vector<float> emb(unique_nodes.size() * static_cast<size_t>(d));
-    const auto encode_shard = [this, d, &shard_nodes, &shard_unique,
+    // state store — replicated weights over partitioned state. The state
+    // lock covers only the gather of the slice's rows; the forward pass
+    // reads copies and runs unlocked, so a worker's merge never waits on
+    // it. Each task copies its output into its block of the batch matrix
+    // and drops its tensors before returning: encode intermediates live
+    // and die on the pool thread that owns the arena.
+    std::vector<float> emb(static_cast<size_t>(first_row.back() * d));
+    const auto encode_shard = [this, d, &shard_nodes, &first_row,
                                &emb](int s) {
       tensor::NoGradGuard task_no_grad;
       // Pool threads open their own per-batch arena; on the caller thread
@@ -221,18 +227,17 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
       APAN_TRACE_SPAN("encode");
       Stopwatch encode_watch;
       const auto& nodes = shard_nodes[static_cast<size_t>(s)];
-      const auto& unique_rows = shard_unique[static_cast<size_t>(s)];
-      core::ApanEncoder::Output out;
+      tensor::Tensor last;
+      core::Mailbox::ReadResult read;
       {
         Shard& shard = *shards_[static_cast<size_t>(s)];
         util::MutexLock state_lock(shard.state_mu);
-        out = model_->encoder().EncodeNodes(*shard.store, nodes);
+        last = shard.store->GatherLastEmbeddings(nodes);
+        read = shard.store->ReadBatch(nodes);
       }
-      const float* rows = out.embeddings.data();
-      for (size_t r = 0; r < nodes.size(); ++r) {
-        std::copy_n(rows + static_cast<int64_t>(r) * d, d,
-                    emb.data() + unique_rows[r] * static_cast<size_t>(d));
-      }
+      const tensor::Tensor z = model_->encoder().Forward(last, read).embeddings;
+      std::copy_n(z.data(), z.numel(),
+                  emb.data() + first_row[static_cast<size_t>(s)] * d);
       if (stage_metrics_) {
         ins_.stage_encode->Record(s, encode_watch.ElapsedMillis());
       }
@@ -257,11 +262,10 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     if (!active_shards.empty()) encode_shard(active_shards.back());
     for (auto& f : futures) f.get();
 
-    tensor::Tensor embeddings = tensor::Tensor::FromVector(
-        {static_cast<int64_t>(unique_nodes.size()), d}, emb);
-    batch_z = std::move(emb);
-    tensor::Tensor z_src = tensor::GatherRows(embeddings, src_rows);
-    tensor::Tensor z_dst = tensor::GatherRows(embeddings, dst_rows);
+    ctx->embeddings =
+        tensor::Tensor::FromVector({first_row.back(), d}, std::move(emb));
+    tensor::Tensor z_src = tensor::GatherRows(ctx->embeddings, src_rows);
+    tensor::Tensor z_dst = tensor::GatherRows(ctx->embeddings, dst_rows);
     tensor::Tensor logits = model_->ScoreLinkLogits(z_src, z_dst);
     tensor::Tensor probs = tensor::Sigmoid(logits);
     result.scores.assign(probs.data(), probs.data() + probs.numel());
@@ -277,12 +281,10 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     }
   }
 
-  auto ctx = std::make_shared<BatchContext>();
   ctx->batch = next_batch_++;
   next_ordinal_ += static_cast<int64_t>(events.size());
   last_timestamp_ = latest;
   ctx->events = events;
-  ctx->embeddings = std::move(batch_z);
   ingested_since_start_ = true;
 
   // Graceful degradation (SetShardDown): records homed to a down shard
@@ -323,8 +325,6 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
       ctx->owned_events[static_cast<size_t>(dst_owner)].push_back(i);
     }
   }
-  ctx->src_row = std::move(src_rows);
-  ctx->dst_row = std::move(dst_rows);
   for (int s = 0; s < num_shards; ++s) {
     const auto homed = jobs[static_cast<size_t>(s)].home.size();
     if (homed == 0) continue;
@@ -755,7 +755,7 @@ core::RowBlock ShardedEngine::ReduceBatch(int shard_id,
     hops = &merged;
   }
   model_->propagator().PropagateRows(
-      {ctx.events, ctx.embeddings, ctx.src_row, ctx.dst_row}, *hops,
+      {ctx.events, ctx.embeddings.values(), ctx.src_row, ctx.dst_row}, *hops,
       &reduced);
   if (stage_metrics_) {
     ins_.stage_propagate->Record(shard_id, propagate_watch.ElapsedMillis());

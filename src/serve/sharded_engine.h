@@ -20,9 +20,10 @@
 // The division of labour per batch:
 //
 //   Synchronous link (InferBatch, what the caller waits for)
-//     · the batch's unique nodes are split by owner shard and encoded
-//       concurrently on a thread pool — each encode touches only its
-//       shard's rows, under that shard's state lock;
+//     · the batch's unique nodes, one embedding-matrix row each in owner
+//       order, are encoded one shard slice per task (the caller runs one,
+//       a thread pool the rest) — a task gathers its shard's rows under
+//       that shard's state lock, then runs the encoder forward unlocked;
 //     · link scores are decoded on the calling thread and returned.
 //
 //   Asynchronous link (per-shard workers, off the latency path)
@@ -174,9 +175,9 @@ class ShardedEngine {
   /// work. Concurrent callers are serialized.
   /// \return Cancelled after Shutdown; InvalidArgument for an empty batch,
   /// an endpoint outside [0, num_nodes), an edge id outside the model's
-  /// edge feature rows, or a NaN timestamp; FailedPrecondition when the
-  /// timestamps decrease within the batch or fall before the last
-  /// accepted batch's. A refused batch leaves the engine unchanged.
+  /// edge feature rows, or a non-finite timestamp; FailedPrecondition
+  /// when the timestamps decrease within the batch or fall before the
+  /// last accepted batch's. A refused batch leaves the engine unchanged.
   Result<InferenceResult> InferBatch(const std::vector<graph::Event>& events)
       APAN_EXCLUDES(infer_mu_, flush_mu_);
 
@@ -322,8 +323,10 @@ class ShardedEngine {
   struct BatchContext {
     int64_t batch = 0;
     std::vector<graph::Event> events;
-    /// {unique nodes, d} row-major: each of the batch's nodes encoded once.
-    std::vector<float> embeddings;
+    /// {unique nodes, d}: each of the batch's nodes encoded once, rows in
+    /// owner-shard order — the one matrix the encode tasks write, the
+    /// decoder reads and every worker propagates from.
+    tensor::Tensor embeddings;
     /// Each event's endpoint rows in `embeddings`.
     std::vector<int64_t> src_row;
     std::vector<int64_t> dst_row;
@@ -353,9 +356,11 @@ class ShardedEngine {
   };
 
   struct Shard {
-    /// Guards the *pointee* of `store` between the encode pool
-    /// (synchronous link) and this shard's worker (batch application).
-    /// The pointer itself is set once at construction and never reseated.
+    /// Guards the *pointee* of `store` between the synchronous link's
+    /// gather (z(t−) rows and mailbox read of one encode slice — the
+    /// encoder forward runs after the lock is released) and this shard's
+    /// worker (batch application). The pointer itself is set once at
+    /// construction and never reseated.
     util::Mutex state_mu;
     /// This shard's mutable node state: its mailbox slice + z(t−) rows,
     /// dense over the nodes the partition assigns to it. Exclusively

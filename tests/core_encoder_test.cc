@@ -147,7 +147,9 @@ std::vector<float> EncodeRows(const ApanEncoder& enc,
                               const std::vector<graph::NodeId>& nodes) {
   tensor::NoGradGuard no_grad;
   tensor::ArenaScope arena;
-  const Tensor z = enc.EncodeNodes(store, nodes).embeddings;
+  const Tensor z =
+      enc.Forward(store.GatherLastEmbeddings(nodes), store.ReadBatch(nodes))
+          .embeddings;
   return std::vector<float>(z.data(), z.data() + z.numel());
 }
 

@@ -289,19 +289,23 @@ TEST(AdjacencyReplicaTest, RejectedAppendLeavesReplicaUnchanged) {
   EXPECT_EQ(out[0].node, 5);
 }
 
-TEST(AdjacencyReplicaTest, RejectsNaNTimestamp) {
-  // NaN compares false against everything: accepted, it would become the
-  // newest timestamp and let every later out-of-order batch through.
+TEST(AdjacencyReplicaTest, RejectsNonFiniteTimestamp) {
+  // Accepted, NaN (false against everything) would become the newest
+  // timestamp and let every later out-of-order batch through, and +∞
+  // would refuse every later batch.
   AdjacencyReplica replica(10);
   AdjacencyReplica reference(10);
   const std::vector<Event> first = {{0, 1, 1.0, -1}, {2, 3, 2.0, -1}};
   ASSERT_TRUE(replica.AppendBatch(first).ok());
   ASSERT_TRUE(reference.AppendBatch(first).ok());
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<Event> nan_last = {{4, 5, 3.0, -1}, {6, 7, nan, -1}};
-  EXPECT_TRUE(replica.AppendBatch(nan_last).IsInvalidArgument());
-  const std::vector<Event> nan_first = {{4, 5, nan, -1}, {6, 7, 3.0, -1}};
-  EXPECT_TRUE(replica.AppendBatch(nan_first).IsInvalidArgument());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    const std::vector<Event> bad_last = {{4, 5, 3.0, -1}, {6, 7, bad, -1}};
+    EXPECT_TRUE(replica.AppendBatch(bad_last).IsInvalidArgument()) << bad;
+    const std::vector<Event> bad_first = {{4, 5, bad, -1}, {6, 7, 3.0, -1}};
+    EXPECT_TRUE(replica.AppendBatch(bad_first).IsInvalidArgument()) << bad;
+  }
   const std::vector<Event> older = {{4, 5, 1.5, -1}};
   EXPECT_TRUE(replica.AppendBatch(older).IsFailedPrecondition());
   EXPECT_TRUE(SameContents(replica, reference));
@@ -358,18 +362,27 @@ TEST(AdjacencyReplicaTest, ResetAndRestore) {
   ASSERT_NE(row, unsorted.rows.end());
   row->push_back({0, -1e9});
   EXPECT_TRUE(replica.Restore(unsorted).IsInvalidArgument());
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  AdjacencyReplica::Checkpoint nan_entry = image;
-  nan_entry.rows[static_cast<size_t>(row - unsorted.rows.begin())].push_back(
-      {0, nan});
-  EXPECT_TRUE(replica.Restore(nan_entry).IsInvalidArgument());
-  AdjacencyReplica::Checkpoint nan_latest = image;
-  nan_latest.latest_timestamp = nan;
-  EXPECT_TRUE(replica.Restore(nan_latest).IsInvalidArgument());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    // A one-entry row is sorted, so only the finiteness check refuses it.
+    AdjacencyReplica::Checkpoint bad_entry = image;
+    bad_entry.rows[0] = {{1, bad}};
+    EXPECT_TRUE(replica.Restore(bad_entry).IsInvalidArgument()) << bad;
+  }
+  // −∞ is the empty replica's latest timestamp, tested below.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf}) {
+    AdjacencyReplica::Checkpoint bad_latest = image;
+    bad_latest.latest_timestamp = bad;
+    EXPECT_TRUE(replica.Restore(bad_latest).IsInvalidArgument()) << bad;
+  }
   EXPECT_TRUE(SameContents(replica, rebuilt));
   // The refusals left the order check in force.
   const std::vector<Event> older = {{0, 1, image.latest_timestamp - 1.0, -1}};
   EXPECT_TRUE(replica.AppendBatch(older).IsFailedPrecondition());
+  // An empty image, whose latest timestamp is −∞, restores.
+  ASSERT_TRUE(replica.Restore(AdjacencyReplica(nodes).Export()).ok());
+  EXPECT_EQ(replica.num_events(), 0);
 }
 
 }  // namespace

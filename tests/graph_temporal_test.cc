@@ -35,19 +35,24 @@ TEST(TemporalGraphTest, RejectsOutOfOrderAppend) {
   EXPECT_TRUE(g.AddEvent({1, 2, 5.0, -1}).ok());
 }
 
-TEST(TemporalGraphTest, RejectsNaNTimestamp) {
-  // NaN compares false against everything: accepted, it would become the
-  // newest timestamp and let every later out-of-order event through.
-  TemporalGraph g(3);
-  EXPECT_TRUE(g.AddEvent({0, 1, 5.0, -1}).ok());
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_TRUE(g.AddEvent({1, 2, nan, -1}).IsInvalidArgument());
-  EXPECT_EQ(g.num_events(), 1);
-  EXPECT_TRUE(g.AddEvent({1, 2, 4.0, -1}).IsFailedPrecondition());
-  // Also as the very first event.
-  TemporalGraph empty(3);
-  EXPECT_TRUE(empty.AddEvent({0, 1, nan, -1}).IsInvalidArgument());
-  EXPECT_EQ(empty.num_events(), 0);
+TEST(TemporalGraphTest, RejectsNonFiniteTimestamp) {
+  // Accepted, NaN (false against everything) would become the newest
+  // timestamp and let every later out-of-order event through, and +∞
+  // would refuse every later event.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    TemporalGraph g(3);
+    EXPECT_TRUE(g.AddEvent({0, 1, 5.0, -1}).ok());
+    EXPECT_TRUE(g.AddEvent({1, 2, bad, -1}).IsInvalidArgument()) << bad;
+    EXPECT_EQ(g.num_events(), 1);
+    EXPECT_TRUE(g.AddEvent({1, 2, 4.0, -1}).IsFailedPrecondition());
+    EXPECT_TRUE(g.AddEvent({1, 2, 6.0, -1}).ok());
+    // Also as the very first event.
+    TemporalGraph empty(3);
+    EXPECT_TRUE(empty.AddEvent({0, 1, bad, -1}).IsInvalidArgument()) << bad;
+    EXPECT_EQ(empty.num_events(), 0);
+  }
 }
 
 TEST(TemporalGraphTest, EdgeIdsAutoAssignedDense) {

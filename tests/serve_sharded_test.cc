@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <thread>
 
@@ -447,8 +449,9 @@ TEST(ShardedEngineTest, EmptyBatchRejected) {
 TEST(ShardedEngineTest, RejectsInvalidEventsWithoutSideEffects) {
   // Caller events are validated before the synchronous link runs: a batch
   // with an endpoint outside [0, num_nodes), an edge id without a feature
-  // row, a NaN timestamp or a timestamp older than one already accepted is
-  // refused whole, and the engine carries on as if it had never been sent.
+  // row, a non-finite timestamp or a timestamp older than one already
+  // accepted is refused whole, and the engine carries on as if it had
+  // never been sent.
   Fixture f;
   const SerialRun serial = RunSerial(f.config, f.dataset, 7, 150, 50);
   core::ApanModel model(f.config, &f.dataset.features, 7);
@@ -480,11 +483,19 @@ TEST(ShardedEngineTest, RejectsInvalidEventsWithoutSideEffects) {
     EXPECT_TRUE(engine.InferBatch(events).status().IsInvalidArgument())
         << "edge id " << bad;
   }
-  // A NaN timestamp compares false against everything; accepted, it would
-  // switch the order check off for the rest of the stream.
-  std::vector<graph::Event> nan_last = f.BatchEvents(50, 100);
-  nan_last.back().timestamp = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_TRUE(engine.InferBatch(nan_last).status().IsInvalidArgument());
+  // Accepted, a NaN timestamp (false against everything) would switch the
+  // order check off for the rest of the stream, +∞ would refuse every
+  // later batch, and −∞ would age mail by +∞.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    for (const size_t at : {size_t{0}, size_t{49}}) {
+      std::vector<graph::Event> events = f.BatchEvents(50, 100);
+      events[at].timestamp = bad;
+      EXPECT_TRUE(engine.InferBatch(events).status().IsInvalidArgument())
+          << "timestamp " << bad << " at " << at;
+    }
+  }
   // Older than the last accepted event (batch 0's last).
   std::vector<graph::Event> stale = f.BatchEvents(50, 100);
   stale[0].timestamp = std::nextafter(f.dataset.events[49].timestamp,
@@ -518,6 +529,47 @@ TEST(ShardedEngineTest, RejectsInvalidEventsWithoutSideEffects) {
   engine.Flush();
   ExpectStitchedMailboxEqual(engine, *serial.model, f.config.num_nodes);
   EXPECT_EQ(engine.stats().batches_propagated, 3);
+}
+
+// ---- Thread budget -------------------------------------------------------
+
+/// Threads of this process, or -1 where /proc/self/task is absent.
+int64_t CountThreads() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  if (error) return -1;
+  int64_t count = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(error)) {
+    if (error) return -1;
+    ++count;
+  }
+  return count;
+}
+
+TEST(ShardedEngineTest, RunsTwoShardsMinusOneThreadsAndJoinsThemAll) {
+  // N shard workers plus an encode pool of N − 1: the caller encodes one
+  // slice itself, so one shard starts no pool thread. Destruction joins
+  // every one.
+  if (CountThreads() < 0) GTEST_SKIP() << "/proc/self/task is unavailable";
+  Fixture f;
+  core::ApanModel model(f.config, &f.dataset.features, 3);
+  for (const int shards : {1, 2, 4}) {
+    const int64_t before = CountThreads();
+    {
+      ShardedEngine::Options options;
+      options.num_shards = shards;
+      ShardedEngine engine(&model, options);
+      ASSERT_TRUE(engine.InferBatch(f.BatchEvents(0, 50)).ok());
+      engine.Flush();
+      EXPECT_EQ(CountThreads() - before, 2 * shards - 1)
+          << shards << " shards";
+    }
+    // A joined thread's task entry can outlive the join by a moment.
+    for (int i = 0; i < 1000 && CountThreads() != before; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(CountThreads(), before) << shards << " shards";
+  }
 }
 
 }  // namespace

@@ -476,6 +476,14 @@ struct EncoderFixture {
     config.dropout = 0.0f;
   }
 
+  /// The serving encode of `nodes`: gather their state, then Forward.
+  static core::ApanEncoder::Output Encode(
+      const core::ApanEncoder& encoder, const core::NodeStateStore& store,
+      const std::vector<graph::NodeId>& nodes) {
+    return encoder.Forward(store.GatherLastEmbeddings(nodes),
+                           store.ReadBatch(nodes));
+  }
+
   /// A store with some mail and non-zero embeddings for `nodes`.
   void Warm(core::NodeStateStore* store, const std::vector<graph::NodeId>& nodes) {
     Rng mail_rng(7);
@@ -503,11 +511,11 @@ TEST(FusedForwardTest, EncoderInferenceMatchesTrainingGraph) {
   f.Warm(&store, nodes);
 
   // Generic graph path (gradient recording on).
-  core::ApanEncoder::Output generic = encoder.EncodeNodes(store, nodes);
+  core::ApanEncoder::Output generic = f.Encode(encoder, store, nodes);
   core::ApanEncoder::Output fused;
   {
     tensor::NoGradGuard no_grad;
-    fused = encoder.EncodeNodes(store, nodes);
+    fused = f.Encode(encoder, store, nodes);
   }
   ASSERT_EQ(fused.embeddings.shape(), generic.embeddings.shape());
   for (int64_t i = 0; i < generic.embeddings.numel(); ++i) {
@@ -534,7 +542,7 @@ TEST(ArenaTest, WarmServeEncodeAllocatesNothingAndRegistersNoAutograd) {
   std::vector<float> first_values;
   {
     tensor::ArenaScope scope(&arena);
-    core::ApanEncoder::Output out = encoder.EncodeNodes(store, nodes);
+    core::ApanEncoder::Output out = f.Encode(encoder, store, nodes);
     // Zero autograd nodes on the serve path: no recorded parents, no
     // backward closure, no grad requirement.
     EXPECT_FALSE(out.embeddings.requires_grad());
@@ -549,7 +557,7 @@ TEST(ArenaTest, WarmServeEncodeAllocatesNothingAndRegistersNoAutograd) {
 
   for (int round = 0; round < 3; ++round) {
     tensor::ArenaScope scope(&arena);
-    core::ApanEncoder::Output out = encoder.EncodeNodes(store, nodes);
+    core::ApanEncoder::Output out = f.Encode(encoder, store, nodes);
     // Bitwise-deterministic encode, through recycled buffers.
     ASSERT_EQ(out.embeddings.numel(),
               static_cast<int64_t>(first_values.size()));
@@ -596,15 +604,15 @@ TEST(EncoderCacheTest, RepeatedEncodeAtSameBatchSizeDoesNotRebuildIds) {
 
   // The generic (grad-recording) path is the one that consumes position
   // ids; the fused serve path never materializes them at all.
-  (void)encoder.EncodeNodes(store, nodes);
+  (void)f.Encode(encoder, store, nodes);
   const int64_t after_first = core::ApanEncoder::position_ids_rebuilds();
-  (void)encoder.EncodeNodes(store, nodes);
-  (void)encoder.EncodeNodes(store, nodes);
+  (void)f.Encode(encoder, store, nodes);
+  (void)f.Encode(encoder, store, nodes);
   EXPECT_EQ(core::ApanEncoder::position_ids_rebuilds(), after_first)
       << "same batch size must reuse the cached position-id table";
 
   std::vector<graph::NodeId> smaller = {1, 2, 3};
-  (void)encoder.EncodeNodes(store, smaller);
+  (void)f.Encode(encoder, store, smaller);
   EXPECT_EQ(core::ApanEncoder::position_ids_rebuilds(), after_first + 1);
 }
 
