@@ -21,10 +21,11 @@
 // serial path's hop lists restricted to the recipient's nodes, which is
 // what makes its ρ bitwise the serial one.
 //
-// Replay tags: a ShardPartial is keyed by (batch, from_shard), which is
-// enough for a receiver to drop duplicates, so the engine runs over an
-// at-least-once, unordered transport (docs/serving.md, "Transport
-// plane").
+// A ShardPartial is keyed by (batch, from_shard): the receiver files it
+// under its batch and completes the batch once every sender's key is in,
+// so the engine runs over an exactly-once, unordered transport
+// (docs/serving.md, "Transport plane"). A second partial under one key is
+// a broken transport, and the receiver aborts on it.
 
 #ifndef APAN_SERVE_SHARD_MESSAGE_H_
 #define APAN_SERVE_SHARD_MESSAGE_H_
@@ -39,7 +40,7 @@ namespace serve {
 /// One shard's hop entries of one batch that land on one recipient
 /// shard's nodes. Sent for every (sender, recipient, batch) triple — an
 /// empty list included — so the recipient can detect batch completion by
-/// counting senders; (batch, from_shard) is the duplicate-drop tag.
+/// counting senders.
 struct ShardPartial {
   int64_t batch = 0;
   int from_shard = 0;

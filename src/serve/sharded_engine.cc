@@ -48,8 +48,6 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   ins_.mails_routed = registry_->GetCounter("serve.mails_routed", ns);
   ins_.mails_cross_shard =
       registry_->GetCounter("serve.mails_cross_shard", ns);
-  ins_.duplicates_dropped =
-      registry_->GetCounter("serve.duplicates_dropped", ns);
   ins_.events_homed = registry_->GetCounter("serve.events_homed", ns);
   ins_.events_shed = registry_->GetCounter("serve.events_shed", ns);
   ins_.sends_shed = registry_->GetCounter("serve.sends_shed", ns);
@@ -100,8 +98,6 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   tmetrics.frames = registry_->GetCounter("transport.frames", ns * ns);
   tmetrics.bytes = registry_->GetCounter("transport.bytes", ns * ns);
   tmetrics.syscalls = registry_->GetCounter("transport.syscalls", ns * ns);
-  tmetrics.lane_reconnects =
-      registry_->GetCounter("transport.lane_reconnects", ns * ns);
   tmetrics.send_failures =
       registry_->GetCounter("transport.send_failures", ns * ns);
   transport_->SetMetrics(tmetrics);
@@ -285,7 +281,6 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   next_ordinal_ += static_cast<int64_t>(events.size());
   last_timestamp_ = latest;
   ctx->events = events;
-  ingested_since_start_ = true;
 
   // Graceful degradation (SetShardDown): records homed to a down shard
   // are shed whole, its sampling/application legs are never counted (its
@@ -557,10 +552,9 @@ void ShardedEngine::SendPartial(int from_shard, int to_shard,
   if (transport_->Send(from_shard, to_shard, std::move(partial)).ok()) {
     return;
   }
-  // The lane is dead beyond the transport's own recovery (reconnect +
-  // backoff): mark the peer down so subsequent traffic sheds cheaply,
-  // count what was lost, and keep serving the healthy shards instead of
-  // aborting the process.
+  // The lane is dead and the partial was not delivered: mark the peer
+  // down so subsequent traffic sheds cheaply, count what was lost, and
+  // keep serving the healthy shards instead of aborting the process.
   ins_.sends_shed->Add(to_shard, 1);
   shard_down_[to].store(true, std::memory_order_relaxed);
   CompensateLostPartial(to_shard, batch);
@@ -570,9 +564,8 @@ void ShardedEngine::CompensateLostPartial(int to_shard, int64_t batch) {
   util::MutexLock lock(flush_mu_);
   auto remaining = apply_remaining_.find(batch);
   if (remaining == apply_remaining_.end()) return;
-  // erase() doubles as the dedupe: a second shed partial for the same
-  // (batch, peer) — another sender's, or a duplicate — finds the leg
-  // already retired and is a no-op.
+  // erase() doubles as the dedupe: another sender's shed partial for the
+  // same (batch, peer) finds the leg already retired and is a no-op.
   if (remaining->second.erase(to_shard) == 0) return;
   if (remaining->second.empty()) {
     // The written-off leg was the last: every shard still up has merged.
@@ -614,10 +607,6 @@ void ShardedEngine::EnqueueMessage(int to_shard, ShardPartial message) {
     ins_.mail_depth->Set(to_shard, depth);
     ins_.mail_highwater->UpdateMax(to_shard, depth);
   }
-}
-
-void ShardedEngine::CountDuplicateDropped(int shard_id) {
-  ins_.duplicates_dropped->Add(shard_id, 1);
 }
 
 ShardPartial ShardedEngine::RouteMail(
@@ -677,20 +666,17 @@ ShardPartial ShardedEngine::RouteMail(
 
 void ShardedEngine::OnMail(int shard_id, ShardPartial partial) {
   Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  // Replay protection: a partial for an already-merged batch, or from a
-  // sender already represented in the pending set, is a transport
-  // re-delivery — applying it twice would double mail and wedge the
-  // sender-count completion barrier.
-  if (partial.batch < shard.next_merge) {
-    CountDuplicateDropped(shard_id);
-    return;
-  }
+  // Each sender routes a batch once and the transport delivers exactly
+  // once, so a partial for an already-merged batch, or a second one from
+  // the same sender, is a broken transport — applying it would double
+  // mail and wedge the sender-count completion barrier.
+  APAN_CHECK_MSG(partial.batch >= shard.next_merge,
+                 "transport re-delivered a ShardPartial of a merged batch");
   std::vector<ShardPartial>& parts = shard.pending[partial.batch].parts;
   for (const ShardPartial& existing : parts) {
-    if (existing.from_shard == partial.from_shard) {
-      CountDuplicateDropped(shard_id);
-      return;
-    }
+    APAN_CHECK_MSG(existing.from_shard != partial.from_shard,
+                   "transport re-delivered a ShardPartial from the same "
+                   "sender");
   }
   parts.push_back(std::move(partial));
   // Batches complete in order: every sender emits its partials in batch
@@ -823,16 +809,13 @@ void ShardedEngine::ApplyMergedBatch(int shard_id,
 
   util::MutexLock lock(flush_mu_);
   auto remaining = apply_remaining_.find(batch_id);
-  // A missing barrier (or a leg already retired) means the shed
-  // compensation beat a late merge here: an at-least-once transport
-  // delivered a held duplicate of a partial whose original was shed when
-  // the peer went down. The merge's writes are idempotent against the
-  // degraded outcome, but the leg was already accounted for — counting
-  // it again would drive inflight_ negative and corrupt Flush.
-  if (remaining == apply_remaining_.end() ||
-      remaining->second.erase(shard_id) == 0) {
-    return;
-  }
+  // A shed retires a leg only for a partial its recipient never receives,
+  // and a shard merges only once every partial is in, so the leg is still
+  // counted here. Counting it twice would drive inflight_ negative.
+  const bool leg_counted = remaining != apply_remaining_.end() &&
+                           remaining->second.erase(shard_id) == 1;
+  APAN_CHECK_MSG(leg_counted,
+                 "merged a batch whose application leg was already retired");
   if (remaining->second.empty()) {
     apply_remaining_.erase(remaining);
     ins_.batches_propagated->Add(shard_id, 1);
@@ -850,8 +833,9 @@ Status ShardedEngine::SnapshotShardLocal(int shard_id, int64_t next_batch,
                                          const std::string& path) {
   Shard& shard = *shards_[static_cast<size_t>(shard_id)];
   // Flush proved every batch below the watermark merged everywhere, so a
-  // non-empty pending map means replay tags and the watermark disagree —
-  // refuse to capture an image that could not replay to a unique state.
+  // non-empty pending map means the merge cursor and the watermark
+  // disagree — refuse to capture an image that could not replay to a
+  // unique state.
   if (!shard.pending.empty()) {
     return Status::FailedPrecondition(internal::StrCat(
         "shard ", shard_id, " has ", shard.pending.size(),
@@ -922,18 +906,11 @@ void ShardedEngine::ResetState() {
   // below is rewound under the same lock that advances it.
   util::MutexLock infer_lock(infer_mu_);
   if (shutdown_) return;
-  // Enforced, not just documented: rewinding the replay watermarks under
-  // a duplicating transport would let a re-delivered pre-reset frame be
-  // accepted as new-epoch state — silent corruption, so abort loudly.
-  APAN_CHECK_MSG(transport_->exactly_once(),
-                 "ResetState requires an exactly-once transport: a rewound "
-                 "replay watermark cannot drop a pre-reset re-delivery");
   // RunControlJob flushes first; after that every inbox and every
-  // exactly-once transport lane is empty (Flush proves all application
-  // legs ran, and legs are only reachable via delivered messages). The
-  // reset then runs on each shard's own worker, so the worker-confined
-  // state (merge cursor, graph replica) is only ever touched by its own
-  // thread.
+  // transport lane is empty (Flush proves all application legs ran, and
+  // legs are only reachable via delivered messages). The reset then runs
+  // on each shard's own worker, so the worker-confined state (merge
+  // cursor, graph replica) is only ever touched by its own thread.
   const auto reset_shard = [this](int shard_id) {
     Shard& shard = *shards_[static_cast<size_t>(shard_id)];
     {
@@ -955,7 +932,6 @@ void ShardedEngine::ResetState() {
   next_batch_ = 0;
   next_ordinal_ = 0;
   last_timestamp_ = -std::numeric_limits<double>::infinity();
-  ingested_since_start_ = false;
 }
 
 Status ShardedEngine::RunControlJob(
@@ -1017,18 +993,6 @@ Status ShardedEngine::RestoreShard(int shard, const std::string& path) {
     return Status::InvalidArgument(internal::StrCat(
         "RestoreShard: shard ", shard, " out of range [0, ",
         options_.num_shards, ")"));
-  }
-  // Same hazard ResetState aborts on, surfaced as Status here: rewinding
-  // replay watermarks under an at-least-once transport would let a held
-  // pre-restore re-delivery land in the restored epoch as fresh state. A
-  // virgin engine is exempt — nothing was ever sent, so there is nothing
-  // to re-deliver — which is exactly the crash-rejoin shape: a fresh
-  // process restores every shard, then replays the tail.
-  if (!transport_->exactly_once() && ingested_since_start_) {
-    return Status::FailedPrecondition(
-        "RestoreShard on an engine that has already ingested under an "
-        "at-least-once transport: a held re-delivery could be accepted by "
-        "the rewound replay watermarks; restore into a fresh engine");
   }
   auto snap_or = snapshot::ReadShardSnapshot(path);
   if (!snap_or.ok()) return snap_or.status();
@@ -1113,12 +1077,10 @@ void ShardedEngine::Shutdown() {
   }
   // Drain everything first — shutting down never loses accepted mail.
   Flush();
-  // Then drain the transport *before* the workers go away: a socket lane
-  // (or a fault decorator's delay buffer) can still hold frames after
-  // Flush — necessarily re-deliveries, since Flush proved every batch
-  // applied — and the workers must stay alive to receive and drop them;
-  // stopping the transport also guarantees no delivery callback runs
-  // into a dead engine.
+  // Then stop the transport *before* the workers go away. Flush proved
+  // every batch applied, so no lane holds a frame a merge still needs,
+  // and stopping it guarantees no delivery callback runs into a dead
+  // engine.
   transport_->Stop();
   for (auto& shard : shards_) {
     util::MutexLock lock(shard->mu);
@@ -1141,7 +1103,6 @@ ShardedEngine::Stats ShardedEngine::stats() const {
   s.batches_propagated = ins_.batches_propagated->Value();
   s.mails_routed = ins_.mails_routed->Value();
   s.mails_cross_shard = ins_.mails_cross_shard->Value();
-  s.duplicates_dropped = ins_.duplicates_dropped->Value();
   s.events_shed = ins_.events_shed->Value();
   s.sends_shed = ins_.sends_shed->Value();
   return s;

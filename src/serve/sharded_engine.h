@@ -53,10 +53,11 @@
 // Transport plane: every cross-shard ShardPartial travels through a
 // pluggable serve::Transport (Options::transport) — synchronous in-process
 // delivery by default, or a Unix-domain-socket lane per ordered pair of
-// distinct shards carrying serve/wire.h frames. The engine assumes only
-// at-least-once delivery with no ordering: a batch merges only once every
-// sender's list is in, and duplicated deliveries are dropped by their
-// (batch, sender) tag.
+// distinct shards carrying serve/wire.h frames. The engine assumes
+// exactly-once delivery with no ordering: a batch merges only once every
+// sender's list is in, and a re-delivered list aborts the process as a
+// broken transport. A Send that fails delivers nothing; the engine marks
+// the recipient down and sheds (SetShardDown).
 // With the state plane split into per-shard stores, nothing crosses a
 // shard boundary through shared memory: a shard's entire mutable
 // footprint (store + replica) is address-space independent, and only
@@ -185,9 +186,9 @@ class ShardedEngine {
   /// applied on every shard.
   void Flush() APAN_EXCLUDES(flush_mu_);
 
-  /// Drains all accepted work AND the transport (a socket lane can hold
-  /// frames a deque never could), then stops the workers (idempotent;
-  /// also called by the destructor). Shutdown never loses accepted mail.
+  /// Drains all accepted work, stops the transport, then stops the
+  /// workers (idempotent; also called by the destructor). Shutdown never
+  /// loses accepted mail.
   void Shutdown() APAN_EXCLUDES(shutdown_mu_, infer_mu_, flush_mu_);
 
   /// \brief Resets all streaming state between epochs, mirroring
@@ -195,13 +196,10 @@ class ShardedEngine {
   /// then routes a reset through every shard's worker that zeroes its
   /// NodeStateStore, empties its graph replica, and rewinds its merge
   /// cursor; batch/ordinal numbering restarts at 0. After it returns
-  /// the engine reproduces a fresh engine bitwise on the same stream.
+  /// the engine reproduces a fresh engine bitwise on the same stream,
+  /// under any transport: the internal flush leaves no frame in flight.
   /// Stats and latency recorders stay cumulative. Callers must not run
-  /// InferBatch concurrently. CHECK-enforced: the transport must report
-  /// exactly_once() (inproc and uds do — their lanes are provably empty
-  /// after the internal flush); a duplicating transport could re-deliver
-  /// a pre-reset frame whose replay tag the reset rewound, so the engine
-  /// aborts instead of corrupting silently. No-op after Shutdown.
+  /// InferBatch concurrently. No-op after Shutdown.
   void ResetState() APAN_EXCLUDES(infer_mu_, flush_mu_);
 
   /// \brief Writes shard `shard`'s full recovery image — its
@@ -212,9 +210,7 @@ class ShardedEngine {
   /// shard's own worker thread (the ResetState pattern), so every
   /// worker-confined field is read by the one thread allowed to touch it.
   /// Restoring the snapshot and replaying the event stream from its batch
-  /// watermark reproduces the never-crashed mailbox bitwise. Safe under
-  /// any transport: capture only reads, so a late re-delivered frame is
-  /// dropped by the same tags the snapshot preserves.
+  /// watermark reproduces the never-crashed mailbox bitwise.
   Status SnapshotShard(int shard, const std::string& path)
       APAN_EXCLUDES(infer_mu_, flush_mu_);
 
@@ -227,10 +223,9 @@ class ShardedEngine {
   /// the snapshot's batch/ordinal numbering (all shards of one recovery
   /// set carry the same quiesced numbering, so per-shard adoption is
   /// idempotent across the set). A corrupt, truncated or mismatched
-  /// snapshot returns a non-OK Status with the engine unchanged.
-  /// Requires an exactly-once transport, for the same reason ResetState
-  /// does: restore rewinds replay watermarks, and a duplicating transport
-  /// could re-deliver a pre-restore frame the rewound tags would accept.
+  /// snapshot returns a non-OK Status with the engine unchanged. Like
+  /// ResetState, it flushes first, so it is safe after ingest under any
+  /// transport.
   Status RestoreShard(int shard, const std::string& path)
       APAN_EXCLUDES(infer_mu_, flush_mu_);
 
@@ -272,15 +267,15 @@ class ShardedEngine {
     int64_t frontier_requests = 0;
     /// Always 0, for the same reason as frontier_requests.
     int64_t frontier_nodes_forwarded = 0;
-    /// Messages dropped as transport re-deliveries (by replay tag). Zero
-    /// under an exactly-once transport; positive under FaultyTransport.
+    /// Always 0: the transport delivers exactly once, and a re-delivery
+    /// aborts instead of being dropped. Kept so that readers of the old
+    /// replay-drop counter still build.
     int64_t duplicates_dropped = 0;
     /// Interaction records homed to a down shard and shed whole while it
     /// was down (SetShardDown). Zero in any run with no shard down.
     int64_t events_shed = 0;
     /// Partials shed at send — addressed to a down shard, or refused by
-    /// the transport after its lane-level recovery (reconnect/backoff)
-    /// gave up. Zero in a healthy run.
+    /// the transport because the lane died. Zero in a healthy run.
     int64_t sends_shed = 0;
   };
   Stats stats() const;
@@ -428,11 +423,10 @@ class ShardedEngine {
                          std::span<const graph::HopEntry> entries,
                          std::span<const size_t> entries_end)
       APAN_EXCLUDES(flush_mu_);
-  /// Hands one partial to the transport (which delivers it through
-  /// EnqueueMessage, possibly on another thread, possibly more than
-  /// once) — or, addressed to the sending shard itself, straight to
-  /// OnMail — or sheds it when its recipient is down or the lane is dead
-  /// beyond the transport's own recovery. Worker thread only.
+  /// Hands one partial to the transport (which delivers it once through
+  /// EnqueueMessage, possibly on another thread) — or, addressed to the
+  /// sending shard itself, straight to OnMail — or sheds it when its
+  /// recipient is down or the lane is dead. Worker thread only.
   void SendPartial(int from_shard, int to_shard, ShardPartial partial)
       APAN_EXCLUDES(flush_mu_);
   /// Retires the application leg of `batch` on `to_shard` after a
@@ -444,7 +438,6 @@ class ShardedEngine {
       APAN_EXCLUDES(flush_mu_);
   /// Transport delivery handler: pushes onto the target shard's inbox.
   void EnqueueMessage(int to_shard, ShardPartial message);
-  void CountDuplicateDropped(int shard_id);
 
   /// k-hop expansion of a job's home events from the shard's own
   /// replica, which holds exactly the batches before the job's (sampling
@@ -490,12 +483,6 @@ class ShardedEngine {
   /// older. ResetState rewinds it; RestoreShard adopts the image's.
   double last_timestamp_ APAN_GUARDED_BY(infer_mu_) =
       -std::numeric_limits<double>::infinity();
-  /// False until the first accepted batch. Gates RestoreShard under a
-  /// duplicating transport: restoring a virgin engine rewinds nothing, so
-  /// there is no pre-restore frame a rewound replay tag could re-accept —
-  /// which is how a fresh engine rejoins from snapshots even when its
-  /// transport cannot promise exactly-once.
-  bool ingested_since_start_ APAN_GUARDED_BY(infer_mu_) = false;
 
   /// Outstanding work legs for Flush: each accepted batch contributes
   /// num_shards sampling legs + num_shards application legs. Innermost
@@ -521,7 +508,6 @@ class ShardedEngine {
     obs::Counter* batches_propagated = nullptr;  ///< cell = completing shard
     obs::Counter* mails_routed = nullptr;  ///< cell = owner / home shard
     obs::Counter* mails_cross_shard = nullptr;  ///< cell = sender shard
-    obs::Counter* duplicates_dropped = nullptr;  ///< cell = dropping shard
     obs::Counter* events_homed = nullptr;        ///< cell = home shard
     obs::Counter* events_shed = nullptr;         ///< cell = down home shard
     obs::Counter* sends_shed = nullptr;          ///< cell = destination

@@ -5,13 +5,12 @@
 // cannot recompute from weights: its NodeStateStore (mailbox payload +
 // timestamps + ring bookkeeping + the sorted slot permutation + z(t−)
 // rows), its worker's graph::AdjacencyReplica (one {node, timestamp} row
-// per node of the whole graph), and the replay state the at-least-once
-// transport contract depends on (merge cursor, engine batch/ordinal
-// numbering), plus a digest of the node ids the shard owns, so an image
-// is never restored under a different partition (its rows restore by
-// local position). Restoring a snapshot reproduces the shard bitwise, so
-// replaying the event tail from the snapshot's batch watermark yields a
-// mailbox identical to a run that never crashed.
+// per node of the whole graph), and its replay position (merge cursor,
+// engine batch/ordinal numbering), plus a digest of the node ids the
+// shard owns, so an image is never restored under a different partition
+// (its rows restore by local position). Restoring a snapshot reproduces
+// the shard bitwise, so replaying the event tail from the snapshot's
+// batch watermark yields a mailbox identical to a run that never crashed.
 //
 // The file layout is
 //

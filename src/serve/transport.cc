@@ -90,14 +90,6 @@ void SuppressSigpipe(int fd) {
 #endif
 }
 
-// Reconnect policy: a handful of attempts with capped exponential
-// backoff. The numbers are deliberately small — the lanes are local
-// sockets, so either the rebuild succeeds immediately or the failure is
-// structural and waiting longer cannot help.
-constexpr int kMaxWriteAttempts = 5;
-constexpr int64_t kBackoffBaseMicros = 200;
-constexpr int64_t kBackoffCapMicros = 5000;
-
 }  // namespace
 
 UnixSocketTransport::~UnixSocketTransport() { Stop(); }
@@ -170,11 +162,10 @@ void UnixSocketTransport::ReaderLoop(Lane* lane, int to_shard) {
     uint8_t header[wire::kFrameHeaderBytes];
     const int header_read = read_exact(header, sizeof(header));
     if (header_read == 0) return;  // write side closed at a frame boundary
-    // A mid-frame EOF or read error is a dead lane (peer death, or a
-    // reconnect tearing this socket down), not a protocol bug: exit so
-    // the lane can be rebuilt, instead of taking the process with it.
-    // The truncated frame is discarded — its writer saw the failure as a
-    // Status and re-sends the whole frame on the rebuilt lane.
+    // A mid-frame EOF or read error is a dead lane (peer death), not a
+    // protocol bug: exit instead of taking the process with it. The
+    // truncated frame is discarded — its writer saw the failure as a
+    // Status, and the engine sheds what it carried.
     if (header_read != 1) return;
     Result<uint32_t> length =
         wire::DecodeFrameLength(std::span<const uint8_t, 4>(header));
@@ -187,91 +178,41 @@ void UnixSocketTransport::ReaderLoop(Lane* lane, int to_shard) {
   }
 }
 
-Status UnixSocketTransport::ReconnectLaneLocked(Lane& lane, int to_shard) {
-  if (lane.write_fd >= 0) {
-    ::close(lane.write_fd);
-    lane.write_fd = -1;
-  }
-  // Kick the reader off the dead socket (it may be blocked in read) and
-  // join it before touching read_fd: the join is what hands the fd's
-  // confinement back to this thread.
-  ::shutdown(lane.read_fd, SHUT_RDWR);
-  if (lane.reader.joinable()) lane.reader.join();
-  ::close(lane.read_fd);
-  lane.read_fd = -1;
-  int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-    return Status::IoError(internal::StrCat(
-        "lane reconnect: socketpair failed: errno ", errno));
-  }
-  SuppressSigpipe(fds[0]);
-  lane.write_fd = fds[0];
-  lane.read_fd = fds[1];
-  Lane* lane_ptr = &lane;
-  lane.reader =
-      std::thread([this, lane_ptr, to_shard] { ReaderLoop(lane_ptr, to_shard); });
-  return Status::OK();
-}
-
 Status UnixSocketTransport::WriteFrame(int from_shard, int to_shard,
                                        const std::vector<uint8_t>& frame) {
   Lane& lane = LaneFor(from_shard, to_shard);
   util::MutexLock lock(lane.write_mu);
   if (lane.write_fd < 0) {
-    return Status::FailedPrecondition("transport is stopped");
+    return Status::FailedPrecondition("uds lane is closed");
   }
-  Status last_error;
+  const int cell = metrics_.valid() ? metrics_.lane(from_shard, to_shard) : 0;
+  size_t sent = 0;
   int64_t write_calls = 0;
-  for (int attempt = 0; attempt < kMaxWriteAttempts; ++attempt) {
-    if (attempt > 0) {
-      // Capped exponential backoff, then rebuild the lane and retry the
-      // whole frame. Holding write_mu through the sleep is intentional:
-      // every other writer to this lane would fail the same way.
-      const int64_t backoff = std::min(
-          kBackoffBaseMicros << (attempt - 1), kBackoffCapMicros);
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff));
-      const Status reconnected = ReconnectLaneLocked(lane, to_shard);
-      if (!reconnected.ok()) {
-        last_error = reconnected;
-        continue;
-      }
-      if (metrics_.valid()) {
-        metrics_.lane_reconnects->Add(metrics_.lane(from_shard, to_shard), 1);
-      }
+  while (sent < frame.size()) {
+    const ssize_t w =
+        SendSome(lane.write_fd, frame.data() + sent, frame.size() - sent);
+    ++write_calls;
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      // Peer death (EPIPE/ECONNRESET) or any other refusal. The lane
+      // closes for good: a partial frame stranded in the socket then ends
+      // in EOF and its reader discards it, so the failed Send delivers
+      // nothing and no later frame can land behind the fragment.
+      const int err = errno;
+      ::close(lane.write_fd);
+      lane.write_fd = -1;
+      if (metrics_.valid()) metrics_.send_failures->Add(cell, 1);
+      return Status::IoError(
+          internal::StrCat("uds lane write failed: errno ", err));
     }
-    size_t sent = 0;
-    bool failed = false;
-    while (sent < frame.size()) {
-      const ssize_t w =
-          SendSome(lane.write_fd, frame.data() + sent, frame.size() - sent);
-      ++write_calls;
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        // Peer death (EPIPE/ECONNRESET) or any other refusal: a partial
-        // frame may be stranded in the old socket, but its reader dies
-        // with it mid-frame and discards it, so retrying the whole frame
-        // on a rebuilt lane never duplicates a delivery.
-        last_error = Status::IoError(
-            internal::StrCat("uds lane write failed: errno ", errno));
-        failed = true;
-        break;
-      }
-      sent += static_cast<size_t>(w);
-    }
-    if (!failed) {
-      if (metrics_.valid()) {
-        const int cell = metrics_.lane(from_shard, to_shard);
-        metrics_.frames->Add(cell, 1);
-        metrics_.bytes->Add(cell, static_cast<int64_t>(frame.size()));
-        metrics_.syscalls->Add(cell, write_calls);
-      }
-      return Status::OK();
-    }
+    sent += static_cast<size_t>(w);
   }
   if (metrics_.valid()) {
-    metrics_.send_failures->Add(metrics_.lane(from_shard, to_shard), 1);
+    metrics_.frames->Add(cell, 1);
+    metrics_.bytes->Add(cell, static_cast<int64_t>(frame.size()));
+    metrics_.syscalls->Add(cell, write_calls);
   }
-  return last_error;
+  return Status::OK();
 }
 
 Status UnixSocketTransport::Send(int from_shard, int to_shard,
@@ -291,7 +232,7 @@ void UnixSocketTransport::Stop() {
   // SHUT_WR-style close — so readers drain all accepted frames, then exit.
   for (auto& lane : lanes_) {
     util::MutexLock lock(lane->write_mu);
-    ::close(lane->write_fd);
+    if (lane->write_fd >= 0) ::close(lane->write_fd);
     lane->write_fd = -1;
   }
   for (auto& lane : lanes_) {
@@ -337,10 +278,6 @@ Status UnixSocketTransport::WriteFrame(int, int,
   return Status::NotImplemented("AF_UNIX is unavailable on this platform");
 }
 
-Status UnixSocketTransport::ReconnectLaneLocked(Lane&, int) {
-  return Status::NotImplemented("AF_UNIX is unavailable on this platform");
-}
-
 Status UnixSocketTransport::KillLaneForTest(int, int) {
   return Status::NotImplemented("AF_UNIX is unavailable on this platform");
 }
@@ -371,29 +308,21 @@ Status FaultyTransport::Start(int num_shards, Handler handler) {
 Status FaultyTransport::Send(int from_shard, int to_shard,
                              ShardPartial message) {
   if (!started_) return Status::FailedPrecondition("transport not started");
-  // Refused up front: a held copy would only fail later, on the flusher.
+  // Refused up front: a held message would only fail later, on the
+  // flusher.
   APAN_RETURN_NOT_OK(CheckLane(from_shard, to_shard, num_shards_));
-  std::vector<ShardPartial> inline_sends;
   {
     util::MutexLock lock(mu_);
     if (stop_) return Status::FailedPrecondition("transport is stopped");
-    const int copies = rng_.Bernoulli(options_.duplicate_probability) ? 2 : 1;
-    for (int c = 0; c < copies; ++c) {
-      ShardPartial copy = (c + 1 == copies) ? std::move(message) : message;
-      if (rng_.Bernoulli(options_.delay_probability)) {
-        const auto delay = std::chrono::microseconds(rng_.UniformInt(
-            int64_t{0}, std::max<int64_t>(options_.max_delay_micros, 0)));
-        held_.push_back({std::chrono::steady_clock::now() + delay, from_shard,
-                         to_shard, std::move(copy)});
-      } else {
-        inline_sends.push_back(std::move(copy));
-      }
+    if (rng_.Bernoulli(options_.delay_probability)) {
+      const auto delay = std::chrono::microseconds(rng_.UniformInt(
+          int64_t{0}, std::max<int64_t>(options_.max_delay_micros, 0)));
+      held_.push_back({std::chrono::steady_clock::now() + delay, from_shard,
+                       to_shard, std::move(message)});
+      return Status::OK();
     }
   }
-  for (ShardPartial& m : inline_sends) {
-    APAN_RETURN_NOT_OK(inner_->Send(from_shard, to_shard, std::move(m)));
-  }
-  return Status::OK();
+  return inner_->Send(from_shard, to_shard, std::move(message));
 }
 
 Status FaultyTransport::FlushDue(bool drain) {
@@ -450,7 +379,7 @@ void FaultyTransport::Stop() {
   }
   cv_.NotifyAll();
   flusher_.join();
-  // Faults degrade ordering and multiplicity, never delivery: everything
+  // Faults degrade ordering, never delivery: everything
   // still held goes out before the inner transport is allowed to drain.
   const Status drained = FlushDue(/*drain=*/true);
   APAN_CHECK_MSG(drained.ok(), drained.ToString());

@@ -6,9 +6,10 @@
 // shard's list to itself never touches the transport. The engine only
 // assumes:
 //
-//   · at-least-once delivery: every accepted Send is delivered at least
-//     once before Stop() returns (duplicates are allowed — the engine
-//     drops them by tag);
+//   · exactly-once delivery: every accepted Send is delivered once, and
+//     only once, before Stop() returns. A Send that fails delivers
+//     nothing; the engine then marks the recipient down and sheds. A
+//     re-delivery is a broken transport, and the engine aborts on it;
 //   · thread-safe Send from any engine thread, and a handler that may be
 //     invoked from any transport thread (the engine's inbox push is
 //     mutex-guarded);
@@ -28,9 +29,9 @@
 //     memory — the step that lets a future PR put shards in separate
 //     processes by swapping socketpair() for connected AF_UNIX/TCP
 //     sockets. Unavailable() on platforms without AF_UNIX.
-//   · FaultyTransport — a decorator that delays, reorders, and duplicates
-//     messages under a seeded RNG; the determinism soak tests run the
-//     engine over it to prove tag replay absorbs an adversarial network.
+//   · FaultyTransport — a decorator that delays and reorders messages
+//     under a seeded RNG; the determinism soak tests run the engine over
+//     it to prove per-batch reassembly absorbs an adversarial ordering.
 
 #ifndef APAN_SERVE_TRANSPORT_H_
 #define APAN_SERVE_TRANSPORT_H_
@@ -61,18 +62,14 @@ struct TransportMetrics {
   obs::Counter* frames = nullptr;
   obs::Counter* bytes = nullptr;
   obs::Counter* syscalls = nullptr;
-  /// Robustness accounting: lane_reconnects counts successful lane
-  /// rebuilds after a peer death (one per rebuilt socketpair),
-  /// send_failures counts Sends that returned a non-OK Status after
-  /// exhausting reconnect attempts. Per directed lane, like the others.
-  obs::Counter* lane_reconnects = nullptr;
+  /// Sends whose lane write failed (a dead peer) and returned a non-OK
+  /// Status. Per directed lane, like the others.
   obs::Counter* send_failures = nullptr;
   int num_shards = 0;
 
   bool valid() const {
     return frames != nullptr && bytes != nullptr && syscalls != nullptr &&
-           lane_reconnects != nullptr && send_failures != nullptr &&
-           num_shards > 0;
+           send_failures != nullptr && num_shards > 0;
   }
   int lane(int from_shard, int to_shard) const {
     return from_shard * num_shards + to_shard;
@@ -112,17 +109,6 @@ class Transport {
   virtual void SetMetrics(const TransportMetrics& metrics) {
     static_cast<void>(metrics);
   }
-
-  /// True when every accepted Send is delivered exactly once (no
-  /// duplication) — the in-process and socket lanes qualify; a
-  /// fault-injecting decorator (or any future retrying transport) does
-  /// not. Gates operations that rewind the engine's replay watermarks
-  /// (ShardedEngine::ResetState): after a rewind, a re-delivered
-  /// pre-rewind frame would be accepted as new rather than dropped by
-  /// tag. Pure virtual on purpose: the safe default is to make every
-  /// transport author declare this property, not inherit a permissive
-  /// one.
-  virtual bool exactly_once() const = 0;
 };
 
 /// Builds a fresh transport per engine (an engine owns its transport).
@@ -139,8 +125,6 @@ class InProcessTransport : public Transport {
   void SetMetrics(const TransportMetrics& metrics) override {
     metrics_ = metrics;
   }
-  /// Synchronous handler call: one delivery per Send, by construction.
-  bool exactly_once() const override { return true; }
 
  private:
   Handler handler_;
@@ -172,45 +156,33 @@ class UnixSocketTransport : public Transport {
   void SetMetrics(const TransportMetrics& metrics) override {
     metrics_ = metrics;
   }
-  /// Lossless FIFO socketpair lanes: one frame per Send. Reconnect keeps
-  /// this true — a rebuilt lane only ever re-sends a frame whose first
-  /// copy died partially written, which the dying reader discarded.
-  bool exactly_once() const override { return true; }
 
   /// \brief Fault-injection hook for the robustness tests: simulates the
-  /// (from → to) lane's peer dying by shutting the receive side down.
-  /// Queued-but-unread frames are discarded with the peer (exactly what a
-  /// process death does), the lane's reader exits, and the next write
-  /// observes EPIPE and takes the reconnect path. Must not race Stop or a
-  /// concurrent kill of the same lane.
+  /// (from → to) lane's peer dying by shutting the receive side down. The
+  /// lane's reader exits, and the next write on the lane fails with EPIPE,
+  /// which Send returns as IoError; the lane then stays closed. Must not
+  /// race Stop or a concurrent kill of the same lane.
   Status KillLaneForTest(int from_shard, int to_shard);
 
  private:
   struct Lane {
     /// Serializes writers (a fault decorator's flusher can race the
-    /// worker) and guards write_fd against the close in Stop.
+    /// worker) and guards write_fd against the closes in Stop and after a
+    /// failed write.
     util::Mutex write_mu;
     int write_fd APAN_GUARDED_BY(write_mu) = -1;
-    /// Reader-thread-confined until the reader is joined (by Stop, or by
-    /// a reconnect rebuilding the lane under write_mu); never raced.
+    /// Reader-thread-confined until Stop joins the reader; never raced.
     int read_fd = -1;
     std::thread reader;
   };
 
   /// Send's tail: one locked write loop for a fully serialized frame.
-  /// A failed write
-  /// (peer death: EPIPE/ECONNRESET) is surfaced as Status, never a
-  /// signal or a crash: the lane is rebuilt with capped exponential
-  /// backoff and the frame retried; after the attempts are exhausted the
-  /// caller gets IoError and the send_failures cell is bumped.
+  /// A failed write (peer death: EPIPE/ECONNRESET) is surfaced as
+  /// IoError at once, never a signal or a crash, and bumps the lane's
+  /// send_failures cell. A frame cut off mid-write is discarded by the
+  /// dying reader, so a failed Send delivers nothing.
   Status WriteFrame(int from_shard, int to_shard,
                     const std::vector<uint8_t>& frame);
-  /// Tears down and rebuilds one lane under its write lock: kicks the old
-  /// reader off the dead socket, joins it, makes a fresh socketpair and
-  /// respawns the reader. The joined reader hands read_fd back to this
-  /// thread, so the fd swap is unraced by construction.
-  Status ReconnectLaneLocked(Lane& lane, int to_shard)
-      APAN_REQUIRES(lane.write_mu);
 
   /// Lanes are packed per sender, skipping the absent self-lane.
   Lane& LaneFor(int from_shard, int to_shard) {
@@ -231,20 +203,16 @@ class UnixSocketTransport : public Transport {
 };
 
 /// \brief Fault-injecting decorator: under a seeded RNG, each message may
-/// be duplicated and each copy may be held back for a random interval — a
-/// background flusher releases due messages in shuffled order, so
-/// deliveries reorder across and within lanes. Stop releases everything
-/// still held before stopping the inner transport: faults degrade
-/// ordering and multiplicity, never delivery.
+/// be held back for a random interval — a background flusher releases due
+/// messages in shuffled order, so deliveries reorder across and within
+/// lanes. Stop releases everything still held before stopping the inner
+/// transport: faults degrade ordering, never delivery or multiplicity.
 class FaultyTransport : public Transport {
  public:
   struct Options {
     uint64_t seed = 1;
-    /// Probability a message copy is held back instead of sent inline.
+    /// Probability a message is held back instead of sent inline.
     double delay_probability = 0.5;
-    /// Probability a message is sent twice (the duplicate is delayed
-    /// independently).
-    double duplicate_probability = 0.25;
     /// Held copies release after U[0, max_delay] microseconds.
     int64_t max_delay_micros = 2000;
     /// Flusher wake period.
@@ -260,11 +228,10 @@ class FaultyTransport : public Transport {
   void Stop() override APAN_EXCLUDES(mu_);
   const char* name() const override { return "faulty"; }
   /// The inner transport does the real moving; it does the accounting
-  /// too (so injected duplicates are counted, as they cost real frames).
+  /// too.
   void SetMetrics(const TransportMetrics& metrics) override {
     inner_->SetMetrics(metrics);
   }
-  bool exactly_once() const override { return false; }
 
  private:
   struct Held {

@@ -43,15 +43,24 @@ bool NoGradGuard::GradEnabled() { return g_grad_enabled; }
 // ---- Factories -------------------------------------------------------------
 
 namespace {
+/// `values` becomes the storage as is: its size must already match.
 std::shared_ptr<internal::TensorImpl> MakeImpl(Shape shape,
+                                               std::vector<float> values,
                                                bool requires_grad) {
   APAN_CHECK_MSG(!shape.empty(), "rank-0 tensors are not supported");
   auto impl = std::make_shared<internal::TensorImpl>();
-  const int64_t n = NumElements(shape);
   impl->shape = std::move(shape);
-  impl->data.assign(static_cast<size_t>(n), 0.0f);
+  impl->data = std::move(values);
   impl->requires_grad = requires_grad && NoGradGuard::GradEnabled();
   return impl;
+}
+
+/// Zero-filled storage.
+std::shared_ptr<internal::TensorImpl> MakeImpl(Shape shape,
+                                               bool requires_grad) {
+  const auto n = static_cast<size_t>(NumElements(shape));
+  return MakeImpl(std::move(shape), std::vector<float>(n, 0.0f),
+                  requires_grad);
 }
 }  // namespace
 
@@ -94,9 +103,7 @@ Tensor Tensor::FromVector(Shape shape, std::vector<float> values,
   const int64_t n = NumElements(shape);
   APAN_CHECK_MSG(static_cast<size_t>(n) == values.size(),
                  "FromVector: value count does not match shape");
-  auto impl = MakeImpl(std::move(shape), requires_grad);
-  impl->data = std::move(values);
-  return Tensor(std::move(impl));
+  return Tensor(MakeImpl(std::move(shape), std::move(values), requires_grad));
 }
 
 Tensor Tensor::Scalar(float value, bool requires_grad) {

@@ -89,7 +89,8 @@ class Tensor {
   /// U(lo, hi) entries.
   static Tensor Uniform(Shape shape, Rng* rng, float lo, float hi,
                         bool requires_grad = false);
-  /// Copies `values` (size must equal NumElements(shape)).
+  /// Adopts `values` as the storage, with no copy and no fill (size must
+  /// equal NumElements(shape)).
   static Tensor FromVector(Shape shape, std::vector<float> values,
                            bool requires_grad = false);
   /// Shape {1} scalar.

@@ -517,7 +517,6 @@ TEST(ShardedEngineTest, RejectsInvalidEventsWithoutSideEffects) {
   EXPECT_EQ(after.batches_rejected, before.batches_rejected);
   EXPECT_EQ(after.mails_routed, before.mails_routed);
   EXPECT_EQ(after.mails_cross_shard, before.mails_cross_shard);
-  EXPECT_EQ(after.duplicates_dropped, before.duplicates_dropped);
   EXPECT_EQ(after.events_shed, before.events_shed);
   EXPECT_EQ(after.sends_shed, before.sends_shed);
   EXPECT_EQ(engine.sync_latency().count(), sync_before);

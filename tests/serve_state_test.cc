@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -84,7 +85,7 @@ void RunStream(ShardedEngine& engine, const Fixture& f, size_t n,
   engine.Flush();
 }
 
-void ResetReproducesFreshEngine(TransportKind kind) {
+void ResetReproducesFreshEngine(TransportFactory transport) {
   Fixture f;
   const size_t events = 200, batch = 50;
 
@@ -95,7 +96,7 @@ void ResetReproducesFreshEngine(TransportKind kind) {
   core::ApanModel reused(f.config, &f.dataset.features, 7);
   ShardedEngine::Options options;
   options.num_shards = 4;
-  options.transport = MakeTransportFactory(kind);
+  options.transport = std::move(transport);
   ShardedEngine engine(&reused, options);
   RunStream(engine, f, events, batch);
   engine.ResetState();
@@ -129,14 +130,24 @@ void ResetReproducesFreshEngine(TransportKind kind) {
 }
 
 TEST(ShardedStateTest, ResetStateReproducesFreshEngineInProcess) {
-  ResetReproducesFreshEngine(TransportKind::kInProcess);
+  ResetReproducesFreshEngine(MakeTransportFactory(TransportKind::kInProcess));
 }
 
 TEST(ShardedStateTest, ResetStateReproducesFreshEngineUnixSocket) {
   if (!UnixSocketTransport::Available()) {
     GTEST_SKIP() << "AF_UNIX unavailable on this platform";
   }
-  ResetReproducesFreshEngine(TransportKind::kUnixSocket);
+  ResetReproducesFreshEngine(MakeTransportFactory(TransportKind::kUnixSocket));
+}
+
+TEST(ShardedStateTest, ResetStateReproducesFreshEngineFaultyUnixSocket) {
+  // Delayed, reordered frames: the reset's flush still leaves no frame of
+  // the first epoch in flight.
+  if (!UnixSocketTransport::Available()) {
+    GTEST_SKIP() << "AF_UNIX unavailable on this platform";
+  }
+  ResetReproducesFreshEngine(
+      testutil::FaultyFactory(TransportKind::kUnixSocket, 11));
 }
 
 TEST(ShardedStateTest, ResetStateIsIdempotentAndReusable) {

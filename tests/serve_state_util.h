@@ -1,7 +1,7 @@
 // Shared test helpers for the serving suites: the serial oracle every
-// determinism test compares against, and stitched-mailbox equality
-// between a ShardedEngine's per-shard NodeStateStores and that oracle's
-// monolithic mailbox.
+// determinism test compares against, stitched-mailbox equality between a
+// ShardedEngine's per-shard NodeStateStores and that oracle's monolithic
+// mailbox, and the seeded fault-injecting transport the soaks run over.
 //
 // The oracle (RunSerial) serves the stream through core::ApanModel alone,
 // one batch at a time with nothing in flight: encode the batch's unique
@@ -30,6 +30,7 @@
 #include "core/apan_model.h"
 #include "data/dataset.h"
 #include "serve/sharded_engine.h"
+#include "serve/transport.h"
 #include "tensor/arena.h"
 #include "tensor/ops.h"
 
@@ -169,6 +170,20 @@ inline void ExpectModelStateUntouched(const core::ApanModel& model,
     ASSERT_EQ(model.mailbox().ValidCount(v), 0)
         << "engine wrote the model's mailbox, node " << v;
   }
+}
+
+/// FaultyTransport over a fresh `inner` transport: half the messages are
+/// held for up to 1.5 ms and released in shuffled order, under `seed`.
+inline TransportFactory FaultyFactory(TransportKind inner, uint64_t seed) {
+  return [inner, seed]() -> std::unique_ptr<Transport> {
+    FaultyTransport::Options options;
+    options.seed = seed;
+    options.delay_probability = 0.5;
+    options.max_delay_micros = 1500;
+    options.flush_period_micros = 100;
+    return std::make_unique<FaultyTransport>(MakeTransportFactory(inner)(),
+                                             options);
+  };
 }
 
 }  // namespace testutil

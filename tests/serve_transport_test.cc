@@ -1,10 +1,10 @@
 // Determinism of the sharded engine over real transports and under
-// injected faults (ISSUE 3's tentpole claim): the final mailbox state
-// must stay bitwise-equal to the serial ApanModel path when every
-// cross-shard message crosses a Unix-domain socket, and when a
-// FaultyTransport delays, reorders, and duplicates messages under a
-// seeded RNG — per-batch reassembly absorbs reordering, and replay tags
-// drop duplicates instead of re-applying them.
+// injected faults: the final mailbox state must stay bitwise-equal to the
+// serial ApanModel path when every cross-shard message crosses a
+// Unix-domain socket, and when a FaultyTransport delays and reorders
+// messages under a seeded RNG — per-batch reassembly absorbs reordering.
+// The transport contract is exactly-once: a re-delivered message aborts
+// the engine instead of being dropped.
 
 #include "serve/transport.h"
 
@@ -26,6 +26,7 @@ namespace serve {
 namespace {
 
 using testutil::ExpectStitchedMailboxEqual;
+using testutil::FaultyFactory;
 using testutil::RunSerial;
 
 struct Fixture {
@@ -59,7 +60,7 @@ struct ShardedRun {
 };
 
 /// The engine over `factory`'s transport, free-running (no flush between
-/// batches, so reordering/duplication genuinely interleaves in flight).
+/// batches, so reordering genuinely interleaves in flight).
 /// A null `partition` leaves the engine on the default hash ownership.
 ShardedRun RunSharded(const Fixture& f, TransportFactory factory, size_t n,
                       size_t batch, bool shutdown_without_flush = false,
@@ -86,20 +87,6 @@ ShardedRun RunSharded(const Fixture& f, TransportFactory factory, size_t n,
   return run;
 }
 
-TransportFactory FaultyFactory(TransportKind inner, uint64_t seed,
-                               double duplicate_probability = 0.3) {
-  return [inner, seed, duplicate_probability]() -> std::unique_ptr<Transport> {
-    FaultyTransport::Options options;
-    options.seed = seed;
-    options.delay_probability = 0.5;
-    options.duplicate_probability = duplicate_probability;
-    options.max_delay_micros = 1500;
-    options.flush_period_micros = 100;
-    return std::make_unique<FaultyTransport>(MakeTransportFactory(inner)(),
-                                             options);
-  };
-}
-
 // ---- Clean transports reproduce the serial path ----------------------------
 
 TEST(TransportTest, InProcessTransportMatchesSerialBitwise) {
@@ -108,7 +95,6 @@ TEST(TransportTest, InProcessTransportMatchesSerialBitwise) {
   const auto run =
       RunSharded(f, MakeTransportFactory(TransportKind::kInProcess), 400, 50);
   ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
-  EXPECT_EQ(run.stats.duplicates_dropped, 0);
 }
 
 TEST(TransportTest, UnixSocketMatchesSerialBitwiseOneHop) {
@@ -120,8 +106,6 @@ TEST(TransportTest, UnixSocketMatchesSerialBitwiseOneHop) {
   const auto run =
       RunSharded(f, MakeTransportFactory(TransportKind::kUnixSocket), 400, 50);
   ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
-  // A lossless FIFO lane delivers exactly once.
-  EXPECT_EQ(run.stats.duplicates_dropped, 0);
   EXPECT_GT(run.stats.mails_cross_shard, 0);
 }
 
@@ -139,7 +123,7 @@ TEST(TransportTest, UnixSocketMatchesSerialBitwiseTwoHops) {
 }
 
 // ---- Fault-injection determinism soak --------------------------------------
-// delay + reorder + duplicate under 10 RNG seeds per (transport, hops)
+// delay + reorder under 10 RNG seeds per (transport, hops)
 // combination — 20 seeds per hop count, 20 per transport. Every run must
 // land bitwise on the serial mailbox.
 
@@ -159,18 +143,13 @@ void FaultySoak(int32_t hops, TransportKind inner, uint64_t seed_base,
         f.config.num_nodes, num_shards,
         std::span<const graph::Event>(f.dataset.events.data(), events));
   }
-  int64_t duplicates_dropped = 0;
   for (uint64_t seed = seed_base; seed < seed_base + 10; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     const auto run = RunSharded(f, FaultyFactory(inner, seed), events, batch,
                                 /*shutdown_without_flush=*/false, num_shards,
                                 partition);
     ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
-    duplicates_dropped += run.stats.duplicates_dropped;
   }
-  // With duplicate_probability 0.3 over hundreds of messages, the soak
-  // has exercised the tag-drop path, not just clean orderings.
-  EXPECT_GT(duplicates_dropped, 0);
 }
 
 TEST(TransportFaultSoakTest, OneHopInProcess) {
@@ -189,17 +168,41 @@ TEST(TransportFaultSoakTest, TwoHopsUnixSocket) {
   FaultySoak(2, TransportKind::kUnixSocket, 300);
 }
 
-TEST(TransportFaultSoakTest, EveryMessageDuplicatedIsDroppedByTag) {
-  // duplicate_probability = 1: every message arrives at least twice.
-  // Re-applying any of them would double mail counts or wedge the
-  // sender-count barrier; the tags must drop them all.
+// ---- Exactly-once contract -------------------------------------------------
+
+// In-process delivery that hands the first partial it is given to the
+// handler twice: a transport that breaks the exactly-once contract.
+class DuplicatingTransport : public Transport {
+ public:
+  Status Start(int num_shards, Handler handler) override {
+    return inner_.Start(num_shards, std::move(handler));
+  }
+  Status Send(int from_shard, int to_shard, ShardPartial message) override {
+    if (!duplicated_.exchange(true)) {
+      APAN_RETURN_NOT_OK(inner_.Send(from_shard, to_shard, message));
+    }
+    return inner_.Send(from_shard, to_shard, std::move(message));
+  }
+  void Stop() override { inner_.Stop(); }
+  const char* name() const override { return "duplicating"; }
+
+ private:
+  InProcessTransport inner_;
+  std::atomic<bool> duplicated_{false};
+};
+
+TEST(TransportContractDeathTest, ReDeliveredPartialAborts) {
+  // Workers are threads: re-execute the binary for the death test
+  // instead of forking a multi-threaded process.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
   Fixture f;
-  const auto reference = RunSerial(f.config, f.dataset, 7, 200, 50).model;
-  const auto run = RunSharded(
-      f, FaultyFactory(TransportKind::kInProcess, 99, /*duplicate=*/1.0),
-      200, 50);
-  ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
-  EXPECT_GT(run.stats.duplicates_dropped, 0);
+  EXPECT_DEATH(
+      {
+        static_cast<void>(RunSharded(
+            f, [] { return std::make_unique<DuplicatingTransport>(); }, 200,
+            50, /*shutdown_without_flush=*/false, /*num_shards=*/2));
+      },
+      "re-delivered a ShardPartial");
 }
 
 // ---- Partition independence ------------------------------------------------
