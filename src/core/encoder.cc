@@ -97,6 +97,23 @@ ApanEncoder::Output ApanEncoder::Forward(
                  "encoder mailbox tensor shape mismatch");
   const int64_t batch = last_embeddings.dim(0);
   APAN_CHECK(mails.dim(0) == batch);
+  // Both forwards index the mask and, in the time-kernel mode, each row's
+  // first `counts[b]` timestamps, so a malformed read must abort here.
+  APAN_CHECK_MSG(mailbox_read.mask.size() ==
+                     static_cast<size_t>(batch * slots_),
+                 "encoder mailbox mask must have batch*slots entries");
+  APAN_CHECK_MSG(mailbox_read.counts.size() == static_cast<size_t>(batch),
+                 "encoder mailbox counts must have one entry per row");
+  for (const int64_t c : mailbox_read.counts) {
+    APAN_CHECK_MSG(c >= 0 && c <= slots_,
+                   "encoder mailbox count outside [0, slots]");
+  }
+  if (positional_mode_ == PositionalMode::kTimeKernel) {
+    APAN_CHECK_MSG(
+        mailbox_read.timestamps.size() ==
+            static_cast<size_t>(batch * slots_),
+        "time-kernel positional mode needs mailbox timestamps");
+  }
 
   if (!tensor::NoGradGuard::GradEnabled()) {
     return ForwardInference(last_embeddings, mailbox_read);
@@ -110,10 +127,6 @@ ApanEncoder::Output ApanEncoder::Forward(
     pos = positional_.Forward(PositionIds(batch, slots_));  // {b*m, d}
   } else {
     // §3.6 extension: Bochner time kernel over (newest mail − mail) age.
-    APAN_CHECK_MSG(
-        mailbox_read.timestamps.size() ==
-            static_cast<size_t>(batch * slots_),
-        "time-kernel positional mode needs mailbox timestamps");
     pos = time_positional_.Forward(
         TimeDeltas(mailbox_read, batch, slots_));  // {b*m, d}
   }
@@ -156,18 +169,14 @@ ApanEncoder::Output ApanEncoder::ForwardInference(
     tensor::kernels::AddBias(mails.data(), positional_.table().data(),
                              enriched.data(), batch, slots_ * dim_);
   } else {
-    APAN_CHECK_MSG(
-        mailbox_read.timestamps.size() ==
-            static_cast<size_t>(batch * slots_),
-        "time-kernel positional mode needs mailbox timestamps");
     Tensor pos = time_positional_.Forward(
         TimeDeltas(mailbox_read, batch, slots_));  // {b*m, d}
     tensor::kernels::AddSame(mails.data(), pos.data(), enriched.data(),
                              batch * slots_ * dim_);
   }
 
-  // Fused attention (single-kernel masked softmax, strided heads), then
-  // the fused residual+LayerNorm and the fused-ReLU MLP. Dropout is
+  // Fused attention (no mail is projected through W_K or W_V), then the
+  // fused residual+LayerNorm and the fused-ReLU MLP. Dropout is
   // inference-inert by definition here.
   nn::AttentionOutput attn = attention_.Forward(
       last_embeddings, enriched, enriched, &mailbox_read.mask);

@@ -8,6 +8,12 @@
 //                    K = M̂ W_K, V = M̂ W_V) + z(t−)   (Eq. 3-4, shortcut)
 //   z(t) = MLP(LayerNorm(a))              (Eq. 5 + the MLP that follows)
 //
+// The training forward evaluates this as written. The inference forward
+// (the serving encode) never projects a mail: per head it folds W_K into
+// the query, scores the enriched mails M̂ against W_K,h q_h, and applies
+// W_V,h once to the attention-weighted sum of M̂ (see
+// MultiHeadAttention::ForwardInference); the two agree to rounding.
+//
 // No graph query happens here — this is the synchronous link.
 
 #ifndef APAN_CORE_ENCODER_H_
@@ -43,6 +49,9 @@ class ApanEncoder : public nn::Module {
   /// this after releasing it.
   /// \param last_embeddings z(t−) as a constant {batch, dim} tensor.
   /// \param mailbox_read time-sorted mails + mask from Mailbox::ReadBatch.
+  ///        Aborts unless it matches the batch: one count in [0, slots]
+  ///        per row, and batch*slots mask entries (and timestamps, in
+  ///        the time-kernel mode).
   Output Forward(const tensor::Tensor& last_embeddings,
                  const Mailbox::ReadResult& mailbox_read,
                  Rng* dropout_rng = nullptr) const;

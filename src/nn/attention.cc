@@ -1,6 +1,7 @@
 #include "nn/attention.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -10,6 +11,28 @@ namespace nn {
 
 using tensor::Tensor;
 namespace kernels = tensor::kernels;
+
+namespace {
+
+/// dst {rows, width} = src[:, col : col + width] of a {rows, cols} matrix.
+void GatherCols(const float* src, int64_t rows, int64_t cols, int64_t col,
+                int64_t width, float* dst) {
+  for (int64_t r = 0; r < rows; ++r) {
+    std::memcpy(dst + r * width, src + r * cols + col,
+                static_cast<size_t>(width) * sizeof(float));
+  }
+}
+
+/// dst[:, col : col + width] of a {rows, cols} matrix = src {rows, width}.
+void ScatterCols(const float* src, int64_t rows, int64_t width, float* dst,
+                 int64_t cols, int64_t col) {
+  for (int64_t r = 0; r < rows; ++r) {
+    std::memcpy(dst + r * cols + col, src + r * width,
+                static_cast<size_t>(width) * sizeof(float));
+  }
+}
+
+}  // namespace
 
 MultiHeadAttention::MultiHeadAttention(int64_t model_dim, int64_t num_heads,
                                        Rng* rng, int64_t key_dim,
@@ -109,6 +132,8 @@ AttentionOutput MultiHeadAttention::ForwardInference(
   const int64_t dq = query.dim(1);
   const int64_t dk = keys.dim(2);
   const int64_t dv = values.dim(2);
+  const int64_t h = num_heads_;
+  const int64_t dh = head_dim_;
   // The generic path gets these checks from Linear::Forward; the raw
   // kernels below index the weight buffers directly, so a mismatch here
   // must abort instead of reading out of bounds.
@@ -121,41 +146,68 @@ AttentionOutput MultiHeadAttention::ForwardInference(
                      !wo_.has_bias(),
                  "fused attention path assumes bias-free projections");
 
-  // Projections to {batch, d} / {batch*m, d}; the 3-D key/value tensors
-  // are already row-major {b*m, dk}, so no flatten copy is needed.
+  // q = query W_Q, {b, d}.
   Tensor q = tensor::ForwardBuffer({batch, model_dim_}, /*zero=*/false);
   kernels::MatMul(query.data(), wq_.weight().data(), q.data(), batch, dq,
                   model_dim_);
-  Tensor k = tensor::ForwardBuffer({batch * num_keys, model_dim_},
-                                   /*zero=*/false);
-  kernels::MatMul(keys.data(), wk_.weight().data(), k.data(),
-                  batch * num_keys, dk, model_dim_);
-  Tensor v = tensor::ForwardBuffer({batch * num_keys, model_dim_},
-                                   /*zero=*/false);
-  kernels::MatMul(values.data(), wv_.weight().data(), v.data(),
-                  batch * num_keys, dv, model_dim_);
 
-  // Strided scores replace the Permute+Reshape head split; the softmax
-  // folds the per-(batch, key) mask in without expanding it across heads.
-  Tensor attn = tensor::ForwardBuffer({batch, num_heads_, num_keys},
-                                      /*zero=*/false);
-  kernels::AttentionScores(
-      q.data(), k.data(), attn.data(), batch, num_heads_, num_keys,
-      head_dim_, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
-  kernels::MaskedSoftmax(attn.data(),
-                         mask != nullptr ? mask->data() : nullptr,
-                         attn.data(), batch, num_heads_, num_keys);
+  // Per-call weight views: W_Kᵀ {d, dk} (rows h*dh .. h*dh+dh-1 are head
+  // h's W_K,hᵀ) and W_V's column blocks as contiguous {h, dv, dh}.
+  Tensor wk_t = tensor::ForwardBuffer({model_dim_, dk}, /*zero=*/false);
+  const float* wk = wk_.weight().data();
+  float* wkt = wk_t.data();
+  for (int64_t r = 0; r < dk; ++r) {
+    for (int64_t c = 0; c < model_dim_; ++c) {
+      wkt[c * dk + r] = wk[r * model_dim_ + c];
+    }
+  }
+  Tensor wv_heads = tensor::ForwardBuffer({h, dv, dh}, /*zero=*/false);
+  for (int64_t hi = 0; hi < h; ++hi) {
+    GatherCols(wv_.weight().data(), dv, model_dim_, hi * dh, dh,
+               wv_heads.data() + hi * dv * dh);
+  }
 
+  // Per-head scratch, reused by every head: each kernel call below reads
+  // and writes contiguous {batch, ·} blocks.
+  Tensor q_head = tensor::ForwardBuffer({batch, dh}, /*zero=*/false);
+  Tensor qk = tensor::ForwardBuffer({batch, dk}, /*zero=*/false);
+  Tensor attn = tensor::ForwardBuffer({batch, num_keys}, /*zero=*/false);
+  Tensor mail_ctx = tensor::ForwardBuffer({batch, dv}, /*zero=*/false);
+  Tensor head_ctx = tensor::ForwardBuffer({batch, dh}, /*zero=*/false);
   Tensor context = tensor::ForwardBuffer({batch, model_dim_}, /*zero=*/false);
-  kernels::AttentionContext(attn.data(), v.data(), context.data(), batch,
-                            num_heads_, num_keys, head_dim_);
+  Tensor weights = tensor::ForwardBuffer({batch, h, num_keys},
+                                         /*zero=*/false);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  for (int64_t hi = 0; hi < h; ++hi) {
+    // score_s = m_s · (W_K,h q_h): one {b, dh} x {dh, dk} GEMM per head
+    // instead of projecting every key.
+    GatherCols(q.data(), batch, model_dim_, hi * dh, dh, q_head.data());
+    kernels::MatMul(q_head.data(), wk_t.data() + hi * dh * dk, qk.data(),
+                    batch, dh, dk);
+    kernels::AttentionScores(qk.data(), keys.data(), attn.data(), batch, 1,
+                             num_keys, dk, scale);
+    kernels::MaskedSoftmax(attn.data(),
+                           mask != nullptr ? mask->data() : nullptr,
+                           attn.data(), batch, 1, num_keys);
+    // context_h = (Σ_s a_s v_s) W_V,h: weight the raw values, then
+    // project the one weighted sum.
+    kernels::AttentionContext(attn.data(), values.data(), mail_ctx.data(),
+                              batch, 1, num_keys, dv);
+    kernels::MatMul(mail_ctx.data(), wv_heads.data() + hi * dv * dh,
+                    head_ctx.data(), batch, dv, dh);
+    ScatterCols(head_ctx.data(), batch, dh, context.data(), model_dim_,
+                hi * dh);
+    ScatterCols(attn.data(), batch, num_keys, weights.data(), h * num_keys,
+                hi * num_keys);
+  }
+
   Tensor out = tensor::ForwardBuffer({batch, model_dim_}, /*zero=*/false);
   kernels::MatMul(context.data(), wo_.weight().data(), out.data(), batch,
                   model_dim_, model_dim_);
 
   AttentionOutput result;
   result.output = out;
-  result.weights = attn;  // already {batch, heads, num_keys}, no grad
+  result.weights = weights;  // {batch, heads, num_keys}, no grad
   return result;
 }
 

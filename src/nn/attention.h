@@ -56,11 +56,20 @@ class MultiHeadAttention : public Module {
   static constexpr float kMaskedOut = -1e9f;
 
  private:
-  /// Kernel-fused forward for inference mode (NoGradGuard active): no
-  /// autograd graph, no Permute/Reshape head-split materializations, no
-  /// batch*heads*num_keys mask expansion — the projections feed strided
-  /// AttentionScores / MaskedSoftmax / AttentionContext kernels and all
-  /// intermediates come from the active TensorArena.
+  /// Kernel-fused forward for inference mode (NoGradGuard active). Keys
+  /// and values are never projected: with one query per row, head h
+  /// evaluates
+  ///   q_h       = (query W_Q)[:, h*dh : (h+1)*dh]
+  ///   score_s   = keys_s · (W_K,h q_h) / sqrt(dh)
+  ///   a         = softmax(score + mask)
+  ///   context_h = (Σ_s a_s values_s) W_V,h
+  /// and the heads' contexts go through W_O — the training graph's math
+  /// with the K/V projections moved across the dot product, so each head
+  /// costs two {batch, ·} GEMMs instead of two {batch*num_keys, ·} ones.
+  /// Floats are summed in a different order than in Forward's graph, so
+  /// the two agree to rounding, not bitwise. No autograd graph, no
+  /// batch*heads*num_keys mask expansion; all intermediates come from the
+  /// active TensorArena.
   AttentionOutput ForwardInference(const tensor::Tensor& query,
                                    const tensor::Tensor& keys,
                                    const tensor::Tensor& values,

@@ -96,6 +96,41 @@ TEST(ApanEncoderTest, InvariantToDeliveryOrderAfterSort) {
   }
 }
 
+TEST(ApanEncoderDeathTest, MalformedReadResultAborts) {
+  // Forward is the public entry point: a read whose counts or mask do not
+  // match the batch must abort, not index past the buffers.
+  for (const PositionalMode mode :
+       {PositionalMode::kLearnedPosition, PositionalMode::kTimeKernel}) {
+    ApanConfig cfg = SmallConfig();
+    cfg.positional = mode;
+    Rng rng(9);
+    ApanEncoder enc(cfg, &rng);
+    enc.SetTraining(false);
+    Mailbox box(10, 4, 8);
+    box.Deliver(3, std::vector<float>(8, 1.0f), 1.0);
+    box.Deliver(3, std::vector<float>(8, 2.0f), 2.0);
+    const Mailbox::ReadResult good = box.ReadBatch({3, 5});
+    const Tensor last = Tensor::Randn({2, 8}, &rng);
+
+    Mailbox::ReadResult short_counts = good;
+    short_counts.counts.pop_back();
+    EXPECT_DEATH(static_cast<void>(enc.Forward(last, short_counts)),
+                 "counts must have one entry per row");
+    Mailbox::ReadResult over = good;
+    over.counts[0] = cfg.mailbox_slots + 1;
+    EXPECT_DEATH(static_cast<void>(enc.Forward(last, over)),
+                 "count outside");
+    Mailbox::ReadResult negative = good;
+    negative.counts[1] = -1;
+    EXPECT_DEATH(static_cast<void>(enc.Forward(last, negative)),
+                 "count outside");
+    Mailbox::ReadResult short_mask = good;
+    short_mask.mask.pop_back();
+    EXPECT_DEATH(static_cast<void>(enc.Forward(last, short_mask)),
+                 "mask must have batch\\*slots entries");
+  }
+}
+
 TEST(ApanEncoderTest, MailContentChangesOutput) {
   Rng rng(5);
   ApanEncoder enc(SmallConfig(), &rng);

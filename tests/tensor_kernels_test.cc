@@ -80,8 +80,8 @@ TEST(KernelParityTest, MatMulMatchesScalarAndReferenceBitwise) {
   Rng rng(1);
   const struct {
     int64_t n, k, m;
-  } shapes[] = {{1, 1, 1}, {5, 7, 9},   {2, 3, 32},
-                {8, 128, 33}, {32, 32, 32}, {3, 10, 200}};
+  } shapes[] = {{1, 1, 1},    {5, 7, 9},    {2, 3, 32}, {8, 128, 33},
+                {32, 32, 32}, {3, 10, 200}, {6, 32, 16}};
   for (const auto& s : shapes) {
     const auto a = RandomVec(static_cast<size_t>(s.n * s.k), &rng);
     const auto b = RandomVec(static_cast<size_t>(s.k * s.m), &rng);
@@ -232,21 +232,33 @@ TEST(KernelParityTest, DotMatchesScalarBitwiseAndReferenceUlp) {
 
 TEST(KernelParityTest, AttentionKernelsMatchScalarBitwise) {
   Rng rng(8);
-  const int64_t b = 6, h = 2, m = 10, dh = 16;
-  const auto q = RandomVec(static_cast<size_t>(b * h * dh), &rng);
-  const auto k = RandomVec(static_cast<size_t>(b * m * h * dh), &rng);
-  std::vector<float> s_d(static_cast<size_t>(b * h * m)), s_s(s_d.size());
-  kernels::AttentionScores(q.data(), k.data(), s_d.data(), b, h, m, dh,
-                           0.25f);
-  kernels::scalar::AttentionScores(q.data(), k.data(), s_s.data(), b, h, m,
-                                   dh, 0.25f);
-  ExpectBitwise(s_d, s_s, "AttentionScores vs scalar");
+  // The strided multi-head shape and the one-head shapes the serve
+  // attention runs over raw key/value rows, with full and partial 8-lane
+  // blocks.
+  const struct {
+    int64_t b, h, m, dh;
+  } shapes[] = {{6, 2, 10, 16}, {5, 1, 10, 32}, {3, 1, 10, 52},
+                {4, 1, 17, 20}, {2, 3, 8, 7},   {3, 2, 3, 172},
+                {1, 1, 1, 1}};
+  for (const auto& sh : shapes) {
+    SCOPED_TRACE(::testing::Message() << "b " << sh.b << ", h " << sh.h
+                                      << ", m " << sh.m << ", dh " << sh.dh);
+    const int64_t b = sh.b, h = sh.h, m = sh.m, dh = sh.dh;
+    const auto q = RandomVec(static_cast<size_t>(b * h * dh), &rng);
+    const auto k = RandomVec(static_cast<size_t>(b * m * h * dh), &rng);
+    std::vector<float> s_d(static_cast<size_t>(b * h * m)), s_s(s_d.size());
+    kernels::AttentionScores(q.data(), k.data(), s_d.data(), b, h, m, dh,
+                             0.25f);
+    kernels::scalar::AttentionScores(q.data(), k.data(), s_s.data(), b, h, m,
+                                     dh, 0.25f);
+    ExpectBitwise(s_d, s_s, "AttentionScores vs scalar");
 
-  std::vector<float> c_d(static_cast<size_t>(b * h * dh)), c_s(c_d.size());
-  kernels::AttentionContext(s_d.data(), k.data(), c_d.data(), b, h, m, dh);
-  kernels::scalar::AttentionContext(s_d.data(), k.data(), c_s.data(), b, h,
-                                    m, dh);
-  ExpectBitwise(c_d, c_s, "AttentionContext vs scalar");
+    std::vector<float> c_d(static_cast<size_t>(b * h * dh)), c_s(c_d.size());
+    kernels::AttentionContext(s_d.data(), k.data(), c_d.data(), b, h, m, dh);
+    kernels::scalar::AttentionContext(s_d.data(), k.data(), c_s.data(), b, h,
+                                      m, dh);
+    ExpectBitwise(c_d, c_s, "AttentionContext vs scalar");
+  }
 }
 
 TEST(KernelParityTest, ResidualLayerNormMatchesScalarAndComposedOps) {
@@ -438,30 +450,53 @@ TEST(BackwardKernelTest, AccumulateFamilyMatchesSerialLoops) {
 // ---- Fused inference paths vs generic graphs --------------------------------
 
 TEST(FusedForwardTest, AttentionInferenceMatchesTrainingGraph) {
-  Rng rng(11);
-  nn::MultiHeadAttention mha(32, 2, &rng);
-  Tensor q = Tensor::Randn({7, 32}, &rng);
-  Tensor kv = Tensor::Randn({7, 10, 32}, &rng);
-  std::vector<float> mask(70, 0.0f);
-  for (int64_t b = 0; b < 7; ++b) {
-    for (int64_t s = 4 + (b % 3); s < 10; ++s) {
-      mask[static_cast<size_t>(b * 10 + s)] =
-          nn::MultiHeadAttention::kMaskedOut;
+  // APAN's call shape (keys == values, every input at model_dim) and the
+  // TGAT/TGN shape (query, key and value dims of their own, keys !=
+  // values), each at 1, 2 and 4 heads. Row 0 is fully masked, row 1 has
+  // an all-zero (cold-start) mask and the other rows mask a ragged tail.
+  struct Case {
+    int64_t heads, query_dim, key_dim, value_dim;
+  };
+  constexpr int64_t kBatch = 7, kKeys = 10, kModel = 32;
+  for (const bool shared_kv : {true, false}) {
+    for (const int64_t heads : {1, 2, 4}) {
+      const Case c = shared_kv ? Case{heads, kModel, kModel, kModel}
+                               : Case{heads, 40, 52, 20};
+      SCOPED_TRACE(::testing::Message()
+                   << "heads " << c.heads << ", dq " << c.query_dim
+                   << ", dk " << c.key_dim << ", dv " << c.value_dim);
+      Rng rng(11 + static_cast<uint64_t>(heads));
+      nn::MultiHeadAttention mha(kModel, c.heads, &rng, c.key_dim,
+                                 c.value_dim, c.query_dim);
+      Tensor q = Tensor::Randn({kBatch, c.query_dim}, &rng);
+      Tensor k = Tensor::Randn({kBatch, kKeys, c.key_dim}, &rng);
+      Tensor v =
+          shared_kv ? k : Tensor::Randn({kBatch, kKeys, c.value_dim}, &rng);
+      std::vector<float> mask(kBatch * kKeys, 0.0f);
+      for (int64_t s = 0; s < kKeys; ++s) {
+        mask[static_cast<size_t>(s)] = nn::MultiHeadAttention::kMaskedOut;
+      }
+      for (int64_t b = 2; b < kBatch; ++b) {
+        for (int64_t s = 4 + (b % 3); s < kKeys; ++s) {
+          mask[static_cast<size_t>(b * kKeys + s)] =
+              nn::MultiHeadAttention::kMaskedOut;
+        }
+      }
+      nn::AttentionOutput generic = mha.Forward(q, k, v, &mask);
+      nn::AttentionOutput fused;
+      {
+        tensor::NoGradGuard no_grad;
+        fused = mha.Forward(q, k, v, &mask);
+      }
+      ASSERT_EQ(fused.output.shape(), generic.output.shape());
+      ASSERT_EQ(fused.weights.shape(), generic.weights.shape());
+      for (int64_t i = 0; i < generic.output.numel(); ++i) {
+        EXPECT_NEAR(fused.output.item(i), generic.output.item(i), 2e-4f);
+      }
+      for (int64_t i = 0; i < generic.weights.numel(); ++i) {
+        EXPECT_NEAR(fused.weights.item(i), generic.weights.item(i), 1e-4f);
+      }
     }
-  }
-  nn::AttentionOutput generic = mha.Forward(q, kv, kv, &mask);
-  nn::AttentionOutput fused;
-  {
-    tensor::NoGradGuard no_grad;
-    fused = mha.Forward(q, kv, kv, &mask);
-  }
-  ASSERT_EQ(fused.output.shape(), generic.output.shape());
-  ASSERT_EQ(fused.weights.shape(), generic.weights.shape());
-  for (int64_t i = 0; i < generic.output.numel(); ++i) {
-    EXPECT_NEAR(fused.output.item(i), generic.output.item(i), 2e-4f);
-  }
-  for (int64_t i = 0; i < generic.weights.numel(); ++i) {
-    EXPECT_NEAR(fused.weights.item(i), generic.weights.item(i), 1e-4f);
   }
 }
 
@@ -502,27 +537,35 @@ struct EncoderFixture {
 };
 
 TEST(FusedForwardTest, EncoderInferenceMatchesTrainingGraph) {
-  EncoderFixture f;
-  core::ApanEncoder encoder(f.config, &f.rng);
-  encoder.SetTraining(false);
-  core::NodeStateStore store(f.config.num_nodes, f.config.mailbox_slots,
-                             f.config.embedding_dim);
-  std::vector<graph::NodeId> nodes = {1, 4, 9, 16, 25, 36, 49};
-  f.Warm(&store, nodes);
+  for (const core::PositionalMode mode :
+       {core::PositionalMode::kLearnedPosition,
+        core::PositionalMode::kTimeKernel}) {
+    SCOPED_TRACE(mode == core::PositionalMode::kTimeKernel ? "time-kernel"
+                                                           : "learned");
+    EncoderFixture f;
+    f.config.positional = mode;
+    core::ApanEncoder encoder(f.config, &f.rng);
+    encoder.SetTraining(false);
+    core::NodeStateStore store(f.config.num_nodes, f.config.mailbox_slots,
+                               f.config.embedding_dim);
+    std::vector<graph::NodeId> nodes = {1, 4, 9, 16, 25, 36, 49};
+    f.Warm(&store, nodes);
 
-  // Generic graph path (gradient recording on).
-  core::ApanEncoder::Output generic = f.Encode(encoder, store, nodes);
-  core::ApanEncoder::Output fused;
-  {
-    tensor::NoGradGuard no_grad;
-    fused = f.Encode(encoder, store, nodes);
-  }
-  ASSERT_EQ(fused.embeddings.shape(), generic.embeddings.shape());
-  for (int64_t i = 0; i < generic.embeddings.numel(); ++i) {
-    EXPECT_NEAR(fused.embeddings.item(i), generic.embeddings.item(i), 5e-4f);
-  }
-  for (int64_t i = 0; i < generic.attention.numel(); ++i) {
-    EXPECT_NEAR(fused.attention.item(i), generic.attention.item(i), 1e-4f);
+    // Generic graph path (gradient recording on).
+    core::ApanEncoder::Output generic = f.Encode(encoder, store, nodes);
+    core::ApanEncoder::Output fused;
+    {
+      tensor::NoGradGuard no_grad;
+      fused = f.Encode(encoder, store, nodes);
+    }
+    ASSERT_EQ(fused.embeddings.shape(), generic.embeddings.shape());
+    for (int64_t i = 0; i < generic.embeddings.numel(); ++i) {
+      EXPECT_NEAR(fused.embeddings.item(i), generic.embeddings.item(i),
+                  5e-4f);
+    }
+    for (int64_t i = 0; i < generic.attention.numel(); ++i) {
+      EXPECT_NEAR(fused.attention.item(i), generic.attention.item(i), 1e-4f);
+    }
   }
 }
 
