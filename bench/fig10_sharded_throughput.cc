@@ -65,6 +65,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/sharded_engine.h"
+#include "serve/snapshot.h"
 #include "serve/transport.h"
 
 namespace {
@@ -545,11 +546,12 @@ int main(int argc, char** argv) {
   // ---- Recovery plane: checkpoint write + rejoin cost --------------------
   // One crash/recovery cycle per transport plane at 4 shards: engine A
   // serves the first half of the stream and is checkpointed at a flushed
-  // boundary; a fresh engine B restores every shard and replays the
-  // second half. snapshot_write_ms prices the checkpoint (all four
-  // shards, crash-atomic files); restore_replay_ms is the full rejoin —
-  // decode + validate + adopt state, then replay from the snapshot's
-  // batch watermark to the stream head. events_shed must be 0 here (no
+  // boundary (ShardedEngine::Snapshot); a fresh engine B restores the set
+  // (Restore) and replays the second half. snapshot_write_ms prices the
+  // checkpoint (all four shards, crash-atomic files); restore_replay_ms is
+  // the full rejoin — decode + validate every image, rebuild each mailbox
+  // through Deliver, then replay from the snapshot's batch watermark to
+  // the stream head. events_shed must be 0 here (no
   // shard is ever down in this cycle); bench_check enforces that, so a
   // regression that silently sheds traffic during rejoin fails CI.
   struct RecoveryRow {
@@ -567,15 +569,11 @@ int main(int argc, char** argv) {
     const size_t total_batches = wiki.events.size() / batch;
     const size_t cut = (total_batches / 2) * batch;
     const std::string snap_dir =
-        std::filesystem::temp_directory_path().string();
+        (std::filesystem::temp_directory_path() / "fig10_recovery").string();
     for (const serve::TransportKind plane : planes) {
       RecoveryRow row;
       row.shards = shards;
-      std::vector<std::string> paths;
-      for (int s = 0; s < shards; ++s) {
-        paths.push_back(snap_dir + "/fig10_recovery_" + std::to_string(s) +
-                        ".apsn");
-      }
+      std::filesystem::create_directories(snap_dir);
       {
         core::ApanModel model(config, &wiki.features, /*seed=*/2021);
         serve::ShardedEngine::Options options;
@@ -591,14 +589,13 @@ int main(int argc, char** argv) {
         }
         engine.Flush();
         Stopwatch snap_watch;
-        for (int s = 0; s < shards; ++s) {
-          const Status st = engine.SnapshotShard(s, paths[s]);
-          APAN_CHECK_MSG(st.ok(), st.ToString());
-        }
+        const Status st = engine.Snapshot(snap_dir);
+        APAN_CHECK_MSG(st.ok(), st.ToString());
         row.snapshot_write_ms = snap_watch.ElapsedMillis();
-        for (const std::string& path : paths) {
+        for (int s = 0; s < shards; ++s) {
           std::error_code ec;
-          const auto bytes = std::filesystem::file_size(path, ec);
+          const auto bytes = std::filesystem::file_size(
+              serve::snapshot::ShardPath(snap_dir, s), ec);
           if (!ec) row.snapshot_bytes += static_cast<int64_t>(bytes);
         }
         // Engine A dies here (scope exit); only the files survive.
@@ -610,10 +607,8 @@ int main(int argc, char** argv) {
         options.transport = serve::MakeTransportFactory(plane);
         serve::ShardedEngine engine(&model, options);
         Stopwatch rejoin_watch;
-        for (int s = 0; s < shards; ++s) {
-          const Status st = engine.RestoreShard(s, paths[s]);
-          APAN_CHECK_MSG(st.ok(), st.ToString());
-        }
+        const Status st = engine.Restore(snap_dir);
+        APAN_CHECK_MSG(st.ok(), st.ToString());
         for (size_t lo = cut; lo + batch <= wiki.events.size(); lo += batch) {
           std::vector<graph::Event> events(
               wiki.events.begin() + lo, wiki.events.begin() + lo + batch);
@@ -625,10 +620,8 @@ int main(int argc, char** argv) {
         row.restore_replay_ms = rejoin_watch.ElapsedMillis();
         row.events_shed = engine.stats().events_shed;
       }
-      for (const std::string& path : paths) {
-        std::error_code ec;
-        std::filesystem::remove(path, ec);
-      }
+      std::error_code ec;
+      std::filesystem::remove_all(snap_dir, ec);
       recovery_rows.push_back(row);
     }
   }

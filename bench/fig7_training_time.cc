@@ -4,9 +4,10 @@
 // Shape to verify: TGAT-2layers is the slowest (temporal attention over
 // two recursive hops), the recurrent baselines (JODIE, DyRep) are the
 // cheapest, and APAN sits near the recurrent band — its per-event work
-// is mailbox-local. The training fast path (FMA backward kernels + the
-// graph-planned TrainingArena) is what holds APAN there; bench_check
-// gates the APAN rows on AP and on zero arena plan misses.
+// is mailbox-local. The graph-planned TrainingArena roughly halves the
+// TGAT rows and TGN-2layers; APAN's rows run as fast without it
+// (docs/performance.md, "Measured effect"). bench_check gates the APAN
+// rows on AP and on zero arena plan misses.
 //
 // Emits BENCH_fig7.json (the training-speed trajectory bench_check
 // validates across PRs): per model s/epoch, steps/s, test AP, and the

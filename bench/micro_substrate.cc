@@ -113,18 +113,19 @@ void BM_SoftmaxReference(benchmark::State& state) {
 BENCHMARK(BM_SoftmaxReference)->Arg(1024)->Arg(8192);
 
 void BM_MaskedSoftmax(benchmark::State& state) {
-  // The fused mask+softmax over {b, h=2, m=10} scores with a {b, m}
-  // additive mask — replaces mask expansion + Add + SoftmaxLastDim.
+  // The fused mask+softmax over one head's {b, m=10} scores with a {b, m}
+  // additive mask — replaces Add + SoftmaxLastDim. The serve attention
+  // runs it once per head.
   const int64_t b = state.range(0);
   Rng rng(13);
-  std::vector<float> scores(static_cast<size_t>(b * 2 * 10)),
+  std::vector<float> scores(static_cast<size_t>(b * 10)),
       mask(static_cast<size_t>(b * 10), 0.0f), y(scores.size());
   for (auto& v : scores) v = static_cast<float>(rng.Normal());
   for (size_t i = 0; i < mask.size(); i += 3) {
     mask[i] = nn::MultiHeadAttention::kMaskedOut;
   }
   for (auto _ : state) {
-    kernels::MaskedSoftmax(scores.data(), mask.data(), y.data(), b, 2, 10);
+    kernels::MaskedSoftmax(scores.data(), mask.data(), y.data(), b, 10);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * b);

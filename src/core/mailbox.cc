@@ -153,67 +153,6 @@ Mailbox::ReadResult Mailbox::ReadBatch(
   return result;
 }
 
-Status Mailbox::RestoreRaw(std::span<const float> data,
-                           std::span<const double> timestamps,
-                           std::span<const int32_t> head,
-                           std::span<const int32_t> count,
-                           std::span<const int32_t> order) {
-  const auto nodes = static_cast<size_t>(num_nodes_);
-  const auto slots = static_cast<size_t>(slots_);
-  if (data.size() != nodes * slots * static_cast<size_t>(dim_) ||
-      timestamps.size() != nodes * slots || head.size() != nodes ||
-      count.size() != nodes || order.size() != nodes * slots) {
-    return Status::InvalidArgument(
-        "mailbox restore: span sizes do not match this mailbox's "
-        "num_nodes/slots/dim geometry");
-  }
-  // Validate every node's ring invariants BEFORE touching any storage so
-  // a rejected restore leaves the mailbox exactly as it was.
-  std::vector<bool> seen(slots);
-  for (size_t n = 0; n < nodes; ++n) {
-    if (head[n] < 0 || head[n] >= slots_) {
-      return Status::InvalidArgument(internal::StrCat(
-          "mailbox restore: node ", n, " ring head ", head[n],
-          " outside [0, ", slots_, ")"));
-    }
-    if (count[n] < 0 || count[n] > slots_) {
-      return Status::InvalidArgument(internal::StrCat(
-          "mailbox restore: node ", n, " valid count ", count[n],
-          " outside [0, ", slots_, "]"));
-    }
-    // The first count[n] permutation entries must be distinct valid slot
-    // ids sorted by timestamp (ties broken by arrival at write time, so
-    // non-decreasing is the checkable invariant).
-    std::fill(seen.begin(), seen.end(), false);
-    const int32_t* row = order.data() + n * slots;
-    const double* ts = timestamps.data() + n * slots;
-    for (int32_t i = 0; i < count[n]; ++i) {
-      const int32_t slot = row[i];
-      if (slot < 0 || slot >= slots_) {
-        return Status::InvalidArgument(internal::StrCat(
-            "mailbox restore: node ", n, " order entry ", i, " names slot ",
-            slot, " outside [0, ", slots_, ")"));
-      }
-      if (seen[static_cast<size_t>(slot)]) {
-        return Status::InvalidArgument(internal::StrCat(
-            "mailbox restore: node ", n, " order repeats slot ", slot));
-      }
-      seen[static_cast<size_t>(slot)] = true;
-      if (i > 0 && ts[row[i - 1]] > ts[slot]) {
-        return Status::InvalidArgument(internal::StrCat(
-            "mailbox restore: node ", n, " order is not time-sorted at ",
-            "entry ", i));
-      }
-    }
-  }
-  data_.assign(data.begin(), data.end());
-  timestamps_.assign(timestamps.begin(), timestamps.end());
-  head_.assign(head.begin(), head.end());
-  count_.assign(count.begin(), count.end());
-  order_.assign(order.begin(), order.end());
-  return Status::OK();
-}
-
 void Mailbox::Clear() {
   std::fill(data_.begin(), data_.end(), 0.0f);
   std::fill(timestamps_.begin(), timestamps_.end(), 0.0);

@@ -93,28 +93,18 @@ class Mailbox {
   /// Drops all mail (used between training epochs).
   void Clear();
 
-  /// \name Checkpoint hooks (serve/snapshot.cc)
-  /// Raw storage views in *storage* order, not read order — the sorted
-  /// slot permutation rides along so a restored mailbox is bitwise the
-  /// original, never a re-derived approximation of it.
+  /// \name Raw storage views (serve/snapshot.cc, state digests)
+  /// In *storage* order, not read order: node n's mails sit in its ring
+  /// oldest-first from slot raw_head()[n], raw_count()[n] of them, and
+  /// raw_order() holds each node's time-sorted slot permutation. A
+  /// snapshot keeps the mails in arrival order and restores them through
+  /// Deliver, which rebuilds the ring and the permutation.
   ///@{
   std::span<const float> raw_data() const { return data_; }
   std::span<const double> raw_timestamps() const { return timestamps_; }
   std::span<const int32_t> raw_head() const { return head_; }
   std::span<const int32_t> raw_count() const { return count_; }
   std::span<const int32_t> raw_order() const { return order_; }
-
-  /// \brief Replaces the full mailbox state with spans previously taken
-  /// from the raw_*() accessors (a decoded snapshot). Sizes and the ring
-  /// invariants (head/count ranges, permutation validity, time-sorted
-  /// prefix) are validated first; on any violation the mailbox is left
-  /// unchanged and a Status describes the defect — corrupt checkpoints
-  /// must never become undefined mailbox behaviour.
-  Status RestoreRaw(std::span<const float> data,
-                    std::span<const double> timestamps,
-                    std::span<const int32_t> head,
-                    std::span<const int32_t> count,
-                    std::span<const int32_t> order);
   ///@}
 
   /// Bytes of mail payload storage (including the per-node sorted slot

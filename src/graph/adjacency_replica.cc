@@ -85,11 +85,12 @@ AdjacencyReplica::Checkpoint AdjacencyReplica::Export() const {
   return Checkpoint{rows_, latest_timestamp_, num_events_};
 }
 
-Status AdjacencyReplica::Restore(const Checkpoint& checkpoint) {
-  if (checkpoint.rows.size() != rows_.size()) {
+Status AdjacencyReplica::Validate(const Checkpoint& checkpoint,
+                                  int64_t num_nodes) {
+  if (static_cast<int64_t>(checkpoint.rows.size()) != num_nodes) {
     return Status::InvalidArgument(internal::StrCat(
         "replica restore: checkpoint has ", checkpoint.rows.size(),
-        " rows for ", rows_.size(), " nodes"));
+        " rows for ", num_nodes, " nodes"));
   }
   if (checkpoint.num_events < 0) {
     return Status::InvalidArgument(internal::StrCat(
@@ -100,15 +101,13 @@ Status AdjacencyReplica::Restore(const Checkpoint& checkpoint) {
   if (std::isnan(latest) || (std::isinf(latest) && latest > 0)) {
     return Status::InvalidArgument("replica restore: NaN or +inf latest time");
   }
-  // Validate everything before mutating so a rejected checkpoint leaves
-  // the live replica untouched.
   for (size_t r = 0; r < checkpoint.rows.size(); ++r) {
     const auto& row = checkpoint.rows[r];
     for (size_t i = 0; i < row.size(); ++i) {
-      if (!ValidNode(row[i].node)) {
+      if (row[i].node < 0 || row[i].node >= num_nodes) {
         return Status::InvalidArgument(internal::StrCat(
             "replica restore: row ", r, " entry ", i, " names node ",
-            row[i].node, " outside [0, ", num_nodes(), ")"));
+            row[i].node, " outside [0, ", num_nodes, ")"));
       }
       if (!std::isfinite(row[i].timestamp)) {
         return Status::InvalidArgument(internal::StrCat(
@@ -122,6 +121,13 @@ Status AdjacencyReplica::Restore(const Checkpoint& checkpoint) {
       }
     }
   }
+  return Status::OK();
+}
+
+Status AdjacencyReplica::Restore(const Checkpoint& checkpoint) {
+  // Validate everything before mutating so a rejected checkpoint leaves
+  // the live replica untouched.
+  APAN_RETURN_NOT_OK(Validate(checkpoint, num_nodes()));
   rows_ = checkpoint.rows;
   latest_timestamp_ = checkpoint.latest_timestamp;
   num_events_ = checkpoint.num_events;

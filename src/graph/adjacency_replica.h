@@ -86,11 +86,16 @@ class AdjacencyReplica {
   /// Copies out the replica's contents.
   Checkpoint Export() const;
 
-  /// \brief Replaces the contents with a decoded checkpoint. It must have
-  /// one row per node, valid neighbour ids, timestamp-sorted rows of
-  /// finite timestamps, and a latest timestamp that is finite or −∞ (the
-  /// empty replica's); a violation returns InvalidArgument with the
-  /// replica unchanged.
+  /// \brief Checks that `checkpoint` could be restored into a replica of
+  /// `num_nodes` nodes: one row per node, valid neighbour ids,
+  /// timestamp-sorted rows of finite timestamps, a non-negative event
+  /// count, and a latest timestamp that is finite or −∞ (the empty
+  /// replica's). InvalidArgument names the first violation.
+  static Status Validate(const Checkpoint& checkpoint, int64_t num_nodes);
+
+  /// \brief Replaces the contents with a decoded checkpoint. A checkpoint
+  /// that fails Validate returns its InvalidArgument with the replica
+  /// unchanged.
   Status Restore(const Checkpoint& checkpoint);
 
   /// Bytes of adjacency payload (entries in use, Mailbox::MemoryBytes

@@ -184,15 +184,15 @@ AttentionOutput MultiHeadAttention::ForwardInference(
     GatherCols(q.data(), batch, model_dim_, hi * dh, dh, q_head.data());
     kernels::MatMul(q_head.data(), wk_t.data() + hi * dh * dk, qk.data(),
                     batch, dh, dk);
-    kernels::AttentionScores(qk.data(), keys.data(), attn.data(), batch, 1,
+    kernels::AttentionScores(qk.data(), keys.data(), attn.data(), batch,
                              num_keys, dk, scale);
     kernels::MaskedSoftmax(attn.data(),
                            mask != nullptr ? mask->data() : nullptr,
-                           attn.data(), batch, 1, num_keys);
+                           attn.data(), batch, num_keys);
     // context_h = (Σ_s a_s v_s) W_V,h: weight the raw values, then
     // project the one weighted sum.
     kernels::AttentionContext(attn.data(), values.data(), mail_ctx.data(),
-                              batch, 1, num_keys, dv);
+                              batch, num_keys, dv);
     kernels::MatMul(mail_ctx.data(), wv_heads.data() + hi * dv * dh,
                     head_ctx.data(), batch, dv, dh);
     ScatterCols(head_ctx.data(), batch, dh, context.data(), model_dim_,

@@ -278,18 +278,17 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   }
 
   ctx->batch = next_batch_++;
-  next_ordinal_ += static_cast<int64_t>(events.size());
   last_timestamp_ = latest;
   ctx->events = events;
 
-  // Graceful degradation (SetShardDown): records homed to a down shard
+  // Graceful degradation (MarkShardDown): records homed to a down shard
   // are shed whole, its sampling/application legs are never counted (its
   // replica misses the batch), and its merge contribution to every
   // healthy shard is synthesized empty —
   // so the reassembly barriers complete and Flush never blocks on the
   // dead shard. The flags only flip at flushed batch boundaries
-  // (SetShardDown / lane failure between batches), so one read per batch
-  // is a consistent view.
+  // (MarkShardDown, ResetState, Restore, or a lane failure between
+  // batches), so one read per batch is a consistent view.
   std::vector<char> down(static_cast<size_t>(num_shards), 0);
   int up_count = 0;
   for (int s = 0; s < num_shards; ++s) {
@@ -537,7 +536,7 @@ void ShardedEngine::SendPartial(int from_shard, int to_shard,
     if (to_shard == from_shard) {
       // This worker's own partial: the batch can never merge here, so
       // its parked context (events plus embedding matrix) is freed now
-      // instead of waiting for RestoreShard or ResetState.
+      // instead of waiting for Restore or ResetState.
       shards_[to]->pending.erase(batch);
     }
     CompensateLostPartial(to_shard, batch);
@@ -829,81 +828,55 @@ void ShardedEngine::Flush() {
 }
 
 Status ShardedEngine::SnapshotShardLocal(int shard_id, int64_t next_batch,
-                                         int64_t next_ordinal,
                                          const std::string& path) {
   Shard& shard = *shards_[static_cast<size_t>(shard_id)];
   // Flush proved every batch below the watermark merged everywhere, so a
   // non-empty pending map means the merge cursor and the watermark
   // disagree — refuse to capture an image that could not replay to a
   // unique state.
-  if (!shard.pending.empty()) {
+  if (!shard.pending.empty() || shard.next_merge != next_batch) {
     return Status::FailedPrecondition(internal::StrCat(
         "shard ", shard_id, " has ", shard.pending.size(),
-        " unmerged partial sets at a flushed point"));
+        " unmerged partial sets and merge cursor ", shard.next_merge,
+        " at flushed batch ", next_batch));
   }
   snapshot::ShardSnapshot snap;
   snap.shard = shard_id;
   snap.num_shards = options_.num_shards;
-  snap.num_nodes = static_cast<int64_t>(partition_->owner_of.size());
+  snap.num_nodes = partition_->num_nodes();
+  snap.owned_digest = snapshot::OwnedNodesDigest(*partition_, shard_id);
   snap.next_batch = next_batch;
-  snap.next_ordinal = next_ordinal;
   {
     // The capture only reads, but the encode pool reads these rows too;
     // same discipline as every other store access.
     util::MutexLock state_lock(shard.state_mu);
-    const core::Mailbox& mailbox = shard.store->mailbox();
-    snap.owned_nodes = mailbox.num_nodes();
-    snap.owned_digest = snapshot::OwnedNodesDigest(*partition_, shard_id);
-    snap.mailbox_slots = mailbox.slots();
-    snap.mail_dim = mailbox.dim();
-    snap.state_dim = shard.store->dim();
-    const auto data = mailbox.raw_data();
-    snap.mailbox_data.assign(data.begin(), data.end());
-    const auto timestamps = mailbox.raw_timestamps();
-    snap.mailbox_timestamps.assign(timestamps.begin(), timestamps.end());
-    const auto head = mailbox.raw_head();
-    snap.mailbox_head.assign(head.begin(), head.end());
-    const auto count = mailbox.raw_count();
-    snap.mailbox_count.assign(count.begin(), count.end());
-    const auto order = mailbox.raw_order();
-    snap.mailbox_order.assign(order.begin(), order.end());
-    const auto z = shard.store->raw_state();
-    snap.z_rows.assign(z.begin(), z.end());
+    snapshot::CaptureStore(*shard.store, &snap);
   }
   snap.replica = shard.replica->Export();
-  snap.next_merge = shard.next_merge;
   return snapshot::WriteShardSnapshot(snap, path);
 }
 
-Status ShardedEngine::RestoreShardLocal(int shard_id,
-                                        const snapshot::ShardSnapshot& snap) {
+void ShardedEngine::RestoreShardLocal(int shard_id,
+                                      const snapshot::ShardSnapshot& snap) {
   Shard& shard = *shards_[static_cast<size_t>(shard_id)];
   {
     util::MutexLock state_lock(shard.state_mu);
-    core::Mailbox& mailbox = shard.store->mailbox();
-    // Both installers validate fully before mutating, so a failure here
-    // leaves the pre-restore state intact; the geometry was already
-    // matched against the engine's topology in RestoreShard, which makes
-    // a RestoreRawState size failure after a RestoreRaw success
-    // impossible (both derive from the same owned/dim image fields).
-    APAN_RETURN_NOT_OK(mailbox.RestoreRaw(
-        snap.mailbox_data, snap.mailbox_timestamps, snap.mailbox_head,
-        snap.mailbox_count, snap.mailbox_order));
-    APAN_RETURN_NOT_OK(shard.store->RestoreRawState(snap.z_rows));
+    snapshot::InstallStore(snap, shard.store.get());
   }
-  APAN_RETURN_NOT_OK(shard.replica->Restore(snap.replica));
+  // Restore validated the replica before any shard changed.
+  const Status replica = shard.replica->Restore(snap.replica);
+  APAN_CHECK_MSG(replica.ok(), replica.ToString());
   // Replay state, rewound to the image's flushed point: pending is
   // structurally empty there (Flush settled every barrier), and the merge
-  // cursor resumes exactly where the capture stood.
+  // cursor resumes at the watermark.
   shard.pending.clear();
-  shard.next_merge = snap.next_merge;
-  return Status::OK();
+  shard.next_merge = snap.next_batch;
 }
 
 void ShardedEngine::ResetState() {
   // Holding infer_mu_ end-to-end serializes against InferBatch: no new
-  // batch can interleave with the reset, and batch/ordinal sequencing
-  // below is rewound under the same lock that advances it.
+  // batch can interleave with the reset, and batch sequencing below is
+  // rewound under the same lock that advances it.
   util::MutexLock infer_lock(infer_mu_);
   if (shutdown_) return;
   // RunControlJob flushes first; after that every inbox and every
@@ -930,8 +903,10 @@ void ShardedEngine::ResetState() {
     APAN_CHECK_MSG(reset.ok(), reset.ToString());
   }
   next_batch_ = 0;
-  next_ordinal_ = 0;
   last_timestamp_ = -std::numeric_limits<double>::infinity();
+  // Every shard now holds the same (empty) point, so a down shard is in
+  // sync again.
+  for (auto& down : shard_down_) down.store(false, std::memory_order_relaxed);
 }
 
 Status ShardedEngine::RunControlJob(
@@ -963,108 +938,121 @@ Status ShardedEngine::RunControlJob(
   return status;
 }
 
-Status ShardedEngine::SnapshotShard(int shard, const std::string& path) {
+Status ShardedEngine::Snapshot(const std::string& dir) {
   util::MutexLock infer_lock(infer_mu_);
-  if (shutdown_) {
-    return Status::FailedPrecondition("SnapshotShard after Shutdown");
+  if (shutdown_) return Status::FailedPrecondition("Snapshot after Shutdown");
+  // After this flush no partial is in flight, so no lane failure can mark
+  // a shard down before the captures below run.
+  Flush();
+  for (int s = 0; s < options_.num_shards; ++s) {
+    if (shard_down_[static_cast<size_t>(s)].load(std::memory_order_relaxed)) {
+      return Status::FailedPrecondition(internal::StrCat(
+          "Snapshot: shard ", s,
+          " is down and missed batches; ResetState or Restore first"));
+    }
   }
-  if (shard < 0 || shard >= options_.num_shards) {
-    return Status::InvalidArgument(internal::StrCat(
-        "SnapshotShard: shard ", shard, " out of range [0, ",
-        options_.num_shards, ")"));
+  // The watermark is read under infer_mu_ — the lock that advances it —
+  // and rides into every image. (The worker cannot read it itself without
+  // an ACQUIRED_AFTER violation.)
+  for (int s = 0; s < options_.num_shards; ++s) {
+    APAN_RETURN_NOT_OK(RunControlJob(
+        s, [this, path = snapshot::ShardPath(dir, s),
+            next_batch = next_batch_](int shard_id) {
+          return SnapshotShardLocal(shard_id, next_batch, path);
+        }));
   }
-  // The engine-level numbering is captured under infer_mu_ — the lock
-  // that advances it — and rides into the image so a restored engine
-  // resumes the batch/ordinal sequence exactly where this one stood. (The
-  // worker cannot read it itself without an ACQUIRED_AFTER violation.)
-  return RunControlJob(
-      shard, [this, path, next_batch = next_batch_,
-              next_ordinal = next_ordinal_](int shard_id) {
-        return SnapshotShardLocal(shard_id, next_batch, next_ordinal, path);
-      });
+  return Status::OK();
 }
 
-Status ShardedEngine::RestoreShard(int shard, const std::string& path) {
-  util::MutexLock infer_lock(infer_mu_);
-  if (shutdown_) {
-    return Status::FailedPrecondition("RestoreShard after Shutdown");
-  }
-  if (shard < 0 || shard >= options_.num_shards) {
+Status ShardedEngine::CheckImage(int shard,
+                                 const snapshot::ShardSnapshot& snap) const {
+  if (snap.shard != shard) {
     return Status::InvalidArgument(internal::StrCat(
-        "RestoreShard: shard ", shard, " out of range [0, ",
-        options_.num_shards, ")"));
+        "snapshot file of shard ", shard, " holds shard ", snap.shard,
+        "'s image"));
   }
-  auto snap_or = snapshot::ReadShardSnapshot(path);
-  if (!snap_or.ok()) return snap_or.status();
-  auto snap = std::make_shared<const snapshot::ShardSnapshot>(
-      std::move(*snap_or));
-  // Topology validation before anything mutates: the image must match
-  // this engine, this shard, and this partition exactly.
-  if (snap->shard != shard) {
+  if (snap.num_shards != options_.num_shards) {
     return Status::InvalidArgument(internal::StrCat(
-        "snapshot is for shard ", snap->shard, ", not shard ", shard));
-  }
-  if (snap->num_shards != options_.num_shards) {
-    return Status::InvalidArgument(internal::StrCat(
-        "snapshot taken under ", snap->num_shards, " shards; engine has ",
+        "snapshot taken under ", snap.num_shards, " shards; engine has ",
         options_.num_shards));
   }
   const auto& config = model_->config();
-  if (snap->num_nodes != config.num_nodes ||
-      snap->mailbox_slots != config.mailbox_slots ||
-      snap->mail_dim != config.embedding_dim ||
-      snap->state_dim != config.embedding_dim) {
+  if (snap.num_nodes != config.num_nodes ||
+      snap.mailbox_slots != config.mailbox_slots ||
+      snap.dim != config.embedding_dim) {
     return Status::InvalidArgument(internal::StrCat(
-        "snapshot geometry (nodes=", snap->num_nodes,
-        ", slots=", snap->mailbox_slots, ", mail_dim=", snap->mail_dim,
-        ", state_dim=", snap->state_dim,
+        "snapshot geometry (nodes=", snap.num_nodes,
+        ", slots=", snap.mailbox_slots, ", dim=", snap.dim,
         ") does not match the engine's model config"));
   }
-  const int64_t owned =
-      partition_->owned_count[static_cast<size_t>(shard)];
-  if (snap->owned_nodes != owned) {
+  const int64_t owned = partition_->owned_count[static_cast<size_t>(shard)];
+  if (static_cast<int64_t>(snap.mail_count.size()) != owned) {
     return Status::InvalidArgument(internal::StrCat(
-        "snapshot owns ", snap->owned_nodes, " nodes; shard ", shard,
+        "snapshot owns ", snap.mail_count.size(), " nodes; shard ", shard,
         " owns ", owned, " under this partition"));
   }
   // Rows restore by local position, so the image must also own the same
   // nodes in the same row order — an equal count is not enough.
-  if (snap->owned_digest != snapshot::OwnedNodesDigest(*partition_, shard)) {
+  if (snap.owned_digest != snapshot::OwnedNodesDigest(*partition_, shard)) {
     return Status::InvalidArgument(internal::StrCat(
         "snapshot of shard ", shard,
         " was taken under a different partition: its owned-node digest ",
-        snap->owned_digest, " does not match this engine's"));
+        snap.owned_digest, " does not match this engine's"));
   }
-  const int64_t restored_batch = snap->next_batch;
-  const int64_t restored_ordinal = snap->next_ordinal;
-  const double restored_timestamp = snap->replica.latest_timestamp;
-  APAN_RETURN_NOT_OK(RunControlJob(
-      shard, [this, snap = std::move(snap)](int shard_id) {
-        return RestoreShardLocal(shard_id, *snap);
-      }));
-  // Adopt the image's numbering and stream position. Restoring a
-  // consistent set (one image per shard, all captured at the same flushed
-  // point) writes the same values num_shards times — idempotent; the
-  // caller then replays events from this batch watermark to catch up to
-  // the present.
-  next_batch_ = restored_batch;
-  next_ordinal_ = restored_ordinal;
-  last_timestamp_ = restored_timestamp;
   return Status::OK();
 }
 
-void ShardedEngine::SetShardDown(int shard, bool down) {
+Status ShardedEngine::Restore(const std::string& dir) {
+  util::MutexLock infer_lock(infer_mu_);
+  if (shutdown_) return Status::FailedPrecondition("Restore after Shutdown");
+  // Every image is read and checked before any shard changes.
+  std::vector<snapshot::ShardSnapshot> images;
+  images.reserve(static_cast<size_t>(options_.num_shards));
+  for (int s = 0; s < options_.num_shards; ++s) {
+    auto image = snapshot::ReadShardSnapshot(snapshot::ShardPath(dir, s));
+    APAN_RETURN_NOT_OK(image.status());
+    APAN_RETURN_NOT_OK(CheckImage(s, *image));
+    // Every replica is a full copy of the graph, so images of one point
+    // agree on it as well as on the watermark.
+    const snapshot::ShardSnapshot& first = s == 0 ? *image : images.front();
+    if (image->next_batch != first.next_batch ||
+        image->replica.num_events != first.replica.num_events ||
+        image->replica.latest_timestamp != first.replica.latest_timestamp) {
+      return Status::InvalidArgument(internal::StrCat(
+          "snapshot set mixes recovery points: shard ", s, " is at batch ",
+          image->next_batch, " after ", image->replica.num_events,
+          " events, shard 0 at batch ", first.next_batch, " after ",
+          first.replica.num_events));
+    }
+    images.push_back(std::move(*image));
+  }
+  for (int s = 0; s < options_.num_shards; ++s) {
+    const Status installed =
+        RunControlJob(s, [this, &images](int shard_id) {
+          RestoreShardLocal(shard_id,
+                            images[static_cast<size_t>(shard_id)]);
+          return Status::OK();
+        });
+    APAN_CHECK_MSG(installed.ok(), installed.ToString());
+  }
+  // The caller replays events from this watermark to catch up to the
+  // present.
+  next_batch_ = images.front().next_batch;
+  last_timestamp_ = images.front().replica.latest_timestamp;
+  for (auto& down : shard_down_) down.store(false, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+void ShardedEngine::MarkShardDown(int shard) {
   util::MutexLock infer_lock(infer_mu_);
   if (shutdown_) return;
   APAN_CHECK_MSG(shard >= 0 && shard < options_.num_shards,
-                 "SetShardDown: shard id out of range");
+                 "MarkShardDown: shard id out of range");
   // Flush first so the flag flips at a quiescent point: no in-flight
   // batch straddles the transition, so every batch sees one consistent
-  // up/down view at ingest. (Marking a shard up again without a restore
-  // or reset is only sound if it never missed a batch — a down shard's
-  // replica does not absorb the batches it sheds.)
+  // up/down view at ingest.
   Flush();
-  shard_down_[static_cast<size_t>(shard)].store(down,
+  shard_down_[static_cast<size_t>(shard)].store(true,
                                                 std::memory_order_relaxed);
 }
 

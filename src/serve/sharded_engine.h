@@ -57,7 +57,7 @@
 // exactly-once delivery with no ordering: a batch merges only once every
 // sender's list is in, and a re-delivered list aborts the process as a
 // broken transport. A Send that fails delivers nothing; the engine marks
-// the recipient down and sheds (SetShardDown).
+// the recipient down and sheds (MarkShardDown).
 // With the state plane split into per-shard stores, nothing crosses a
 // shard boundary through shared memory: a shard's entire mutable
 // footprint (store + replica) is address-space independent, and only
@@ -195,56 +195,58 @@ class ShardedEngine {
   /// ApanModel::ResetState for the sharded layout: flushes accepted work,
   /// then routes a reset through every shard's worker that zeroes its
   /// NodeStateStore, empties its graph replica, and rewinds its merge
-  /// cursor; batch/ordinal numbering restarts at 0. After it returns
-  /// the engine reproduces a fresh engine bitwise on the same stream,
-  /// under any transport: the internal flush leaves no frame in flight.
-  /// Stats and latency recorders stay cumulative. Callers must not run
-  /// InferBatch concurrently. No-op after Shutdown.
+  /// cursor; batch numbering restarts at 0 and every shard is up again.
+  /// After it returns the engine reproduces a fresh engine bitwise on the
+  /// same stream, under any transport: the internal flush leaves no frame
+  /// in flight. Stats and latency recorders stay cumulative. Callers must
+  /// not run InferBatch concurrently. No-op after Shutdown.
   void ResetState() APAN_EXCLUDES(infer_mu_, flush_mu_);
 
-  /// \brief Writes shard `shard`'s full recovery image — its
-  /// NodeStateStore (mailbox planes + z(t−) rows), its graph replica, and
-  /// its merge cursor, plus the engine's batch/ordinal numbering —
-  /// crash-atomically to `path` (serve/snapshot.h format). Flushes
-  /// accepted work first, then runs the capture as a control job on the
-  /// shard's own worker thread (the ResetState pattern), so every
-  /// worker-confined field is read by the one thread allowed to touch it.
-  /// Restoring the snapshot and replaying the event stream from its batch
-  /// watermark reproduces the never-crashed mailbox bitwise.
-  Status SnapshotShard(int shard, const std::string& path)
+  /// \brief Writes the engine's recovery point into directory `dir`
+  /// (which must exist): one crash-atomic image per shard,
+  /// snapshot::ShardPath(dir, s), each holding the shard's mail and z(t−)
+  /// rows, its graph replica and the engine's batch watermark
+  /// (serve/snapshot.h format). Flushes accepted work first, then runs
+  /// each capture as a control job on the shard's own worker thread, so
+  /// every worker-confined field is read by the one thread allowed to
+  /// touch it. Restoring the set and replaying the event stream from its
+  /// watermark reproduces the never-crashed state bitwise.
+  /// \return FailedPrecondition while any shard is down (its state missed
+  /// batches, so no consistent point exists) or after Shutdown; the
+  /// write's IoError otherwise.
+  Status Snapshot(const std::string& dir)
       APAN_EXCLUDES(infer_mu_, flush_mu_);
 
-  /// \brief Restores shard `shard` from a snapshot written by
-  /// SnapshotShard: decodes + validates the file against this engine's
-  /// topology (shard id, shard count, node count, mailbox/state geometry,
-  /// and the digest of the nodes the shard owns under this engine's
-  /// partition — an image from another partition is InvalidArgument),
-  /// then installs it via a control job on the shard's worker and adopts
-  /// the snapshot's batch/ordinal numbering (all shards of one recovery
-  /// set carry the same quiesced numbering, so per-shard adoption is
-  /// idempotent across the set). A corrupt, truncated or mismatched
-  /// snapshot returns a non-OK Status with the engine unchanged. Like
-  /// ResetState, it flushes first, so it is safe after ingest under any
-  /// transport.
-  Status RestoreShard(int shard, const std::string& path)
-      APAN_EXCLUDES(infer_mu_, flush_mu_);
+  /// \brief Restores every shard from a set written by Snapshot. Reads,
+  /// decodes and validates all num_shards images before it changes
+  /// anything: file s must hold shard s's image, all under this engine's
+  /// shard count, node count, mailbox geometry and partition (the digest
+  /// of the nodes each shard owns), and all at one point (one batch
+  /// watermark, one replica). Then each shard's worker rebuilds its state
+  /// through the mailbox write path (snapshot::InstallStore) and adopts
+  /// its replica; every merge cursor and the batch numbering restart at
+  /// the watermark, and every shard is up again. Like ResetState, it
+  /// flushes first, so it is safe after ingest under any transport.
+  /// \return IoError for a missing or corrupt file; InvalidArgument for an
+  /// image of another topology or a mixed-point set — the engine is then
+  /// unchanged; FailedPrecondition after Shutdown.
+  Status Restore(const std::string& dir) APAN_EXCLUDES(infer_mu_, flush_mu_);
 
-  /// \brief Marks a shard down (or back up) for graceful degradation.
-  /// While a shard is down the engine keeps serving from the healthy
-  /// shards instead of blocking on the dead one: batches' records homed
-  /// to it are shed (counted in Stats::events_shed), partials to it are
-  /// shed at send (Stats::sends_shed), and its merge contribution is
-  /// synthesized empty so healthy shards' reassembly barriers still
-  /// complete. Healthy shards write no z(t−) row and no mail for a shed
-  /// event, and still sample nodes the down shard owns from their own
-  /// replicas. A shard marked down at runtime drops each batch context
-  /// its queued jobs park, since those batches can never merge there.
-  /// Scores keep flowing — encoded against the down shard's
-  /// frozen state. Flushes in-flight work before flipping the flag, so
-  /// the transition lands at a batch boundary.
-  /// No-op after Shutdown.
-  void SetShardDown(int shard, bool down)
-      APAN_EXCLUDES(infer_mu_, flush_mu_);
+  /// \brief Marks a shard down for graceful degradation. While a shard is
+  /// down the engine keeps serving from the healthy shards instead of
+  /// blocking on the dead one: batches' records homed to it are shed
+  /// (counted in Stats::events_shed), partials to it are shed at send
+  /// (Stats::sends_shed), and its merge contribution is synthesized empty
+  /// so healthy shards' reassembly barriers still complete. Healthy
+  /// shards write no z(t−) row and no mail for a shed event, and still
+  /// sample nodes the down shard owns from their own replicas. A shard
+  /// marked down at runtime drops each batch context its queued jobs
+  /// park, since those batches can never merge there. Scores keep flowing
+  /// — encoded against the down shard's frozen state. Flushes in-flight
+  /// work before setting the flag, so the transition lands at a batch
+  /// boundary. A down shard missed batches, so it stays down until a
+  /// resync: ResetState or Restore. No-op after Shutdown.
+  void MarkShardDown(int shard) APAN_EXCLUDES(infer_mu_, flush_mu_);
 
   struct Stats {
     int64_t batches_ingested = 0;
@@ -272,7 +274,7 @@ class ShardedEngine {
     /// replay-drop counter still build.
     int64_t duplicates_dropped = 0;
     /// Interaction records homed to a down shard and shed whole while it
-    /// was down (SetShardDown). Zero in any run with no shard down.
+    /// was down (MarkShardDown). Zero in any run with no shard down.
     int64_t events_shed = 0;
     /// Partials shed at send — addressed to a down shard, or refused by
     /// the transport because the lane died. Zero in a healthy run.
@@ -393,13 +395,16 @@ class ShardedEngine {
 
   void WorkerLoop(int shard_id) APAN_EXCLUDES(flush_mu_);
   void ProcessJob(int shard_id, BatchJob job) APAN_EXCLUDES(flush_mu_);
-  /// Worker-side halves of SnapshotShard / RestoreShard: they run on the
-  /// shard's own thread so the worker-confined merge cursor and graph
-  /// replica stay thread-local.
+  /// Worker-side halves of Snapshot / Restore: they run on the shard's
+  /// own thread so the worker-confined merge cursor and graph replica
+  /// stay thread-local.
   Status SnapshotShardLocal(int shard_id, int64_t next_batch,
-                            int64_t next_ordinal, const std::string& path);
-  Status RestoreShardLocal(int shard_id, const snapshot::ShardSnapshot& snap);
-  /// The one control-job path (ResetState, SnapshotShard, RestoreShard):
+                            const std::string& path);
+  void RestoreShardLocal(int shard_id, const snapshot::ShardSnapshot& snap);
+  /// Checks one decoded image against this engine's topology: shard
+  /// `shard`'s id, shard and node counts, mailbox geometry and partition.
+  Status CheckImage(int shard, const snapshot::ShardSnapshot& snap) const;
+  /// The one control-job path (ResetState, Snapshot, Restore):
   /// Flush, run `control` on `shard`'s worker, wait for it, return the
   /// Status it produced. Held infer_mu_ keeps InferBatch (and other
   /// control callers) out for the whole round trip.
@@ -459,13 +464,14 @@ class ShardedEngine {
   ThreadPool encode_pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Per-shard down flags (SetShardDown), sized num_shards at
+  /// Per-shard down flags (MarkShardDown), sized num_shards at
   /// construction and never resized. Atomics because the readers span
   /// lock domains — InferBatch under infer_mu_, SendPartial on worker
-  /// threads under no engine lock. Relaxed reads suffice: SetShardDown
-  /// flips a flag only at a flushed quiescent point, and a failed lane
-  /// send only ever sets one, where a reader that still sees the peer up
-  /// sends into the dead lane once more and sheds on that failure.
+  /// threads under no engine lock. Relaxed reads suffice: MarkShardDown
+  /// sets a flag, and ResetState / Restore clear them all, only at a
+  /// flushed quiescent point, and a failed lane send only ever sets one,
+  /// where a reader that still sees the peer up sends into the dead lane
+  /// once more and sheds on that failure.
   std::vector<std::atomic<bool>> shard_down_;
 
   /// Serializes Shutdown callers end-to-end. Outermost engine lock:
@@ -474,13 +480,12 @@ class ShardedEngine {
   bool joined_ APAN_GUARDED_BY(shutdown_mu_) = false;
 
   /// Serializes InferBatch callers (stream-order contract) and guards the
-  /// shutdown flag + batch/ordinal sequencing.
+  /// shutdown flag + batch sequencing.
   util::Mutex infer_mu_ APAN_ACQUIRED_AFTER(shutdown_mu_);
   bool shutdown_ APAN_GUARDED_BY(infer_mu_) = false;
   int64_t next_batch_ APAN_GUARDED_BY(infer_mu_) = 0;
-  int64_t next_ordinal_ APAN_GUARDED_BY(infer_mu_) = 0;  ///< Events accepted.
   /// Timestamp of the last accepted event: InferBatch refuses anything
-  /// older. ResetState rewinds it; RestoreShard adopts the image's.
+  /// older. ResetState rewinds it; Restore adopts the images' replica's.
   double last_timestamp_ APAN_GUARDED_BY(infer_mu_) =
       -std::numeric_limits<double>::infinity();
 

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -34,27 +35,10 @@ bool CheckedMul(uint64_t a, uint64_t b, uint64_t* out) {
   return true;
 }
 
-/// Expected element count of a mailbox plane from the declared geometry;
-/// fails on negative fields or product overflow.
-Status PlaneSize(int64_t owned, int64_t a, int64_t b, const char* what,
-                 uint64_t* out) {
-  if (owned < 0 || a < 0 || b < 0) {
-    return Status::IoError(
-        internal::StrCat("snapshot: negative geometry for ", what));
-  }
-  uint64_t ab = 0;
-  if (!CheckedMul(static_cast<uint64_t>(a), static_cast<uint64_t>(b), &ab) ||
-      !CheckedMul(static_cast<uint64_t>(owned), ab, out)) {
-    return Status::IoError(
-        internal::StrCat("snapshot: geometry overflow for ", what));
-  }
-  return Status::OK();
-}
-
 Status CheckPlane(size_t got, uint64_t expected, const char* what) {
   if (static_cast<uint64_t>(got) != expected) {
     return Status::IoError(internal::StrCat(
-        "snapshot: ", what, " holds ", got, " elements, geometry implies ",
+        "snapshot: ", what, " holds ", got, " elements, the counts imply ",
         expected));
   }
   return Status::OK();
@@ -110,27 +94,72 @@ uint32_t Crc32(std::span<const uint8_t> bytes) {
   return crc ^ 0xffffffffu;
 }
 
+std::string ShardPath(const std::string& dir, int shard) {
+  return internal::StrCat(dir, "/shard-", shard, ".apsn");
+}
+
+void CaptureStore(const core::NodeStateStore& store, ShardSnapshot* snap) {
+  const core::Mailbox& box = store.mailbox();
+  const auto slots = static_cast<size_t>(box.slots());
+  const auto dim = static_cast<size_t>(box.dim());
+  snap->mailbox_slots = box.slots();
+  snap->dim = box.dim();
+  const auto data = box.raw_data();
+  const auto timestamps = box.raw_timestamps();
+  const auto head = box.raw_head();
+  const auto count = box.raw_count();
+  snap->mail_count.assign(count.begin(), count.end());
+  snap->mails.clear();
+  snap->mail_timestamps.clear();
+  for (size_t n = 0; n < count.size(); ++n) {
+    // A node's ring holds its mails oldest-first from its head.
+    for (int32_t k = 0; k < count[n]; ++k) {
+      const size_t slot =
+          n * slots + static_cast<size_t>(head[n] + k) % slots;
+      snap->mails.insert(snap->mails.end(), data.begin() + slot * dim,
+                         data.begin() + (slot + 1) * dim);
+      snap->mail_timestamps.push_back(timestamps[slot]);
+    }
+  }
+  const auto z = store.raw_state();
+  snap->z_rows.assign(z.begin(), z.end());
+}
+
+void InstallStore(const ShardSnapshot& snap, core::NodeStateStore* store) {
+  core::Mailbox& box = store->mailbox();
+  APAN_CHECK_MSG(static_cast<int64_t>(snap.mail_count.size()) ==
+                         box.num_nodes() &&
+                     snap.mailbox_slots == box.slots() &&
+                     snap.dim == box.dim() && snap.dim == store->dim(),
+                 "snapshot geometry does not match the restoring store");
+  store->Reset();
+  const auto dim = static_cast<size_t>(snap.dim);
+  size_t at = 0;
+  for (size_t n = 0; n < snap.mail_count.size(); ++n) {
+    for (int32_t k = 0; k < snap.mail_count[n]; ++k, ++at) {
+      box.Deliver(static_cast<graph::NodeId>(n),
+                  {snap.mails.data() + at * dim, dim},
+                  snap.mail_timestamps[at]);
+    }
+  }
+  const Status z = store->RestoreRawState(snap.z_rows);
+  APAN_CHECK_MSG(z.ok(), z.ToString());
+}
+
 std::vector<uint8_t> EncodeShardSnapshot(const ShardSnapshot& snap) {
   std::vector<uint8_t> payload;
-  // Identity + replay position.
+  // Identity + replay position + geometry: a fixed 48-byte prologue.
   PutI32(&payload, snap.shard);
   PutI32(&payload, snap.num_shards);
   PutI64(&payload, snap.num_nodes);
-  PutI64(&payload, snap.next_batch);
-  PutI64(&payload, snap.next_ordinal);
-  // Geometry.
-  PutI64(&payload, snap.owned_nodes);
   PutU64(&payload, snap.owned_digest);
+  PutI64(&payload, snap.next_batch);
   PutI64(&payload, snap.mailbox_slots);
-  PutI64(&payload, snap.mail_dim);
-  PutI64(&payload, snap.state_dim);
-  // Mailbox planes.
-  PutF32Vec(&payload, snap.mailbox_data);
-  PutF64Vec(&payload, snap.mailbox_timestamps);
-  PutI32Vec(&payload, snap.mailbox_head);
-  PutI32Vec(&payload, snap.mailbox_count);
-  PutI32Vec(&payload, snap.mailbox_order);
-  // z(t−) rows.
+  PutI64(&payload, snap.dim);
+  // Node state.
+  PutI32Vec(&payload, snap.mail_count);
+  PutF32Vec(&payload, snap.mails);
+  PutF64Vec(&payload, snap.mail_timestamps);
   PutF32Vec(&payload, snap.z_rows);
   // Graph replica.
   PutU64(&payload, snap.replica.rows.size());
@@ -143,8 +172,6 @@ std::vector<uint8_t> EncodeShardSnapshot(const ShardSnapshot& snap) {
   }
   PutF64(&payload, snap.replica.latest_timestamp);
   PutI64(&payload, snap.replica.num_events);
-  // Replay state.
-  PutI64(&payload, snap.next_merge);
 
   APAN_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
                  "snapshot: payload exceeds kMaxPayloadBytes");
@@ -208,54 +235,64 @@ Result<ShardSnapshot> DecodeShardSnapshot(std::span<const uint8_t> bytes) {
   APAN_RETURN_NOT_OK(r.ReadI32(&snap.shard, "shard"));
   APAN_RETURN_NOT_OK(r.ReadI32(&snap.num_shards, "num_shards"));
   APAN_RETURN_NOT_OK(r.ReadI64(&snap.num_nodes, "num_nodes"));
+  APAN_RETURN_NOT_OK(r.ReadU64(&snap.owned_digest, "owned_digest"));
   if (snap.num_shards <= 0 || snap.shard < 0 ||
-      snap.shard >= snap.num_shards) {
+      snap.shard >= snap.num_shards || snap.num_nodes < 0) {
     return Status::IoError(internal::StrCat(
-        "snapshot: shard ", snap.shard, " of ", snap.num_shards,
-        " is not a valid identity"));
+        "snapshot: shard ", snap.shard, " of ", snap.num_shards, " over ",
+        snap.num_nodes, " nodes is not a valid identity"));
   }
   APAN_RETURN_NOT_OK(r.ReadI64(&snap.next_batch, "next_batch"));
-  APAN_RETURN_NOT_OK(r.ReadI64(&snap.next_ordinal, "next_ordinal"));
-  if (snap.next_batch < 0 || snap.next_ordinal < 0) {
-    return Status::IoError("snapshot: negative replay position");
+  if (snap.next_batch < 0) {
+    return Status::IoError("snapshot: negative batch watermark");
   }
-  APAN_RETURN_NOT_OK(r.ReadI64(&snap.owned_nodes, "owned_nodes"));
-  APAN_RETURN_NOT_OK(r.ReadU64(&snap.owned_digest, "owned_digest"));
   APAN_RETURN_NOT_OK(r.ReadI64(&snap.mailbox_slots, "mailbox_slots"));
-  APAN_RETURN_NOT_OK(r.ReadI64(&snap.mail_dim, "mail_dim"));
-  APAN_RETURN_NOT_OK(r.ReadI64(&snap.state_dim, "state_dim"));
+  APAN_RETURN_NOT_OK(r.ReadI64(&snap.dim, "dim"));
+  if (snap.mailbox_slots <= 0 || snap.dim <= 0) {
+    return Status::IoError(internal::StrCat(
+        "snapshot: mailbox geometry ", snap.mailbox_slots, " slots x ",
+        snap.dim, " floats is not positive"));
+  }
 
-  APAN_RETURN_NOT_OK(r.ReadF32Vec(&snap.mailbox_data, "mailbox_data"));
-  APAN_RETURN_NOT_OK(
-      r.ReadF64Vec(&snap.mailbox_timestamps, "mailbox_timestamps"));
-  APAN_RETURN_NOT_OK(r.ReadI32Vec(&snap.mailbox_head, "mailbox_head"));
-  APAN_RETURN_NOT_OK(r.ReadI32Vec(&snap.mailbox_count, "mailbox_count"));
-  APAN_RETURN_NOT_OK(r.ReadI32Vec(&snap.mailbox_order, "mailbox_order"));
+  APAN_RETURN_NOT_OK(r.ReadI32Vec(&snap.mail_count, "mail_count"));
+  APAN_RETURN_NOT_OK(r.ReadF32Vec(&snap.mails, "mails"));
+  APAN_RETURN_NOT_OK(r.ReadF64Vec(&snap.mail_timestamps, "mail_timestamps"));
   APAN_RETURN_NOT_OK(r.ReadF32Vec(&snap.z_rows, "z_rows"));
 
-  // The mailbox planes must agree with the declared geometry — a snapshot
-  // whose vectors and geometry disagree is corrupt even if each decoded
-  // cleanly on its own.
+  // The planes must agree with the counts and the geometry — an image
+  // whose vectors disagree is corrupt even if each decoded cleanly on its
+  // own. Each count is a non-negative int32 and there are fewer counts
+  // than payload bytes, so their sum cannot overflow; the products with
+  // dim are checked.
+  uint64_t mails = 0;
+  for (size_t n = 0; n < snap.mail_count.size(); ++n) {
+    const int32_t c = snap.mail_count[n];
+    if (c < 0 || c > snap.mailbox_slots) {
+      return Status::IoError(internal::StrCat(
+          "snapshot: node row ", n, " holds ", c, " mails, outside [0, ",
+          snap.mailbox_slots, "]"));
+    }
+    mails += static_cast<uint64_t>(c);
+  }
+  const auto dim = static_cast<uint64_t>(snap.dim);
   uint64_t expected = 0;
-  APAN_RETURN_NOT_OK(PlaneSize(snap.owned_nodes, snap.mailbox_slots,
-                               snap.mail_dim, "mailbox_data", &expected));
-  APAN_RETURN_NOT_OK(CheckPlane(snap.mailbox_data.size(), expected,
-                                "mailbox_data"));
-  APAN_RETURN_NOT_OK(PlaneSize(snap.owned_nodes, snap.mailbox_slots, 1,
-                               "mailbox_timestamps", &expected));
-  APAN_RETURN_NOT_OK(CheckPlane(snap.mailbox_timestamps.size(), expected,
-                                "mailbox_timestamps"));
-  APAN_RETURN_NOT_OK(CheckPlane(snap.mailbox_order.size(), expected,
-                                "mailbox_order"));
+  if (!CheckedMul(mails, dim, &expected)) {
+    return Status::IoError("snapshot: mail plane size overflows");
+  }
+  APAN_RETURN_NOT_OK(CheckPlane(snap.mails.size(), expected, "mails"));
   APAN_RETURN_NOT_OK(
-      PlaneSize(snap.owned_nodes, 1, 1, "mailbox_head", &expected));
-  APAN_RETURN_NOT_OK(CheckPlane(snap.mailbox_head.size(), expected,
-                                "mailbox_head"));
-  APAN_RETURN_NOT_OK(CheckPlane(snap.mailbox_count.size(), expected,
-                                "mailbox_count"));
-  APAN_RETURN_NOT_OK(PlaneSize(snap.owned_nodes, snap.state_dim, 1,
-                               "z_rows", &expected));
+      CheckPlane(snap.mail_timestamps.size(), mails, "mail_timestamps"));
+  if (!CheckedMul(snap.mail_count.size(), dim, &expected)) {
+    return Status::IoError("snapshot: z(t-) plane size overflows");
+  }
   APAN_RETURN_NOT_OK(CheckPlane(snap.z_rows.size(), expected, "z_rows"));
+  for (size_t i = 0; i < snap.mail_timestamps.size(); ++i) {
+    // Mail carries event times, which InferBatch admits only finite.
+    if (!std::isfinite(snap.mail_timestamps[i])) {
+      return Status::IoError(internal::StrCat(
+          "snapshot: mail ", i, " has a non-finite timestamp"));
+    }
+  }
 
   uint64_t count = 0;
   APAN_RETURN_NOT_OK(r.ReadCount(&count, 8, "replica.rows"));
@@ -278,12 +315,12 @@ Result<ShardSnapshot> DecodeShardSnapshot(std::span<const uint8_t> bytes) {
       r.ReadF64(&snap.replica.latest_timestamp, "replica.latest_timestamp"));
   APAN_RETURN_NOT_OK(r.ReadI64(&snap.replica.num_events, "replica.num_events"));
 
-  APAN_RETURN_NOT_OK(r.ReadI64(&snap.next_merge, "next_merge"));
-
   if (r.remaining() != 0) {
     return Status::IoError(internal::StrCat(
         "snapshot: ", r.remaining(), " trailing bytes after payload"));
   }
+  APAN_RETURN_NOT_OK(
+      graph::AdjacencyReplica::Validate(snap.replica, snap.num_nodes));
   return snap;
 }
 

@@ -197,13 +197,10 @@ void SoftmaxLastDim(const float* x, float* y, int64_t rows, int64_t d) {
 }
 
 void MaskedSoftmax(const float* scores, const float* mask, float* y,
-                   int64_t b, int64_t h, int64_t m) {
+                   int64_t b, int64_t m) {
   for (int64_t bi = 0; bi < b; ++bi) {
-    const float* mrow = mask != nullptr ? mask + bi * m : nullptr;
-    for (int64_t hi = 0; hi < h; ++hi) {
-      const int64_t off = (bi * h + hi) * m;
-      SoftmaxRow(scores + off, mrow, y + off, m);
-    }
+    SoftmaxRow(scores + bi * m, mask != nullptr ? mask + bi * m : nullptr,
+               y + bi * m, m);
   }
 }
 
@@ -243,34 +240,25 @@ float Dot(const float* a, const float* b, int64_t n) {
 }
 
 void AttentionScores(const float* q, const float* k, float* scores,
-                     int64_t b, int64_t h, int64_t m, int64_t dh,
-                     float scale) {
-  const int64_t d = h * dh;
+                     int64_t b, int64_t m, int64_t d, float scale) {
   for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t hi = 0; hi < h; ++hi) {
-      const float* qrow = q + bi * d + hi * dh;
-      float* srow = scores + (bi * h + hi) * m;
-      for (int64_t s = 0; s < m; ++s) {
-        const float* krow = k + (bi * m + s) * d + hi * dh;
-        srow[s] = scale * BlockedDot(qrow, krow, dh);
-      }
+    for (int64_t s = 0; s < m; ++s) {
+      scores[bi * m + s] =
+          scale * BlockedDot(q + bi * d, k + (bi * m + s) * d, d);
     }
   }
 }
 
 void AttentionContext(const float* attn, const float* v, float* ctx,
-                      int64_t b, int64_t h, int64_t m, int64_t dh) {
-  const int64_t d = h * dh;
+                      int64_t b, int64_t m, int64_t d) {
   for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t hi = 0; hi < h; ++hi) {
-      const float* arow = attn + (bi * h + hi) * m;
-      float* out = ctx + bi * d + hi * dh;
-      for (int64_t j = 0; j < dh; ++j) out[j] = 0.0f;
-      for (int64_t s = 0; s < m; ++s) {
-        const float w = arow[s];
-        const float* vrow = v + (bi * m + s) * d + hi * dh;
-        for (int64_t j = 0; j < dh; ++j) out[j] += w * vrow[j];
-      }
+    const float* arow = attn + bi * m;
+    float* out = ctx + bi * d;
+    for (int64_t j = 0; j < d; ++j) out[j] = 0.0f;
+    for (int64_t s = 0; s < m; ++s) {
+      const float w = arow[s];
+      const float* vrow = v + (bi * m + s) * d;
+      for (int64_t j = 0; j < d; ++j) out[j] += w * vrow[j];
     }
   }
 }
@@ -441,13 +429,10 @@ __attribute__((target("avx2"))) void SoftmaxLastDim(const float* x, float* y,
 __attribute__((target("avx2"))) void MaskedSoftmax(const float* scores,
                                                    const float* mask,
                                                    float* y, int64_t b,
-                                                   int64_t h, int64_t m) {
+                                                   int64_t m) {
   for (int64_t bi = 0; bi < b; ++bi) {
-    const float* mrow = mask != nullptr ? mask + bi * m : nullptr;
-    for (int64_t hi = 0; hi < h; ++hi) {
-      const int64_t off = (bi * h + hi) * m;
-      SoftmaxRow(scores + off, mrow, y + off, m);
-    }
+    SoftmaxRow(scores + bi * m, mask != nullptr ? mask + bi * m : nullptr,
+               y + bi * m, m);
   }
 }
 
@@ -527,17 +512,12 @@ __attribute__((target("avx2"))) float Dot(const float* a, const float* b,
 __attribute__((target("avx2"))) void AttentionScores(const float* q,
                                                      const float* k,
                                                      float* scores, int64_t b,
-                                                     int64_t h, int64_t m,
-                                                     int64_t dh, float scale) {
-  const int64_t d = h * dh;
+                                                     int64_t m, int64_t d,
+                                                     float scale) {
   for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t hi = 0; hi < h; ++hi) {
-      const float* qrow = q + bi * d + hi * dh;
-      float* srow = scores + (bi * h + hi) * m;
-      for (int64_t s = 0; s < m; ++s) {
-        const float* krow = k + (bi * m + s) * d + hi * dh;
-        srow[s] = scale * BlockedDot(qrow, krow, dh);
-      }
+    for (int64_t s = 0; s < m; ++s) {
+      scores[bi * m + s] =
+          scale * BlockedDot(q + bi * d, k + (bi * m + s) * d, d);
     }
   }
 }
@@ -545,29 +525,25 @@ __attribute__((target("avx2"))) void AttentionScores(const float* q,
 __attribute__((target("avx2"))) void AttentionContext(const float* attn,
                                                       const float* v,
                                                       float* ctx, int64_t b,
-                                                      int64_t h, int64_t m,
-                                                      int64_t dh) {
-  const int64_t d = h * dh;
+                                                      int64_t m, int64_t d) {
   for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t hi = 0; hi < h; ++hi) {
-      const float* arow = attn + (bi * h + hi) * m;
-      float* out = ctx + bi * d + hi * dh;
-      const float* vbase = v + bi * m * d + hi * dh;
-      int64_t j = 0;
-      for (; j + 8 <= dh; j += 8) {
-        __m256 acc = _mm256_setzero_ps();
-        for (int64_t s = 0; s < m; ++s) {
-          acc = _mm256_add_ps(
-              acc, _mm256_mul_ps(_mm256_set1_ps(arow[s]),
-                                 _mm256_loadu_ps(vbase + s * d + j)));
-        }
-        _mm256_storeu_ps(out + j, acc);
+    const float* arow = attn + bi * m;
+    float* out = ctx + bi * d;
+    const float* vbase = v + bi * m * d;
+    int64_t j = 0;
+    for (; j + 8 <= d; j += 8) {
+      __m256 acc = _mm256_setzero_ps();
+      for (int64_t s = 0; s < m; ++s) {
+        acc = _mm256_add_ps(acc,
+                            _mm256_mul_ps(_mm256_set1_ps(arow[s]),
+                                          _mm256_loadu_ps(vbase + s * d + j)));
       }
-      for (; j < dh; ++j) {
-        float acc = 0.0f;
-        for (int64_t s = 0; s < m; ++s) acc += arow[s] * vbase[s * d + j];
-        out[j] = acc;
-      }
+      _mm256_storeu_ps(out + j, acc);
+    }
+    for (; j < d; ++j) {
+      float acc = 0.0f;
+      for (int64_t s = 0; s < m; ++s) acc += arow[s] * vbase[s * d + j];
+      out[j] = acc;
     }
   }
 }
@@ -752,13 +728,10 @@ void SoftmaxLastDim(const float* x, float* y, int64_t rows, int64_t d) {
 }
 
 void MaskedSoftmax(const float* scores, const float* mask, float* y,
-                   int64_t b, int64_t h, int64_t m) {
+                   int64_t b, int64_t m) {
   for (int64_t bi = 0; bi < b; ++bi) {
-    const float* mrow = mask != nullptr ? mask + bi * m : nullptr;
-    for (int64_t hi = 0; hi < h; ++hi) {
-      const int64_t off = (bi * h + hi) * m;
-      SoftmaxRow(scores + off, mrow, y + off, m);
-    }
+    SoftmaxRow(scores + bi * m, mask != nullptr ? mask + bi * m : nullptr,
+               y + bi * m, m);
   }
 }
 
@@ -821,43 +794,34 @@ float Dot(const float* a, const float* b, int64_t n) {
 }
 
 void AttentionScores(const float* q, const float* k, float* scores,
-                     int64_t b, int64_t h, int64_t m, int64_t dh,
-                     float scale) {
-  const int64_t d = h * dh;
+                     int64_t b, int64_t m, int64_t d, float scale) {
   for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t hi = 0; hi < h; ++hi) {
-      const float* qrow = q + bi * d + hi * dh;
-      float* srow = scores + (bi * h + hi) * m;
-      for (int64_t s = 0; s < m; ++s) {
-        const float* krow = k + (bi * m + s) * d + hi * dh;
-        srow[s] = scale * BlockedDot(qrow, krow, dh);
-      }
+    for (int64_t s = 0; s < m; ++s) {
+      scores[bi * m + s] =
+          scale * BlockedDot(q + bi * d, k + (bi * m + s) * d, d);
     }
   }
 }
 
 void AttentionContext(const float* attn, const float* v, float* ctx,
-                      int64_t b, int64_t h, int64_t m, int64_t dh) {
-  const int64_t d = h * dh;
+                      int64_t b, int64_t m, int64_t d) {
   for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t hi = 0; hi < h; ++hi) {
-      const float* arow = attn + (bi * h + hi) * m;
-      float* out = ctx + bi * d + hi * dh;
-      const float* vbase = v + bi * m * d + hi * dh;
-      int64_t j = 0;
-      for (; j + 4 <= dh; j += 4) {
-        float32x4_t acc = vdupq_n_f32(0.0f);
-        for (int64_t s = 0; s < m; ++s) {
-          acc = vaddq_f32(acc, vmulq_f32(vdupq_n_f32(arow[s]),
-                                         vld1q_f32(vbase + s * d + j)));
-        }
-        vst1q_f32(out + j, acc);
+    const float* arow = attn + bi * m;
+    float* out = ctx + bi * d;
+    const float* vbase = v + bi * m * d;
+    int64_t j = 0;
+    for (; j + 4 <= d; j += 4) {
+      float32x4_t acc = vdupq_n_f32(0.0f);
+      for (int64_t s = 0; s < m; ++s) {
+        acc = vaddq_f32(acc, vmulq_f32(vdupq_n_f32(arow[s]),
+                                       vld1q_f32(vbase + s * d + j)));
       }
-      for (; j < dh; ++j) {
-        float acc = 0.0f;
-        for (int64_t s = 0; s < m; ++s) acc += arow[s] * vbase[s * d + j];
-        out[j] = acc;
-      }
+      vst1q_f32(out + j, acc);
+    }
+    for (; j < d; ++j) {
+      float acc = 0.0f;
+      for (int64_t s = 0; s < m; ++s) acc += arow[s] * vbase[s * d + j];
+      out[j] = acc;
     }
   }
 }
@@ -895,7 +859,7 @@ struct DispatchTable {
               int64_t) = scalar::Bmm;
   void (*softmax)(const float*, float*, int64_t, int64_t) =
       scalar::SoftmaxLastDim;
-  void (*masked_softmax)(const float*, const float*, float*, int64_t, int64_t,
+  void (*masked_softmax)(const float*, const float*, float*, int64_t,
                          int64_t) = scalar::MaskedSoftmax;
   void (*row_normalize)(const float*, float*, int64_t, int64_t, float,
                         float*) = scalar::RowNormalize;
@@ -907,11 +871,9 @@ struct DispatchTable {
       scalar::AddSame;
   float (*dot)(const float*, const float*, int64_t) = scalar::Dot;
   void (*attention_scores)(const float*, const float*, float*, int64_t,
-                           int64_t, int64_t, int64_t, float) =
-      scalar::AttentionScores;
+                           int64_t, int64_t, float) = scalar::AttentionScores;
   void (*attention_context)(const float*, const float*, float*, int64_t,
-                            int64_t, int64_t, int64_t) =
-      scalar::AttentionContext;
+                            int64_t, int64_t) = scalar::AttentionContext;
   void (*residual_layer_norm)(const float*, const float*, const float*,
                               const float*, float*, int64_t, int64_t, float) =
       scalar::ResidualLayerNorm;
@@ -1004,8 +966,8 @@ void SoftmaxLastDim(const float* x, float* y, int64_t rows, int64_t d) {
   Table().softmax(x, y, rows, d);
 }
 void MaskedSoftmax(const float* scores, const float* mask, float* y,
-                   int64_t b, int64_t h, int64_t m) {
-  Table().masked_softmax(scores, mask, y, b, h, m);
+                   int64_t b, int64_t m) {
+  Table().masked_softmax(scores, mask, y, b, m);
 }
 void RowNormalize(const float* x, float* y, int64_t rows, int64_t d,
                   float eps, float* inv_sigma) {
@@ -1026,13 +988,12 @@ float Dot(const float* a, const float* b, int64_t n) {
   return Table().dot(a, b, n);
 }
 void AttentionScores(const float* q, const float* k, float* scores,
-                     int64_t b, int64_t h, int64_t m, int64_t dh,
-                     float scale) {
-  Table().attention_scores(q, k, scores, b, h, m, dh, scale);
+                     int64_t b, int64_t m, int64_t d, float scale) {
+  Table().attention_scores(q, k, scores, b, m, d, scale);
 }
 void AttentionContext(const float* attn, const float* v, float* ctx,
-                      int64_t b, int64_t h, int64_t m, int64_t dh) {
-  Table().attention_context(attn, v, ctx, b, h, m, dh);
+                      int64_t b, int64_t m, int64_t d) {
+  Table().attention_context(attn, v, ctx, b, m, d);
 }
 void ResidualLayerNorm(const float* x, const float* residual,
                        const float* gain, const float* bias, float* y,

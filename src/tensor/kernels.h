@@ -77,11 +77,11 @@ void Bmm(const float* a, const float* b, float* c, int64_t bs, int64_t n,
 /// blocked-order sum).
 void SoftmaxLastDim(const float* x, float* y, int64_t rows, int64_t d);
 
-/// Attention softmax over {b, h, m} scores with an optional additive
-/// {b, m} mask shared across heads (the encoder's padding mask — no
-/// b*h*m expansion copy). `mask` may be null. In-place (y == scores) ok.
+/// Attention softmax over {b, m} scores (one head) with an optional
+/// additive {b, m} mask (the encoder's padding mask). `mask` may be
+/// null. In-place (y == scores) ok.
 void MaskedSoftmax(const float* scores, const float* mask, float* y,
-                   int64_t b, int64_t h, int64_t m);
+                   int64_t b, int64_t m);
 
 /// y[r,:] = (x[r,:] - mean) / sqrt(var + eps). When `inv_sigma` is
 /// non-null it receives the per-row 1/sigma (the backward pass needs it).
@@ -102,20 +102,17 @@ void AddSame(const float* a, const float* b, float* y, int64_t n);
 /// Blocked dot product (8-lane accumulation, fixed-tree combine).
 float Dot(const float* a, const float* b, int64_t n);
 
-/// Fused attention scores without head-split materialization:
-///   scores[(bi*h + hi)*m + s] =
-///       scale * dot(q[bi, hi*dh : (hi+1)*dh], k[bi, s, hi*dh : (hi+1)*dh])
-/// with q laid out {b, h*dh} and k laid out {b, m, h*dh} — the strided
-/// Bmm that replaces Permute+Reshape head splitting.
+/// One query per row against its own m keys:
+///   scores[bi*m + s] = scale * dot(q[bi, :], k[bi, s, :])
+/// with q laid out {b, d} and k laid out {b, m, d}.
 void AttentionScores(const float* q, const float* k, float* scores,
-                     int64_t b, int64_t h, int64_t m, int64_t dh,
-                     float scale);
+                     int64_t b, int64_t m, int64_t d, float scale);
 
-/// Fused attention context (the strided attn @ V):
-///   ctx[bi, hi*dh + j] = sum_s attn[(bi*h + hi)*m + s] * v[bi, s, hi*dh + j]
-/// accumulated serially over s, with v laid out {b, m, h*dh}.
+/// The attention-weighted sum of each row's m values:
+///   ctx[bi, j] = sum_s attn[bi*m + s] * v[bi, s, j]
+/// accumulated serially over s, with v laid out {b, m, d}.
 void AttentionContext(const float* attn, const float* v, float* ctx,
-                      int64_t b, int64_t h, int64_t m, int64_t dh);
+                      int64_t b, int64_t m, int64_t d);
 
 /// Fused residual-add + LayerNorm with learnable gain/bias:
 ///   t = x[r,:] + residual[r,:];  y = ((t - mean) / sqrt(var+eps)) * gain + bias
@@ -191,7 +188,7 @@ void Bmm(const float* a, const float* b, float* c, int64_t bs, int64_t n,
          int64_t k, int64_t m);
 void SoftmaxLastDim(const float* x, float* y, int64_t rows, int64_t d);
 void MaskedSoftmax(const float* scores, const float* mask, float* y,
-                   int64_t b, int64_t h, int64_t m);
+                   int64_t b, int64_t m);
 void RowNormalize(const float* x, float* y, int64_t rows, int64_t d,
                   float eps, float* inv_sigma);
 void AddBiasRelu(const float* x, const float* bias, float* y, int64_t rows,
@@ -201,10 +198,9 @@ void AddBias(const float* x, const float* bias, float* y, int64_t rows,
 void AddSame(const float* a, const float* b, float* y, int64_t n);
 float Dot(const float* a, const float* b, int64_t n);
 void AttentionScores(const float* q, const float* k, float* scores,
-                     int64_t b, int64_t h, int64_t m, int64_t dh,
-                     float scale);
+                     int64_t b, int64_t m, int64_t d, float scale);
 void AttentionContext(const float* attn, const float* v, float* ctx,
-                      int64_t b, int64_t h, int64_t m, int64_t dh);
+                      int64_t b, int64_t m, int64_t d);
 void ResidualLayerNorm(const float* x, const float* residual,
                        const float* gain, const float* bias, float* y,
                        int64_t rows, int64_t d, float eps);

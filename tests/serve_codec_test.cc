@@ -138,9 +138,11 @@ TEST(CodecTest, BothFormatsReportThroughTheirPrefix) {
   snapshot::ShardSnapshot snap;
   snap.shard = 0;
   snap.num_shards = 1;
+  snap.mailbox_slots = 1;
+  snap.dim = 1;
   std::vector<uint8_t> image = snapshot::EncodeShardSnapshot(snap);
-  // The first plane's count follows the 72-byte fixed prologue.
-  const size_t count_at = snapshot::kHeaderBytes + 72;
+  // The first plane's count follows the 48-byte fixed prologue.
+  const size_t count_at = snapshot::kHeaderBytes + 48;
   for (size_t i = 0; i < 8; ++i) image[count_at + i] = 0xFF;
   const size_t payload_bytes =
       image.size() - snapshot::kHeaderBytes - snapshot::kTrailerBytes;
@@ -153,7 +155,7 @@ TEST(CodecTest, BothFormatsReportThroughTheirPrefix) {
       snapshot::DecodeShardSnapshot(image);
   ASSERT_FALSE(decoded.ok());
   EXPECT_TRUE(StartsWith(decoded.status().message(),
-                         "snapshot: corrupt count for mailbox_data"))
+                         "snapshot: corrupt count for mail_count"))
       << decoded.status().message();
 }
 

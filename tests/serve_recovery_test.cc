@@ -1,19 +1,22 @@
-// The recovery plane: a shard killed mid-stream and rejoined from its
-// checkpoint replays the event tail and lands bitwise on the mailbox of a
-// run that never crashed — under clean transports AND under
-// FaultyTransport delay/reorder faults, into a fresh engine or into one
-// that already ingested past the checkpoint. A UDS lane whose peer dies
-// marks the peer down instead of crashing the engine, and a shard
-// administratively marked down degrades gracefully: its traffic is shed
-// and counted while healthy shards keep serving. A seeded differential
-// fuzz draws the deployment and the snapshot point and checks the
-// restored run against the serial oracle bitwise: scores, mail payloads
-// and z(t−) rows.
+// The recovery plane: an engine killed mid-stream and rejoined from its
+// recovery point (one image per shard) replays the event tail and lands
+// bitwise on the mailbox of a run that never crashed — under clean
+// transports AND under FaultyTransport delay/reorder faults, into a fresh
+// engine or into one that already ingested past the checkpoint. A
+// recovery point is one point: a set that mixes images of two points, or
+// a snapshot taken while a shard is down, is refused. A UDS lane whose
+// peer dies marks the peer down instead of crashing the engine, and a
+// shard administratively marked down degrades gracefully: its traffic is
+// shed and counted while healthy shards keep serving, until ResetState or
+// Restore brings it back. A seeded differential fuzz draws the deployment
+// and the snapshot point and checks the restored run against the serial
+// oracle bitwise: scores, mail payloads and z(t−) rows.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -86,9 +89,35 @@ void Stream(const Fixture& f, ShardedEngine& engine, size_t lo, size_t hi,
   }
 }
 
-std::string SnapPath(const std::string& tag, uint64_t seed, int shard) {
-  return testing::TempDir() + "/rejoin_" + tag + "_" + std::to_string(seed) +
-         "_" + std::to_string(shard) + ".apsn";
+/// A fresh, empty snapshot directory per (tag, seed).
+std::string SnapDir(const std::string& tag, uint64_t seed) {
+  const std::string dir = testing::TempDir() + "/rejoin_" + tag + "_" +
+                          std::to_string(seed);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Flushes on a helper thread and waits up to 30 s for it. A wedged Flush
+/// never returns, and the engine's destructor would Flush again: on a
+/// timeout the engine (and the model it reads) leak with the flusher
+/// still blocked on it, so the caller fails instead of hanging the suite.
+bool FlushReturns(EngineRun& run) {
+  ShardedEngine* engine = run.engine.get();
+  auto flushed = std::make_shared<std::promise<void>>();
+  std::future<void> done = flushed->get_future();
+  std::thread flusher([engine, flushed] {
+    engine->Flush();
+    flushed->set_value();
+  });
+  if (done.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    static_cast<void>(run.engine.release());
+    static_cast<void>(run.model.release());
+    flusher.detach();
+    return false;
+  }
+  flusher.join();
+  return true;
 }
 
 // ---- Kill-and-rejoin soak --------------------------------------------------
@@ -112,22 +141,16 @@ void KillAndRejoinSoak(int32_t hops, TransportKind inner,
   const auto reference = RunSerial(f.config, f.dataset, 7, events, batch).model;
   for (uint64_t seed = seed_base; seed < seed_base + 10; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const std::string dir = SnapDir(tag, seed);
     {
       auto before = MakeEngine(f, FaultyFactory(inner, seed), num_shards);
       Stream(f, *before.engine, 0, cut, batch);
       before.engine->Flush();
-      for (int shard = 0; shard < num_shards; ++shard) {
-        ASSERT_TRUE(
-            before.engine->SnapshotShard(shard, SnapPath(tag, seed, shard))
-                .ok());
-      }
+      ASSERT_TRUE(before.engine->Snapshot(dir).ok());
       // The "crash": engine A is torn down; only the files remain.
     }
     auto after = MakeEngine(f, FaultyFactory(inner, seed + 5000), num_shards);
-    for (int shard = 0; shard < num_shards; ++shard) {
-      ASSERT_TRUE(
-          after.engine->RestoreShard(shard, SnapPath(tag, seed, shard)).ok());
-    }
+    ASSERT_TRUE(after.engine->Restore(dir).ok());
     Stream(f, *after.engine, cut, events, batch);
     after.engine->Flush();
     ExpectStitchedMailboxEqual(*after.engine, *reference, f.config.num_nodes);
@@ -206,21 +229,14 @@ TEST(DifferentialFuzzTest, RestoredTailMatchesSerialBitwise) {
     const testutil::SerialRun serial =
         RunSerial(f.config, f.dataset, 7, events, batch);
     std::vector<float> scores;
+    const std::string dir = SnapDir("fuzz", seed);
     {
       auto before = MakeEngine(f, transport(0), shards, partition);
       StreamScored(f, *before.engine, 0, cut, batch, &scores);
-      for (int shard = 0; shard < shards; ++shard) {
-        ASSERT_TRUE(before.engine
-                        ->SnapshotShard(shard, SnapPath("fuzz", seed, shard))
-                        .ok());
-      }
+      ASSERT_TRUE(before.engine->Snapshot(dir).ok());
     }
     auto after = MakeEngine(f, transport(5000), shards, partition);
-    for (int shard = 0; shard < shards; ++shard) {
-      ASSERT_TRUE(
-          after.engine->RestoreShard(shard, SnapPath("fuzz", seed, shard))
-              .ok());
-    }
+    ASSERT_TRUE(after.engine->Restore(dir).ok());
     StreamScored(f, *after.engine, cut, events, batch, &scores);
     testutil::ExpectScoresBitwise(scores, serial.scores);
     testutil::ExpectStitchedStateBitwise(*after.engine, *serial.model,
@@ -235,13 +251,22 @@ TEST(RestoreGuardTest, RestoreRejectsWrongShardAndMissingFile) {
   auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
   Stream(f, *run.engine, 0, 80, 40);
   run.engine->Flush();
-  const std::string path = SnapPath("guard", 0, 0);
-  ASSERT_TRUE(run.engine->SnapshotShard(0, path).ok());
-  // Shard 0's checkpoint restored into shard 1: the identity check must
-  // refuse before any state is touched.
-  EXPECT_FALSE(run.engine->RestoreShard(1, path).ok());
-  EXPECT_FALSE(
-      run.engine->RestoreShard(0, testing::TempDir() + "/no_such.apsn").ok());
+  const std::string dir = SnapDir("guard", 0);
+  ASSERT_TRUE(run.engine->Snapshot(dir).ok());
+  // Shard 0's image in shard 1's file: the set no longer holds each shard
+  // exactly once, and the identity check must refuse before any state is
+  // touched.
+  std::filesystem::copy_file(snapshot::ShardPath(dir, 0),
+                             snapshot::ShardPath(dir, 1),
+                             std::filesystem::copy_options::overwrite_existing);
+  const Status swapped = run.engine->Restore(dir);
+  EXPECT_EQ(swapped.code(), StatusCode::kInvalidArgument) << swapped;
+  // A set with a shard's file missing.
+  std::filesystem::remove(snapshot::ShardPath(dir, 1));
+  EXPECT_EQ(run.engine->Restore(dir).code(), StatusCode::kIoError);
+  const Status missing =
+      run.engine->Restore(testing::TempDir() + "/no_such_snapshot_dir");
+  EXPECT_EQ(missing.code(), StatusCode::kIoError) << missing;
   // And the engine is still intact: the refused restores changed nothing.
   const auto reference = RunSerial(f.config, f.dataset, 7, 80, 40).model;
   ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
@@ -250,7 +275,7 @@ TEST(RestoreGuardTest, RestoreRejectsWrongShardAndMissingFile) {
 TEST(RestoreGuardTest, RestoreRejectsImageFromAnotherPartition) {
   // Two partitions that give each shard as many nodes, but not the same
   // nodes: nodes 0 and 1 trade shards. Rows restore by local position,
-  // so shard 0's image from one must not restore under the other.
+  // so an image set from one must not restore under the other.
   Fixture f;
   const int64_t n = f.config.num_nodes;
   const auto by_parity = graph::NodePartition::Build(
@@ -259,19 +284,19 @@ TEST(RestoreGuardTest, RestoreRejectsImageFromAnotherPartition) {
     return static_cast<int>(v < 2 ? (v + 1) % 2 : v % 2);
   });
   ASSERT_EQ(by_parity->owned_count, swapped->owned_count);
-  const std::string path = SnapPath("partition", 0, 0);
+  const std::string dir = SnapDir("partition", 0);
   {
     auto before = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess),
                              2, by_parity);
     Stream(f, *before.engine, 0, 80, 40);
     before.engine->Flush();
-    ASSERT_TRUE(before.engine->SnapshotShard(0, path).ok());
+    ASSERT_TRUE(before.engine->Snapshot(dir).ok());
   }
   auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess), 2,
                         swapped);
   Stream(f, *run.engine, 0, 80, 40);
   run.engine->Flush();
-  const Status restored = run.engine->RestoreShard(0, path);
+  const Status restored = run.engine->Restore(dir);
   EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument) << restored;
   // The refused restore changed nothing.
   const auto reference = RunSerial(f.config, f.dataset, 7, 80, 40).model;
@@ -283,13 +308,65 @@ TEST(RestoreGuardTest, SnapshotToUnwritablePathFailsCleanly) {
   auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
   Stream(f, *run.engine, 0, 40, 40);
   run.engine->Flush();
-  EXPECT_FALSE(
-      run.engine->SnapshotShard(0, "/nonexistent-dir-for-apan-test/s.apsn")
-          .ok());
+  EXPECT_FALSE(run.engine->Snapshot("/nonexistent-dir-for-apan-test").ok());
   // The failed write must not wedge the flush barrier.
   run.engine->Flush();
   Stream(f, *run.engine, 40, 80, 40);
   run.engine->Flush();
+}
+
+// ---- One recovery point ----------------------------------------------------
+
+TEST(RecoveryPointTest, SnapshotRefusesWhileAShardIsDown) {
+  // A down shard missed batches, so the engine has no consistent point to
+  // capture; the refusal comes before any file is written.
+  Fixture f;
+  auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
+  Stream(f, *run.engine, 0, 80, 40);
+  run.engine->MarkShardDown(2);
+  Stream(f, *run.engine, 80, 120, 40);
+  const std::string dir = SnapDir("down", 0);
+  const Status refused = run.engine->Snapshot(dir);
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition) << refused;
+  EXPECT_FALSE(std::filesystem::exists(snapshot::ShardPath(dir, 0)));
+  ASSERT_TRUE(FlushReturns(run));
+  // A resync makes a point again.
+  run.engine->ResetState();
+  Stream(f, *run.engine, 0, 80, 40);
+  EXPECT_TRUE(run.engine->Snapshot(dir).ok());
+}
+
+TEST(RecoveryPointTest, MixedPointSetIsRefusedAndChangesNothing) {
+  // Shard 1's image from an earlier point, beside the other shards' images
+  // of a later one: Restore must refuse the set whole, and the engine
+  // must keep serving from where it stood.
+  Fixture f;
+  const size_t events = 200, batch = 40;
+  const testutil::SerialRun serial =
+      RunSerial(f.config, f.dataset, 7, events, batch);
+  auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
+  std::vector<float> scores;
+  StreamScored(f, *run.engine, 0, 80, batch, &scores);
+  const std::string early = SnapDir("mixed_early", 0);
+  ASSERT_TRUE(run.engine->Snapshot(early).ok());
+  StreamScored(f, *run.engine, 80, 160, batch, &scores);
+  const std::string mixed = SnapDir("mixed", 0);
+  ASSERT_TRUE(run.engine->Snapshot(mixed).ok());
+  std::filesystem::copy_file(snapshot::ShardPath(early, 1),
+                             snapshot::ShardPath(mixed, 1),
+                             std::filesystem::copy_options::overwrite_existing);
+  const Status refused = run.engine->Restore(mixed);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused;
+  for (size_t at = 160; at + batch <= events; at += batch) {
+    auto result = run.engine->InferBatch(f.BatchEvents(at, at + batch));
+    ASSERT_TRUE(result.ok()) << result.status();
+    scores.insert(scores.end(), result->scores.begin(), result->scores.end());
+    ASSERT_TRUE(FlushReturns(run)) << "Flush did not return after batch "
+                                   << at / batch;
+  }
+  testutil::ExpectScoresBitwise(scores, serial.scores);
+  testutil::ExpectStitchedStateBitwise(*run.engine, *serial.model,
+                                       f.config.num_nodes);
 }
 
 // ---- Restore after ingest --------------------------------------------------
@@ -315,15 +392,10 @@ void RestoreAfterIngest(TransportKind inner, const std::string& tag,
     auto run = MakeEngine(f, FaultyFactory(inner, seed), num_shards);
     std::vector<float> scores;
     StreamScored(f, *run.engine, 0, cut, batch, &scores);
-    for (int shard = 0; shard < num_shards; ++shard) {
-      ASSERT_TRUE(
-          run.engine->SnapshotShard(shard, SnapPath(tag, seed, shard)).ok());
-    }
+    const std::string dir = SnapDir(tag, seed);
+    ASSERT_TRUE(run.engine->Snapshot(dir).ok());
     Stream(f, *run.engine, cut, events, batch);  // rolled back below
-    for (int shard = 0; shard < num_shards; ++shard) {
-      ASSERT_TRUE(
-          run.engine->RestoreShard(shard, SnapPath(tag, seed, shard)).ok());
-    }
+    ASSERT_TRUE(run.engine->Restore(dir).ok());
     StreamScored(f, *run.engine, cut, events, batch, &scores);
     testutil::ExpectScoresBitwise(scores, serial.scores);
     testutil::ExpectStitchedStateBitwise(*run.engine, *serial.model,
@@ -340,28 +412,6 @@ TEST(RestoreAfterIngestTest, FaultyUnixSocketLandsOnSerialBitwise) {
 }
 
 // ---- Lane failure ----------------------------------------------------------
-
-/// Flushes on a helper thread and waits up to 30 s for it. A wedged Flush
-/// never returns, and the engine's destructor would Flush again: on a
-/// timeout the engine (and the model it reads) leak with the flusher
-/// still blocked on it, so the caller fails instead of hanging the suite.
-bool FlushReturns(EngineRun& run) {
-  ShardedEngine* engine = run.engine.get();
-  auto flushed = std::make_shared<std::promise<void>>();
-  std::future<void> done = flushed->get_future();
-  std::thread flusher([engine, flushed] {
-    engine->Flush();
-    flushed->set_value();
-  });
-  if (done.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
-    static_cast<void>(run.engine.release());
-    static_cast<void>(run.model.release());
-    flusher.detach();
-    return false;
-  }
-  flusher.join();
-  return true;
-}
 
 TEST(LaneRecoveryTest, KilledLanesMarkPeersDownAndFlushReturns) {
   // A dead lane is never rebuilt: the first write on it fails, the
@@ -471,22 +521,54 @@ TEST(DegradationTest, DownShardShedsWithoutBlockingThenRecoversByReset) {
   auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
   Stream(f, *run.engine, 0, 80, batch);
   run.engine->Flush();
-  run.engine->SetShardDown(3, true);
+  run.engine->MarkShardDown(3);
   // Healthy shards must keep accepting and flushing while shard 3's
-  // traffic is shed — a wedge here would hang the test.
+  // traffic is shed.
   Stream(f, *run.engine, 80, events, batch);
-  run.engine->Flush();
+  ASSERT_TRUE(FlushReturns(run));
   const auto degraded = run.engine->stats();
   EXPECT_GT(degraded.events_shed, 0);
   EXPECT_GT(degraded.sends_shed, 0);
-  // Rejoin after an administrative down requires a state resync (the
-  // shard missed real traffic); reset + full replay is the cheapest one,
-  // and must land bitwise on the never-degraded reference.
-  run.engine->SetShardDown(3, false);
+  // Rejoin after a down requires a state resync (the shard missed real
+  // traffic); reset + full replay is one, brings the shard back up, and
+  // must land bitwise on the never-degraded reference.
   run.engine->ResetState();
   Stream(f, *run.engine, 0, events, batch);
-  run.engine->Flush();
+  ASSERT_TRUE(FlushReturns(run));
+  EXPECT_EQ(run.engine->stats().events_shed, degraded.events_shed);
   ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+}
+
+TEST(DegradationTest, DownShardRecoversByRestore) {
+  // The other resync: restore the recovery point taken before the shard
+  // went down and replay the tail it missed. Nothing is shed after the
+  // restore, and the replayed state lands on the serial oracle bitwise.
+  Fixture f;
+  const size_t events = 200, cut = 80, batch = 40;
+  const testutil::SerialRun serial =
+      RunSerial(f.config, f.dataset, 7, events, batch);
+  auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
+  std::vector<float> scores;
+  StreamScored(f, *run.engine, 0, cut, batch, &scores);
+  const std::string dir = SnapDir("down_restore", 0);
+  ASSERT_TRUE(run.engine->Snapshot(dir).ok());
+  run.engine->MarkShardDown(1);
+  Stream(f, *run.engine, cut, events, batch);  // shard 1 misses these
+  ASSERT_TRUE(FlushReturns(run));
+  const int64_t shed = run.engine->stats().events_shed;
+  EXPECT_GT(shed, 0);
+  ASSERT_TRUE(run.engine->Restore(dir).ok());
+  for (size_t at = cut; at + batch <= events; at += batch) {
+    auto result = run.engine->InferBatch(f.BatchEvents(at, at + batch));
+    ASSERT_TRUE(result.ok()) << result.status();
+    scores.insert(scores.end(), result->scores.begin(), result->scores.end());
+    ASSERT_TRUE(FlushReturns(run)) << "Flush did not return after batch "
+                                   << at / batch << " of the replay";
+  }
+  EXPECT_EQ(run.engine->stats().events_shed, shed);
+  testutil::ExpectScoresBitwise(scores, serial.scores);
+  testutil::ExpectStitchedStateBitwise(*run.engine, *serial.model,
+                                       f.config.num_nodes);
 }
 
 TEST(DegradationTest, ShedEventsLeaveNoRowsOrMailOnHealthyShards) {
@@ -522,7 +604,7 @@ TEST(DegradationTest, ShedEventsLeaveNoRowsOrMailOnHealthyShards) {
     e.edge_id = static_cast<graph::EdgeId>(i);
     stream.push_back(e);
   }
-  run.engine->SetShardDown(kDown, true);
+  run.engine->MarkShardDown(kDown);
   for (size_t lo = 0; lo < stream.size(); lo += 40) {
     ASSERT_TRUE(run.engine
                     ->InferBatch(std::vector<graph::Event>(
@@ -572,7 +654,7 @@ TEST(DegradationTest, DownShardShedsOverUnixSocket) {
   auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kUnixSocket));
   Stream(f, *run.engine, 0, 40, 40);
   run.engine->Flush();
-  run.engine->SetShardDown(1, true);
+  run.engine->MarkShardDown(1);
   Stream(f, *run.engine, 40, 160, 40);
   run.engine->Flush();
   const auto stats = run.engine->stats();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -183,10 +184,18 @@ TEST(ShardedStateTest, ResetStateKeepsCumulativeStats) {
 
 // ---- Restore-vs-reset equivalence (recovery satellite) ---------------------
 
+/// A fresh, empty snapshot directory.
+std::string SnapshotDir(const std::string& name) {
+  const std::string dir = testing::TempDir() + "/state_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
 TEST(ShardedStateTest, RestoreFromJustWrittenSnapshotIsIdentity) {
-  // Snapshot every shard of a warm engine, restore all four back into the
-  // same engine: a checkpoint taken at a flushed boundary captures the
-  // shard exactly, so the round trip must be a bitwise no-op.
+  // Snapshot a warm engine, restore the set back into the same engine: a
+  // checkpoint taken at a flushed boundary captures every shard exactly,
+  // so the round trip must be a bitwise no-op.
   Fixture f;
   const size_t events = 200, batch = 50;
   const SerialRun serial = RunSerial(f.config, f.dataset, 7, events, batch);
@@ -195,12 +204,9 @@ TEST(ShardedStateTest, RestoreFromJustWrittenSnapshotIsIdentity) {
   options.num_shards = 4;
   ShardedEngine engine(&model, options);
   RunStream(engine, f, events, batch);
-  for (int s = 0; s < 4; ++s) {
-    const std::string path =
-        testing::TempDir() + "/identity_" + std::to_string(s) + ".apsn";
-    ASSERT_TRUE(engine.SnapshotShard(s, path).ok());
-    ASSERT_TRUE(engine.RestoreShard(s, path).ok());
-  }
+  const std::string dir = SnapshotDir("identity");
+  ASSERT_TRUE(engine.Snapshot(dir).ok());
+  ASSERT_TRUE(engine.Restore(dir).ok());
   ExpectStitchedMailboxEqual(engine, *serial.model, f.config.num_nodes);
   // And the restored engine is still live: the next stretch of the
   // stream is accepted on top of the restored state.
@@ -227,13 +233,8 @@ TEST(ShardedStateTest, ResetFullReplayEqualsRestoreTailReplay) {
   options.num_shards = 4;
   ShardedEngine engine_a(&model_a, options);
   RunStream(engine_a, f, cut, batch);
-  for (int s = 0; s < 4; ++s) {
-    ASSERT_TRUE(
-        engine_a
-            .SnapshotShard(s, testing::TempDir() + "/equiv_" +
-                                  std::to_string(s) + ".apsn")
-            .ok());
-  }
+  const std::string dir = SnapshotDir("equiv");
+  ASSERT_TRUE(engine_a.Snapshot(dir).ok());
   engine_a.ResetState();
   RunStream(engine_a, f, events, batch);
   ExpectStitchedMailboxEqual(engine_a, *serial.model, f.config.num_nodes);
@@ -242,13 +243,7 @@ TEST(ShardedStateTest, ResetFullReplayEqualsRestoreTailReplay) {
   // tail only.
   core::ApanModel model_b(f.config, &f.dataset.features, 7);
   ShardedEngine engine_b(&model_b, options);
-  for (int s = 0; s < 4; ++s) {
-    ASSERT_TRUE(
-        engine_b
-            .RestoreShard(s, testing::TempDir() + "/equiv_" +
-                                 std::to_string(s) + ".apsn")
-            .ok());
-  }
+  ASSERT_TRUE(engine_b.Restore(dir).ok());
   for (size_t lo = cut; lo + batch <= events; lo += batch) {
     ASSERT_TRUE(engine_b.InferBatch(f.BatchEvents(lo, lo + batch)).ok());
   }

@@ -138,8 +138,8 @@ TEST(KernelParityTest, SoftmaxMatchesScalarBitwiseAndReferenceUlp) {
 
 TEST(KernelParityTest, MaskedSoftmaxMatchesScalarAndRespectsMask) {
   Rng rng(4);
-  const int64_t b = 5, h = 2, m = 10;
-  const auto scores = RandomVec(static_cast<size_t>(b * h * m), &rng);
+  const int64_t b = 5, m = 10;
+  const auto scores = RandomVec(static_cast<size_t>(b * m), &rng);
   std::vector<float> mask(static_cast<size_t>(b * m), 0.0f);
   // Mask the tail slots of every row.
   for (int64_t bi = 0; bi < b; ++bi) {
@@ -149,17 +149,13 @@ TEST(KernelParityTest, MaskedSoftmaxMatchesScalarAndRespectsMask) {
     }
   }
   std::vector<float> dispatched(scores.size()), scalar(scores.size());
-  kernels::MaskedSoftmax(scores.data(), mask.data(), dispatched.data(), b, h,
-                         m);
+  kernels::MaskedSoftmax(scores.data(), mask.data(), dispatched.data(), b, m);
   kernels::scalar::MaskedSoftmax(scores.data(), mask.data(), scalar.data(),
-                                 b, h, m);
+                                 b, m);
   ExpectBitwise(dispatched, scalar, "MaskedSoftmax vs scalar");
   for (int64_t bi = 0; bi < b; ++bi) {
-    for (int64_t hi = 0; hi < h; ++hi) {
-      for (int64_t s = 6; s < m; ++s) {
-        EXPECT_LT(dispatched[static_cast<size_t>((bi * h + hi) * m + s)],
-                  1e-12f);
-      }
+    for (int64_t s = 6; s < m; ++s) {
+      EXPECT_LT(dispatched[static_cast<size_t>(bi * m + s)], 1e-12f);
     }
   }
 }
@@ -232,31 +228,28 @@ TEST(KernelParityTest, DotMatchesScalarBitwiseAndReferenceUlp) {
 
 TEST(KernelParityTest, AttentionKernelsMatchScalarBitwise) {
   Rng rng(8);
-  // The strided multi-head shape and the one-head shapes the serve
-  // attention runs over raw key/value rows, with full and partial 8-lane
-  // blocks.
+  // The serve attention's shapes (one query per row over raw key/value
+  // rows) with full and partial 8-lane blocks.
   const struct {
-    int64_t b, h, m, dh;
-  } shapes[] = {{6, 2, 10, 16}, {5, 1, 10, 32}, {3, 1, 10, 52},
-                {4, 1, 17, 20}, {2, 3, 8, 7},   {3, 2, 3, 172},
-                {1, 1, 1, 1}};
+    int64_t b, m, d;
+  } shapes[] = {{6, 10, 16}, {5, 10, 32}, {3, 10, 52}, {4, 17, 20},
+                {2, 8, 7},   {3, 3, 172}, {1, 1, 1}};
   for (const auto& sh : shapes) {
-    SCOPED_TRACE(::testing::Message() << "b " << sh.b << ", h " << sh.h
-                                      << ", m " << sh.m << ", dh " << sh.dh);
-    const int64_t b = sh.b, h = sh.h, m = sh.m, dh = sh.dh;
-    const auto q = RandomVec(static_cast<size_t>(b * h * dh), &rng);
-    const auto k = RandomVec(static_cast<size_t>(b * m * h * dh), &rng);
-    std::vector<float> s_d(static_cast<size_t>(b * h * m)), s_s(s_d.size());
-    kernels::AttentionScores(q.data(), k.data(), s_d.data(), b, h, m, dh,
-                             0.25f);
-    kernels::scalar::AttentionScores(q.data(), k.data(), s_s.data(), b, h, m,
-                                     dh, 0.25f);
+    SCOPED_TRACE(::testing::Message()
+                 << "b " << sh.b << ", m " << sh.m << ", d " << sh.d);
+    const int64_t b = sh.b, m = sh.m, d = sh.d;
+    const auto q = RandomVec(static_cast<size_t>(b * d), &rng);
+    const auto k = RandomVec(static_cast<size_t>(b * m * d), &rng);
+    std::vector<float> s_d(static_cast<size_t>(b * m)), s_s(s_d.size());
+    kernels::AttentionScores(q.data(), k.data(), s_d.data(), b, m, d, 0.25f);
+    kernels::scalar::AttentionScores(q.data(), k.data(), s_s.data(), b, m, d,
+                                     0.25f);
     ExpectBitwise(s_d, s_s, "AttentionScores vs scalar");
 
-    std::vector<float> c_d(static_cast<size_t>(b * h * dh)), c_s(c_d.size());
-    kernels::AttentionContext(s_d.data(), k.data(), c_d.data(), b, h, m, dh);
-    kernels::scalar::AttentionContext(s_d.data(), k.data(), c_s.data(), b, h,
-                                      m, dh);
+    std::vector<float> c_d(static_cast<size_t>(b * d)), c_s(c_d.size());
+    kernels::AttentionContext(s_d.data(), k.data(), c_d.data(), b, m, d);
+    kernels::scalar::AttentionContext(s_d.data(), k.data(), c_s.data(), b, m,
+                                      d);
     ExpectBitwise(c_d, c_s, "AttentionContext vs scalar");
   }
 }
