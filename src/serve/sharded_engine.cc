@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -26,8 +26,6 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
                      : graph::NodePartition::BuildDefault(
                            model != nullptr ? model->config().num_nodes : 1,
                            options.num_shards)),
-      transport_(options_.transport ? options_.transport()
-                                    : std::make_unique<InProcessTransport>()),
       // InferBatch submits at most num_shards − 1 slices; the caller
       // encodes the last one itself, so one shard starts no pool thread.
       encode_pool_(static_cast<size_t>(options.num_shards - 1)),
@@ -90,9 +88,24 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
         std::make_unique<graph::AdjacencyReplica>(config.num_nodes);
     shards_.push_back(std::move(shard));
   }
+  // The transport comes up before the workers: a worker's very first
+  // batch may Send.
+  transport_ = StartTransport();
+  for (int s = 0; s < options_.num_shards; ++s) {
+    shards_[static_cast<size_t>(s)]->worker =
+        std::thread([this, s] { WorkerLoop(s); });
+  }
+}
+
+std::unique_ptr<Transport> ShardedEngine::StartTransport() {
+  std::unique_ptr<Transport> transport =
+      options_.transport ? options_.transport()
+                         : std::make_unique<InProcessTransport>();
   // Per-lane transport accounting: one counter cell per directed
   // (from, to) shard pair, attributed inside the transport itself (only
-  // it knows frame sizes and syscall counts).
+  // it knows frame sizes and syscall counts). A rebuilt transport counts
+  // into the same cells.
+  const int ns = options_.num_shards;
   TransportMetrics tmetrics;
   tmetrics.num_shards = ns;
   tmetrics.frames = registry_->GetCounter("transport.frames", ns * ns);
@@ -100,18 +113,13 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   tmetrics.syscalls = registry_->GetCounter("transport.syscalls", ns * ns);
   tmetrics.send_failures =
       registry_->GetCounter("transport.send_failures", ns * ns);
-  transport_->SetMetrics(tmetrics);
-  // The transport comes up before the workers: a worker's very first
-  // batch may Send.
-  const Status transport_up = transport_->Start(
-      options_.num_shards, [this](int to_shard, ShardPartial message) {
+  transport->SetMetrics(tmetrics);
+  const Status up =
+      transport->Start(ns, [this](int to_shard, ShardPartial message) {
         EnqueueMessage(to_shard, std::move(message));
       });
-  APAN_CHECK_MSG(transport_up.ok(), transport_up.ToString());
-  for (int s = 0; s < options_.num_shards; ++s) {
-    shards_[static_cast<size_t>(s)]->worker =
-        std::thread([this, s] { WorkerLoop(s); });
-  }
+  APAN_CHECK_MSG(up.ok(), up.ToString());
+  return transport;
 }
 
 ShardedEngine::~ShardedEngine() { Shutdown(); }
@@ -281,22 +289,18 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   last_timestamp_ = latest;
   ctx->events = events;
 
-  // Graceful degradation (MarkShardDown): records homed to a down shard
-  // are shed whole, its sampling/application legs are never counted (its
-  // replica misses the batch), and its merge contribution to every
-  // healthy shard is synthesized empty —
-  // so the reassembly barriers complete and Flush never blocks on the
-  // dead shard. The flags only flip at flushed batch boundaries
-  // (MarkShardDown, ResetState, Restore, or a lane failure between
-  // batches), so one read per batch is a consistent view.
-  std::vector<char> down(static_cast<size_t>(num_shards), 0);
-  int up_count = 0;
+  // Graceful degradation, one rule: the shards up now are this batch's
+  // senders and mergers. A down shard gets no job, so its replica misses
+  // the batch, its home records are shed whole, and no shard waits for a
+  // list from it. A flag set later (a lane failure mid-batch) only
+  // affects later batches.
+  std::vector<char>& up = ctx->up;
+  up.resize(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    down[static_cast<size_t>(s)] =
-        shard_down_[static_cast<size_t>(s)].load(std::memory_order_relaxed)
-            ? 1
-            : 0;
-    up_count += down[static_cast<size_t>(s)] == 0 ? 1 : 0;
+    const bool down =
+        shard_down_[static_cast<size_t>(s)].load(std::memory_order_relaxed);
+    up[static_cast<size_t>(s)] = down ? 0 : 1;
+    ctx->senders += down ? 0 : 1;
   }
 
   // Home every record on its source endpoint's shard, and list for each
@@ -312,7 +316,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     const graph::Event& e = events[i];
     const int home = partition_->HomeShardOf(e);
     jobs[static_cast<size_t>(home)].home.push_back(i);
-    if (down[static_cast<size_t>(home)] != 0) continue;
+    if (up[static_cast<size_t>(home)] == 0) continue;
     ctx->owned_events[static_cast<size_t>(home)].push_back(i);
     const int dst_owner = partition_->ShardOf(e.dst);
     if (dst_owner != home) {
@@ -322,7 +326,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   for (int s = 0; s < num_shards; ++s) {
     const auto homed = jobs[static_cast<size_t>(s)].home.size();
     if (homed == 0) continue;
-    if (down[static_cast<size_t>(s)] != 0) {
+    if (up[static_cast<size_t>(s)] == 0) {
       ins_.events_shed->Add(s, static_cast<int64_t>(homed));
     } else {
       ins_.events_homed->Add(s, static_cast<int64_t>(homed));
@@ -330,32 +334,15 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   }
 
   ins_.batches_ingested->Add(1);
-  if (up_count == 0) return result;  // every shard down: fully shed
+  if (ctx->senders == 0) return result;  // every shard down: fully shed
 
   {
-    std::set<int> up;
-    for (int s = 0; s < num_shards; ++s) {
-      if (down[static_cast<size_t>(s)] == 0) up.insert(s);
-    }
     util::MutexLock lock(flush_mu_);
-    inflight_ += 2 * static_cast<int64_t>(up_count);
-    apply_remaining_.emplace(ctx->batch, std::move(up));
+    inflight_ += 2 * static_cast<int64_t>(ctx->senders);
+    apply_remaining_.emplace(ctx->batch, ctx->senders);
   }
   for (int s = 0; s < num_shards; ++s) {
-    if (down[static_cast<size_t>(s)] != 0) {
-      // The dead shard will never route its partials; stand in for it
-      // with empty ones so every healthy shard's sender-count barrier
-      // still completes. Delivered straight to the inboxes — the dead
-      // peer's lanes may be dead too.
-      for (int t = 0; t < num_shards; ++t) {
-        if (down[static_cast<size_t>(t)] != 0) continue;
-        ShardPartial empty;
-        empty.batch = ctx->batch;
-        empty.from_shard = s;
-        EnqueueMessage(t, std::move(empty));
-      }
-      continue;
-    }
+    if (up[static_cast<size_t>(s)] == 0) continue;
     Shard& shard = *shards_[static_cast<size_t>(s)];
     int64_t depth = 0;
     {
@@ -468,9 +455,9 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
   const int64_t batch = job.ctx->batch;
   shard.pending[batch].ctx = job.ctx;
   // The own list is applied after the cross-shard ones are on their way,
-  // and outside the route stage: applying it can complete a merge.
-  SendPartial(shard_id, shard_id,
-              RouteMail(shard_id, job, entries, entries_end));
+  // and outside the route stage: applying it can complete a merge. It
+  // never touches the transport — this worker is its recipient.
+  OnMail(shard_id, RouteMail(shard_id, job, entries, entries_end));
 
   // Batch teardown is real per-batch work — freeing the sampled entries
   // and the job's home-event list. It scales with batch size, so it gets
@@ -521,57 +508,23 @@ void ShardedEngine::SampleKHop(int shard_id, const BatchJob& job,
 void ShardedEngine::SendPartial(int from_shard, int to_shard,
                                 ShardPartial partial) {
   const int64_t batch = partial.batch;
-  const auto to = static_cast<size_t>(to_shard);
-  if (shard_down_[to].load(std::memory_order_relaxed)) {
-    // Degraded path: a partial to a down shard is shed before it touches
-    // the transport. Its batch counted the destination's application leg
-    // at ingest (a batch ingested after the peer went down never routes a
-    // partial to it — its apply set excludes the peer), and a peer
-    // missing this partial can never reach its sender-count barrier, so
-    // retire that leg here or Flush wedges. A partial *from* a down shard
-    // (one marked down by a lane failure while its jobs were still
-    // queued) is sent as usual: its healthy recipients counted it at
-    // ingest, and their in-order merge cursors wait for it.
-    ins_.sends_shed->Add(to_shard, 1);
-    if (to_shard == from_shard) {
-      // This worker's own partial: the batch can never merge here, so
-      // its parked context (events plus embedding matrix) is freed now
-      // instead of waiting for Restore or ResetState.
-      shards_[to]->pending.erase(batch);
-    }
-    CompensateLostPartial(to_shard, batch);
+  std::atomic<bool>& down = shard_down_[static_cast<size_t>(to_shard)];
+  // A peer already marked down is not written to, so a dead lane fails
+  // exactly one write.
+  if (!down.load(std::memory_order_relaxed) &&
+      transport_->Send(from_shard, to_shard, std::move(partial)).ok()) {
     return;
   }
-  if (to_shard == from_shard) {
-    // A shard's own partial never touches the transport: this worker is
-    // the recipient, so it merges it here — no frame, no inbox hop.
-    OnMail(to_shard, std::move(partial));
-    return;
-  }
-  if (transport_->Send(from_shard, to_shard, std::move(partial)).ok()) {
-    return;
-  }
-  // The lane is dead and the partial was not delivered: mark the peer
-  // down so subsequent traffic sheds cheaply, count what was lost, and
-  // keep serving the healthy shards instead of aborting the process.
+  // The list is lost. The peer was up when this batch was ingested, so it
+  // counts this sender: an empty list takes the lost one's place, straight
+  // into its inbox, and it still merges the batch. Its state now lacks
+  // the list, so it is down for later batches until a resync.
+  down.store(true, std::memory_order_relaxed);
   ins_.sends_shed->Add(to_shard, 1);
-  shard_down_[to].store(true, std::memory_order_relaxed);
-  CompensateLostPartial(to_shard, batch);
-}
-
-void ShardedEngine::CompensateLostPartial(int to_shard, int64_t batch) {
-  util::MutexLock lock(flush_mu_);
-  auto remaining = apply_remaining_.find(batch);
-  if (remaining == apply_remaining_.end()) return;
-  // erase() doubles as the dedupe: another sender's shed partial for the
-  // same (batch, peer) finds the leg already retired and is a no-op.
-  if (remaining->second.erase(to_shard) == 0) return;
-  if (remaining->second.empty()) {
-    // The written-off leg was the last: every shard still up has merged.
-    apply_remaining_.erase(remaining);
-    ins_.batches_propagated->Add(to_shard, 1);
-  }
-  if (--inflight_ == 0) flush_cv_.NotifyAll();
+  ShardPartial empty;
+  empty.batch = batch;
+  empty.from_shard = from_shard;
+  EnqueueMessage(to_shard, std::move(empty));
 }
 
 void ShardedEngine::EnqueueMessage(int to_shard, ShardPartial message) {
@@ -653,6 +606,11 @@ ShardPartial ShardedEngine::RouteMail(
     routed += size;
     if (static_cast<int>(t) == from_shard) continue;
     cross_shard += size;
+    if (ctx.up[t] == 0) {
+      // Down at ingest: the shard does not merge this batch.
+      ins_.sends_shed->Add(static_cast<int>(t), 1);
+      continue;
+    }
     SendPartial(from_shard, static_cast<int>(t), std::move(out));
   }
   ins_.mails_routed->Add(from_shard, routed);
@@ -680,11 +638,12 @@ void ShardedEngine::OnMail(int shard_id, ShardPartial partial) {
   parts.push_back(std::move(partial));
   // Batches complete in order: every sender emits its partials in batch
   // order, so once all senders reported for next_merge, every earlier
-  // batch has already been merged.
+  // batch has already been merged. The context is parked before the own
+  // list is sent, and it names the batch's senders.
   while (true) {
     auto it = shard.pending.find(shard.next_merge);
-    if (it == shard.pending.end() ||
-        static_cast<int>(it->second.parts.size()) != options_.num_shards) {
+    if (it == shard.pending.end() || it->second.ctx == nullptr ||
+        static_cast<int>(it->second.parts.size()) != it->second.ctx->senders) {
       break;
     }
     Shard::PendingBatch merged = std::move(it->second);
@@ -750,9 +709,6 @@ core::RowBlock ShardedEngine::ReduceBatch(int shard_id,
 
 void ShardedEngine::ApplyMergedBatch(int shard_id,
                                      Shard::PendingBatch batch) {
-  // Every sender's list is in, this shard's own included, and a shard
-  // parks the context before it sends its own list.
-  APAN_CHECK_MSG(batch.ctx != nullptr, "merge without its batch context");
   const int64_t batch_id = batch.ctx->batch;
   // ρ runs before the state lock: it reads only the context and the lists.
   core::RowBlock reduced = ReduceBatch(shard_id, batch);
@@ -808,14 +764,7 @@ void ShardedEngine::ApplyMergedBatch(int shard_id,
 
   util::MutexLock lock(flush_mu_);
   auto remaining = apply_remaining_.find(batch_id);
-  // A shed retires a leg only for a partial its recipient never receives,
-  // and a shard merges only once every partial is in, so the leg is still
-  // counted here. Counting it twice would drive inflight_ negative.
-  const bool leg_counted = remaining != apply_remaining_.end() &&
-                           remaining->second.erase(shard_id) == 1;
-  APAN_CHECK_MSG(leg_counted,
-                 "merged a batch whose application leg was already retired");
-  if (remaining->second.empty()) {
+  if (--remaining->second == 0) {
     apply_remaining_.erase(remaining);
     ins_.batches_propagated->Add(shard_id, 1);
   }
@@ -866,10 +815,8 @@ void ShardedEngine::RestoreShardLocal(int shard_id,
   // Restore validated the replica before any shard changed.
   const Status replica = shard.replica->Restore(snap.replica);
   APAN_CHECK_MSG(replica.ok(), replica.ToString());
-  // Replay state, rewound to the image's flushed point: pending is
-  // structurally empty there (Flush settled every barrier), and the merge
-  // cursor resumes at the watermark.
-  shard.pending.clear();
+  // Flush merged every batch a shard took part in, so nothing is parked:
+  // the merge cursor just resumes at the watermark.
   shard.next_merge = snap.next_batch;
 }
 
@@ -879,12 +826,9 @@ void ShardedEngine::ResetState() {
   // rewound under the same lock that advances it.
   util::MutexLock infer_lock(infer_mu_);
   if (shutdown_) return;
-  // RunControlJob flushes first; after that every inbox and every
-  // transport lane is empty (Flush proves all application legs ran, and
-  // legs are only reachable via delivered messages). The reset then runs
-  // on each shard's own worker, so the worker-confined state (merge
-  // cursor, graph replica) is only ever touched by its own thread.
-  const auto reset_shard = [this](int shard_id) {
+  next_batch_ = 0;
+  last_timestamp_ = -std::numeric_limits<double>::infinity();
+  Resync([this](int shard_id) {
     Shard& shard = *shards_[static_cast<size_t>(shard_id)];
     {
       // The encode pool also reads the store (though the held infer lock
@@ -894,48 +838,59 @@ void ShardedEngine::ResetState() {
     }
     // Batch numbering restarts at 0, so the merge cursor rewinds with it.
     shard.replica->Reset();
-    shard.pending.clear();
     shard.next_merge = 0;
     return Status::OK();
-  };
-  for (int s = 0; s < options_.num_shards; ++s) {
-    const Status reset = RunControlJob(s, reset_shard);
-    APAN_CHECK_MSG(reset.ok(), reset.ToString());
-  }
-  next_batch_ = 0;
-  last_timestamp_ = -std::numeric_limits<double>::infinity();
-  // Every shard now holds the same (empty) point, so a down shard is in
-  // sync again.
-  for (auto& down : shard_down_) down.store(false, std::memory_order_relaxed);
+  });
 }
 
-Status ShardedEngine::RunControlJob(
-    int shard, std::function<Status(int shard_id)> control) {
+void ShardedEngine::Resync(const std::function<Status(int shard_id)>& install) {
+  const Status installed = RunControlJobs(install);
+  APAN_CHECK_MSG(installed.ok(), installed.ToString());
+  // Every shard now holds one point, so a down shard is in sync again.
+  bool any_down = false;
+  for (auto& down : shard_down_) {
+    any_down |= down.exchange(false, std::memory_order_relaxed);
+  }
+  if (!any_down) return;
+  // A down shard may sit behind a dead lane, and no lane is ever revived:
+  // rebuild them all. The round flushed first, and every inbox and lane
+  // has been empty since (every counted merge ran, and merges only follow
+  // delivered lists), so no worker is sending.
+  transport_->Stop();
+  transport_ = StartTransport();
+}
+
+Status ShardedEngine::RunControlJobs(
+    const std::function<Status(int shard_id)>& control) {
   // Settle everything accepted so far: control jobs observe (or install)
-  // a quiescent shard, and Flush proves every application leg ran.
+  // quiescent shards, and Flush proves every application leg ran.
   Flush();
-  Status status;
-  BatchJob job;
-  job.control = std::move(control);
-  job.control_status = &status;
+  const auto num_shards = static_cast<size_t>(options_.num_shards);
+  std::vector<Status> statuses(num_shards);
   {
     util::MutexLock lock(flush_mu_);
-    ++inflight_;
+    inflight_ += static_cast<int64_t>(num_shards);
   }
-  Shard& target = *shards_[static_cast<size_t>(shard)];
-  {
+  for (size_t s = 0; s < num_shards; ++s) {
+    BatchJob job;
+    job.control = control;
+    job.control_status = &statuses[s];
+    Shard& target = *shards_[s];
     util::MutexLock lock(target.mu);
     ++target.jobs_in_flight;
     target.jobs.push_back(std::move(job));
     target.cv.NotifyAll();
   }
   {
-    // The worker writes `status` under flush_mu_ before its decrement, so
-    // observing inflight_ == 0 under the same lock orders the read.
+    // Each worker writes its status under flush_mu_ before its decrement,
+    // so observing inflight_ == 0 under the same lock orders the reads.
     util::MutexLock lock(flush_mu_);
     while (inflight_ != 0) flush_cv_.Wait(flush_mu_);
   }
-  return status;
+  for (Status& status : statuses) {
+    if (!status.ok()) return std::move(status);
+  }
+  return Status::OK();
 }
 
 Status ShardedEngine::Snapshot(const std::string& dir) {
@@ -951,17 +906,30 @@ Status ShardedEngine::Snapshot(const std::string& dir) {
           " is down and missed batches; ResetState or Restore first"));
     }
   }
+  // Every image is staged beside its file and renamed over it only once
+  // all N writes succeeded, so a failed write leaves the previous point in
+  // `dir` whole. (A crash between the renames can still leave a mixed
+  // set, which Restore refuses.)
+  const auto staged = [&dir](int s) {
+    return snapshot::ShardPath(dir, s) + ".staged";
+  };
   // The watermark is read under infer_mu_ — the lock that advances it —
   // and rides into every image. (The worker cannot read it itself without
   // an ACQUIRED_AFTER violation.)
-  for (int s = 0; s < options_.num_shards; ++s) {
-    APAN_RETURN_NOT_OK(RunControlJob(
-        s, [this, path = snapshot::ShardPath(dir, s),
-            next_batch = next_batch_](int shard_id) {
-          return SnapshotShardLocal(shard_id, next_batch, path);
-        }));
+  Status written = RunControlJobs(
+      [this, &staged, next_batch = next_batch_](int shard_id) {
+        return SnapshotShardLocal(shard_id, next_batch, staged(shard_id));
+      });
+  for (int s = 0; written.ok() && s < options_.num_shards; ++s) {
+    written = snapshot::RenameFile(staged(s), snapshot::ShardPath(dir, s));
   }
-  return Status::OK();
+  if (!written.ok()) {
+    // Best-effort: a shard whose write failed left no staged file.
+    for (int s = 0; s < options_.num_shards; ++s) {
+      static_cast<void>(std::remove(staged(s).c_str()));
+    }
+  }
+  return written;
 }
 
 Status ShardedEngine::CheckImage(int shard,
@@ -1026,20 +994,14 @@ Status ShardedEngine::Restore(const std::string& dir) {
     }
     images.push_back(std::move(*image));
   }
-  for (int s = 0; s < options_.num_shards; ++s) {
-    const Status installed =
-        RunControlJob(s, [this, &images](int shard_id) {
-          RestoreShardLocal(shard_id,
-                            images[static_cast<size_t>(shard_id)]);
-          return Status::OK();
-        });
-    APAN_CHECK_MSG(installed.ok(), installed.ToString());
-  }
   // The caller replays events from this watermark to catch up to the
   // present.
   next_batch_ = images.front().next_batch;
   last_timestamp_ = images.front().replica.latest_timestamp;
-  for (auto& down : shard_down_) down.store(false, std::memory_order_relaxed);
+  Resync([this, &images](int shard_id) {
+    RestoreShardLocal(shard_id, images[static_cast<size_t>(shard_id)]);
+    return Status::OK();
+  });
   return Status::OK();
 }
 

@@ -41,14 +41,15 @@
 //       ShardPartial. Cross-shard lists therefore arrive interleaved with
 //       other shards' traffic — out of order by construction; a shard's
 //       list to itself skips the transport;
-//     · a recipient shard merges a batch once lists from all N shards
-//       have arrived. It concatenates them in event order and runs the
-//       serial path's kernel (MailPropagator::PropagateRows: φ + f + ρ)
-//       over the shared context, then, under its state lock, walks in
-//       order the batch's events with an endpoint it owns (listed per
-//       shard at ingest), writing each such endpoint's z(t−) row and
-//       hop-0 mail, and delivers each ρ mean — exactly the per-node
-//       delivery order of the serial ApanModel path.
+//     · a recipient shard merges a batch once lists from every shard that
+//       was up at ingest have arrived. It concatenates them in event
+//       order and runs the serial path's kernel
+//       (MailPropagator::PropagateRows: φ + f + ρ) over the shared
+//       context, then, under its state lock, walks in order the batch's
+//       events with an endpoint it owns (listed per shard at ingest),
+//       writing each such endpoint's z(t−) row and hop-0 mail, and
+//       delivers each ρ mean — exactly the per-node delivery order of the
+//       serial ApanModel path.
 //
 // Transport plane: every cross-shard ShardPartial travels through a
 // pluggable serve::Transport (Options::transport) — synchronous in-process
@@ -56,8 +57,9 @@
 // distinct shards carrying serve/wire.h frames. The engine assumes
 // exactly-once delivery with no ordering: a batch merges only once every
 // sender's list is in, and a re-delivered list aborts the process as a
-// broken transport. A Send that fails delivers nothing; the engine marks
-// the recipient down and sheds (MarkShardDown).
+// broken transport. A Send that fails delivers nothing; the engine puts an
+// empty list in its place, so the recipient still merges the batch, and
+// marks the recipient down for later batches (MarkShardDown).
 // With the state plane split into per-shard stores, nothing crosses a
 // shard boundary through shared memory: a shard's entire mutable
 // footprint (store + replica) is address-space independent, and only
@@ -91,7 +93,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -195,7 +196,8 @@ class ShardedEngine {
   /// ApanModel::ResetState for the sharded layout: flushes accepted work,
   /// then routes a reset through every shard's worker that zeroes its
   /// NodeStateStore, empties its graph replica, and rewinds its merge
-  /// cursor; batch numbering restarts at 0 and every shard is up again.
+  /// cursor; batch numbering restarts at 0 and every shard is up again,
+  /// over rebuilt lanes if any shard was down.
   /// After it returns the engine reproduces a fresh engine bitwise on the
   /// same stream, under any transport: the internal flush leaves no frame
   /// in flight. Stats and latency recorders stay cumulative. Callers must
@@ -203,17 +205,20 @@ class ShardedEngine {
   void ResetState() APAN_EXCLUDES(infer_mu_, flush_mu_);
 
   /// \brief Writes the engine's recovery point into directory `dir`
-  /// (which must exist): one crash-atomic image per shard,
-  /// snapshot::ShardPath(dir, s), each holding the shard's mail and z(t−)
-  /// rows, its graph replica and the engine's batch watermark
-  /// (serve/snapshot.h format). Flushes accepted work first, then runs
-  /// each capture as a control job on the shard's own worker thread, so
-  /// every worker-confined field is read by the one thread allowed to
-  /// touch it. Restoring the set and replaying the event stream from its
-  /// watermark reproduces the never-crashed state bitwise.
+  /// (which must exist): one image per shard, snapshot::ShardPath(dir, s),
+  /// each holding the shard's mail and z(t−) rows, its graph replica and
+  /// the engine's batch watermark (serve/snapshot.h format). Flushes
+  /// accepted work first, then runs every capture in one control round on
+  /// the shards' own worker threads, so every worker-confined field is
+  /// read by the one thread allowed to touch it. Each capture is written
+  /// crash-atomically to `<ShardPath>.staged`; the staged set is renamed
+  /// over the images only once all N writes succeeded, so a failed write
+  /// leaves the previous point in `dir` whole. Restoring the set and
+  /// replaying the event stream from its watermark reproduces the
+  /// never-crashed state bitwise.
   /// \return FailedPrecondition while any shard is down (its state missed
   /// batches, so no consistent point exists) or after Shutdown; the
-  /// write's IoError otherwise.
+  /// write's IoError otherwise, with no staged file left behind.
   Status Snapshot(const std::string& dir)
       APAN_EXCLUDES(infer_mu_, flush_mu_);
 
@@ -225,33 +230,31 @@ class ShardedEngine {
   /// watermark, one replica). Then each shard's worker rebuilds its state
   /// through the mailbox write path (snapshot::InstallStore) and adopts
   /// its replica; every merge cursor and the batch numbering restart at
-  /// the watermark, and every shard is up again. Like ResetState, it
-  /// flushes first, so it is safe after ingest under any transport.
+  /// the watermark, and every shard is up again, over rebuilt lanes if any
+  /// shard was down. Like ResetState, it flushes first, so it is safe
+  /// after ingest under any transport.
   /// \return IoError for a missing or corrupt file; InvalidArgument for an
   /// image of another topology or a mixed-point set — the engine is then
   /// unchanged; FailedPrecondition after Shutdown.
   Status Restore(const std::string& dir) APAN_EXCLUDES(infer_mu_, flush_mu_);
 
-  /// \brief Marks a shard down for graceful degradation. While a shard is
-  /// down the engine keeps serving from the healthy shards instead of
-  /// blocking on the dead one: batches' records homed to it are shed
-  /// (counted in Stats::events_shed), partials to it are shed at send
-  /// (Stats::sends_shed), and its merge contribution is synthesized empty
-  /// so healthy shards' reassembly barriers still complete. Healthy
-  /// shards write no z(t−) row and no mail for a shed event, and still
-  /// sample nodes the down shard owns from their own replicas. A shard
-  /// marked down at runtime drops each batch context its queued jobs
-  /// park, since those batches can never merge there. Scores keep flowing
-  /// — encoded against the down shard's frozen state. Flushes in-flight
-  /// work before setting the flag, so the transition lands at a batch
-  /// boundary. A down shard missed batches, so it stays down until a
-  /// resync: ResetState or Restore. No-op after Shutdown.
+  /// \brief Marks a shard down for graceful degradation. The one rule:
+  /// the shards up when a batch is ingested are that batch's shards. A
+  /// batch ingested while a shard is down gives it no job and waits for
+  /// no list from it: the batch's records homed to it are shed (counted
+  /// in Stats::events_shed) and lists addressed to it are dropped
+  /// (Stats::sends_shed). Healthy shards write no z(t−) row and no mail
+  /// for a shed event, and still sample nodes the down shard owns from
+  /// their own replicas. Scores keep flowing — encoded against the down
+  /// shard's frozen state. Flushes in-flight work before setting the
+  /// flag, so the transition lands at a batch boundary. A down shard
+  /// missed batches, so it stays down until a resync: ResetState or
+  /// Restore. No-op after Shutdown.
   void MarkShardDown(int shard) APAN_EXCLUDES(infer_mu_, flush_mu_);
 
   struct Stats {
     int64_t batches_ingested = 0;
-    /// Batches fully applied on every shard — every shard that was up,
-    /// once a down shard's application leg is written off.
+    /// Batches merged by every shard that was up when they were ingested.
     int64_t batches_propagated = 0;
     /// Always 0: a full inbox back-pressures the caller instead of
     /// refusing the batch. Kept so that readers of the old overflow
@@ -276,8 +279,9 @@ class ShardedEngine {
     /// Interaction records homed to a down shard and shed whole while it
     /// was down (MarkShardDown). Zero in any run with no shard down.
     int64_t events_shed = 0;
-    /// Partials shed at send — addressed to a down shard, or refused by
-    /// the transport because the lane died. Zero in a healthy run.
+    /// Hop lists shed at send — addressed to a shard that was down at
+    /// ingest, or lost to a dead lane (the recipient then merges an empty
+    /// list in its place). Zero in a healthy run.
     int64_t sends_shed = 0;
   };
   Stats stats() const;
@@ -311,14 +315,20 @@ class ShardedEngine {
 
  private:
   /// Shared per-batch bookkeeping, read-only once built: the whole batch,
-  /// which every shard appends to its replica, each shard's list of the
-  /// events whose endpoints it writes at merge time, and the synchronous
-  /// link's embedding matrix,
-  /// which every shard reads z rows from. (The apply barrier lives in
-  /// apply_remaining_, keyed by batch — ShardPartials cross the transport
-  /// and cannot carry pointers.)
+  /// which every shard appends to its replica, the shards up at ingest,
+  /// each shard's list of the events whose endpoints it writes at merge
+  /// time, and the synchronous link's embedding matrix, which every shard
+  /// reads z rows from. (The apply count lives in apply_remaining_, keyed
+  /// by batch — ShardPartials cross the transport and cannot carry
+  /// pointers.)
   struct BatchContext {
     int64_t batch = 0;
+    /// Per shard, whether it was up when the batch was ingested: the
+    /// batch's senders and mergers. A shard down at ingest gets no job,
+    /// and lists addressed to it are dropped.
+    std::vector<char> up;
+    /// How many shards were up: the hop lists a merging shard waits for.
+    int senders = 0;
     std::vector<graph::Event> events;
     /// {unique nodes, d}: each of the batch's nodes encoded once, rows in
     /// owner-shard order — the one matrix the encode tasks write, the
@@ -404,42 +414,47 @@ class ShardedEngine {
   /// Checks one decoded image against this engine's topology: shard
   /// `shard`'s id, shard and node counts, mailbox geometry and partition.
   Status CheckImage(int shard, const snapshot::ShardSnapshot& snap) const;
-  /// The one control-job path (ResetState, Snapshot, Restore):
-  /// Flush, run `control` on `shard`'s worker, wait for it, return the
-  /// Status it produced. Held infer_mu_ keeps InferBatch (and other
-  /// control callers) out for the whole round trip.
-  Status RunControlJob(int shard, std::function<Status(int shard_id)> control)
+  /// The one control round (ResetState, Snapshot, Restore): Flush, run
+  /// `control` on every shard's worker at once, wait for all of them, and
+  /// return the first non-OK Status in shard order. Held infer_mu_ keeps
+  /// InferBatch (and other control callers) out for the whole round.
+  Status RunControlJobs(const std::function<Status(int shard_id)>& control)
       APAN_REQUIRES(infer_mu_) APAN_EXCLUDES(flush_mu_);
+  /// The tail of ResetState and Restore: runs `install` on every worker
+  /// in one control round, marks every shard up and, when any shard was
+  /// down, replaces the transport from Options::transport (a dead lane is
+  /// never revived, so the lanes are rebuilt whole). An epoch reset with
+  /// every shard up keeps its lanes.
+  void Resync(const std::function<Status(int shard_id)>& install)
+      APAN_REQUIRES(infer_mu_) APAN_EXCLUDES(flush_mu_);
+  /// Builds a transport from Options::transport (InProcessTransport when
+  /// unset), installs its per-lane counters and starts it.
+  std::unique_ptr<Transport> StartTransport();
   void OnMail(int shard_id, ShardPartial partial) APAN_EXCLUDES(flush_mu_);
   /// Runs ReduceBatch, then writes the shard's own endpoints (z(t−) rows,
   /// hop-0 mail) from the batch's context and delivers its ρ means.
   void ApplyMergedBatch(int shard_id, Shard::PendingBatch batch)
       APAN_EXCLUDES(flush_mu_);
-  /// Concatenates a batch's N hop lists in event order and runs
+  /// Concatenates a batch's hop lists in event order and runs
   /// PropagateRows over the context: the ρ partial sums of this shard's
   /// recipients, ascending, not yet finalized. Takes no lock.
   core::RowBlock ReduceBatch(int shard_id, const Shard::PendingBatch& batch);
   /// Drops endpoint entries from a job's sample (home event j's entries
   /// are entries[entries_end[j - 1], entries_end[j])), splits the rest by
-  /// owner into one hop list per shard, sends the cross-shard ones, and
-  /// returns the one addressed to `from_shard` (applied by the caller
-  /// after the route stage is timed).
+  /// owner into one hop list per shard, sends the cross-shard ones to the
+  /// shards up at ingest (dropping the rest), and returns the one
+  /// addressed to `from_shard` (applied by the caller after the route
+  /// stage is timed).
   ShardPartial RouteMail(int from_shard, const BatchJob& job,
                          std::span<const graph::HopEntry> entries,
                          std::span<const size_t> entries_end)
       APAN_EXCLUDES(flush_mu_);
-  /// Hands one partial to the transport (which delivers it once through
-  /// EnqueueMessage, possibly on another thread) — or, addressed to the
-  /// sending shard itself, straight to OnMail — or sheds it when its
-  /// recipient is down or the lane is dead. Worker thread only.
+  /// Hands one cross-shard partial to the transport (which delivers it
+  /// once through EnqueueMessage, possibly on another thread). When the
+  /// recipient is down, or the write fails, the list is lost: the
+  /// recipient is marked down for later batches and gets an empty list in
+  /// its inbox instead, so it still merges this batch. Worker thread only.
   void SendPartial(int from_shard, int to_shard, ShardPartial partial)
-      APAN_EXCLUDES(flush_mu_);
-  /// Retires the application leg of `batch` on `to_shard` after a
-  /// ShardPartial to it was shed: erases the peer from the batch's
-  /// apply_remaining_ set and decrements inflight_ if the leg was still
-  /// present, so Flush cannot wedge on a merge the dead peer will never
-  /// perform. Retiring the last leg counts the batch propagated.
-  void CompensateLostPartial(int to_shard, int64_t batch)
       APAN_EXCLUDES(flush_mu_);
   /// Transport delivery handler: pushes onto the target shard's inbox.
   void EnqueueMessage(int to_shard, ShardPartial message);
@@ -460,18 +475,22 @@ class ShardedEngine {
   /// per-shard NodeStateStore shares it (stored once).
   /// Options::partition, or the canonical hash when none was given.
   std::shared_ptr<const graph::NodePartition> partition_;
+  /// Replaced only by Resync, at a flushed point where no worker is
+  /// sending; the next job push (under the shard's inbox lock) publishes
+  /// the new one to the workers.
   std::unique_ptr<Transport> transport_;
   ThreadPool encode_pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Per-shard down flags (MarkShardDown), sized num_shards at
-  /// construction and never resized. Atomics because the readers span
-  /// lock domains — InferBatch under infer_mu_, SendPartial on worker
-  /// threads under no engine lock. Relaxed reads suffice: MarkShardDown
-  /// sets a flag, and ResetState / Restore clear them all, only at a
-  /// flushed quiescent point, and a failed lane send only ever sets one,
-  /// where a reader that still sees the peer up sends into the dead lane
-  /// once more and sheds on that failure.
+  /// Per-shard down flags, sized num_shards at construction and never
+  /// resized. InferBatch reads them once per batch into
+  /// BatchContext::up; a flag set later affects later batches only.
+  /// MarkShardDown sets one at a flushed point, a failed lane write sets
+  /// one mid-batch (SendPartial), and Resync clears them all at a flushed
+  /// point. Atomics because the readers span lock domains — InferBatch
+  /// under infer_mu_, SendPartial on worker threads under no engine lock.
+  /// Relaxed suffices: a sender that still sees a dead peer up writes
+  /// into the dead lane once more and loses that list the same way.
   std::vector<std::atomic<bool>> shard_down_;
 
   /// Serializes Shutdown callers end-to-end. Outermost engine lock:
@@ -489,19 +508,16 @@ class ShardedEngine {
   double last_timestamp_ APAN_GUARDED_BY(infer_mu_) =
       -std::numeric_limits<double>::infinity();
 
-  /// Outstanding work legs for Flush: each accepted batch contributes
-  /// num_shards sampling legs + num_shards application legs. Innermost
-  /// engine lock (see the ACQUIRED_AFTER chain).
+  /// Outstanding work legs for Flush: each accepted batch contributes one
+  /// sampling leg and one application leg per shard up at ingest, and
+  /// every one of them runs. Innermost engine lock (see the
+  /// ACQUIRED_AFTER chain).
   mutable util::Mutex flush_mu_ APAN_ACQUIRED_AFTER(infer_mu_);
   util::CondVar flush_cv_;
   int64_t inflight_ APAN_GUARDED_BY(flush_mu_) = 0;
-  /// Apply barrier per in-flight batch: the exact set of shards yet to
-  /// merge it; the last shard to leave the set completes the batch. A set
-  /// (not a count) so that shedding a partial destined to a dead peer can
-  /// retire precisely the legs that were counted at ingest — a batch
-  /// ingested while a shard was already down never put that shard in its
-  /// set, so double-compensation is structurally impossible.
-  std::map<int64_t, std::set<int>> apply_remaining_ APAN_GUARDED_BY(flush_mu_);
+  /// Per in-flight batch, how many of its shards have yet to merge it; the
+  /// last merge counts the batch propagated.
+  std::map<int64_t, int> apply_remaining_ APAN_GUARDED_BY(flush_mu_);
 
   /// Metric handles, resolved once at construction (the registry owns the
   /// metrics; handles are stable and lock-free). Counters are the stats()

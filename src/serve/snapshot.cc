@@ -353,18 +353,20 @@ Status WriteFileAtomic(const std::string& path,
     ::unlink(tmp.c_str());
     return st;
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status st = Errno("rename", tmp);
-    ::unlink(tmp.c_str());
-    return st;
-  }
+  const Status renamed = RenameFile(tmp, path);
+  if (!renamed.ok()) ::unlink(tmp.c_str());
+  return renamed;
+}
+
+Status RenameFile(const std::string& from, const std::string& to) {
+  if (::rename(from.c_str(), to.c_str()) != 0) return Errno("rename", from);
   // fsync the directory so the rename itself is durable. Best-effort on
   // exotic filesystems that refuse O_DIRECTORY opens — the data file is
   // already synced, only the directory entry's durability is at stake.
-  const size_t slash = path.find_last_of('/');
+  const size_t slash = to.find_last_of('/');
   const std::string dir = slash == std::string::npos
                               ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
+                              : to.substr(0, slash == 0 ? 1 : slash);
   const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (dir_fd >= 0) {
     ::fsync(dir_fd);

@@ -150,6 +150,10 @@ Result<ShardSnapshot> DecodeShardSnapshot(std::span<const uint8_t> bytes);
 Status WriteFileAtomic(const std::string& path,
                        std::span<const uint8_t> bytes);
 
+/// rename(2) `from` over `to`, then fsync `to`'s directory so the rename
+/// is durable. IoError when the rename fails.
+Status RenameFile(const std::string& from, const std::string& to);
+
 /// Reads a whole file; IoError on open/read failure or a file above the
 /// snapshot size cap.
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);

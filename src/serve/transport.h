@@ -8,8 +8,10 @@
 //
 //   · exactly-once delivery: every accepted Send is delivered once, and
 //     only once, before Stop() returns. A Send that fails delivers
-//     nothing; the engine then marks the recipient down and sheds. A
-//     re-delivery is a broken transport, and the engine aborts on it;
+//     nothing; the engine then hands the recipient an empty list in its
+//     place and marks it down for later batches, and replaces the whole
+//     transport at the next resync. A re-delivery is a broken transport,
+//     and the engine aborts on it;
 //   · thread-safe Send from any engine thread, and a handler that may be
 //     invoked from any transport thread (the engine's inbox push is
 //     mutex-guarded);

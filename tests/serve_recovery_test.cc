@@ -4,11 +4,14 @@
 // transports AND under FaultyTransport delay/reorder faults, into a fresh
 // engine or into one that already ingested past the checkpoint. A
 // recovery point is one point: a set that mixes images of two points, or
-// a snapshot taken while a shard is down, is refused. A UDS lane whose
-// peer dies marks the peer down instead of crashing the engine, and a
-// shard administratively marked down degrades gracefully: its traffic is
-// shed and counted while healthy shards keep serving, until ResetState or
-// Restore brings it back. A seeded differential fuzz draws the deployment
+// a snapshot taken while a shard is down, is refused, and a snapshot that
+// fails part-way keeps the previous point. A UDS lane whose peer dies
+// marks the peer down for later batches instead of crashing the engine
+// (the batches it already accepted still merge there), and a shard
+// administratively marked down degrades gracefully: its traffic is shed
+// and counted while healthy shards keep serving, until ResetState or
+// Restore — which rebuild dead lanes — brings it back. A seeded
+// differential fuzz draws the deployment
 // and the snapshot point and checks the restored run against the serial
 // oracle bitwise: scores, mail payloads and z(t−) rows.
 
@@ -16,6 +19,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -369,6 +373,40 @@ TEST(RecoveryPointTest, MixedPointSetIsRefusedAndChangesNothing) {
                                        f.config.num_nodes);
 }
 
+TEST(RecoveryPointTest, FailedSnapshotKeepsThePreviousPoint) {
+  // Every image is staged and none renamed over its file until all N
+  // writes succeeded, so a snapshot whose shard 2 write fails leaves the
+  // directory's earlier point whole, and no staged file behind.
+  Fixture f;
+  const size_t events = 200, cut = 80, batch = 40;
+  const int num_shards = 4;
+  const testutil::SerialRun serial =
+      RunSerial(f.config, f.dataset, 7, events, batch);
+  auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess),
+                        num_shards);
+  std::vector<float> scores;
+  StreamScored(f, *run.engine, 0, cut, batch, &scores);
+  const std::string dir = SnapDir("staged", 0);
+  ASSERT_TRUE(run.engine->Snapshot(dir).ok());
+  Stream(f, *run.engine, cut, cut + batch, batch);
+  // A directory where shard 2's staged image is assembled fails its write.
+  const auto staged = [&dir](int s) {
+    return snapshot::ShardPath(dir, s) + ".staged";
+  };
+  ASSERT_TRUE(std::filesystem::create_directory(staged(2) + ".tmp"));
+  const Status failed = run.engine->Snapshot(dir);
+  EXPECT_EQ(failed.code(), StatusCode::kIoError) << failed;
+  for (int s = 0; s < num_shards; ++s) {
+    EXPECT_FALSE(std::filesystem::exists(staged(s))) << "shard " << s;
+  }
+  const Status restored = run.engine->Restore(dir);
+  ASSERT_TRUE(restored.ok()) << restored;
+  StreamScored(f, *run.engine, cut, events, batch, &scores);
+  testutil::ExpectScoresBitwise(scores, serial.scores);
+  testutil::ExpectStitchedStateBitwise(*run.engine, *serial.model,
+                                       f.config.num_nodes);
+}
+
 // ---- Restore after ingest --------------------------------------------------
 // An engine under injected faults serves the head flush-stepped, is
 // checkpointed, and keeps serving past the checkpoint with frames in
@@ -448,6 +486,89 @@ TEST(LaneRecoveryTest, KilledLanesMarkPeersDownAndFlushReturns) {
                 ->GetCounter("transport.send_failures", 4 * 4)
                 ->Value(),
             2);
+}
+
+/// A uds factory that publishes each transport it builds, so a test can
+/// kill a lane of the one the engine currently runs over.
+TransportFactory ExposedUnixSocket(UnixSocketTransport** raw) {
+  return [raw]() -> std::unique_ptr<Transport> {
+    auto transport = std::make_unique<UnixSocketTransport>();
+    *raw = transport.get();
+    return transport;
+  };
+}
+
+TEST(LaneRecoveryTest, BatchAcceptedBeforeLaneDeathMergesOnThePeer) {
+  // Shard 1 was up when batch 3 was ingested, so it merges batch 3 even
+  // though shard 0's list to it is lost: every z(t-) row batch 3 writes on
+  // shard 1 is the serial oracle's.
+  if (!UnixSocketTransport::Available()) {
+    GTEST_SKIP() << "AF_UNIX unavailable on this platform";
+  }
+  Fixture f;
+  const size_t batch = 40, events = 4 * batch;
+  const testutil::SerialRun serial =
+      RunSerial(f.config, f.dataset, 7, events, batch);
+  UnixSocketTransport* raw = nullptr;
+  auto run = MakeEngine(f, ExposedUnixSocket(&raw));
+  std::vector<float> scores;
+  StreamScored(f, *run.engine, 0, events - batch, batch, &scores);
+  ASSERT_NE(raw, nullptr);
+  ASSERT_TRUE(raw->KillLaneForTest(0, 1).ok());
+  StreamScored(f, *run.engine, events - batch, events, batch, &scores);
+  testutil::ExpectScoresBitwise(scores, serial.scores);
+  EXPECT_EQ(run.engine->stats().batches_propagated, 4);
+  EXPECT_GT(run.engine->stats().sends_shed, 0);
+  const graph::NodePartition& router = run.engine->router();
+  const core::NodeStateStore& store = run.engine->state_store(1);
+  int64_t checked = 0;
+  for (const graph::Event& e : f.BatchEvents(events - batch, events)) {
+    for (const graph::NodeId v : {e.src, e.dst}) {
+      if (router.ShardOf(v) != 1) continue;
+      ++checked;
+      const std::vector<float> z = store.LastEmbedding(v);
+      const std::vector<float> want =
+          serial.model->state_store().LastEmbedding(v);
+      ASSERT_EQ(z.size(), want.size());
+      ASSERT_EQ(std::memcmp(z.data(), want.data(), z.size() * sizeof(float)),
+                0)
+          << "z(t-) row of node " << v << " differs from the serial oracle's";
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+TEST(LaneRecoveryTest, ResyncAfterLaneDeathBringsEveryShardBack) {
+  // A resync after a lane died rebuilds the lanes: the replay sheds
+  // nothing more, a snapshot is possible again, and the replayed run is
+  // the serial oracle's bitwise.
+  if (!UnixSocketTransport::Available()) {
+    GTEST_SKIP() << "AF_UNIX unavailable on this platform";
+  }
+  Fixture f;
+  const size_t batch = 40, events = 240;
+  const testutil::SerialRun serial =
+      RunSerial(f.config, f.dataset, 7, events, batch);
+  UnixSocketTransport* raw = nullptr;
+  auto run = MakeEngine(f, ExposedUnixSocket(&raw));
+  Stream(f, *run.engine, 0, 120, batch);
+  run.engine->Flush();
+  ASSERT_NE(raw, nullptr);
+  ASSERT_TRUE(raw->KillLaneForTest(0, 1).ok());
+  Stream(f, *run.engine, 120, events, batch);
+  ASSERT_TRUE(FlushReturns(run));
+  const int64_t shed = run.engine->stats().sends_shed;
+  EXPECT_GT(shed, 0);
+  run.engine->ResetState();
+  std::vector<float> scores;
+  StreamScored(f, *run.engine, 0, events, batch, &scores);
+  EXPECT_EQ(run.engine->stats().sends_shed, shed);
+  const std::string dir = SnapDir("resync", 0);
+  const Status snapped = run.engine->Snapshot(dir);
+  EXPECT_TRUE(snapped.ok()) << snapped;
+  testutil::ExpectScoresBitwise(scores, serial.scores);
+  testutil::ExpectStitchedStateBitwise(*run.engine, *serial.model,
+                                       f.config.num_nodes);
 }
 
 // In-process delivery with one lane that dies at runtime: from its 4th
