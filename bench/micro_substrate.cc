@@ -1,7 +1,8 @@
 // Micro-benchmarks of the substrates (google-benchmark): tensor ops, the
 // encoder's attention pattern, temporal-graph queries, k-hop sampling,
-// mailbox operations and the shard-to-shard wire codec. These are the
-// primitive costs behind Figures 6-7 and the fig10 route/merge stages.
+// mailbox operations, the worker's propagation kernel and the
+// shard-to-shard wire codec. These are the primitive costs behind
+// Figures 6-7 and the fig10 propagate/route/merge stages.
 
 #include <benchmark/benchmark.h>
 
@@ -532,6 +533,56 @@ void BM_MailboxReadBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MailboxReadBatch)->Arg(200)->Arg(1000);
+
+// ---- Propagation ------------------------------------------------------------
+// The worker's ρ kernel on one alipay-shaped batch (x2 hash, 2 hops): 200
+// records of about 95 hop entries each, recipients Zipf-drawn over a
+// 76k-node space (scattered through the id range), d = 32.
+
+void BM_PropagateRows(benchmark::State& state) {
+  constexpr size_t kEvents = 200;
+  constexpr uint64_t kNodes = 76000;
+  constexpr int64_t kDim = 32;
+  core::ApanConfig config;
+  config.num_nodes = static_cast<int64_t>(kNodes);
+  config.embedding_dim = kDim;
+  graph::EdgeFeatureStore features(kDim);
+  Rng rng(10);
+  const auto node = [&rng] {
+    // 7919 is coprime to 76000, so this scatters ranks over every id.
+    return static_cast<graph::NodeId>(rng.Zipf(kNodes, 1.0) * 7919 % kNodes);
+  };
+  std::vector<graph::Event> events;
+  std::vector<float> z(2 * kEvents * kDim);
+  for (auto& x : z) x = static_cast<float>(rng.Normal());
+  std::vector<int64_t> src_row, dst_row;
+  core::HopList hops;
+  hops.offset.push_back(0);
+  std::vector<float> edge(kDim);
+  for (size_t r = 0; r < kEvents; ++r) {
+    for (auto& x : edge) x = static_cast<float>(rng.Normal());
+    events.push_back({node(), node(), static_cast<double>(r),
+                      features.Append(edge)});
+    src_row.push_back(static_cast<int64_t>(2 * r));
+    dst_row.push_back(static_cast<int64_t>(2 * r + 1));
+    // 0..190 entries, 95 on average.
+    for (uint64_t k = rng.UniformInt(uint64_t{191}); k > 0; --k) {
+      hops.node.push_back(node());
+    }
+    hops.offset.push_back(static_cast<uint32_t>(hops.node.size()));
+  }
+  const core::MailPropagator prop(config, &features);
+  const core::InteractionRows batch{events, z, src_row, dst_row};
+  core::RowBlock partial;
+  for (auto _ : state) {
+    prop.PropagateRows(batch, hops, &partial);
+    benchmark::DoNotOptimize(partial.rows.data());
+  }
+  state.counters["recipients"] = static_cast<double>(partial.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(hops.node.size()));
+}
+BENCHMARK(BM_PropagateRows);
 
 // ---- Wire codec -------------------------------------------------------------
 // The transport layer's own figure: one ShardPartial frame of the shape a

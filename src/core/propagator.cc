@@ -1,12 +1,37 @@
 #include "core/propagator.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
-#include <numeric>
-#include <unordered_map>
+#include <utility>
+
+#include "tensor/kernels.h"
 
 namespace apan {
 namespace core {
+
+namespace {
+
+constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+/// PropagateRows' per-thread scratch. `slot` is the dense recipient index
+/// and `touched` a bitmap over the same node ids; between calls every slot
+/// is kNoSlot and every bit clear, because each call resets exactly the
+/// entries it set. Thread-local (like the encoder's position-id cache), so
+/// concurrent calls never share it; it only grows.
+struct PropagateScratch {
+  std::vector<uint32_t> slot;     ///< Node id -> recipient slot.
+  std::vector<uint64_t> touched;  ///< Bit v set: node v is a recipient.
+  std::vector<float> mails;       ///< Record r's mail at row r.
+  std::vector<int64_t> count;     ///< Per first-touch slot.
+  std::vector<double> newest;     ///< Per first-touch slot.
+  std::vector<uint32_t> offset;   ///< CSR over sorted slots into `member`.
+  std::vector<uint32_t> cursor;
+  std::vector<uint32_t> member;   ///< Contributing record indices.
+};
+thread_local PropagateScratch t_propagate;
+
+}  // namespace
 
 MailPropagator::MailPropagator(const ApanConfig& config,
                                const graph::EdgeFeatureStore* features)
@@ -61,18 +86,23 @@ void MailPropagator::PropagateRows(const InteractionRows& batch,
                  "interaction embeddings have wrong dimension");
   const auto z_rows = static_cast<int64_t>(batch.z.size() / du);
 
+  PropagateScratch& s = t_propagate;
+  const auto num_nodes = static_cast<size_t>(config_.num_nodes);
+  if (s.slot.size() < num_nodes) {
+    s.slot.resize(num_nodes, kNoSlot);
+    s.touched.resize((num_nodes + 63) / 64, 0);
+  }
+  s.mails.resize(n * du);
+  s.count.clear();
+  s.newest.clear();
+
   // ρ applies only to the propagated k-hop copies (that is where
   // high-degree nodes would otherwise be flooded); the endpoints' own
-  // unreduced hop-0 mail is the caller's. Accumulators: one flat row per
-  // distinct hop-1..k recipient in first-touch order, sorted by recipient
-  // on the way out.
-  std::unordered_map<graph::NodeId, size_t> slot_of;
-  std::vector<graph::NodeId> recipient;
-  std::vector<double> newest;
-  std::vector<int64_t> contributions;
-  std::vector<float> sums;
-  std::vector<float> mail(du);
-
+  // unreduced hop-0 mail is the caller's. Count pass: φ once per record
+  // that spreads a copy, and one first-touch slot per distinct hop-1..k
+  // recipient with its contribution count and newest time (which starts
+  // at its first contribution's, never at a constant a negative time
+  // would lose to).
   for (size_t r = 0; r < n; ++r) {
     const graph::Event& event = batch.events[r];
     const int64_t src_row = batch.src_row[r];
@@ -83,48 +113,73 @@ void MailPropagator::PropagateRows(const InteractionRows& batch,
     const std::span<const graph::NodeId> reached = hops.hops(r);
     if (reached.empty()) continue;  // no copy to spread
     MailRow(event, batch.z.data() + static_cast<size_t>(src_row) * du,
-            batch.z.data() + static_cast<size_t>(dst_row) * du, mail.data());
+            batch.z.data() + static_cast<size_t>(dst_row) * du,
+            s.mails.data() + r * du);
     const double t = event.timestamp;
-
-    // Hops 1..k: mail passing f is the identity, so every sampled
-    // occurrence receives the same payload.
     for (const graph::NodeId node : reached) {
+      // Hop lists may come off a wire: range-check before indexing.
+      APAN_CHECK_MSG(node >= 0 && node < config_.num_nodes,
+                     "hop node out of range");
       if (node == event.src || node == event.dst) {
         continue;  // endpoints receive the mail directly, at hop 0
       }
-      const auto [it, inserted] = slot_of.try_emplace(node, recipient.size());
-      if (inserted) {
-        // A recipient's newest timestamp starts at its first
-        // contribution's, never at a constant a negative time would lose to.
-        recipient.push_back(node);
-        newest.push_back(t);
-        contributions.push_back(0);
-        sums.resize(sums.size() + du, 0.0f);
+      const auto v = static_cast<size_t>(node);
+      uint32_t& slot = s.slot[v];
+      if (slot == kNoSlot) {
+        slot = static_cast<uint32_t>(s.count.size());
+        s.touched[v / 64] |= uint64_t{1} << (v % 64);
+        s.count.push_back(0);
+        s.newest.push_back(t);
       }
-      float* acc = sums.data() + it->second * du;
-      for (int64_t i = 0; i < d; ++i) acc[i] += mail[static_cast<size_t>(i)];
-      newest[it->second] = std::max(newest[it->second], t);
-      ++contributions[it->second];
+      ++s.count[slot];
+      s.newest[slot] = std::max(s.newest[slot], t);
     }
   }
 
-  std::vector<size_t> order(recipient.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&recipient](size_t a, size_t b) {
-    return recipient[a] < recipient[b];
-  });
+  // Rows come out ascending by recipient: one scan of the bitmap (which
+  // it clears) lists the recipients in id order, and each moves to its
+  // sorted slot with its count and time.
+  const size_t u = s.count.size();
   *partial = RowBlock{};
   partial->width = d;
-  partial->node.reserve(order.size());
-  partial->timestamp.reserve(order.size());
-  partial->count.reserve(order.size());
-  partial->rows.resize(order.size() * du);
-  for (size_t i = 0; i < order.size(); ++i) {
-    const size_t slot = order[i];
-    partial->node.push_back(recipient[slot]);
-    partial->timestamp.push_back(newest[slot]);
-    partial->count.push_back(contributions[slot]);
-    std::copy_n(sums.data() + slot * du, du, partial->row(i));
+  partial->node.reserve(u);
+  partial->count.reserve(u);
+  partial->timestamp.reserve(u);
+  s.offset.resize(u + 1);
+  s.offset[0] = 0;
+  for (size_t w = 0; w < s.touched.size() && partial->size() < u; ++w) {
+    for (uint64_t bits = std::exchange(s.touched[w], 0); bits != 0;
+         bits &= bits - 1) {
+      const size_t v = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      const size_t i = partial->size();
+      partial->node.push_back(static_cast<graph::NodeId>(v));
+      partial->count.push_back(s.count[s.slot[v]]);
+      partial->timestamp.push_back(s.newest[s.slot[v]]);
+      s.slot[v] = static_cast<uint32_t>(i);
+      s.offset[i + 1] = s.offset[i] + static_cast<uint32_t>(partial->count[i]);
+    }
+  }
+
+  // Stable CSR fill: each recipient's contributing records in (record,
+  // hop) order, a repeated occurrence repeated. Mail passing f is the
+  // identity, so every occurrence adds the record's one mail row.
+  s.cursor.assign(s.offset.begin(), s.offset.end() - 1);
+  s.member.resize(s.offset[u]);
+  for (size_t r = 0; r < n; ++r) {
+    const graph::Event& event = batch.events[r];
+    for (const graph::NodeId node : hops.hops(r)) {
+      if (node == event.src || node == event.dst) continue;
+      s.member[s.cursor[s.slot[static_cast<size_t>(node)]]++] =
+          static_cast<uint32_t>(r);
+    }
+  }
+
+  partial->rows.resize(u * du);
+  tensor::kernels::SegmentRowSums(s.mails.data(), s.member.data(),
+                                  s.offset.data(), static_cast<int64_t>(u), d,
+                                  partial->rows.data());
+  for (const graph::NodeId node : partial->node) {
+    s.slot[static_cast<size_t>(node)] = kNoSlot;
   }
 }
 

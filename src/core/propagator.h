@@ -129,8 +129,9 @@ struct PartialPropagation {
   std::vector<PartialReduce> partial;  ///< One per PropagateRows row.
 };
 
-/// \brief φ + f + ρ over caller-sampled neighborhoods; graph-free and
-/// stateless, so one instance serves every shard worker concurrently.
+/// \brief φ + f + ρ over caller-sampled neighborhoods. Graph-free, and its
+/// only mutable state is PropagateRows' per-thread scratch, so one
+/// instance serves every shard worker concurrently.
 class MailPropagator {
  public:
   /// `features` must outlive the propagator.
@@ -171,9 +172,21 @@ class MailPropagator {
   /// ρ partial-sum row per distinct hop-1..k recipient, ascending by
   /// recipient; a row's timestamp is its newest contribution's. Endpoints
   /// of an event never receive its propagated copy: their hop-0 mail is
-  /// the caller's, one MailRow per endpoint. Accumulation is record-major
-  /// in hop order, so a recipient's sum depends only on which records
-  /// reach it and in what order — not on who sampled them. Thread-safe.
+  /// the caller's, one MailRow per endpoint.
+  ///
+  /// Recipient-major: φ runs once per record, the contributing records
+  /// are grouped by recipient in (record, hop) order, a repeated
+  /// occurrence counting again, and tensor::kernels::SegmentRowSums adds
+  /// each recipient's mail rows from 0.0f in that order and writes the row
+  /// once. So a recipient's sum depends only on which records reach it and
+  /// in what order — not on who sampled them — and is the same bits on
+  /// every kernel tier.
+  ///
+  /// Every hop node must lie in [0, num_nodes): hop lists can arrive off
+  /// a wire, so a node outside it aborts (APAN_CHECK) before it indexes
+  /// the dense recipient index. That index and the other buffers are
+  /// thread-local scratch that grows to the largest call and holds
+  /// nothing between calls, so concurrent calls are thread-safe.
   void PropagateRows(const InteractionRows& batch, const HopList& hops,
                      RowBlock* partial) const;
 

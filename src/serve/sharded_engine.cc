@@ -541,7 +541,8 @@ void ShardedEngine::EnqueueMessage(int to_shard, ShardPartial message) {
   APAN_CHECK_MSG(valid_shard(message.from_shard),
                  "transport delivered a message with an out-of-range sender");
   // The merge reads the hop list's offsets blind, so its shape is checked
-  // here, once, at the delivery boundary (the store range-checks nodes).
+  // here, once, at the delivery boundary; PropagateRows range-checks every
+  // node against num_nodes before it indexes anything.
   APAN_CHECK_MSG(message.hops.WellFormed(),
                  "transport delivered a malformed ShardPartial");
   Shard& target = *shards_[static_cast<size_t>(to_shard)];

@@ -280,6 +280,19 @@ void ResidualLayerNorm(const float* x, const float* residual,
   }
 }
 
+void SegmentRowSums(const float* x, const uint32_t* index,
+                    const uint32_t* offset, int64_t groups, int64_t d,
+                    float* y) {
+  for (int64_t g = 0; g < groups; ++g) {
+    float* out = y + g * d;
+    for (int64_t j = 0; j < d; ++j) out[j] = 0.0f;
+    for (uint32_t k = offset[g]; k < offset[g + 1]; ++k) {
+      const float* row = x + static_cast<int64_t>(index[k]) * d;
+      for (int64_t j = 0; j < d; ++j) out[j] += row[j];
+    }
+  }
+}
+
 }  // namespace scalar
 
 // ---- AVX2 tier --------------------------------------------------------------
@@ -371,42 +384,84 @@ __attribute__((target("avx2"))) inline void SoftmaxRow(const float* xr,
 __attribute__((target("avx2"))) void MatMul(const float* a, const float* b,
                                             float* c, int64_t n, int64_t k,
                                             int64_t m) {
-  for (int64_t i = 0; i < n; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * m;
-    int64_t j = 0;
-    // Four-register tiles over the output row; each C element still
-    // accumulates serially over k, so this is bitwise the ikj order.
-    for (; j + 32 <= m; j += 32) {
-      __m256 c0 = _mm256_setzero_ps();
-      __m256 c1 = _mm256_setzero_ps();
-      __m256 c2 = _mm256_setzero_ps();
-      __m256 c3 = _mm256_setzero_ps();
+  // Register tiles over the output; each C element still accumulates
+  // serially over k, so every tile is bitwise the ikj order. Columns
+  // [0, m32) take four-register tiles row by row; [m32, m16) take 16-wide
+  // tiles over two rows at once, so a narrow output (a per-head m = 16
+  // GEMM) still runs four independent chains instead of one.
+  const int64_t m32 = m - m % 32;
+  const int64_t m16 = m32 + (m - m32) / 16 * 16;
+  for (int64_t i = 0; i < n; i += 2) {
+    const bool pair = i + 1 < n;
+    for (int64_t r = i; r < (pair ? i + 2 : i + 1); ++r) {
+      const float* arow = a + r * k;
+      float* crow = c + r * m;
+      for (int64_t j = 0; j < m32; j += 32) {
+        __m256 c0 = _mm256_setzero_ps();
+        __m256 c1 = _mm256_setzero_ps();
+        __m256 c2 = _mm256_setzero_ps();
+        __m256 c3 = _mm256_setzero_ps();
+        for (int64_t kk = 0; kk < k; ++kk) {
+          const __m256 av = _mm256_set1_ps(arow[kk]);
+          const float* brow = b + kk * m + j;
+          c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, _mm256_loadu_ps(brow)));
+          c1 = _mm256_add_ps(c1,
+                             _mm256_mul_ps(av, _mm256_loadu_ps(brow + 8)));
+          c2 = _mm256_add_ps(c2,
+                             _mm256_mul_ps(av, _mm256_loadu_ps(brow + 16)));
+          c3 = _mm256_add_ps(c3,
+                             _mm256_mul_ps(av, _mm256_loadu_ps(brow + 24)));
+        }
+        _mm256_storeu_ps(crow + j, c0);
+        _mm256_storeu_ps(crow + j + 8, c1);
+        _mm256_storeu_ps(crow + j + 16, c2);
+        _mm256_storeu_ps(crow + j + 24, c3);
+      }
+    }
+    const float* a0 = a + i * k;
+    const float* a1 = pair ? a0 + k : a0;  // a lone last row runs twice
+    for (int64_t j = m32; j < m16; j += 16) {
+      __m256 c00 = _mm256_setzero_ps();
+      __m256 c01 = _mm256_setzero_ps();
+      __m256 c10 = _mm256_setzero_ps();
+      __m256 c11 = _mm256_setzero_ps();
       for (int64_t kk = 0; kk < k; ++kk) {
-        const __m256 av = _mm256_set1_ps(arow[kk]);
         const float* brow = b + kk * m + j;
-        c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, _mm256_loadu_ps(brow)));
-        c1 = _mm256_add_ps(c1, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 8)));
-        c2 = _mm256_add_ps(c2, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 16)));
-        c3 = _mm256_add_ps(c3, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 24)));
+        const __m256 b0 = _mm256_loadu_ps(brow);
+        const __m256 b1 = _mm256_loadu_ps(brow + 8);
+        const __m256 av0 = _mm256_set1_ps(a0[kk]);
+        const __m256 av1 = _mm256_set1_ps(a1[kk]);
+        c00 = _mm256_add_ps(c00, _mm256_mul_ps(av0, b0));
+        c01 = _mm256_add_ps(c01, _mm256_mul_ps(av0, b1));
+        c10 = _mm256_add_ps(c10, _mm256_mul_ps(av1, b0));
+        c11 = _mm256_add_ps(c11, _mm256_mul_ps(av1, b1));
       }
-      _mm256_storeu_ps(crow + j, c0);
-      _mm256_storeu_ps(crow + j + 8, c1);
-      _mm256_storeu_ps(crow + j + 16, c2);
-      _mm256_storeu_ps(crow + j + 24, c3);
-    }
-    for (; j + 8 <= m; j += 8) {
-      __m256 c0 = _mm256_setzero_ps();
-      for (int64_t kk = 0; kk < k; ++kk) {
-        c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(arow[kk]),
-                                             _mm256_loadu_ps(b + kk * m + j)));
+      float* crow = c + i * m + j;
+      _mm256_storeu_ps(crow, c00);
+      _mm256_storeu_ps(crow + 8, c01);
+      if (pair) {
+        _mm256_storeu_ps(crow + m, c10);
+        _mm256_storeu_ps(crow + m + 8, c11);
       }
-      _mm256_storeu_ps(crow + j, c0);
     }
-    for (; j < m; ++j) {
-      float acc = 0.0f;
-      for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * b[kk * m + j];
-      crow[j] = acc;
+    for (int64_t r = i; r < (pair ? i + 2 : i + 1); ++r) {
+      const float* arow = a + r * k;
+      float* crow = c + r * m;
+      int64_t j = m16;
+      for (; j + 8 <= m; j += 8) {
+        __m256 c0 = _mm256_setzero_ps();
+        for (int64_t kk = 0; kk < k; ++kk) {
+          c0 = _mm256_add_ps(
+              c0, _mm256_mul_ps(_mm256_set1_ps(arow[kk]),
+                                _mm256_loadu_ps(b + kk * m + j)));
+        }
+        _mm256_storeu_ps(crow + j, c0);
+      }
+      for (; j < m; ++j) {
+        float acc = 0.0f;
+        for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * b[kk * m + j];
+        crow[j] = acc;
+      }
     }
   }
 }
@@ -576,6 +631,51 @@ __attribute__((target("avx2"))) void ResidualLayerNorm(
     }
     for (; j < d; ++j) {
       yr[j] = ((yr[j] - mu) * inv) * gain[j] + bias[j];
+    }
+  }
+}
+
+__attribute__((target("avx2"))) void SegmentRowSums(const float* x,
+                                                    const uint32_t* index,
+                                                    const uint32_t* offset,
+                                                    int64_t groups, int64_t d,
+                                                    float* y) {
+  for (int64_t g = 0; g < groups; ++g) {
+    const uint32_t* first = index + offset[g];
+    const uint32_t* last = index + offset[g + 1];
+    float* out = y + g * d;
+    int64_t j = 0;
+    for (; j + 32 <= d; j += 32) {
+      __m256 c0 = _mm256_setzero_ps();
+      __m256 c1 = _mm256_setzero_ps();
+      __m256 c2 = _mm256_setzero_ps();
+      __m256 c3 = _mm256_setzero_ps();
+      for (const uint32_t* k = first; k != last; ++k) {
+        const float* row = x + static_cast<int64_t>(*k) * d + j;
+        c0 = _mm256_add_ps(c0, _mm256_loadu_ps(row));
+        c1 = _mm256_add_ps(c1, _mm256_loadu_ps(row + 8));
+        c2 = _mm256_add_ps(c2, _mm256_loadu_ps(row + 16));
+        c3 = _mm256_add_ps(c3, _mm256_loadu_ps(row + 24));
+      }
+      _mm256_storeu_ps(out + j, c0);
+      _mm256_storeu_ps(out + j + 8, c1);
+      _mm256_storeu_ps(out + j + 16, c2);
+      _mm256_storeu_ps(out + j + 24, c3);
+    }
+    for (; j + 8 <= d; j += 8) {
+      __m256 c0 = _mm256_setzero_ps();
+      for (const uint32_t* k = first; k != last; ++k) {
+        c0 = _mm256_add_ps(
+            c0, _mm256_loadu_ps(x + static_cast<int64_t>(*k) * d + j));
+      }
+      _mm256_storeu_ps(out + j, c0);
+    }
+    for (; j < d; ++j) {
+      float acc = 0.0f;
+      for (const uint32_t* k = first; k != last; ++k) {
+        acc += x[static_cast<int64_t>(*k) * d + j];
+      }
+      out[j] = acc;
     }
   }
 }
@@ -877,6 +977,8 @@ struct DispatchTable {
   void (*residual_layer_norm)(const float*, const float*, const float*,
                               const float*, float*, int64_t, int64_t, float) =
       scalar::ResidualLayerNorm;
+  void (*segment_row_sums)(const float*, const uint32_t*, const uint32_t*,
+                           int64_t, int64_t, float*) = scalar::SegmentRowSums;
 };
 
 DispatchTable BuildTable() {
@@ -908,6 +1010,7 @@ DispatchTable BuildTable() {
     t.attention_scores = avx2::AttentionScores;
     t.attention_context = avx2::AttentionContext;
     t.residual_layer_norm = avx2::ResidualLayerNorm;
+    t.segment_row_sums = avx2::SegmentRowSums;
     return t;
   }
 #endif
@@ -999,6 +1102,11 @@ void ResidualLayerNorm(const float* x, const float* residual,
                        const float* gain, const float* bias, float* y,
                        int64_t rows, int64_t d, float eps) {
   Table().residual_layer_norm(x, residual, gain, bias, y, rows, d, eps);
+}
+void SegmentRowSums(const float* x, const uint32_t* index,
+                    const uint32_t* offset, int64_t groups, int64_t d,
+                    float* y) {
+  Table().segment_row_sums(x, index, offset, groups, d, y);
 }
 
 }  // namespace kernels

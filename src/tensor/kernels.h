@@ -120,6 +120,16 @@ void ResidualLayerNorm(const float* x, const float* residual,
                        const float* gain, const float* bias, float* y,
                        int64_t rows, int64_t d, float eps);
 
+/// Row sums over an index CSR (the ρ sum of core::MailPropagator):
+///   y[g, :] = sum over k in [offset[g], offset[g+1]) of x[index[k], :]
+/// for g < groups, with x and y d wide. Each output element accumulates
+/// serially over k from 0.0f and is written once, so every tier gives the
+/// bits of the naive loop. Indices may repeat; an empty group writes zeros.
+/// Scalar and AVX2 tiers (NEON hosts run the scalar loop).
+void SegmentRowSums(const float* x, const uint32_t* index,
+                    const uint32_t* offset, int64_t groups, int64_t d,
+                    float* y);
+
 // ---- Training-side kernels (gradient primitives) ----------------------------
 // Implemented in kernels_backward.cc under the per-ISA contract (FMA
 // legal; see the header comment). All of them ACCUMULATE into their
@@ -204,6 +214,9 @@ void AttentionContext(const float* attn, const float* v, float* ctx,
 void ResidualLayerNorm(const float* x, const float* residual,
                        const float* gain, const float* bias, float* y,
                        int64_t rows, int64_t d, float eps);
+void SegmentRowSums(const float* x, const uint32_t* index,
+                    const uint32_t* offset, int64_t groups, int64_t d,
+                    float* y);
 // Training-side gradient primitives (blocked-scalar tier; defined in
 // kernels_backward.cc).
 void MatMulGradA(const float* g, const float* b, float* da, int64_t n,

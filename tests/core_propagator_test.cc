@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <thread>
 
 #include "graph/sampling.h"
 #include "graph/temporal_graph.h"
@@ -132,15 +133,41 @@ bool SameFloats(const float* a, const std::vector<float>& b) {
   return std::memcmp(a, b.data(), b.size() * sizeof(float)) == 0;
 }
 
+/// `partial` holds exactly the reference's rows, ascending, bit for bit.
+void ExpectMatchesReference(const RowBlock& partial,
+                            const std::map<graph::NodeId, ReferenceSum>& want) {
+  EXPECT_EQ(partial.width, kDim);
+  ASSERT_EQ(partial.size(), want.size());
+  ASSERT_EQ(partial.timestamp.size(), want.size());
+  ASSERT_EQ(partial.count.size(), want.size());
+  ASSERT_EQ(partial.rows.size(), want.size() * kDim);
+  size_t i = 0;
+  for (const auto& [node, sum] : want) {
+    EXPECT_EQ(partial.node[i], node) << i;
+    EXPECT_EQ(partial.timestamp[i], sum.newest) << i;
+    EXPECT_EQ(partial.count[i], sum.count) << i;
+    EXPECT_TRUE(SameFloats(partial.row(i), sum.sum)) << i;
+    ++i;
+  }
+}
+
 TEST(MailPropagatorTest, PropagateRowsMatchesNaiveReferenceBitwise) {
   // Random history, random embeddings in one shared matrix (an endpoint
   // reused across events is one row), random edge features, a self-loop,
   // 2-hop most-recent neighbourhoods, plus hand-added hop entries naming
-  // endpoints and repeated recipients.
-  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
-    SCOPED_TRACE(seed);
-    Rng rng(seed);
-    const int64_t nodes = 20;
+  // endpoints and repeated recipients. The last two cases draw their
+  // nodes from 40 ids scattered over a 5,000-node space, at negative
+  // times.
+  const struct {
+    uint64_t seed;
+    int64_t nodes;
+    double t0;
+  } cases[] = {{1, 20, 0.0},       {2, 20, 0.0},      {3, 20, 0.0},
+               {4, 20, 0.0},       {5, 5000, -1e3},   {6, 5000, -1e3}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.seed);
+    Rng rng(c.seed);
+    const int64_t nodes = c.nodes;
     ApanConfig config = Config(2);
     config.num_nodes = nodes;
     config.sampled_neighbors = 3;
@@ -151,11 +178,18 @@ TEST(MailPropagatorTest, PropagateRowsMatchesNaiveReferenceBitwise) {
       for (float& x : row) x = static_cast<float>(rng.Normal());
       return row;
     };
-    double t = 0.0;
+    std::vector<graph::NodeId> pool;
+    for (int64_t v = 0; v < std::min<int64_t>(nodes, 40); ++v) {
+      pool.push_back(nodes <= 40 ? v
+                                 : static_cast<graph::NodeId>(
+                                       rng.UniformInt(uint64_t(nodes))));
+    }
+    const auto pick = [&] { return pool[rng.UniformInt(pool.size())]; };
+    double t = c.t0;
     for (int i = 0; i < 60; ++i) {
       t += 1.0;
-      const auto src = static_cast<graph::NodeId>(rng.UniformInt(nodes));
-      const auto dst = static_cast<graph::NodeId>(rng.UniformInt(nodes));
+      const graph::NodeId src = pick();
+      const graph::NodeId dst = pick();
       ASSERT_TRUE(graph.AddEvent({src, dst, t, features.Append(random_row())})
                       .ok());
     }
@@ -176,9 +210,9 @@ TEST(MailPropagatorTest, PropagateRowsMatchesNaiveReferenceBitwise) {
     std::vector<std::vector<graph::HopEntry>> hops;
     for (int r = 0; r < 15; ++r) {
       t += 0.5;
-      const auto src = static_cast<graph::NodeId>(rng.UniformInt(nodes));
-      const auto dst = r == 4 ? src  // a self-loop
-                              : static_cast<graph::NodeId>(rng.UniformInt(nodes));
+      const graph::NodeId src = pick();
+      const graph::NodeId dst = r == 4 ? src  // a self-loop
+                                       : pick();
       events.push_back({src, dst, t, features.Append(random_row())});
       src_row.push_back(row_of(src));
       dst_row.push_back(row_of(dst));
@@ -188,10 +222,11 @@ TEST(MailPropagatorTest, PropagateRowsMatchesNaiveReferenceBitwise) {
       if (r % 3 == 0) {
         hops.back().push_back({src});
         hops.back().push_back({dst});
-        hops.back().push_back({static_cast<graph::NodeId>(r % nodes)});
-        hops.back().push_back({static_cast<graph::NodeId>(r % nodes)});
+        hops.back().push_back({pool[static_cast<size_t>(r)]});
+        hops.back().push_back({pool[static_cast<size_t>(r)]});
       }
     }
+    if (nodes > 40) ASSERT_LT(t, 0.0);  // every time negative
     const InteractionRows batch{events, z, src_row, dst_row};
 
     RowBlock partial;
@@ -206,17 +241,8 @@ TEST(MailPropagatorTest, PropagateRowsMatchesNaiveReferenceBitwise) {
                    z.data() + dst_row[r] * kDim, mail.data());
       EXPECT_TRUE(SameFloats(mail.data(), want_mails[r])) << r;
     }
-    EXPECT_EQ(partial.width, kDim);
-    ASSERT_EQ(partial.size(), want_sums.size());
     ASSERT_GT(partial.size(), 3u);
-    size_t i = 0;
-    for (const auto& [node, want] : want_sums) {
-      EXPECT_EQ(partial.node[i], node) << i;
-      EXPECT_EQ(partial.timestamp[i], want.newest) << i;
-      EXPECT_EQ(partial.count[i], want.count) << i;
-      EXPECT_TRUE(SameFloats(partial.row(i), want.sum)) << i;
-      ++i;
-    }
+    ExpectMatchesReference(partial, want_sums);
 
     // Restricting every record's hops to one owner's nodes — the list a
     // sharded owner runs the kernel over — yields exactly that owner's
@@ -244,6 +270,129 @@ TEST(MailPropagatorTest, PropagateRowsMatchesNaiveReferenceBitwise) {
       }
       EXPECT_EQ(j, part.size()) << "owner " << owner;
     }
+  }
+}
+
+/// A random flat batch with hand-drawn hop lists: `records` events between
+/// nodes of `pool`, each with its own two z rows and a fresh edge row in
+/// `features`, and 0..12 hop entries from `pool` (so endpoints and
+/// repeats occur), starting at time `t0`.
+struct HopBatch {
+  std::vector<graph::Event> events;
+  std::vector<float> z;
+  std::vector<int64_t> src_row, dst_row;
+  std::vector<std::vector<graph::HopEntry>> hops;
+
+  HopBatch(uint64_t seed, const std::vector<graph::NodeId>& pool, int records,
+           double t0, graph::EdgeFeatureStore* features) {
+    Rng rng(seed);
+    const auto random_row = [&rng] {
+      std::vector<float> row(kDim);
+      for (float& x : row) x = static_cast<float>(rng.Normal());
+      return row;
+    };
+    const auto pick = [&] { return pool[rng.UniformInt(pool.size())]; };
+    const auto add_z_row = [&] {
+      const std::vector<float> row = random_row();
+      z.insert(z.end(), row.begin(), row.end());
+      return static_cast<int64_t>(z.size()) / kDim - 1;
+    };
+    for (int r = 0; r < records; ++r) {
+      events.push_back({pick(), pick(), t0 + r, features->Append(random_row())});
+      src_row.push_back(add_z_row());
+      dst_row.push_back(add_z_row());
+      std::vector<graph::HopEntry>& list = hops.emplace_back();
+      for (uint64_t k = rng.UniformInt(uint64_t{13}); k > 0; --k) {
+        list.push_back({pick()});
+      }
+    }
+  }
+  InteractionRows rows() const { return {events, z, src_row, dst_row}; }
+
+  /// PropagateRows on this batch, checked bitwise against NaiveReference.
+  RowBlock CheckAgainstReference(const MailPropagator& prop) const {
+    RowBlock partial;
+    prop.PropagateRows(rows(), HopList::FromEntries(hops), &partial);
+    std::vector<std::vector<float>> mails;
+    std::map<graph::NodeId, ReferenceSum> want;
+    NaiveReference(rows(), prop.features(), hops, &mails, &want);
+    ExpectMatchesReference(partial, want);
+    return partial;
+  }
+};
+
+std::vector<graph::NodeId> Range(graph::NodeId first, graph::NodeId last) {
+  std::vector<graph::NodeId> ids;
+  for (graph::NodeId v = first; v < last; ++v) ids.push_back(v);
+  return ids;
+}
+
+TEST(MailPropagatorTest, BackToBackCallsLeaveNoStaleSlots) {
+  // One thread, one propagator, calls whose recipient sets overlap, are
+  // disjoint and repeat: a slot left set by an earlier call would merge
+  // or miscount rows of a later one.
+  ApanConfig config = Config(2);
+  config.num_nodes = 200;
+  graph::EdgeFeatureStore features(kDim);
+  MailPropagator prop(config, &features);
+  const HopBatch a(1, Range(10, 30), 40, 1.0, &features);
+  const HopBatch overlapping(2, Range(20, 40), 40, 100.0, &features);
+  const HopBatch disjoint(3, Range(150, 200), 40, 200.0, &features);
+  const HopBatch empty(4, Range(0, 1), 5, 300.0, &features);  // self-loops
+  const RowBlock first = a.CheckAgainstReference(prop);
+  for (const HopBatch* batch : {&overlapping, &disjoint, &empty, &a}) {
+    batch->CheckAgainstReference(prop);
+  }
+  const RowBlock again = a.CheckAgainstReference(prop);
+  EXPECT_EQ(first.node, again.node);
+  EXPECT_EQ(first.rows, again.rows);
+  EXPECT_EQ(first.count, again.count);
+}
+
+TEST(MailPropagatorTest, ConcurrentCallsOnOnePropagatorAgree) {
+  // Shard workers share one propagator; each thread has its own scratch.
+  ApanConfig config = Config(2);
+  config.num_nodes = 5000;
+  graph::EdgeFeatureStore features(kDim);
+  MailPropagator prop(config, &features);
+  const HopBatch batch(7, Range(0, 5000), 300, -50.0, &features);
+  const RowBlock want = batch.CheckAgainstReference(prop);
+  ASSERT_GT(want.size(), 100u);
+  const HopList hops = HopList::FromEntries(batch.hops);
+  std::vector<int> mismatches(2, 0);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      for (int round = 0; round < 20; ++round) {
+        RowBlock got;
+        prop.PropagateRows(batch.rows(), hops, &got);
+        if (got.node != want.node || got.rows != want.rows ||
+            got.count != want.count || got.timestamp != want.timestamp) {
+          ++mismatches[static_cast<size_t>(w)];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches, (std::vector<int>{0, 0}));
+}
+
+TEST(MailPropagatorTest, OutOfRangeHopNodeAborts) {
+  // Hop lists can come off a wire; a node outside [0, num_nodes) must stop
+  // the kernel before it indexes the dense recipient array.
+  ApanConfig config = Config(1);
+  graph::EdgeFeatureStore features(kDim);
+  MailPropagator prop(config, &features);
+  FlatBatch b;
+  b.Add(0, 1, 1.0, features.Append(std::vector<float>(kDim, 0.0f)), 1.0f,
+        2.0f);
+  for (const graph::NodeId bad : {graph::NodeId{-1}, config.num_nodes}) {
+    HopList hops;
+    hops.offset = {0, 2};
+    hops.node = {2, bad};
+    RowBlock partial;
+    EXPECT_DEATH(prop.PropagateRows(b.rows(), hops, &partial),
+                 "hop node out of range");
   }
 }
 

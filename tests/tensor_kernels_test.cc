@@ -286,6 +286,64 @@ TEST(KernelParityTest, ResidualLayerNormMatchesScalarAndComposedOps) {
   ExpectBitwise(dispatched, normed, "ResidualLayerNorm vs composition");
 }
 
+TEST(KernelParityTest, NarrowMatMulTilesMatchScalarBitwise) {
+  // Outputs under 32 columns, and the 16-column remainder past the 32-wide
+  // tiles, run two rows at a time; an odd n leaves a lone last row.
+  Rng rng(12);
+  for (const int64_t m : {8, 16, 24, 48, 80}) {
+    for (const int64_t n : {1, 7, 215}) {
+      SCOPED_TRACE(testing::Message() << "m=" << m << " n=" << n);
+      const int64_t k = 32;
+      const auto a = RandomVec(static_cast<size_t>(n * k), &rng);
+      const auto b = RandomVec(static_cast<size_t>(k * m), &rng);
+      std::vector<float> dispatched(static_cast<size_t>(n * m));
+      std::vector<float> scalar(dispatched.size());
+      kernels::MatMul(a.data(), b.data(), dispatched.data(), n, k, m);
+      kernels::scalar::MatMul(a.data(), b.data(), scalar.data(), n, k, m);
+      ExpectBitwise(dispatched, scalar, "narrow MatMul vs scalar");
+    }
+  }
+}
+
+TEST(KernelParityTest, SegmentRowSumsMatchesScalarAndSerialLoopBitwise) {
+  // Groups of 0, 1 and 300 rows (300 draws from 50 rows repeat indices),
+  // at widths on and off the 8- and 32-wide tiles.
+  Rng rng(13);
+  const int64_t rows = 50;
+  for (const int64_t d : {1, 7, 8, 32, 33}) {
+    SCOPED_TRACE(d);
+    const auto x = RandomVec(static_cast<size_t>(rows * d), &rng);
+    std::vector<uint32_t> offset = {0};
+    std::vector<uint32_t> index;
+    for (const uint32_t count : {0u, 1u, 300u, 0u, 2u}) {
+      for (uint32_t k = 0; k < count; ++k) {
+        index.push_back(
+            static_cast<uint32_t>(rng.UniformInt(static_cast<uint64_t>(rows))));
+      }
+      offset.push_back(static_cast<uint32_t>(index.size()));
+    }
+    const auto groups = static_cast<int64_t>(offset.size()) - 1;
+    // Outputs start as NaN: every element must be written.
+    std::vector<float> dispatched(static_cast<size_t>(groups * d), NAN);
+    std::vector<float> scalar(dispatched.size(), NAN);
+    kernels::SegmentRowSums(x.data(), index.data(), offset.data(), groups, d,
+                            dispatched.data());
+    kernels::scalar::SegmentRowSums(x.data(), index.data(), offset.data(),
+                                    groups, d, scalar.data());
+    ExpectBitwise(dispatched, scalar, "SegmentRowSums vs scalar");
+    std::vector<float> serial(dispatched.size(), 0.0f);
+    for (int64_t g = 0; g < groups; ++g) {
+      for (uint32_t k = offset[g]; k < offset[g + 1]; ++k) {
+        for (int64_t j = 0; j < d; ++j) {
+          serial[static_cast<size_t>(g * d + j)] +=
+              x[static_cast<size_t>(index[k] * d + j)];
+        }
+      }
+    }
+    ExpectBitwise(dispatched, serial, "SegmentRowSums vs serial loop");
+  }
+}
+
 // ---- AddBiasRelu op: autograd ----------------------------------------------
 
 TEST(AddBiasReluOpTest, MatchesReluOfAddForwardAndBackward) {
